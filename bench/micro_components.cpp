@@ -16,7 +16,7 @@
 #include "src/common/zipf.h"
 #include "src/store/partition.h"
 #include "src/store/seqlock.h"
-#include "src/topk/space_saving.h"
+#include "src/topk/flat_space_saving.h"
 #include "src/workload/workload.h"
 
 namespace cckvs {
@@ -201,7 +201,7 @@ void BM_CacheProbeMiss(benchmark::State& state) {
 BENCHMARK(BM_CacheProbeMiss);
 
 void BM_SpaceSavingOffer(benchmark::State& state) {
-  SpaceSaving ss(4096);
+  FlatSpaceSaving ss(4096);
   ZipfSampler sampler(1'000'000, 0.99);
   Rng rng(10);
   for (auto _ : state) {

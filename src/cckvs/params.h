@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "src/cache/replacement.h"
 #include "src/common/types.h"
 #include "src/net/network.h"
 #include "src/protocol/engine.h"
@@ -58,7 +57,6 @@ inline const char* ToString(SystemKind k) {
 struct CpuModel {
   SimTime cache_probe_ns = 20;    // hot-set membership probe
   SimTime cache_hit_ns = 90;      // cache read (seqlock copy-out)
-  SimTime l1_hit_ns = 60;         // node-private L1 tail read (no seqlock)
   SimTime cache_write_ns = 140;   // local cache write incl. protocol state
   SimTime kvs_op_ns = 130;        // MICA get/put on the home shard
   SimTime rpc_handle_ns = 50;     // incoming RPC demux before the KVS op
@@ -80,12 +78,6 @@ struct RackParams {
   // Symmetric cache: 0.1% of the dataset (§7.1).
   std::size_t cache_capacity = 250'000;
   bool prefill_hot_set = true;  // steady-state experiments pre-install the hot set
-
-  // Node-private L1 tail cache in front of the symmetric tier (0 = off):
-  // keys hot HERE but not in the global hot set, admitted by a per-node
-  // Space-Saving sketch and invalidated on any locally observable write.
-  std::size_t l1_capacity = 0;
-  L1Policy l1_policy = L1Policy::kLru;
 
   // Thread pools (§6.2 thread partitioning).  The paper's nodes have 2x10
   // cores with 2 hyperthreads each; 16 worker ("cache") threads and 8 KVS
@@ -125,10 +117,6 @@ struct RackParams {
   bool online_topk = false;
   std::uint64_t topk_epoch_requests = 200'000;
   double topk_sample_probability = 0.05;
-  // Drift-aware pacing: adapt epoch length from last_epoch_churn() (high
-  // churn shortens the next epoch, churn ~0 lengthens it, clamped; see
-  // topk/epoch_coordinator.h).
-  bool topk_adaptive_epochs = false;
 
   // Record a full operation history for the consistency checkers (small runs).
   bool record_history = false;
@@ -146,7 +134,8 @@ struct RackReport {
   double hit_mrps = 0;   // Figure 9 split
   double miss_mrps = 0;
 
-  // Node-private L1 tail (l1_capacity > 0 runs), summed over nodes.
+  // Node-private L1 tail, summed over nodes.  Only live racks have the tier
+  // (LiveRackParams::l1_capacity > 0); the simulator leaves these at zero.
   std::uint64_t l1_hits = 0;
   std::uint64_t l1_fills = 0;
   std::uint64_t l1_invalidations = 0;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/cache/l1_tail.h"
 #include "src/cckvs/report_util.h"
 #include "src/cckvs/rpc_messages.h"
 #include "src/common/check.h"
@@ -15,7 +14,6 @@
 #include "src/protocol/messages.h"
 #include "src/rdma/flow_control.h"
 #include "src/rdma/verbs.h"
-#include "src/topk/flat_space_saving.h"
 
 namespace cckvs {
 namespace {
@@ -86,9 +84,6 @@ class RackNode final : public MessageSink, public HotSetHost {
     std::uint64_t invs_sent = 0;
     std::uint64_t acks_sent = 0;
     std::uint64_t credit_updates_sent = 0;
-    std::uint64_t l1_hits = 0;
-    std::uint64_t l1_fills = 0;
-    std::uint64_t l1_invalidations = 0;
     SimTime worker_busy = 0;
     SimTime kvs_busy = 0;
   };
@@ -129,13 +124,6 @@ class RackNode final : public MessageSink, public HotSetHost {
   void ScheduleOpenLoopArrival();
   void GenerateOp(std::uint32_t slot);
   void ProcessOp(std::uint32_t slot);
-  // Node-private L1 tail (cache/l1_tail.h): serve a GET from the private copy
-  // when it is provably current.  Under SC a hit needs no validation (local
-  // writes invalidate synchronously, so per-session timestamps stay monotone);
-  // under Lin every hit revalidates against the home shard's timestamp, which
-  // is local because admission is restricted to self-homed keys.
-  bool TryServeFromL1(std::uint32_t slot);
-  void MaybeAdmitToL1(Key key, const Value& value, Timestamp ts);
   void ExecuteCachePut(std::uint32_t slot);
   void RouteMiss(std::uint32_t slot);
   void CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
@@ -190,14 +178,6 @@ class RackNode final : public MessageSink, public HotSetHost {
   std::unique_ptr<SymmetricCache> cache_;
   std::unique_ptr<CoherenceEngine> engine_;
   std::unique_ptr<HotSetManager> hot_mgr_;  // online_topk runs only
-
-  // L1 tail tier (l1_capacity > 0, ccKVS only): node-private cache fed by a
-  // per-node Space-Saving sketch, kept disjoint from the symmetric tier.
-  std::unique_ptr<L1TailCache> l1_;
-  std::unique_ptr<FlatSpaceSaving> l1_sketch_;
-  std::uint64_t l1_offers_ = 0;
-  std::uint64_t l1_hits_ = 0;  // ops actually served from the L1
-  bool l1_validate_ = false;   // Lin: revalidate every hit against the shard
 
   std::unique_ptr<ServicePool> workers_;
   std::vector<std::unique_ptr<ServicePool>> kvs_pools_;
@@ -294,17 +274,6 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
     engine_ = std::make_unique<LinEngine>(id, /*num_nodes=*/1, cache_.get(), this);
   }
 
-  // Node-private L1 tail in front of the symmetric tier.  The simulator's
-  // remote shards are reachable only over RPC (like a ranked live rack), so
-  // under Lin — where every hit revalidates against the home shard — only
-  // self-homed keys are admitted.
-  if (p.kind == SystemKind::kCcKvs && p.l1_capacity > 0) {
-    l1_ = std::make_unique<L1TailCache>(p.l1_capacity, p.l1_policy,
-                                        p.workload.value_bytes);
-    l1_sketch_ = std::make_unique<FlatSpaceSaving>(p.l1_capacity * 2);
-    l1_validate_ = p.consistency == ConsistencyModel::kLin;
-  }
-
   // Hot-set subsystem (§4): node 0 doubles as the epoch coordinator; every
   // node runs the member side (install, deferral, fills, install barrier).
   if (p.kind == SystemKind::kCcKvs && p.online_topk) {
@@ -316,7 +285,6 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
     hc.epoch.requests_per_epoch = p.topk_epoch_requests;
     hc.epoch.sample_probability = p.topk_sample_probability;
     hc.epoch.seed = p.seed ^ 0x70cull;
-    hc.epoch.adaptive = p.topk_adaptive_epochs;
     hc.home_of = [rack](Key key) { return rack->HomeOf(key); };
     hot_mgr_ =
         std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(), this);
@@ -475,15 +443,6 @@ void RackNode::ProcessOp(std::uint32_t slot) {
     }
     return;
   }
-  if (l1_ != nullptr) {
-    if (st.op.type == OpType::kPut) {
-      // Write-through-invalidate: the private copy dies before the write is
-      // even routed, so a later read by this node cannot see the old value.
-      l1_->Invalidate(st.op.key);
-    } else if (TryServeFromL1(slot)) {
-      return;
-    }
-  }
   if (p.kind == SystemKind::kCcKvs && cache_->Probe(st.op.key)) {
     st.via_cache = true;
     if (st.op.type == OpType::kGet) {
@@ -506,56 +465,6 @@ void RackNode::ProcessOp(std::uint32_t slot) {
   RouteMiss(slot);
 }
 
-bool RackNode::TryServeFromL1(std::uint32_t slot) {
-  OpState& st = ops_[slot];
-  const Key key = st.op.key;
-  Value value;
-  Timestamp ts;
-  if (!l1_->Get(key, &value, &ts)) {
-    return false;
-  }
-  if (l1_validate_) {
-    // Lin: the hit linearizes at the instant the home shard's timestamp is
-    // observed to match ((clock, writer) uniquely identifies a write, so a
-    // matching timestamp implies a matching value).  Admission restricted the
-    // L1 to self-homed keys, so the shard is local.
-    Timestamp home_ts;
-    bool resident = false;
-    if (!PartitionFor(key).PeekTimestamp(key, &home_ts, &resident) || resident ||
-        !(home_ts == ts)) {
-      l1_->Invalidate(key);
-      return false;
-    }
-  }
-  st.via_cache = true;
-  workers_->Submit(params().cpu.l1_hit_ns, [this, slot, value, ts] {
-    ++l1_hits_;
-    CompleteOp(slot, value, ts, true);
-  });
-  return true;
-}
-
-void RackNode::MaybeAdmitToL1(Key key, const Value& value, Timestamp ts) {
-  std::uint64_t guaranteed = 0;
-  l1_sketch_->Offer(key, &guaranteed);
-  if (++l1_offers_ % (l1_sketch_->capacity() * 8) == 0) {
-    l1_sketch_->DecayHalve();
-  }
-  if (guaranteed < 2) {
-    // Proven sightings (count - error), not the estimate: a saturated sketch
-    // inflates every newcomer to min+1, and admitting on that churns the L1
-    // with one-hit tail keys (see live_node.cc's twin of this gate).
-    return;
-  }
-  if (l1_validate_ && rack_->HomeOf(key) != id_) {
-    return;  // Lin hits revalidate against the shard, which must be local
-  }
-  if (cache_->Find(key) != nullptr) {
-    return;  // tier exclusivity: the symmetric cache already serves this key
-  }
-  l1_->Fill(key, value, ts);
-}
-
 void RackNode::ExecuteCachePut(std::uint32_t slot) {
   OpState& st = ops_[slot];
   const Key key = st.op.key;
@@ -575,14 +484,7 @@ void RackNode::ExecuteCachePut(std::uint32_t slot) {
     return;
   }
   engine_->Write(key, st.op.value, [this, slot, key] {
-    // For Lin, pending_ts still holds the completed write's timestamp; for SC
-    // the entry timestamp is the write's own (done fires synchronously).
-    CacheEntry* e = cache_->Find(key);
-    const Timestamp ts =
-        (engine_->model() == ConsistencyModel::kLin && e != nullptr) ? e->pending_ts
-        : e != nullptr                                               ? e->ts()
-                                                                     : Timestamp{};
-    CompleteOp(slot, ops_[slot].op.value, ts, true);
+    CompleteOp(slot, ops_[slot].op.value, engine_->CompletedWriteTs(key), true);
   });
 }
 
@@ -642,13 +544,7 @@ void RackNode::ExecuteKvsOpAsync(const RpcRequest& req,
     }
     engine_->Write(req.key, req.value, [this, key = req.key, op_id = req.op_id,
                                         respond] {
-      CacheEntry* e = cache_->Find(key);
-      const Timestamp ts =
-          (engine_->model() == ConsistencyModel::kLin && e != nullptr)
-              ? e->pending_ts
-          : e != nullptr ? e->ts()
-                         : Timestamp{};
-      respond(RpcResponse{op_id, Value{}, ts});
+      respond(RpcResponse{op_id, Value{}, engine_->CompletedWriteTs(key)});
     });
     return;
   }
@@ -671,11 +567,6 @@ void RackNode::ExecuteKvsOpAsync(const RpcRequest& req,
     if (!part.TryPut(req.key, req.value, &resp.ts)) {
       parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
       return;
-    }
-    if (l1_ != nullptr) {
-      // Home-side shard write: a peer (or this node) just overwrote a key this
-      // node may hold privately.
-      l1_->Invalidate(req.key);
     }
   }
   respond(resp);
@@ -856,18 +747,6 @@ void RackNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp
     ++miss_completed_;
   }
   latency_.Record(sim().now() - st.start);
-
-  if (l1_ != nullptr && st.op.type == OpType::kPut) {
-    // Invalidate again at completion (see live_node.cc): a stale in-flight
-    // GET response may have refilled the key after the routing-time
-    // invalidation; per-pair FIFO delivery guarantees that fill landed
-    // before this write's own response, so this drop is ordered last.
-    l1_->Invalidate(st.op.key);
-  }
-  if (l1_ != nullptr && !via_cache && st.op.type == OpType::kGet) {
-    // Authoritative miss read: offer it to the sketch and maybe admit.
-    MaybeAdmitToL1(st.op.key, read_value, ts);
-  }
 
   if (params().record_history) {
     HistoryOp h;
@@ -1078,9 +957,6 @@ void RackNode::OnConsistencyRecv(const Datagram& dg) {
     case TrafficClass::kUpdate: {
       workers_->Submit(p.cpu.upd_apply_ns, [this, dg] {
         const UpdateMsg msg = DeserializeUpdate(*dg.body);
-        if (l1_ != nullptr) {
-          l1_->Invalidate(msg.key);  // a peer wrote: drop the private copy
-        }
         if (cache_->Find(msg.key) != nullptr) {
           engine_->OnUpdate(dg.src, msg);
         } else if (rack_->HomeOf(msg.key) == id_) {
@@ -1101,9 +977,6 @@ void RackNode::OnConsistencyRecv(const Datagram& dg) {
     case TrafficClass::kInvalidation: {
       workers_->Submit(p.cpu.inv_apply_ns, [this, dg] {
         const InvalidateMsg msg = DeserializeInvalidate(*dg.body);
-        if (l1_ != nullptr) {
-          l1_->Invalidate(msg.key);
-        }
         if (hot_mgr_ != nullptr && cache_->Find(msg.key) == nullptr) {
           hot_mgr_->NoteUncachedInvalidate(msg.key, msg.ts);
         }
@@ -1187,12 +1060,6 @@ void RackNode::ApplyAnnounce(const HotSetAnnounceMsg& msg) {
   if (hot_mgr_ == nullptr) {
     return;
   }
-  if (l1_ != nullptr) {
-    // Tier exclusivity: keys entering the symmetric tier leave the L1.
-    for (const Key key : msg.keys) {
-      l1_->Invalidate(key);
-    }
-  }
   hot_mgr_->DriveAnnounce(msg);  // executes the transition via the hooks below
   RetryGatedShardOps();          // a re-admission may have unparked shard ops
 }
@@ -1210,9 +1077,6 @@ void RackNode::ApplyWriteback(const SymmetricCache::Eviction& ev) {
   // §4: "only the node containing the shard with the evicted key needs to ...
   // update the underlying KVS"; symmetric contents make the local copy
   // sufficient.
-  if (l1_ != nullptr) {
-    l1_->Invalidate(ev.key);  // the write-back may carry a newer value
-  }
   PartitionFor(ev.key).Apply(ev.key, ev.value, ev.ts);
 }
 
@@ -1284,9 +1148,6 @@ void RackNode::HandleFills(const Datagram& dg) {
       return;
     }
     for (const FillMsg& f : DeserializeFills(*dg.body)) {
-      if (l1_ != nullptr) {
-        l1_->Invalidate(f.key);  // tier exclusivity on epoch admission
-      }
       hot_mgr_->ApplyFill(f);
     }
     MaybeRetryDeferred();   // fills may have released reader-parked evictions
@@ -1303,11 +1164,6 @@ RackNode::Snapshot RackNode::TakeSnapshot() const {
   s.invs_sent = invs_sent_;
   s.acks_sent = acks_sent_;
   s.credit_updates_sent = credit_updates_sent_;
-  if (l1_ != nullptr) {
-    s.l1_hits = l1_hits_;
-    s.l1_fills = l1_->stats().fills;
-    s.l1_invalidations = l1_->stats().invalidations;
-  }
   s.worker_busy = workers_->busy_time();
   for (const auto& pool : kvs_pools_) {
     s.kvs_busy += pool->busy_time();
@@ -1419,9 +1275,6 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
     totals.invs_sent += now.invs_sent - base.invs_sent;
     totals.acks_sent += now.acks_sent - base.acks_sent;
     totals.credit_updates_sent += now.credit_updates_sent - base.credit_updates_sent;
-    totals.l1_hits += now.l1_hits - base.l1_hits;
-    totals.l1_fills += now.l1_fills - base.l1_fills;
-    totals.l1_invalidations += now.l1_invalidations - base.l1_invalidations;
     totals.worker_busy += now.worker_busy - base.worker_busy;
     totals.kvs_busy += now.kvs_busy - base.kvs_busy;
     latency.Merge(nodes_[i]->latency());
@@ -1462,9 +1315,6 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   report.credit_updates_sent = totals.credit_updates_sent;
   report.epochs = coord != nullptr ? coord->epochs_closed() - at_warmup_->epochs : 0;
   report.hot_set_churn = coord != nullptr ? coord->last_epoch_churn() : 0;
-  report.l1_hits = totals.l1_hits;
-  report.l1_fills = totals.l1_fills;
-  report.l1_invalidations = totals.l1_invalidations;
 
   // Drain: stop issuing client operations and let everything in flight finish,
   // so recorded histories are complete and final state is quiescent.  The

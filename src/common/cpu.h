@@ -1,11 +1,9 @@
-// CPU affinity, spin-hinting and (optional) NUMA helpers for the pinned
-// busy-poll run-loop mode.
+// CPU affinity and spin-hinting helpers for the pinned busy-poll run-loop
+// mode.
 //
-// Everything degrades gracefully: PinCurrentThreadToCore() wraps the
-// requested core modulo the online CPU count (a 1-core CI container pins
-// everything to core 0 rather than failing), and the NUMA helpers compile to
-// reported no-ops when <numa.h> is absent — this repo never links libnuma
-// conditionally at configure time, the header probe decides.
+// PinCurrentThreadToCore() degrades gracefully: it wraps the requested core
+// modulo the online CPU count (a 1-core CI container pins everything to core
+// 0 rather than failing).  Pinning is a plain affinity mask, not NUMA-aware.
 
 #ifndef CCKVS_COMMON_CPU_H_
 #define CCKVS_COMMON_CPU_H_
@@ -14,16 +12,6 @@
 #include <pthread.h>
 #include <sched.h>
 #include <unistd.h>
-#endif
-
-#if defined(__has_include)
-#if __has_include(<numa.h>)
-#include <numa.h>
-#define CCKVS_HAVE_NUMA 1
-#endif
-#endif
-#ifndef CCKVS_HAVE_NUMA
-#define CCKVS_HAVE_NUMA 0
 #endif
 
 namespace cckvs {
@@ -35,26 +23,6 @@ inline void CpuRelax() {
   __builtin_ia32_pause();
 #elif defined(__aarch64__)
   asm volatile("yield" ::: "memory");
-#endif
-}
-
-// True when libnuma headers were present at compile time AND the kernel
-// exposes a NUMA topology at runtime.
-inline bool NumaAvailable() {
-#if CCKVS_HAVE_NUMA
-  return numa_available() >= 0;
-#else
-  return false;
-#endif
-}
-
-// NUMA node of a CPU core, or -1 when NUMA support is compiled out.
-inline int NumaNodeOfCore(int core) {
-#if CCKVS_HAVE_NUMA
-  return numa_available() >= 0 ? numa_node_of_cpu(core) : -1;
-#else
-  (void)core;
-  return -1;
 #endif
 }
 

@@ -141,6 +141,18 @@ class CoherenceEngine {
   virtual ConsistencyModel model() const = 0;
   const EngineStats& stats() const { return stats_; }
 
+  // The timestamp a local write of `key` completed at, read from inside its
+  // WriteDone: Lin still holds it in pending_ts when `done` fires, and SC
+  // applied it synchronously, so the entry's own timestamp is the write's.
+  // Timestamp{} when the key is no longer cached.
+  Timestamp CompletedWriteTs(Key key) const {
+    const CacheEntry* e = cache_->Find(key);
+    if (e == nullptr) {
+      return Timestamp{};
+    }
+    return model() == ConsistencyModel::kLin ? e->pending_ts : e->ts();
+  }
+
   // Gives the reused broadcast scratch its value capacity up front.  Without
   // this, the node's FIRST cache-hot write pays the scratch's one string
   // growth — which lands inside the measured window (and trips the zero-alloc

@@ -43,7 +43,6 @@ SimTime UdQp::PostSendBatch(const std::vector<SendWr>& wrs) {
     p.cls = wr.cls;
     p.body = wr.body;
     endpoint_->network()->Send(p);
-    ++sends_posted_;
   }
   return cpu;
 }
@@ -63,7 +62,6 @@ SimTime UdQp::PostMulticast(const SendWr& wr, const std::vector<NodeId>& dsts) {
   p.cls = wr.cls;
   p.body = wr.body;
   endpoint_->network()->SendMulticast(p, dsts);
-  sends_posted_ += 1;
   return cpu;
 }
 

@@ -96,7 +96,6 @@ class UdQp {
 
   const QpConfig& config() const { return config_; }
   int available_recvs() const { return available_recvs_; }
-  std::uint64_t sends_posted() const { return sends_posted_; }
   std::uint64_t recvs_consumed() const { return recvs_consumed_; }
   std::uint64_t min_available_recvs() const { return min_available_recvs_; }
 
@@ -112,7 +111,6 @@ class UdQp {
   RecvHandler recv_handler_;
   int available_recvs_ = 0;
   std::uint64_t min_available_recvs_ = ~0ull;
-  std::uint64_t sends_posted_ = 0;
   std::uint64_t recvs_consumed_ = 0;
   int unsignaled_run_ = 0;
 };

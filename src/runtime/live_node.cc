@@ -85,7 +85,6 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     hc.epoch.requests_per_epoch = p.topk_epoch_requests;
     hc.epoch.sample_probability = p.topk_sample_probability;
     hc.epoch.seed = p.seed ^ 0x70cull;
-    hc.epoch.adaptive = p.topk_adaptive_epochs;
     hc.home_of = [rack](Key key) { return rack->HomeOf(key); };
     hot_mgr_ = std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(),
                                                static_cast<HotSetHost*>(this));
@@ -722,14 +721,8 @@ void LiveNode::StartCacheWrite(std::uint32_t slot) {
   // [this, slot] fits std::function's small-buffer optimization; capturing
   // `key` too would push the closure past it and heap-allocate per write.
   engine_->Write(key, sessions_[slot].op.value, [this, slot] {
-    // For Lin, pending_ts still holds the completed write's timestamp; for SC
-    // the entry timestamp is the write's own (done fires synchronously).
-    CacheEntry* e = cache_->Find(sessions_[slot].op.key);
-    const Timestamp ts =
-        (engine_->model() == ConsistencyModel::kLin && e != nullptr) ? e->pending_ts
-        : e != nullptr                                               ? e->ts()
-                                                                     : Timestamp{};
-    CompleteOp(slot, sessions_[slot].op.value, ts, Route::kCache);
+    CompleteOp(slot, sessions_[slot].op.value,
+               engine_->CompletedWriteTs(sessions_[slot].op.key), Route::kCache);
   });
 }
 

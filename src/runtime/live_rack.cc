@@ -33,7 +33,6 @@ LiveTransport::Config TransportConfig(const LiveRackParams& p) {
   // (every batch carries ≥ 1 message), so the capacity above stays valid.
   c.coalescing = p.coalescing;
   c.coalesce_max_batch = p.coalesce_max_batch;
-  c.coalesce_flush_on_idle = p.coalesce_flush_on_idle;
   c.coalesce_flush_deadline_us = p.coalesce_flush_deadline_us;
   c.transport = p.transport;
   if (p.track_allocs) {

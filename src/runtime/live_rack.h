@@ -78,11 +78,10 @@ struct LiveRackParams {
 
   // Transport coalescing (§8.5 on the live fabric; runtime/coalescer.h):
   // same-destination messages share one channel push, flushed by size cap,
-  // op boundary, and (knob below) the pre-sleep idle backstop.  Credit
-  // accounting and inflight() stay per-message either way.
+  // op boundary, and the pre-sleep idle backstop.  Credit accounting and
+  // inflight() stay per-message either way.
   bool coalescing = false;
   int coalesce_max_batch = 16;       // mirrors RackParams::coalesce_max_batch
-  bool coalesce_flush_on_idle = true;
   // Hold sub-cap batches up to this many µs before an op-boundary flush ships
   // them (0 = flush every boundary, the pre-deadline behaviour); mirrors the
   // sim's coalesce_window_ns.  LiveReport::flushes_deadline counts the holds
@@ -98,17 +97,13 @@ struct LiveRackParams {
   bool online_topk = false;
   std::uint64_t topk_epoch_requests = 200'000;
   double topk_sample_probability = 0.05;
-  // Drift-aware epoch pacing: the coordinator adapts epoch length from the
-  // churn the last epoch measured (topk/epoch_coordinator.h).
-  bool topk_adaptive_epochs = false;
 
   bool record_history = false;  // sealed per-key history for the checkers
   std::uint64_t seed = 1;
 
   // --- hot-path execution mode (docs/PERFORMANCE.md) ---
   // Pin node thread i to core pin_core_base + i*pin_stride (modulo the online
-  // CPU count).  NUMA-aware when built with libnuma; a plain affinity mask
-  // otherwise.
+  // CPU count) with a plain affinity mask; pinning is not NUMA-aware.
   bool pinning = false;
   int pin_core_base = 0;
   int pin_stride = 1;

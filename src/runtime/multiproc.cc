@@ -16,7 +16,7 @@ namespace {
 
 // Bump when the blob layout changes; decode rejects mismatches outright
 // (mixed-version racks would disagree on protocol parameters anyway).
-constexpr std::uint8_t kParamsVersion = 4;  // v4: L1 tail + per-node rank skew
+constexpr std::uint8_t kParamsVersion = 5;  // v5: two knobs removed
 constexpr std::uint64_t kArtifactsMagic = 0x63634b565241'01ull;  // "ccKVRA" v1
 
 std::uint64_t DoubleBits(double d) {
@@ -112,13 +112,11 @@ std::string EncodeRackParams(const LiveRackParams& p) {
   w.PutU32(static_cast<std::uint32_t>(p.credit_update_batch));
   w.PutU8(p.coalescing ? 1 : 0);
   w.PutU32(static_cast<std::uint32_t>(p.coalesce_max_batch));
-  w.PutU8(p.coalesce_flush_on_idle ? 1 : 0);
   w.PutU64(p.coalesce_flush_deadline_us);
   w.PutU8(p.prefill_hot_set ? 1 : 0);
   w.PutU8(p.online_topk ? 1 : 0);
   w.PutU64(p.topk_epoch_requests);
   w.PutU64(DoubleBits(p.topk_sample_probability));
-  w.PutU8(p.topk_adaptive_epochs ? 1 : 0);
   w.PutU8(p.record_history ? 1 : 0);
   w.PutU64(p.seed);
   w.PutU8(static_cast<std::uint8_t>(p.transport.kind));
@@ -182,13 +180,11 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
       r.GetU32(&u32) && ((p.credit_update_batch = static_cast<int>(u32)), true) &&
       r.GetU8(&u8) && ((p.coalescing = u8 != 0), true) &&
       r.GetU32(&u32) && ((p.coalesce_max_batch = static_cast<int>(u32)), true) &&
-      r.GetU8(&u8) && ((p.coalesce_flush_on_idle = u8 != 0), true) &&
       r.GetU64(&p.coalesce_flush_deadline_us) &&
       r.GetU8(&u8) && ((p.prefill_hot_set = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.online_topk = u8 != 0), true) &&
       r.GetU64(&p.topk_epoch_requests) &&
       r.GetU64(&u64) && ((p.topk_sample_probability = BitsDouble(u64)), true) &&
-      r.GetU8(&u8) && ((p.topk_adaptive_epochs = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.record_history = u8 != 0), true) &&
       r.GetU64(&p.seed) &&
       r.GetU8(&u8) && ((p.transport.kind = static_cast<TransportKind>(u8)), true) &&

@@ -213,15 +213,16 @@ void LiveTransport::Endpoint::FlushPending() {
 
 bool LiveTransport::Endpoint::AllPeersHaveCredit() {
   for (int j = 0; j < transport_->config_.num_nodes; ++j) {
-    if (j == self_) {
-      continue;
-    }
-    HarvestCredits(static_cast<NodeId>(j));
-    if (bcast_credits_.available(static_cast<NodeId>(j)) == 0) {
+    if (j != self_ && AvailableCredits(static_cast<NodeId>(j)) == 0) {
       return false;
     }
   }
   return true;
+}
+
+int LiveTransport::Endpoint::AvailableCredits(NodeId peer) {
+  HarvestCredits(peer);
+  return bcast_credits_.available(peer);
 }
 
 bool LiveTransport::Endpoint::NothingPending() const {
@@ -242,7 +243,7 @@ void LiveTransport::Endpoint::PollExpiredDeadlines() {
     // (recorded as kDeadline), keeps younger ones accumulating — the same
     // policy the pre-sleep path applies, minus the sleep.
     FlushBatches(FlushCause::kBoundary);
-  } else if (transport_->config_.coalesce_flush_on_idle) {
+  } else {
     FlushBatches(FlushCause::kIdle);
   }
 }
@@ -250,17 +251,17 @@ void LiveTransport::Endpoint::PollExpiredDeadlines() {
 void LiveTransport::Endpoint::WaitForTraffic(std::chrono::microseconds timeout) {
   if (!coalescer_.AllEmpty()) {
     if (coalescer_.deadline_enabled()) {
-      // The deadline is itself the backstop (independent of the idle-flush
-      // knob): ship what already expired, keep holding the rest — but never
-      // sleep past the earliest open deadline, so a held batch is flushed
-      // within one wakeup of expiring even on an otherwise idle node.
+      // The deadline is itself the backstop: ship what already expired, keep
+      // holding the rest — but never sleep past the earliest open deadline,
+      // so a held batch is flushed within one wakeup of expiring even on an
+      // otherwise idle node.
       FlushBatches(FlushCause::kBoundary);  // boundary+deadline: expired only
       const std::uint64_t remaining = coalescer_.MinRemainingNs();
       if (remaining != std::numeric_limits<std::uint64_t>::max()) {
         const auto cap = std::chrono::microseconds(remaining / 1000 + 1);
         timeout = std::min(timeout, cap);
       }
-    } else if (transport_->config_.coalesce_flush_on_idle) {
+    } else {
       FlushBatches(FlushCause::kIdle);
     }
   }

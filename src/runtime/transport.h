@@ -78,10 +78,6 @@ class LiveTransport {
     // fabric deliveries.  Off = batch size 1 through the same code path.
     bool coalescing = false;
     int coalesce_max_batch = 16;
-    // Backstop: WaitForTraffic flushes open batches before sleeping.  The
-    // run loop's op-boundary flush normally ships everything first, so this
-    // firing (flushes_idle > 0) means a host skipped its boundary flushes.
-    bool coalesce_flush_on_idle = true;
     // Deadline-based flush, mirroring the sim's coalesce_window_ns: when > 0,
     // op-boundary flushes hold sub-cap batches until they have been open this
     // many microseconds (size-cap flushes still fire immediately), trading
@@ -173,13 +169,21 @@ class LiveTransport {
     // throttle point, as in RackNode::AllPeersHaveBcastCredit).
     bool AllPeersHaveCredit();
 
+    // Broadcast credits available toward `peer` after harvesting the ones it
+    // has returned.  Credit returns land asynchronously on some backends, so
+    // a caller waiting for the whole pool must poll this.
+    int AvailableCredits(NodeId peer);
+
     // True when no broadcast is parked waiting for credits and no message
     // sits in an open batch.
     bool NothingPending() const;
 
     // Sleeps until a batch arrives or `timeout` elapses (idle backoff).
-    // Flushes open batches first when Config::coalesce_flush_on_idle is set,
-    // so no message can sleep inside a batch buffer.
+    // Always flushes open batches first (the idle backstop; deadline-held
+    // batches ship once expired), so no message can sleep inside a batch
+    // buffer.  The run loop's op-boundary flush normally ships everything
+    // first, so an idle flush firing (flushes_idle > 0) means a host skipped
+    // its boundary flushes.
     void WaitForTraffic(std::chrono::microseconds timeout);
 
     // The busy-poll counterpart of WaitForTraffic's pre-sleep flush: applies

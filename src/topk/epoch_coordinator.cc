@@ -1,7 +1,7 @@
 #include "src/topk/epoch_coordinator.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -11,30 +11,19 @@ EpochCoordinator::EpochCoordinator(const EpochCoordinatorConfig& config)
     : config_(config),
       summary_(static_cast<std::size_t>(
           std::ceil(static_cast<double>(config.hot_set_size) * config.counter_headroom))),
-      rng_(config.seed),
-      epoch_length_(config.requests_per_epoch),
-      min_length_(config.min_requests_per_epoch != 0
-                      ? config.min_requests_per_epoch
-                      : std::max<std::uint64_t>(1, config.requests_per_epoch / 8)),
-      max_length_(config.max_requests_per_epoch != 0
-                      ? config.max_requests_per_epoch
-                      : config.requests_per_epoch * 8) {
+      rng_(config.seed) {
   CCKVS_CHECK_GE(config.hot_set_size, 1u);
   CCKVS_CHECK_GT(config.sample_probability, 0.0);
   CCKVS_CHECK_LE(config.sample_probability, 1.0);
   CCKVS_CHECK_GE(config.counter_headroom, 1.0);
   CCKVS_CHECK_GE(config.requests_per_epoch, 1u);
-  if (config.adaptive) {
-    CCKVS_CHECK_LE(min_length_, max_length_);
-    CCKVS_CHECK_GT(config.churn_shorten_fraction, config.churn_lengthen_fraction);
-  }
 }
 
 bool EpochCoordinator::OnRequest(Key key) {
   if (config_.sample_probability >= 1.0 || rng_.NextBool(config_.sample_probability)) {
     summary_.Offer(key);
   }
-  if (++seen_in_epoch_ >= epoch_length_) {
+  if (++seen_in_epoch_ >= config_.requests_per_epoch) {
     CloseEpoch();
     return true;
   }
@@ -60,25 +49,9 @@ void EpochCoordinator::CloseEpoch() {
   }
   last_churn_ = added + previous.size();
   hot_set_ = std::move(fresh);
-  if (config_.adaptive) {
-    AdaptEpochLength();
-  }
   // Age the summary so the next epoch weights fresh traffic (shifted popularity
   // displaces stale counters within an epoch or two).
   summary_.DecayHalve();
-}
-
-void EpochCoordinator::AdaptEpochLength() {
-  // Multiplicative steps keep convergence fast from either extreme (a cold
-  // start measures churn == k and dives toward min_length_; a settled
-  // distribution climbs back toward max_length_ one doubling per epoch).
-  const double k = static_cast<double>(config_.hot_set_size);
-  const auto churn = static_cast<double>(last_churn_);
-  if (churn >= config_.churn_shorten_fraction * k) {
-    epoch_length_ = std::max(min_length_, epoch_length_ / 2);
-  } else if (churn <= config_.churn_lengthen_fraction * k) {
-    epoch_length_ = std::min(max_length_, epoch_length_ * 2);
-  }
 }
 
 }  // namespace cckvs

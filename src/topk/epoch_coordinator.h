@@ -19,7 +19,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/topk/space_saving.h"
+#include "src/topk/flat_space_saving.h"
 
 namespace cckvs {
 
@@ -32,19 +32,6 @@ struct EpochCoordinatorConfig {
   double sample_probability = 0.01;
   std::uint64_t requests_per_epoch = 1'000'000;
   std::uint64_t seed = 42;
-
-  // Drift-aware pacing: a fixed epoch length is wrong at both extremes — under
-  // fast popularity drift the hot set goes stale mid-epoch (hit rate dips until
-  // the next announce), while a stable distribution pays transition churn for
-  // no information.  last_epoch_churn() is the natural feedback signal: churn
-  // at or above churn_shorten_fraction × k halves the next epoch, churn at or
-  // below churn_lengthen_fraction × k doubles it, clamped to [min, max].
-  bool adaptive = false;
-  double churn_shorten_fraction = 0.10;
-  double churn_lengthen_fraction = 0.01;
-  // Clamps; 0 derives requests_per_epoch / 8 and × 8 respectively.
-  std::uint64_t min_requests_per_epoch = 0;
-  std::uint64_t max_requests_per_epoch = 0;
 };
 
 class EpochCoordinator {
@@ -64,21 +51,14 @@ class EpochCoordinator {
   // churn ("only a handful of keys removed/added every few seconds", §4).
   std::size_t last_epoch_churn() const { return last_churn_; }
 
-  // The length the *next* epoch will run at; fixed unless config.adaptive.
-  std::uint64_t requests_per_epoch() const { return epoch_length_; }
-
  private:
   void CloseEpoch();
-  void AdaptEpochLength();
 
   EpochCoordinatorConfig config_;
-  SpaceSaving summary_;
+  FlatSpaceSaving summary_;
   Rng rng_;
   std::uint64_t seen_in_epoch_ = 0;
   std::uint64_t epoch_ = 0;
-  std::uint64_t epoch_length_;
-  std::uint64_t min_length_;
-  std::uint64_t max_length_;
   std::size_t last_churn_ = 0;
   std::vector<Key> hot_set_;
 };

@@ -1,17 +1,20 @@
-// Allocation-free Space-Saving sketch for per-node L1 admission.
+// Allocation-free Space-Saving stream summary (Metwally et al. [35]).
 //
-// The rack-wide hot-set learner (topk/space_saving.h) runs at epoch cadence
-// off a sampled stream, so its std::unordered_map index is fine there.  The
-// L1 tail's admission sketch is different: it is offered a key on EVERY miss
-// completion inside the steady-state window, where the alloc_assert audit
-// forbids heap allocation.  This variant keeps the identical Space-Saving
-// replacement rule (evict the minimum counter; the newcomer inherits its
-// count as error) but stores everything flat and preallocated: an array
+// The one top-k sketch in the repo, used twice: the epoch coordinator
+// (topk/epoch_coordinator.h) ranks the rack-wide hot set from a sampled
+// request stream, as §4 adopts from Li et al. [32], and each node's L1 tail
+// admission (cache/l1_tail.h) is offered a key on EVERY miss completion inside
+// the steady-state window, where the alloc_assert audit forbids heap
+// allocation.  Space-Saving tracks approximately the `capacity` most frequent
+// keys in O(capacity) memory: every key with true count > N/capacity is
+// present, and a reported count overestimates by at most its error.  The
+// replacement rule evicts the minimum counter and the newcomer inherits its
+// count as error.  Everything is stored flat and preallocated: an array
 // min-heap of counters plus an open-addressing key->heap-position index with
-// backward-shift deletion.  After construction no operation allocates.
+// backward-shift deletion.  After construction only TopK() allocates.
 //
-// DecayHalve() ages the sketch for drifting per-node popularity: halving
-// every count is monotone, so the heap order is preserved and aging is O(m).
+// DecayHalve() ages the sketch for drifting popularity: halving every count
+// is monotone, so the heap order is preserved and aging is O(m).
 
 #ifndef CCKVS_TOPK_FLAT_SPACE_SAVING_H_
 #define CCKVS_TOPK_FLAT_SPACE_SAVING_H_
@@ -48,8 +51,8 @@ class FlatSpaceSaving {
   // Estimated count of `key`, 0 when untracked.  Allocation-free.
   std::uint64_t EstimateOf(Key key) const;
 
-  // The k highest counters, descending (ties by key).  Allocates — test and
-  // diagnostics use only.
+  // The k highest counters, descending (ties by key).  Allocates — epoch
+  // boundaries, tests and diagnostics only.
   std::vector<Entry> TopK(std::size_t k) const;
 
   std::size_t capacity() const { return capacity_; }
@@ -60,7 +63,6 @@ class FlatSpaceSaving {
   std::size_t FindIndexPos(Key key) const;  // index_.size() when absent
   void IndexInsert(Key key, std::size_t heap_pos);
   void IndexEraseAt(std::size_t pos);
-  void SetHeapSlot(std::size_t heap_pos, const Entry& e);
   void SiftUp(std::size_t heap_pos);
   void SiftDown(std::size_t heap_pos);
   void Swap(std::size_t a, std::size_t b);

@@ -37,10 +37,6 @@ std::size_t HotSetManager::last_epoch_churn() const {
   return coordinator_ != nullptr ? coordinator_->last_epoch_churn() : 0;
 }
 
-std::uint64_t HotSetManager::epoch_requests() const {
-  return coordinator_ != nullptr ? coordinator_->requests_per_epoch() : 0;
-}
-
 void HotSetManager::SeedPublished(const std::vector<Key>& keys) {
   CCKVS_CHECK(coordinator_ != nullptr);
   published_.clear();

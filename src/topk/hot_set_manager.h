@@ -94,8 +94,6 @@ class HotSetManager {
 
   std::uint64_t epochs_closed() const;
   std::size_t last_epoch_churn() const;
-  // The next epoch's length in requests (drift-aware pacing moves it).
-  std::uint64_t epoch_requests() const;
 
   // ---------------------------------------------------------------------
   // Member role — host-driven entry points

@@ -239,9 +239,8 @@ class World {
         Format("w", static_cast<int>(node), ":", idx);
     CacheEntry* entry = caches_[node]->Find(kKey);
     engines_[node]->Write(kKey, value, [this, node]() {
-      // I3 bookkeeping: pending_ts still holds the completed write's timestamp
-      // when the done callback runs (see LinEngine::CompleteWrite).
-      const Timestamp ts = caches_[node]->Find(kKey)->pending_ts;
+      // I3 bookkeeping.
+      const Timestamp ts = engines_[node]->CompletedWriteTs(kKey);
       max_completed_ = std::max(max_completed_, ts);
       ++completed_writes_;
     });
@@ -812,15 +811,12 @@ class TransitionWorld {
   void CompletePut(int idx) {
     OpRec& op = ops_[static_cast<std::size_t>(idx)];
     if (!op.ts_known) {
-      const CacheEntry* e = caches_[static_cast<std::size_t>(op.node)]->Find(op.key);
-      if (e == nullptr) {
+      const auto n = static_cast<std::size_t>(op.node);
+      if (caches_[n]->Find(op.key) == nullptr) {
         failure_ = Format("op ", idx, " completed without a cache entry");
         return;
       }
-      // SC completes synchronously with the apply (value_ts is the write's);
-      // Lin leaves pending_ts set through the done callback.
-      AssignPutTs(idx, config_.model == ConsistencyModel::kLin ? e->pending_ts
-                                                               : e->value_ts);
+      AssignPutTs(idx, engines_[n]->CompletedWriteTs(op.key));
       if (!failure_.empty()) {
         return;
       }

@@ -110,7 +110,6 @@ class WorkloadGenerator {
   }
 
   const WorkloadConfig& config() const { return config_; }
-  std::uint64_t ops_generated() const { return ops_; }
 
  private:
   WorkloadConfig config_;

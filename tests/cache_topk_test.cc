@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
 
 #include "src/cache/symmetric_cache.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/topk/epoch_coordinator.h"
-#include "src/topk/space_saving.h"
+#include "src/topk/flat_space_saving.h"
 
 namespace cckvs {
 namespace {
@@ -128,39 +129,13 @@ TEST(SymmetricCacheDeathTest, OverCapacityInstallAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// SpaceSaving
+// FlatSpaceSaving: the Space-Saving guarantees the coordinator relies on
+// (operation-level tests live in l1_tail_test.cc)
 // ---------------------------------------------------------------------------
 
-TEST(SpaceSaving, ExactWhenUnderCapacity) {
-  SpaceSaving ss(10);
-  for (int i = 0; i < 5; ++i) {
-    ss.Offer(1);
-  }
-  ss.Offer(2);
-  const auto top = ss.TopK(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].key, 1u);
-  EXPECT_EQ(top[0].count, 5u);
-  EXPECT_EQ(top[0].error, 0u);
-  EXPECT_EQ(top[1].key, 2u);
-}
-
-TEST(SpaceSaving, EvictsMinimumCounter) {
-  SpaceSaving ss(2);
-  ss.Offer(1, 10);
-  ss.Offer(2, 5);
-  ss.Offer(3);  // evicts key 2 (min), inherits count 5
-  const auto top = ss.TopK(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].key, 1u);
-  EXPECT_EQ(top[1].key, 3u);
-  EXPECT_EQ(top[1].count, 6u);
-  EXPECT_EQ(top[1].error, 5u);
-}
-
-TEST(SpaceSaving, CountsNeverUnderestimate) {
+TEST(FlatSpaceSaving, CountsNeverUnderestimate) {
   // Space-Saving guarantee: estimate >= true count.
-  SpaceSaving ss(20);
+  FlatSpaceSaving ss(20);
   Rng rng(5);
   std::vector<int> truth(200, 0);
   ZipfSampler sampler(200, 1.0);
@@ -174,12 +149,12 @@ TEST(SpaceSaving, CountsNeverUnderestimate) {
   }
 }
 
-TEST(SpaceSaving, RecallsTrueTopKOnZipf) {
+TEST(FlatSpaceSaving, RecallsTrueTopKOnZipf) {
   // Capacity must push the noise floor (stream/capacity) below the true count
   // of the ranks we want recalled: rank 8 of Zipf(0.99) gets ~1% of a 300k
   // stream (~2.9k), so capacity 256 (floor ~1.2k) suffices.
   const std::size_t k = 16;
-  SpaceSaving ss(256);
+  FlatSpaceSaving ss(256);
   Rng rng(11);
   ZipfSampler sampler(100000, 0.99);
   for (int i = 0; i < 300000; ++i) {
@@ -198,15 +173,6 @@ TEST(SpaceSaving, RecallsTrueTopKOnZipf) {
     }
   }
   EXPECT_GE(found, 7);
-}
-
-TEST(SpaceSaving, StreamLengthTracksOffers) {
-  SpaceSaving ss(4);
-  for (int i = 0; i < 7; ++i) {
-    ss.Offer(static_cast<Key>(i));
-  }
-  EXPECT_EQ(ss.stream_length(), 7u);
-  EXPECT_EQ(ss.size(), 4u);  // capacity-bounded
 }
 
 // ---------------------------------------------------------------------------
@@ -290,66 +256,6 @@ TEST(EpochCoordinator, DetectsPopularityShift) {
   }
   EXPECT_GE(newly_hot, 3);
   EXPECT_NE(first, second);
-}
-
-// Drift-aware pacing: high churn halves the next epoch, churn ~0 doubles it,
-// and both directions respect their clamps.
-TEST(EpochCoordinator, AdaptivePacingTracksChurn) {
-  EpochCoordinatorConfig cfg;
-  cfg.hot_set_size = 8;
-  cfg.requests_per_epoch = 1'024;
-  cfg.sample_probability = 1.0;
-  cfg.adaptive = true;
-  cfg.min_requests_per_epoch = 256;
-  cfg.max_requests_per_epoch = 4'096;
-  EpochCoordinator coord(cfg);
-  EXPECT_EQ(coord.requests_per_epoch(), 1'024u);
-
-  // Fast drift: a stream of fresh keys every epoch churns the whole top-k,
-  // so the length halves per epoch and pins at the min clamp.
-  Key base = 0;
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    base += 1'000'000;
-    bool closed = false;
-    std::uint64_t i = 0;
-    while (!closed) {
-      closed = coord.OnRequest(base + static_cast<Key>(i++));
-    }
-  }
-  EXPECT_EQ(coord.requests_per_epoch(), 256u);
-
-  // Stable distribution: once the drift residue decays out of the summary
-  // (one transition epoch) churn drops to 0, the length doubles per epoch
-  // and pins at the max clamp.
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    bool closed = false;
-    std::uint64_t i = 0;
-    while (!closed) {
-      closed = coord.OnRequest(9'000'000 + static_cast<Key>(i++ % 8));
-    }
-  }
-  EXPECT_EQ(coord.last_epoch_churn(), 0u);
-  EXPECT_EQ(coord.requests_per_epoch(), 4'096u);
-}
-
-// The default clamps derive from the configured epoch length, so adaptivity
-// is safe to flip on without retuning.
-TEST(EpochCoordinator, AdaptivePacingDefaultClamps) {
-  EpochCoordinatorConfig cfg;
-  cfg.hot_set_size = 4;
-  cfg.requests_per_epoch = 800;
-  cfg.sample_probability = 1.0;
-  cfg.adaptive = true;
-  EpochCoordinator coord(cfg);
-  // Every epoch sees a fresh hot set: churn stays high, length dives.
-  for (int epoch = 0; epoch < 6; ++epoch) {
-    bool closed = false;
-    while (!closed) {
-      closed = coord.OnRequest(static_cast<Key>(coord.epoch()) * 100 +
-                               static_cast<Key>(coord.epoch() % 4));
-    }
-  }
-  EXPECT_EQ(coord.requests_per_epoch(), 100u) << "clamped at requests/8";
 }
 
 }  // namespace

@@ -236,7 +236,6 @@ TEST(LiveRackTest, CoalescedEpochChurnUnderDriftStaysConsistent) {
     p.online_topk = true;
     p.topk_epoch_requests = 5'000;
     p.topk_sample_probability = 1.0;
-    p.topk_adaptive_epochs = true;  // drift-aware pacing rides along
     p.ops_per_node = OpsPerNode(60'000, 15'000);
     p.seed = 19;
     LiveRack rack(p);

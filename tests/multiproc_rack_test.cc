@@ -353,6 +353,12 @@ TEST(MultiprocRack, ParamsRoundTripThroughHexBlob) {
   LiveRackParams bad;
   EXPECT_FALSE(DecodeRackParams(hex.substr(0, hex.size() - 4), &bad, &error));
   EXPECT_FALSE(DecodeRackParams("zz" + hex, &bad, &error));
+  // The leading byte is the layout version: a blob from an older (or newer)
+  // build must be refused even when its body would happen to parse.
+  ASSERT_EQ(hex.substr(0, 2), "05");
+  error.clear();
+  EXPECT_FALSE(DecodeRackParams("04" + hex.substr(2), &bad, &error));
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
 }  // namespace

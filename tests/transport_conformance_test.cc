@@ -176,8 +176,10 @@ TEST_P(ConformanceTest, ExactPerMessageCreditAccounting) {
     sender.FlushBatches(FlushCause::kBoundary);
     ASSERT_EQ(CollectKeys(receiver, 4).size(), 4u);
     // credit_update_batch = 2: 4 drained messages return credits in two
-    // batched updates; the pool refills completely (async for sockets).
-    ASSERT_TRUE(Eventually([&] { return sender.AllPeersHaveCredit(); }));
+    // batched updates; the pool refills completely.  Wait for all 4: socket
+    // credit frames arrive asynchronously, and starting the next round on
+    // the first returned batch would park the round's last two updates.
+    ASSERT_TRUE(Eventually([&] { return sender.AvailableCredits(1) == 4; }));
   }
   EXPECT_EQ(receiver.credit_returns(), 4u);  // 8 messages / batch of 2
   EXPECT_EQ(sender.credit_parks(), 0u);

@@ -446,26 +446,22 @@ TEST(TransportBatchingTest, SizeCapStillShipsImmediatelyUnderDeadline) {
 }
 
 TEST(TransportBatchingTest, PreSleepFlushShipsExpiredBatchesUnderDeadline) {
-  // The deadline backstop must hold with either setting of the idle-flush
-  // knob: it is its own flush policy, not a variant of the idle one.
-  for (const bool flush_on_idle : {true, false}) {
-    std::uint64_t now = 0;
-    LiveTransport::Config c = SmallConfig(2, /*coalescing=*/true, /*max_batch=*/8);
-    c.coalesce_flush_deadline_us = 10;
-    c.coalesce_flush_on_idle = flush_on_idle;
-    c.clock_ns = [&now] { return now; };
-    LiveTransport t(c);
-    auto& ep0 = t.endpoint(0);
+  // The deadline backstop is its own flush policy, not a variant of the idle
+  // one: an expired batch ships as a deadline flush.
+  std::uint64_t now = 0;
+  LiveTransport::Config c = SmallConfig(2, /*coalescing=*/true, /*max_batch=*/8);
+  c.coalesce_flush_deadline_us = 10;
+  c.clock_ns = [&now] { return now; };
+  LiveTransport t(c);
+  auto& ep0 = t.endpoint(0);
 
-    ep0.BroadcastUpdate(Upd(7, 1));
-    now += 20'000;  // expired while the node was busy elsewhere
-    ep0.WaitForTraffic(std::chrono::microseconds(1));
-    EXPECT_EQ(t.endpoint(1).batches_received(), 1u)
-        << "the pre-sleep path must not hold an expired batch (flush_on_idle="
-        << flush_on_idle << ")";
-    EXPECT_EQ(ep0.coalescer().flushes(FlushCause::kDeadline), 1u);
-    DrainAll(t.endpoint(1));
-  }
+  ep0.BroadcastUpdate(Upd(7, 1));
+  now += 20'000;  // expired while the node was busy elsewhere
+  ep0.WaitForTraffic(std::chrono::microseconds(1));
+  EXPECT_EQ(t.endpoint(1).batches_received(), 1u)
+      << "the pre-sleep path must not hold an expired batch";
+  EXPECT_EQ(ep0.coalescer().flushes(FlushCause::kDeadline), 1u);
+  DrainAll(t.endpoint(1));
 }
 
 TEST(TransportBatchingTest, BusyPollHonorsFlushDeadlineWithoutSleeping) {
