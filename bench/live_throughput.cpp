@@ -49,8 +49,8 @@
 //   --l1-policy=lru|clock|lfu  L1 replacement policy (default lru).
 //
 // Independent of --l1, the bench always runs a per-node-skew L1 pair: a
-// 4-process shm rack (the bench re-execs itself with --cckvs-join per rank,
-// as tools/run_multiproc.sh does) under a strided workload
+// 4-process shm rack (ranks forked by RunRankedRack, runtime/multiproc.h,
+// the launcher tools/run_multiproc.sh also uses) under a strided workload
 // (node_rank_stride rotates each node's zipf ranks, so nodes agree on little
 // of their tails) with the L1 off and then on.  Separate processes matter
 // here: a shared-cache miss must cost a real serialized RPC into another
@@ -67,11 +67,9 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/runtime/live_rack.h"
@@ -98,28 +96,6 @@ cckvs::TransportOptions SweepTransport(cckvs::TransportKind kind) {
 int main(int argc, char** argv) {
   using namespace cckvs;
   using namespace cckvs::bench;
-  if (argc == 4 && std::strcmp(argv[1], "--cckvs-join") == 0) {
-    // Child rank of the L1 pair's 4-process rack: decode the param blob, run
-    // one rank, drop the artifact for the parent.  Same protocol as
-    // tests/multiproc_rack_test.cc and tools/run_multiproc.sh.
-    LiveRackParams params;
-    std::string error;
-    if (!DecodeRackParams(argv[2], &params, &error)) {
-      std::fprintf(stderr, "join: %s\n", error.c_str());
-      return 2;
-    }
-    LiveRack rack(params);
-    const LiveReport report = rack.Run();
-    RankArtifacts artifacts;
-    artifacts.completed = report.completed;
-    artifacts.rpcs_sent = report.rpcs_sent;
-    artifacts.transport_error = report.transport_error;
-    if (!SaveRankArtifacts(argv[3], artifacts, &error)) {
-      std::fprintf(stderr, "join: %s\n", error.c_str());
-      return 2;
-    }
-    return report.ok() ? 0 : 1;
-  }
   Init(argc, argv);
 
   bool run_off = true;
@@ -296,11 +272,10 @@ int main(int argc, char** argv) {
     // symmetric cache keeps) but each has a private warm tail the shared tier
     // cannot hold for everyone.  The L1 absorbs exactly that tail.
     //
-    // The pair runs FOUR PROCESSES over shm (ranks re-exec this binary with
-    // --cckvs-join), busy-polling, because that is where the tier's economics
-    // are real: a shared-cache miss serializes a WireBatch into another
-    // address space and waits for the owner process to poll, decode, and
-    // answer.  An in-process rack on the sweep's fabric underprices that
+    // The pair runs FOUR PROCESSES over shm (ranks forked from this one),
+    // busy-polling, because that is where the tier's economics are real: a
+    // shared-cache miss serializes a WireBatch into another address space
+    // and waits for the owner process to poll, decode, and answer.  An in-process rack on the sweep's fabric underprices that
     // miss to a few cache-line reads, which no private tier can beat.
     // Off → on at the same workload prices the tier; the on-entry's JSON
     // carries both whole-rack rates (`rack_mrps`, `l1_off_mrps`) so
@@ -337,45 +312,11 @@ int main(int argc, char** argv) {
       lp.l1_capacity = l1_on ? l1_cap : 0;
       lp.l1_policy = l1_policy;
       lp.transport = SweepTransport(TransportKind::kShm);
-      lp.clock_epoch_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count());
-      std::vector<pid_t> children;
-      std::vector<std::string> artifacts;
-      bool spawn_ok = true;
-      for (int rank = 1; rank < pair_nodes && spawn_ok; ++rank) {
-        LiveRackParams child = lp;
-        child.transport.rank = rank;
-        std::string error;
-        artifacts.push_back(lp.transport.socket_path_base + ".rank" +
-                            std::to_string(rank) + ".bin");
-        const pid_t pid = SpawnSelf(
-            {"--cckvs-join", EncodeRackParams(child), artifacts.back()},
-            &error);
-        if (pid < 0) {
-          std::fprintf(stderr, "l1 pair: spawn failed: %s\n", error.c_str());
-          spawn_ok = false;
-          break;
-        }
-        children.push_back(pid);
-      }
-      lp.transport.rank = 0;
-      LiveRack rack(lp);
-      const LiveReport lr = rack.Run();
-      bool ranks_ok = spawn_ok && lr.ok();
-      for (const pid_t pid : children) {
-        int code = -1;
-        std::string error;
-        if (!WaitExit(pid, &code, &error) || code != 0) {
-          ranks_ok = false;
-        }
-      }
-      for (const std::string& path : artifacts) {
-        ::unlink(path.c_str());
-      }
-      if (!ranks_ok) {
-        std::fprintf(stderr, "l1 pair: rack unhealthy, skipping entry\n");
+      const RankedRun run = RunRankedRack(lp);
+      const LiveReport& lr = run.report;
+      if (!run.error.empty() || !lr.ok()) {
+        std::fprintf(stderr, "l1 pair: rack unhealthy, skipping entry: %s%s\n",
+                     run.error.c_str(), lr.transport_error.c_str());
         continue;
       }
       // Whole-rack rate: every rank runs the same quota and termination is

@@ -8,16 +8,13 @@
 //   $ ./multiproc_rack --trace=/tmp/rack.json --trace-sample=8   # per-op traces
 //   $ ./multiproc_rack --l1=256 --l1-policy=clock   # node-private L1 tails
 //
-// Spawn-or-join: invoked with no --join flag this process becomes rank 0 —
-// it spawns ranks 1..N-1 (re-exec of this binary with the encoded params),
-// runs its own node, then collects every rank's artifact file, merges the
-// recorded histories into one, and runs the full per-key SC/Lin checkers
-// over the merged run.  Invoked with --join --params=<hex> --out=<path> it
-// joins an existing rack as the rank baked into the params.
+// This process becomes rank 0: RunRankedRack (runtime/multiproc.h) forks
+// ranks 1..N-1, runs its own node, and collects every rank's artifact; the
+// example then merges the recorded histories into one and runs the full
+// per-key SC/Lin checkers over the merged run.
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,45 +27,7 @@
 
 using namespace cckvs;
 
-namespace {
-
-// Runs this process's rank and writes its artifact file.  Exit code 0 iff
-// the transport stayed healthy.
-int RunRank(const LiveRackParams& params, const std::string& out_path) {
-  LiveRack rack(params);
-  const LiveReport report = rack.Run();
-
-  RankArtifacts artifacts;
-  artifacts.completed = report.completed;
-  artifacts.rpcs_sent = report.rpcs_sent;
-  artifacts.transport_error = report.transport_error;
-  if (params.record_history) {
-    artifacts.history = rack.history().ops();
-  }
-  std::string error;
-  if (!SaveRankArtifacts(out_path, artifacts, &error)) {
-    std::fprintf(stderr, "rank %d: %s\n", params.transport.rank, error.c_str());
-    return 2;
-  }
-  if (!report.trace_error.empty()) {
-    // Diagnostic only: a failed trace export never fails the rank.
-    std::fprintf(stderr, "rank %d trace export: %s\n", params.transport.rank,
-                 report.trace_error.c_str());
-  }
-  if (!report.ok()) {
-    std::fprintf(stderr, "rank %d transport error: %s\n", params.transport.rank,
-                 report.transport_error.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bool join = false;
-  std::string params_hex;
-  std::string out_path;
   int nodes = 4;
   std::uint64_t ops = 20'000;
   std::string transport = "shm";
@@ -86,13 +45,7 @@ int main(int argc, char** argv) {
       const std::size_t n = std::strlen(flag);
       return arg.compare(0, n, flag) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (arg == "--join") {
-      join = true;
-    } else if (const char* v = value("--params=")) {
-      params_hex = v;
-    } else if (const char* v = value("--out=")) {
-      out_path = v;
-    } else if (const char* v = value("--nodes=")) {
+    if (const char* v = value("--nodes=")) {
       nodes = std::atoi(v);
     } else if (const char* v = value("--ops=")) {
       ops = std::strtoull(v, nullptr, 10);
@@ -124,17 +77,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (join) {
-    LiveRackParams params;
-    std::string error;
-    if (!DecodeRackParams(params_hex, &params, &error) || out_path.empty()) {
-      std::fprintf(stderr, "--join: %s\n",
-                   error.empty() ? "missing --out" : error.c_str());
-      return 2;
-    }
-    return RunRank(params, out_path);
-  }
-
   LiveRackParams params;
   params.num_nodes = nodes;
   params.ops_per_node = ops;
@@ -155,16 +97,15 @@ int main(int argc, char** argv) {
     params.workload.drift_rank_shift = 16;
   }
   if (l1_capacity > 0) {
-    // The L1 knobs ride the params blob to every rank.  A slice of per-node
-    // rank skew gives each process a private warm tail worth caching; the
-    // merged checker verdict below must stay clean exactly as without the
-    // tier — that IS the demo.
+    // Every forked rank runs the L1.  A slice of per-node rank skew gives
+    // each process a private warm tail worth caching; the merged checker
+    // verdict below must stay clean exactly as without the tier — that IS
+    // the demo.
     params.l1_capacity = l1_capacity;
     params.l1_policy = l1_policy;
     params.workload.node_rank_stride = params.workload.keyspace / 16;
   }
-  // Tracing rides the params blob to every rank; each writes PATH.rank<N>
-  // and rank 0 merges them below.
+  // Every rank writes PATH.rank<N>; rank 0 merges them below.
   params.trace_path = trace_path;
   params.trace_sample = trace_sample;
   if (!ParseTransportKind(transport, &params.transport.kind) ||
@@ -176,11 +117,6 @@ int main(int argc, char** argv) {
   const std::string run_id = std::to_string(static_cast<long>(getpid()));
   params.transport.shm_name = "/cckvs_mp_" + run_id;
   params.transport.socket_path_base = "/tmp/cckvs_mp_" + run_id;
-  // One clock epoch for the whole rack: merged histories stay comparable.
-  params.clock_epoch_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 
   std::printf("multiproc rack: %d ranks over %s, %llu ops/rank, %s%s%s", nodes,
               transport.c_str(), static_cast<unsigned long long>(ops),
@@ -192,63 +128,29 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  auto rank_out = [&run_id](int rank) {
-    return "/tmp/cckvs_mp_" + run_id + ".rank" + std::to_string(rank) + ".bin";
-  };
-
-  // Spawn ranks 1..N-1; this process is rank 0 (and, for shm, the creator —
-  // rank 0 must construct its rack first, which LiveRack does below before
-  // any child can finish attaching).
-  std::vector<pid_t> children;
-  for (int rank = 1; rank < nodes; ++rank) {
-    LiveRackParams child = params;
-    child.transport.rank = rank;
-    std::string error;
-    const pid_t pid =
-        SpawnSelf({"--join", "--params=" + EncodeRackParams(child),
-                   "--out=" + rank_out(rank)},
-                  &error);
-    if (pid < 0) {
-      std::fprintf(stderr, "spawn rank %d: %s\n", rank, error.c_str());
-      return 2;
-    }
-    children.push_back(pid);
+  RankedRun run = RunRankedRack(params);
+  if (!run.error.empty()) {
+    std::fprintf(stderr, "%s\n", run.error.c_str());
   }
-
-  params.transport.rank = 0;
-  const int rc0 = RunRank(params, rank_out(0));
-
-  bool all_ok = rc0 == 0;
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    int code = -1;
-    std::string error;
-    if (!WaitExit(children[i], &code, &error)) {
-      std::fprintf(stderr, "rank %zu: %s\n", i + 1, error.c_str());
-      all_ok = false;
-    } else if (code != 0) {
-      std::fprintf(stderr, "rank %zu exited with %d\n", i + 1, code);
-      all_ok = false;
-    }
+  if (!run.report.ok()) {
+    std::fprintf(stderr, "rank 0 transport error: %s\n",
+                 run.report.transport_error.c_str());
+  }
+  if (!run.report.trace_error.empty()) {
+    // Diagnostic only: a failed trace export never fails the rank.
+    std::fprintf(stderr, "rank 0 trace export: %s\n", run.report.trace_error.c_str());
   }
 
   // Merge every rank's history and certify the whole multi-process run.
   History merged;
   std::uint64_t completed = 0;
   std::uint64_t rpcs = 0;
-  for (int rank = 0; rank < nodes; ++rank) {
-    RankArtifacts a;
-    std::string error;
-    if (!LoadRankArtifacts(rank_out(rank), &a, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      all_ok = false;
-      continue;
-    }
+  for (RankArtifacts& a : run.ranks) {
     completed += a.completed;
     rpcs += a.rpcs_sent;
     for (HistoryOp& op : a.history) {
       merged.Record(std::move(op));
     }
-    std::remove(rank_out(rank).c_str());
   }
 
   std::printf("  completed %llu ops (%llu served over RPC), merged history: %zu ops\n",
@@ -273,8 +175,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!all_ok) {
-    std::printf("  FAILED: at least one rank reported a transport error\n");
+  if (!run.error.empty() || !run.report.ok()) {
+    std::printf("  FAILED: at least one rank failed\n");
     return 1;
   }
 

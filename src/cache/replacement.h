@@ -27,8 +27,8 @@
 
 namespace cckvs {
 
-// Which replacement policy the L1 tail runs.  Rides the multiproc param
-// blob (encoded as one byte) and the bench --l1-policy= flag.
+// Which replacement policy the L1 tail runs (the bench and example
+// --l1-policy= flag).
 enum class L1Policy : std::uint8_t {
   kLru = 0,
   kClock = 1,

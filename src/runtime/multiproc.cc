@@ -4,66 +4,20 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
-#include "src/rdma/serialize.h"
 #include "src/runtime/wire_codec.h"
 
 namespace cckvs {
 namespace {
 
-// Bump when the blob layout changes; decode rejects mismatches outright
-// (mixed-version racks would disagree on protocol parameters anyway).
-constexpr std::uint8_t kParamsVersion = 5;  // v5: two knobs removed
 constexpr std::uint64_t kArtifactsMagic = 0x63634b565241'01ull;  // "ccKVRA" v1
-
-std::uint64_t DoubleBits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-double BitsDouble(std::uint64_t u) {
-  double d = 0;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
-std::string ToHex(const Buffer& raw) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(raw.size() * 2);
-  for (const std::uint8_t b : raw) {
-    hex.push_back(kDigits[b >> 4]);
-    hex.push_back(kDigits[b & 0xf]);
-  }
-  return hex;
-}
-
-bool FromHex(const std::string& hex, Buffer* raw) {
-  if (hex.size() % 2 != 0) {
-    return false;
-  }
-  raw->clear();
-  raw->reserve(hex.size() / 2);
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return false;
-    }
-    raw->push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return true;
-}
+// PutOp's size with an empty value: session, type, key, value length, clock,
+// writer, invoke, complete.
+constexpr std::size_t kMinOpBytes = 4 + 1 + 8 + 4 + 4 + 1 + 8 + 8;
 
 void PutOp(BufferWriter* w, const HistoryOp& op) {
   w->PutU32(op.session);
@@ -89,138 +43,84 @@ bool GetOp(SafeReader* r, HistoryOp* op) {
   return true;
 }
 
+RankArtifacts ArtifactsOf(const LiveReport& report, LiveRack& rack) {
+  RankArtifacts a;
+  a.completed = report.completed;
+  a.rpcs_sent = report.rpcs_sent;
+  a.transport_error = report.transport_error;
+  a.history = rack.history().ops();
+  return a;
+}
+
+// Child body: run one rank, tear its rack down (so peers waiting on its
+// sockets see them close), then stream the artifact.  Returns the exit code.
+int RunChildRank(const LiveRackParams& params, int fd) {
+  RankArtifacts artifacts;
+  {
+    LiveRack rack(params);
+    artifacts = ArtifactsOf(rack.Run(), rack);
+  }
+  const Buffer raw = EncodeRankArtifacts(artifacts);
+  std::size_t off = 0;
+  while (off < raw.size()) {
+    const ssize_t n = write(fd, raw.data() + off, raw.size() - off);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return 2;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return artifacts.transport_error.empty() ? 0 : 1;
+}
+
+// Empty on a clean EOF, else the read error.
+std::string ReadToEof(int fd, Buffer* out) {
+  std::uint8_t chunk[1 << 16];
+  while (true) {
+    const ssize_t n = read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n == 0) {
+      return "";
+    }
+    if (n < 0) {
+      return std::string("pipe read: ") + std::strerror(errno);
+    }
+    out->insert(out->end(), chunk, chunk + n);
+  }
+}
+
+// Reaps `pid`; empty on exit status 0, else why it failed.
+std::string WaitRank(pid_t pid) {
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) {
+      return std::string("waitpid: ") + std::strerror(errno);
+    }
+  }
+  if (WIFEXITED(status)) {
+    const int code = WEXITSTATUS(status);
+    return code == 0 ? "" : "exited with status " + std::to_string(code);
+  }
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return "exited abnormally";
+}
+
+void AddError(std::string* error, int rank, const std::string& what) {
+  if (!error->empty()) {
+    *error += "; ";
+  }
+  *error += "rank " + std::to_string(rank) + ": " + what;
+}
+
 }  // namespace
 
-std::string EncodeRackParams(const LiveRackParams& p) {
-  Buffer raw;
-  BufferWriter w(&raw);
-  w.PutU8(kParamsVersion);
-  w.PutU32(static_cast<std::uint32_t>(p.num_nodes));
-  w.PutU8(static_cast<std::uint8_t>(p.consistency));
-  w.PutU64(p.workload.keyspace);
-  w.PutU64(DoubleBits(p.workload.zipf_alpha));
-  w.PutU64(DoubleBits(p.workload.write_ratio));
-  w.PutU32(p.workload.value_bytes);
-  w.PutU64(p.workload.scramble_seed);
-  w.PutU64(p.workload.drift_period_ops);
-  w.PutU64(p.workload.drift_rank_shift);
-  w.PutU64(p.cache_capacity);
-  w.PutU64(p.partition_buckets);
-  w.PutU32(static_cast<std::uint32_t>(p.window_per_node));
-  w.PutU64(p.ops_per_node);
-  w.PutU32(static_cast<std::uint32_t>(p.bcast_credits_per_peer));
-  w.PutU32(static_cast<std::uint32_t>(p.credit_update_batch));
-  w.PutU8(p.coalescing ? 1 : 0);
-  w.PutU32(static_cast<std::uint32_t>(p.coalesce_max_batch));
-  w.PutU64(p.coalesce_flush_deadline_us);
-  w.PutU8(p.prefill_hot_set ? 1 : 0);
-  w.PutU8(p.online_topk ? 1 : 0);
-  w.PutU64(p.topk_epoch_requests);
-  w.PutU64(DoubleBits(p.topk_sample_probability));
-  w.PutU8(p.record_history ? 1 : 0);
-  w.PutU64(p.seed);
-  w.PutU8(static_cast<std::uint8_t>(p.transport.kind));
-  w.PutU32(static_cast<std::uint32_t>(p.transport.rank));  // -1 round-trips
-  w.PutString(p.transport.shm_name);
-  w.PutU64(p.transport.shm_ring_bytes);
-  w.PutString(p.transport.socket_path_base);
-  w.PutU32(static_cast<std::uint32_t>(p.transport.tcp_port_base));
-  w.PutU32(static_cast<std::uint32_t>(p.transport.connect_timeout_ms));
-  w.PutU64(p.clock_epoch_ns);
-  w.PutU8(p.pinning ? 1 : 0);
-  w.PutU32(static_cast<std::uint32_t>(p.pin_core_base));
-  w.PutU32(static_cast<std::uint32_t>(p.pin_stride));
-  w.PutU8(p.busy_poll ? 1 : 0);
-  w.PutU8(p.profile ? 1 : 0);
-  w.PutU64(p.profile_interval_ms);
-  w.PutString(p.profile_csv_path);
-  w.PutU8(p.profile_to_stderr ? 1 : 0);
-  w.PutU8(p.track_allocs ? 1 : 0);
-  w.PutU8(p.alloc_assert ? 1 : 0);
-  w.PutU8(p.prefill_store ? 1 : 0);
-  w.PutString(p.trace_path);
-  w.PutU64(p.trace_sample);
-  w.PutU64(p.trace_ring_capacity);
-  w.PutU64(p.l1_capacity);
-  w.PutU8(static_cast<std::uint8_t>(p.l1_policy));
-  w.PutU64(p.workload.node_rank_stride);
-  return ToHex(raw);
-}
-
-bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* error) {
-  Buffer raw;
-  if (!FromHex(hex, &raw)) {
-    *error = "rack params blob is not valid hex";
-    return false;
-  }
-  SafeReader r(raw.data(), raw.size());
-  std::uint8_t version = 0;
-  if (!r.GetU8(&version) || version != kParamsVersion) {
-    *error = "rack params blob version mismatch";
-    return false;
-  }
-  LiveRackParams p;
-  std::uint32_t u32 = 0;
-  std::uint64_t u64 = 0;
-  std::uint8_t u8 = 0;
-  const bool ok =
-      r.GetU32(&u32) && ((p.num_nodes = static_cast<int>(u32)), true) &&
-      r.GetU8(&u8) && ((p.consistency = static_cast<ConsistencyModel>(u8)), true) &&
-      r.GetU64(&p.workload.keyspace) &&
-      r.GetU64(&u64) && ((p.workload.zipf_alpha = BitsDouble(u64)), true) &&
-      r.GetU64(&u64) && ((p.workload.write_ratio = BitsDouble(u64)), true) &&
-      r.GetU32(&p.workload.value_bytes) && r.GetU64(&p.workload.scramble_seed) &&
-      r.GetU64(&p.workload.drift_period_ops) &&
-      r.GetU64(&p.workload.drift_rank_shift) &&
-      r.GetU64(&u64) && ((p.cache_capacity = u64), true) &&
-      r.GetU64(&u64) && ((p.partition_buckets = u64), true) &&
-      r.GetU32(&u32) && ((p.window_per_node = static_cast<int>(u32)), true) &&
-      r.GetU64(&p.ops_per_node) &&
-      r.GetU32(&u32) && ((p.bcast_credits_per_peer = static_cast<int>(u32)), true) &&
-      r.GetU32(&u32) && ((p.credit_update_batch = static_cast<int>(u32)), true) &&
-      r.GetU8(&u8) && ((p.coalescing = u8 != 0), true) &&
-      r.GetU32(&u32) && ((p.coalesce_max_batch = static_cast<int>(u32)), true) &&
-      r.GetU64(&p.coalesce_flush_deadline_us) &&
-      r.GetU8(&u8) && ((p.prefill_hot_set = u8 != 0), true) &&
-      r.GetU8(&u8) && ((p.online_topk = u8 != 0), true) &&
-      r.GetU64(&p.topk_epoch_requests) &&
-      r.GetU64(&u64) && ((p.topk_sample_probability = BitsDouble(u64)), true) &&
-      r.GetU8(&u8) && ((p.record_history = u8 != 0), true) &&
-      r.GetU64(&p.seed) &&
-      r.GetU8(&u8) && ((p.transport.kind = static_cast<TransportKind>(u8)), true) &&
-      r.GetU32(&u32) && ((p.transport.rank = static_cast<int>(u32)), true) &&
-      r.GetString(&p.transport.shm_name) &&
-      r.GetU64(&u64) && ((p.transport.shm_ring_bytes = u64), true) &&
-      r.GetString(&p.transport.socket_path_base) &&
-      r.GetU32(&u32) && ((p.transport.tcp_port_base = static_cast<int>(u32)), true) &&
-      r.GetU32(&u32) && ((p.transport.connect_timeout_ms = static_cast<int>(u32)), true) &&
-      r.GetU64(&p.clock_epoch_ns) &&
-      r.GetU8(&u8) && ((p.pinning = u8 != 0), true) &&
-      r.GetU32(&u32) && ((p.pin_core_base = static_cast<int>(u32)), true) &&
-      r.GetU32(&u32) && ((p.pin_stride = static_cast<int>(u32)), true) &&
-      r.GetU8(&u8) && ((p.busy_poll = u8 != 0), true) &&
-      r.GetU8(&u8) && ((p.profile = u8 != 0), true) &&
-      r.GetU64(&p.profile_interval_ms) &&
-      r.GetString(&p.profile_csv_path) &&
-      r.GetU8(&u8) && ((p.profile_to_stderr = u8 != 0), true) &&
-      r.GetU8(&u8) && ((p.track_allocs = u8 != 0), true) &&
-      r.GetU8(&u8) && ((p.alloc_assert = u8 != 0), true) &&
-      r.GetU8(&u8) && ((p.prefill_store = u8 != 0), true) &&
-      r.GetString(&p.trace_path) && r.GetU64(&p.trace_sample) &&
-      r.GetU64(&u64) && ((p.trace_ring_capacity = u64), true) &&
-      r.GetU64(&u64) && ((p.l1_capacity = u64), true) &&
-      r.GetU8(&u8) && u8 <= 2 && ((p.l1_policy = static_cast<L1Policy>(u8)), true) &&
-      r.GetU64(&p.workload.node_rank_stride) && r.AtEnd();
-  if (!ok) {
-    *error = "rack params blob truncated or malformed";
-    return false;
-  }
-  *out = std::move(p);
-  return true;
-}
-
-bool SaveRankArtifacts(const std::string& path, const RankArtifacts& artifacts,
-                       std::string* error) {
+Buffer EncodeRankArtifacts(const RankArtifacts& artifacts) {
   Buffer raw;
   BufferWriter w(&raw);
   w.PutU64(kArtifactsMagic);
@@ -231,107 +131,118 @@ bool SaveRankArtifacts(const std::string& path, const RankArtifacts& artifacts,
   for (const HistoryOp& op : artifacts.history) {
     PutOp(&w, op);
   }
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  f.write(reinterpret_cast<const char*>(raw.data()),
-          static_cast<std::streamsize>(raw.size()));
-  f.flush();
-  if (!f) {
-    *error = "short write to " + path;
-    return false;
-  }
-  return true;
+  return raw;
 }
 
-bool LoadRankArtifacts(const std::string& path, RankArtifacts* out,
-                       std::string* error) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  Buffer raw((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  SafeReader r(raw.data(), raw.size());
+bool DecodeRankArtifacts(const Buffer& raw, RankArtifacts* out, std::string* error) {
+  SafeReader r(raw);
   std::uint64_t magic = 0;
   RankArtifacts a;
   std::uint64_t count = 0;
   if (!r.GetU64(&magic) || magic != kArtifactsMagic || !r.GetU64(&a.completed) ||
       !r.GetU64(&a.rpcs_sent) || !r.GetString(&a.transport_error) ||
       !r.GetU64(&count)) {
-    *error = "artifact file " + path + " truncated or not an artifact file";
+    *error = "artifact truncated or not an artifact stream";
     return false;
   }
-  // Each op costs ≥ 31 bytes on disk; reject counts the file cannot hold
-  // before reserving memory for them.
-  if (count > raw.size()) {
-    *error = "artifact file " + path + " claims impossible op count";
+  // Reject counts the remaining bytes cannot hold before reserving memory.
+  if (count > r.remaining() / kMinOpBytes) {
+    *error = "artifact claims impossible op count";
     return false;
   }
   a.history.resize(count);
   for (HistoryOp& op : a.history) {
     if (!GetOp(&r, &op)) {
-      *error = "artifact file " + path + " has a truncated history op";
+      *error = "artifact has a truncated history op";
       return false;
     }
   }
   if (!r.AtEnd()) {
-    *error = "artifact file " + path + " has trailing bytes";
+    *error = "artifact has trailing bytes";
     return false;
   }
   *out = std::move(a);
   return true;
 }
 
-pid_t SpawnSelf(const std::vector<std::string>& args, std::string* error) {
-  std::vector<std::string> argv_storage;
-  argv_storage.reserve(args.size() + 1);
-  argv_storage.push_back("/proc/self/exe");
-  for (const std::string& a : args) {
-    argv_storage.push_back(a);
+RankedRun RunRankedRack(const LiveRackParams& params) {
+  LiveRackParams p = params;
+  if (p.clock_epoch_ns == 0) {
+    p.clock_epoch_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
   }
-  std::vector<char*> argv;
-  argv.reserve(argv_storage.size() + 1);
-  for (std::string& a : argv_storage) {
-    argv.push_back(a.data());
-  }
-  argv.push_back(nullptr);
+  RankedRun run;
+  run.ranks.resize(static_cast<std::size_t>(p.num_nodes));
+  struct Child {
+    pid_t pid;
+    int fd;  // read end of the child's artifact pipe
+  };
+  std::vector<Child> children;  // children[i] runs rank i + 1
 
-  const pid_t pid = fork();
-  if (pid < 0) {
-    *error = std::string("fork: ") + std::strerror(errno);
-    return -1;
+  for (int rank = 1; rank < p.num_nodes; ++rank) {
+    int pipe_fds[2];
+    if (pipe(pipe_fds) != 0) {
+      AddError(&run.error, rank, std::string("pipe: ") + std::strerror(errno));
+      break;
+    }
+    const pid_t pid = fork();
+    if (pid == 0) {
+      // Keep only this rank's write end, so every other pipe reaches EOF as
+      // soon as its own child exits.
+      close(pipe_fds[0]);
+      for (const Child& c : children) {
+        close(c.fd);
+      }
+      p.transport.rank = rank;
+      _exit(RunChildRank(p, pipe_fds[1]));
+    }
+    close(pipe_fds[1]);
+    if (pid < 0) {
+      close(pipe_fds[0]);
+      AddError(&run.error, rank, std::string("fork: ") + std::strerror(errno));
+      break;
+    }
+    children.push_back({pid, pipe_fds[0]});
   }
-  if (pid == 0) {
-    execv("/proc/self/exe", argv.data());
-    // Only reached on exec failure; _exit avoids running parent atexit hooks.
-    _exit(127);
-  }
-  return pid;
-}
 
-bool WaitExit(pid_t pid, int* exit_code, std::string* error) {
-  int status = 0;
-  while (waitpid(pid, &status, 0) < 0) {
-    if (errno != EINTR) {
-      *error = std::string("waitpid: ") + std::strerror(errno);
-      *exit_code = -1;
-      return false;
+  if (run.error.empty()) {
+    p.transport.rank = 0;
+    LiveRack rack(p);
+    run.report = rack.Run();
+    run.ranks[0] = ArtifactsOf(run.report, rack);
+  } else {
+    // An incomplete rack would wait on the missing ranks forever.
+    for (const Child& c : children) {
+      kill(c.pid, SIGKILL);
     }
   }
-  if (WIFEXITED(status)) {
-    *exit_code = WEXITSTATUS(status);
-    return true;
+
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    RankArtifacts& artifacts = run.ranks[i + 1];
+    Buffer raw;
+    const std::string read_error = ReadToEof(children[i].fd, &raw);
+    close(children[i].fd);
+    std::string decode_error;
+    if (read_error.empty()) {
+      DecodeRankArtifacts(raw, &artifacts, &decode_error);
+    }
+    std::string why = WaitRank(children[i].pid);
+    if (!why.empty()) {
+      // A dead child's partial artifact says nothing more; a transport
+      // failure (exit 1) still delivered a well-formed one.
+      if (!artifacts.transport_error.empty()) {
+        why += " (" + artifacts.transport_error + ")";
+      }
+    } else {
+      why = read_error.empty() ? decode_error : read_error;
+    }
+    if (!why.empty()) {
+      AddError(&run.error, static_cast<int>(i) + 1, why);
+    }
   }
-  *exit_code = -1;
-  if (WIFSIGNALED(status)) {
-    *error = "child killed by signal " + std::to_string(WTERMSIG(status));
-  } else {
-    *error = "child exited abnormally";
-  }
-  return false;
+  return run;
 }
 
 }  // namespace cckvs

@@ -11,30 +11,18 @@ ProfilerSample LoadTotals(const WorkerCounters& c, int node, std::uint64_t ts_ms
   ProfilerSample s;
   s.ts_ms = ts_ms;
   s.node = node;
-  s.ops = c.ops.load(std::memory_order_relaxed);
-  s.hits = c.hits.load(std::memory_order_relaxed);
-  s.misses = c.misses.load(std::memory_order_relaxed);
-  s.rpcs = c.rpcs.load(std::memory_order_relaxed);
-  s.msgs_sent = c.msgs_sent.load(std::memory_order_relaxed);
-  s.batches_sent = c.batches_sent.load(std::memory_order_relaxed);
-  s.flush_size = c.flush_size.load(std::memory_order_relaxed);
-  s.flush_boundary = c.flush_boundary.load(std::memory_order_relaxed);
-  s.flush_idle = c.flush_idle.load(std::memory_order_relaxed);
-  s.flush_deadline = c.flush_deadline.load(std::memory_order_relaxed);
-  s.l1_hits = c.l1_hits.load(std::memory_order_relaxed);
-  s.l1_invalidations = c.l1_invalidations.load(std::memory_order_relaxed);
-  s.l1_fills = c.l1_fills.load(std::memory_order_relaxed);
-  s.allocs = c.allocs.load(std::memory_order_relaxed);
-  s.inbound_depth = c.inbound_depth.load(std::memory_order_relaxed);
+#define CCKVS_LOAD(name, kind) s.name = c.name.load(std::memory_order_relaxed);
+  CCKVS_PROFILER_COUNTERS(CCKVS_LOAD)
+#undef CCKVS_LOAD
   return s;
 }
 
 }  // namespace
 
 const char* ProfilerCsvHeader() {
-  return "ts_ms,node,ops,hits,misses,rpcs,msgs_sent,batches_sent,flush_size,"
-         "flush_boundary,flush_idle,flush_deadline,l1_hits,l1_invalidations,"
-         "l1_fills,allocs,inbound_depth";
+#define CCKVS_COLUMN(name, kind) "," #name
+  return "ts_ms,node" CCKVS_PROFILER_COUNTERS(CCKVS_COLUMN);
+#undef CCKVS_COLUMN
 }
 
 Profiler::Profiler(const Options& options, const std::vector<WorkerCounters>* counters)
@@ -109,19 +97,12 @@ void Profiler::SampleOnce(std::uint64_t ts_ms) {
         LoadTotals((*counters_)[i], static_cast<int>(i), ts_ms);
     ProfilerSample& prev = prev_[i];
     ProfilerSample delta = totals;  // gauges + identity fields carry over
-    delta.ops = totals.ops - prev.ops;
-    delta.hits = totals.hits - prev.hits;
-    delta.misses = totals.misses - prev.misses;
-    delta.rpcs = totals.rpcs - prev.rpcs;
-    delta.msgs_sent = totals.msgs_sent - prev.msgs_sent;
-    delta.batches_sent = totals.batches_sent - prev.batches_sent;
-    delta.flush_size = totals.flush_size - prev.flush_size;
-    delta.flush_boundary = totals.flush_boundary - prev.flush_boundary;
-    delta.flush_idle = totals.flush_idle - prev.flush_idle;
-    delta.flush_deadline = totals.flush_deadline - prev.flush_deadline;
-    delta.l1_hits = totals.l1_hits - prev.l1_hits;
-    delta.l1_invalidations = totals.l1_invalidations - prev.l1_invalidations;
-    delta.l1_fills = totals.l1_fills - prev.l1_fills;
+#define CCKVS_DELTA(name, kind)                      \
+  if (CounterKind::kind == CounterKind::kFlow) {     \
+    delta.name = totals.name - prev.name;            \
+  }
+    CCKVS_PROFILER_COUNTERS(CCKVS_DELTA)
+#undef CCKVS_DELTA
     prev = totals;
     samples_.push_back(delta);
     Emit(delta);
@@ -130,25 +111,13 @@ void Profiler::SampleOnce(std::uint64_t ts_ms) {
 
 void Profiler::Emit(const ProfilerSample& s) {
   const auto row = [&](std::FILE* f, const char* prefix) {
-    std::fprintf(f,
-                 "%s%llu,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                 "%llu,%llu,%llu,%llu,%llu\n",
-                 prefix, static_cast<unsigned long long>(s.ts_ms), s.node,
-                 static_cast<unsigned long long>(s.ops),
-                 static_cast<unsigned long long>(s.hits),
-                 static_cast<unsigned long long>(s.misses),
-                 static_cast<unsigned long long>(s.rpcs),
-                 static_cast<unsigned long long>(s.msgs_sent),
-                 static_cast<unsigned long long>(s.batches_sent),
-                 static_cast<unsigned long long>(s.flush_size),
-                 static_cast<unsigned long long>(s.flush_boundary),
-                 static_cast<unsigned long long>(s.flush_idle),
-                 static_cast<unsigned long long>(s.flush_deadline),
-                 static_cast<unsigned long long>(s.l1_hits),
-                 static_cast<unsigned long long>(s.l1_invalidations),
-                 static_cast<unsigned long long>(s.l1_fills),
-                 static_cast<unsigned long long>(s.allocs),
-                 static_cast<unsigned long long>(s.inbound_depth));
+#define CCKVS_FORMAT(name, kind) ",%llu"
+#define CCKVS_VALUE(name, kind) , static_cast<unsigned long long>(s.name)
+    std::fprintf(f, "%s%llu,%d" CCKVS_PROFILER_COUNTERS(CCKVS_FORMAT) "\n", prefix,
+                 static_cast<unsigned long long>(s.ts_ms),
+                 s.node CCKVS_PROFILER_COUNTERS(CCKVS_VALUE));
+#undef CCKVS_VALUE
+#undef CCKVS_FORMAT
   };
   if (csv_ != nullptr) {
     row(csv_, "");

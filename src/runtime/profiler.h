@@ -9,13 +9,12 @@
 // node per interval.  The samples are also retained in memory and folded into
 // LiveReport, so a bench run gets the full time series, not just totals.
 //
-// Counter taxonomy:
+// Counter taxonomy (CCKVS_PROFILER_COUNTERS below marks each counter):
 //   flow   — monotonically increasing; the profiler reports interval deltas.
-//            ops, hits, misses, rpcs, msgs_sent, batches_sent, flush_*.
-//   gauge  — instantaneous; reported verbatim.
-//            allocs (operator-new count inside the node's measurement window,
-//            see common/alloc_tracker.h), inbound_depth (fabric occupancy:
-//            batches for inproc/socket, bytes for shm).
+//   gauge  — instantaneous; reported verbatim.  allocs is the operator-new
+//            count inside the node's measurement window (see
+//            common/alloc_tracker.h); inbound_depth is fabric occupancy
+//            (batches for inproc/socket, bytes for shm).
 //
 // Threading: node threads are the only writers of their block; the profiler
 // thread only loads.  All accesses are relaxed — a sample is a snapshot of
@@ -37,27 +36,35 @@
 
 namespace cckvs {
 
+// Every per-node counter, declared once as X(name, kind), in CSV column
+// order.  kFlow counters are monotonic and reported as interval deltas;
+// kGauge counters are instantaneous and reported verbatim.
+#define CCKVS_PROFILER_COUNTERS(X) \
+  X(ops, kFlow)                    \
+  X(hits, kFlow)                   \
+  X(misses, kFlow)                 \
+  X(rpcs, kFlow)                   \
+  X(msgs_sent, kFlow)              \
+  X(batches_sent, kFlow)           \
+  X(flush_size, kFlow)             \
+  X(flush_boundary, kFlow)         \
+  X(flush_idle, kFlow)             \
+  X(flush_deadline, kFlow)         \
+  X(l1_hits, kFlow)                \
+  X(l1_invalidations, kFlow)       \
+  X(l1_fills, kFlow)               \
+  X(allocs, kGauge)                \
+  X(inbound_depth, kGauge)
+
+enum class CounterKind { kFlow, kGauge };
+
 // One per node thread.  The owning thread calls Publish-style relaxed stores;
 // the profiler thread reads.  Atomics make the struct non-movable, so hosts
 // size their vector once up front.
 struct WorkerCounters {
-  // Flow counters (monotonic).
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> rpcs{0};
-  std::atomic<std::uint64_t> msgs_sent{0};
-  std::atomic<std::uint64_t> batches_sent{0};
-  std::atomic<std::uint64_t> flush_size{0};
-  std::atomic<std::uint64_t> flush_boundary{0};
-  std::atomic<std::uint64_t> flush_idle{0};
-  std::atomic<std::uint64_t> flush_deadline{0};
-  std::atomic<std::uint64_t> l1_hits{0};
-  std::atomic<std::uint64_t> l1_invalidations{0};
-  std::atomic<std::uint64_t> l1_fills{0};
-  // Gauges (instantaneous).
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> inbound_depth{0};
+#define CCKVS_COUNTER_FIELD(name, kind) std::atomic<std::uint64_t> name{0};
+  CCKVS_PROFILER_COUNTERS(CCKVS_COUNTER_FIELD)
+#undef CCKVS_COUNTER_FIELD
 };
 
 // One row of the time series: node `node` over the interval ending `ts_ms`
@@ -65,21 +72,9 @@ struct WorkerCounters {
 struct ProfilerSample {
   std::uint64_t ts_ms = 0;
   int node = 0;
-  std::uint64_t ops = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t rpcs = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t batches_sent = 0;
-  std::uint64_t flush_size = 0;
-  std::uint64_t flush_boundary = 0;
-  std::uint64_t flush_idle = 0;
-  std::uint64_t flush_deadline = 0;
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l1_invalidations = 0;
-  std::uint64_t l1_fills = 0;
-  std::uint64_t allocs = 0;
-  std::uint64_t inbound_depth = 0;
+#define CCKVS_COUNTER_FIELD(name, kind) std::uint64_t name = 0;
+  CCKVS_PROFILER_COUNTERS(CCKVS_COUNTER_FIELD)
+#undef CCKVS_COUNTER_FIELD
 };
 
 // Header matching ProfilerSample's CSV serialization.

@@ -4,17 +4,13 @@
 // stack across address-space boundaries — certified by the per-key SC/Lin
 // checkers over the merged histories.
 //
-// The test binary re-execs itself for the child ranks: invoked as
-//   <binary> --cckvs-join <params-hex> <artifact-path>
-// it runs one rank and writes its artifact file instead of running gtest.
-// Op counts scale down under sanitizers (each child inherits the sanitizer
+// RunRankedRack forks the child ranks from the test process itself.  Op
+// counts scale down under sanitizers (each child inherits the sanitizer
 // runtime, so a 4-process TSan rack is 4x the usual slowdown).
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -75,75 +71,36 @@ LiveRackParams MultiprocParams(TransportKind kind, ConsistencyModel model,
   const std::string ns = std::to_string(getpid()) + "_" + run_tag;
   p.transport.shm_name = "/cckvs_mpt_" + ns;
   p.transport.socket_path_base = "/tmp/cckvs_mpt_" + ns;
-  p.clock_epoch_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
   return p;
 }
 
-std::string ArtifactPath(const std::string& run_tag, int rank) {
-  return "/tmp/cckvs_mpt_" + std::to_string(getpid()) + "_" + run_tag + ".rank" +
-         std::to_string(rank) + ".bin";
-}
-
-// Spawns ranks 1..3 as child processes, runs rank 0 in-process, merges all
-// histories and runs the full checkers.
+// Forks ranks 1..3, runs rank 0 in-process, merges all histories and runs
+// the full checkers.
 void RunAndCertify(TransportKind kind, ConsistencyModel model,
                    const std::string& run_tag, bool with_l1 = false) {
   LiveRackParams params = MultiprocParams(kind, model, run_tag);
   if (with_l1) {
     // Node-private L1 tail in every rank, with per-node rank skew so each
-    // process actually fills its private tier.  The blob carries the L1
-    // knobs to the child ranks; the merged histories must stay as
-    // checker-clean as without the L1.
+    // process actually fills its private tier.  The merged histories must
+    // stay as checker-clean as without the L1.
     params.l1_capacity = 128;
     params.l1_policy = L1Policy::kLru;
     params.workload.node_rank_stride = 512;
   }
 
-  std::vector<pid_t> children;
-  for (int rank = 1; rank < params.num_nodes; ++rank) {
-    LiveRackParams child = params;
-    child.transport.rank = rank;
-    std::string error;
-    const pid_t pid = SpawnSelf(
-        {"--cckvs-join", EncodeRackParams(child), ArtifactPath(run_tag, rank)},
-        &error);
-    ASSERT_GE(pid, 0) << error;
-    children.push_back(pid);
-  }
-
-  params.transport.rank = 0;
-  LiveRack rack(params);
-  const LiveReport report = rack.Run();
-  EXPECT_TRUE(report.ok()) << report.transport_error;
-  EXPECT_GE(report.completed, params.ops_per_node);
-  EXPECT_GT(report.rpcs_sent, 0u) << "no remote-homed miss ever took the RPC path";
+  RankedRun run = RunRankedRack(params);
+  ASSERT_EQ(run.error, "");
+  EXPECT_GT(run.report.rpcs_sent, 0u) << "no remote-homed miss ever took the RPC path";
 
   History merged;
-  for (const HistoryOp& op : rack.history().ops()) {
-    merged.Record(op);
-  }
-  std::uint64_t total_completed = report.completed;
-
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    int code = -1;
-    std::string error;
-    EXPECT_TRUE(WaitExit(children[i], &code, &error)) << error;
-    EXPECT_EQ(code, 0) << "rank " << i + 1 << " failed";
-  }
-  for (int rank = 1; rank < params.num_nodes; ++rank) {
-    RankArtifacts a;
-    std::string error;
-    ASSERT_TRUE(LoadRankArtifacts(ArtifactPath(run_tag, rank), &a, &error)) << error;
+  std::uint64_t total_completed = 0;
+  for (RankArtifacts& a : run.ranks) {
     EXPECT_TRUE(a.transport_error.empty()) << a.transport_error;
     EXPECT_GE(a.completed, params.ops_per_node);
     total_completed += a.completed;
     for (HistoryOp& op : a.history) {
       merged.Record(std::move(op));
     }
-    std::remove(ArtifactPath(run_tag, rank).c_str());
   }
 
   // Every completed op everywhere is in the merged history — nothing lost in
@@ -244,41 +201,19 @@ void ScanTraceFile(const std::string& path, TraceScan* scan) {
 // epoch-transition timeline, and the per-rank files merge into one valid
 // Chrome trace.
 TEST(MultiprocRack, TracedShmRackStitchesRpcSpansAcrossRanks) {
-  const std::string run_tag = "trace";
   LiveRackParams params =
-      MultiprocParams(TransportKind::kShm, ConsistencyModel::kLin, run_tag);
+      MultiprocParams(TransportKind::kShm, ConsistencyModel::kLin, "trace");
   params.record_history = false;  // certification is the other tests' job
   params.trace_path =
       "/tmp/cckvs_mpt_" + std::to_string(getpid()) + "_trace.json";
   params.trace_sample = 1;            // every op: stitching must be abundant
   params.trace_ring_capacity = 1 << 17;
 
-  std::vector<pid_t> children;
-  for (int rank = 1; rank < params.num_nodes; ++rank) {
-    LiveRackParams child = params;
-    child.transport.rank = rank;
-    std::string error;
-    const pid_t pid = SpawnSelf(
-        {"--cckvs-join", EncodeRackParams(child), ArtifactPath(run_tag, rank)},
-        &error);
-    ASSERT_GE(pid, 0) << error;
-    children.push_back(pid);
-  }
-
-  params.transport.rank = 0;
-  LiveRack rack(params);
-  const LiveReport report = rack.Run();
-  EXPECT_TRUE(report.ok()) << report.transport_error;
-  EXPECT_TRUE(report.trace_error.empty()) << report.trace_error;
-  EXPECT_GT(report.spans_recorded, 0u);
-
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    int code = -1;
-    std::string error;
-    EXPECT_TRUE(WaitExit(children[i], &code, &error)) << error;
-    EXPECT_EQ(code, 0) << "rank " << i + 1 << " failed";
-    std::remove(ArtifactPath(run_tag, i + 1).c_str());
-  }
+  const RankedRun run = RunRankedRack(params);
+  ASSERT_EQ(run.error, "");
+  EXPECT_TRUE(run.report.ok()) << run.report.transport_error;
+  EXPECT_TRUE(run.report.trace_error.empty()) << run.report.trace_error;
+  EXPECT_GT(run.report.spans_recorded, 0u);
 
   // Every rank exported its own span file; scan them all.
   TraceScan scan;
@@ -326,66 +261,76 @@ TEST(MultiprocRack, TracedShmRackStitchesRpcSpansAcrossRanks) {
   }
 }
 
-// Params survive the argv hand-off bit-exactly (doubles included).
-TEST(MultiprocRack, ParamsRoundTripThroughHexBlob) {
-  LiveRackParams p = MultiprocParams(TransportKind::kSocket, ConsistencyModel::kSc,
-                                     "roundtrip");
-  p.transport.rank = 2;
-  p.coalescing = true;
-  p.coalesce_flush_deadline_us = 77;
-  p.l1_capacity = 333;
-  p.l1_policy = L1Policy::kLfu;
-  p.workload.node_rank_stride = 1'234;
-  const std::string hex = EncodeRackParams(p);
-  LiveRackParams q;
-  std::string error;
-  ASSERT_TRUE(DecodeRackParams(hex, &q, &error)) << error;
-  EXPECT_EQ(EncodeRackParams(q), hex);
-  EXPECT_EQ(q.transport.rank, 2);
-  EXPECT_EQ(q.consistency, ConsistencyModel::kSc);
-  EXPECT_EQ(q.transport.kind, TransportKind::kSocket);
-  EXPECT_EQ(q.workload.zipf_alpha, p.workload.zipf_alpha);
-  EXPECT_EQ(q.clock_epoch_ns, p.clock_epoch_ns);
-  EXPECT_EQ(q.l1_capacity, 333u);
-  EXPECT_EQ(q.l1_policy, L1Policy::kLfu);
-  EXPECT_EQ(q.workload.node_rank_stride, 1'234u);
+// A rank whose transport fails exits non-zero, and the launcher's error names
+// it together with the transport error its artifact carried.
+TEST(MultiprocRack, FailedRanksAreNamedInTheError) {
+  LiveRackParams params =
+      MultiprocParams(TransportKind::kSocket, ConsistencyModel::kSc, "bad_path");
+  params.transport.socket_path_base = "/nonexistent_dir/cckvs_mpt";
+  const RankedRun run = RunRankedRack(params);
+  EXPECT_FALSE(run.report.ok());
+  for (int rank = 1; rank < params.num_nodes; ++rank) {
+    EXPECT_NE(run.error.find("rank " + std::to_string(rank) +
+                             ": exited with status 1 (bind/listen"),
+              std::string::npos)
+        << run.error;
+  }
+}
 
-  LiveRackParams bad;
-  EXPECT_FALSE(DecodeRackParams(hex.substr(0, hex.size() - 4), &bad, &error));
-  EXPECT_FALSE(DecodeRackParams("zz" + hex, &bad, &error));
-  // The leading byte is the layout version: a blob from an older (or newer)
-  // build must be refused even when its body would happen to parse.
-  ASSERT_EQ(hex.substr(0, 2), "05");
-  error.clear();
-  EXPECT_FALSE(DecodeRackParams("04" + hex.substr(2), &bad, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+// The artifact decoder rejects every malformed stream with an error string
+// instead of aborting: the bytes come from another process.
+TEST(MultiprocRack, ArtifactDecoderRejectsMalformedStreams) {
+  RankArtifacts a;
+  a.completed = 3;
+  a.rpcs_sent = 1;
+  a.transport_error = "peer hung up";
+  a.history.resize(2);
+  a.history[0].key = 7;
+  a.history[0].value = "v1";
+  a.history[1].type = OpType::kPut;
+  a.history[1].key = 9;
+  const Buffer good = EncodeRankArtifacts(a);
+
+  RankArtifacts out;
+  std::string error;
+  ASSERT_TRUE(DecodeRankArtifacts(good, &out, &error)) << error;
+  EXPECT_EQ(out.completed, 3u);
+  EXPECT_EQ(out.transport_error, "peer hung up");
+  ASSERT_EQ(out.history.size(), 2u);
+  EXPECT_EQ(out.history[0].value, "v1");
+  EXPECT_EQ(out.history[1].type, OpType::kPut);
+  EXPECT_EQ(out.history[1].key, 9u);
+
+  const auto rejects = [](const Buffer& raw) {
+    RankArtifacts ignored;
+    std::string why;
+    const bool ok = DecodeRankArtifacts(raw, &ignored, &why);
+    return !ok && !why.empty();
+  };
+  // Truncated anywhere: inside the header and inside the last op.
+  EXPECT_TRUE(rejects(Buffer(good.begin(), good.begin() + 12)));
+  EXPECT_TRUE(rejects(Buffer(good.begin(), good.end() - 1)));
+  // Trailing bytes after the last op.
+  Buffer trailing = good;
+  trailing.push_back(0);
+  EXPECT_TRUE(rejects(trailing));
+  // Wrong magic.
+  Buffer bad_magic = good;
+  bad_magic[0] ^= 0xff;
+  EXPECT_TRUE(rejects(bad_magic));
+  // An op count the remaining bytes cannot hold: one more op than encoded,
+  // and a count far beyond the stream length.  The count is the u64 right
+  // after the magic, completed, rpcs_sent and the length-prefixed error.
+  const std::size_t count_at = 8 + 8 + 8 + 4 + a.transport_error.size();
+  for (const std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 40}) {
+    Buffer bad_count = good;
+    for (int b = 0; b < 8; ++b) {
+      bad_count[count_at + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(count >> (8 * b));
+    }
+    EXPECT_TRUE(rejects(bad_count)) << count;
+  }
 }
 
 }  // namespace
 }  // namespace cckvs
-
-// Child mode: one rank of a multi-process rack, then exit — no gtest.
-int main(int argc, char** argv) {
-  if (argc == 4 && std::string(argv[1]) == "--cckvs-join") {
-    cckvs::LiveRackParams params;
-    std::string error;
-    if (!cckvs::DecodeRackParams(argv[2], &params, &error)) {
-      std::fprintf(stderr, "child: %s\n", error.c_str());
-      return 2;
-    }
-    cckvs::LiveRack rack(params);
-    const cckvs::LiveReport report = rack.Run();
-    cckvs::RankArtifacts artifacts;
-    artifacts.completed = report.completed;
-    artifacts.rpcs_sent = report.rpcs_sent;
-    artifacts.transport_error = report.transport_error;
-    artifacts.history = rack.history().ops();
-    if (!cckvs::SaveRankArtifacts(argv[3], artifacts, &error)) {
-      std::fprintf(stderr, "child: %s\n", error.c_str());
-      return 2;
-    }
-    return report.ok() ? 0 : 1;
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

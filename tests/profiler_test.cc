@@ -19,7 +19,6 @@
 
 #include "src/common/alloc_tracker.h"
 #include "src/runtime/live_rack.h"
-#include "src/runtime/multiproc.h"
 #include "src/runtime/profiler.h"
 
 namespace cckvs {
@@ -104,14 +103,46 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
   char line[512];
   ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
   EXPECT_EQ(std::string(line), std::string(ProfilerCsvHeader()) + "\n");
+  const auto split = [](std::string row) {
+    if (!row.empty() && row.back() == '\n') {
+      row.pop_back();
+    }
+    std::vector<std::string> fields;
+    std::size_t begin = 0;
+    for (std::size_t comma; (comma = row.find(',', begin)) != std::string::npos;
+         begin = comma + 1) {
+      fields.push_back(row.substr(begin, comma - begin));
+    }
+    fields.push_back(row.substr(begin));
+    return fields;
+  };
+  const std::vector<std::string> header = split(line);
+  std::size_t node_col = header.size();
+  std::size_t ops_col = header.size();
+  for (std::size_t i = 0; i < header.size(); ++i) {
+    if (header[i] == "node") node_col = i;
+    if (header[i] == "ops") ops_col = i;
+  }
+  ASSERT_LT(node_col, header.size());
+  ASSERT_LT(ops_col, header.size());
+  std::vector<std::string> ops_by_node(2);
   std::size_t rows = 0;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     ++rows;
+    const std::vector<std::string> fields = split(line);
+    ASSERT_EQ(fields.size(), header.size()) << "row " << rows << ": " << line;
+    const int node = std::stoi(fields[node_col]);
+    ASSERT_GE(node, 0);
+    ASSERT_LT(node, 2);
+    ops_by_node[static_cast<std::size_t>(node)] = fields[ops_col];
   }
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_EQ(rows, profiler.samples().size());
   EXPECT_EQ(rows, 2u);  // final sample: one row per node
+  // The ops column carries each node's own counter, not a neighbour's.
+  EXPECT_EQ(ops_by_node[0], "5");
+  EXPECT_EQ(ops_by_node[1], "9");
 }
 
 // The acceptance invariant of the zero-alloc messaging work: an SC rack with
@@ -150,59 +181,6 @@ TEST(ProfilerTest, SteadyStateScRunIsAllocationFree) {
   EXPECT_EQ(r.hot_path_allocs, 0u);
   EXPECT_FALSE(r.profiler_samples.empty());
   EXPECT_GT(r.rack.l1_hits, 0u) << "the audit should cover a SERVING L1";
-}
-
-TEST(ProfilerTest, RunLoopAndProfilingParamsRoundTripThroughBlob) {
-  // Ranked multi-process racks ship their params to child processes as a hex
-  // blob (runtime/multiproc.h); every knob this PR added must survive it.
-  LiveRackParams p;
-  p.num_nodes = 4;
-  p.pinning = true;
-  p.pin_core_base = 3;
-  p.pin_stride = 2;
-  p.busy_poll = true;
-  p.profile = true;
-  p.profile_interval_ms = 125;
-  p.profile_csv_path = "/tmp/prof.csv";
-  p.profile_to_stderr = true;
-  p.track_allocs = true;
-  p.alloc_assert = true;
-  p.prefill_store = true;
-  p.l1_capacity = 256;
-  p.l1_policy = L1Policy::kClock;
-  p.workload.node_rank_stride = 4'096;
-
-  const std::string blob = EncodeRackParams(p);
-  LiveRackParams out;
-  std::string error;
-  ASSERT_TRUE(DecodeRackParams(blob, &out, &error)) << error;
-  EXPECT_TRUE(out.pinning);
-  EXPECT_EQ(out.pin_core_base, 3);
-  EXPECT_EQ(out.pin_stride, 2);
-  EXPECT_TRUE(out.busy_poll);
-  EXPECT_TRUE(out.profile);
-  EXPECT_EQ(out.profile_interval_ms, 125u);
-  EXPECT_EQ(out.profile_csv_path, "/tmp/prof.csv");
-  EXPECT_TRUE(out.profile_to_stderr);
-  EXPECT_TRUE(out.track_allocs);
-  EXPECT_TRUE(out.alloc_assert);
-  EXPECT_TRUE(out.prefill_store);
-  EXPECT_EQ(out.l1_capacity, 256u);
-  EXPECT_EQ(out.l1_policy, L1Policy::kClock);
-  EXPECT_EQ(out.workload.node_rank_stride, 4'096u);
-
-  // The defaults must round-trip as defaults (v2 fields absent ≠ garbage).
-  LiveRackParams defaults;
-  LiveRackParams out2;
-  ASSERT_TRUE(DecodeRackParams(EncodeRackParams(defaults), &out2, &error))
-      << error;
-  EXPECT_FALSE(out2.pinning);
-  EXPECT_FALSE(out2.busy_poll);
-  EXPECT_FALSE(out2.profile);
-  EXPECT_FALSE(out2.track_allocs);
-  EXPECT_FALSE(out2.prefill_store);
-  EXPECT_EQ(out2.l1_capacity, 0u);
-  EXPECT_EQ(out2.l1_policy, L1Policy::kLru);
 }
 
 TEST(ProfilerTest, BusyPollRackCompletesAndRecordsLatency) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Launch a multi-process live rack and certify it with the consistency
-# checkers.  Thin wrapper over examples/multiproc_rack (which does the
-# spawn-or-join orchestration itself); builds it first if needed.
+# checkers.  Thin wrapper over examples/multiproc_rack (which forks the
+# ranks itself); builds it first if needed.
 #
 #   tools/run_multiproc.sh                          # 4 ranks over shm
 #   tools/run_multiproc.sh --transport=socket       # 4 ranks over UDS
@@ -13,8 +13,8 @@
 # All flags are forwarded to multiproc_rack (including --trace=PATH and
 # --trace-sample=N; rank 0 merges the per-rank span files into PATH itself.
 # --l1=off|on|N and --l1-policy=lru|clock|lfu arm a node-private L1 tail
-# cache in every rank — the params blob carries the knobs to the children —
-# and the merged SC/Lin checkers certify the run with the tier serving).
+# cache in every rank, and the merged SC/Lin checkers certify the run with
+# the tier serving).
 # --trace-dir=DIR is wrapper sugar: it expands to --trace=DIR/rack_trace.json
 # and lists the per-rank + merged trace files the run left behind.  Exit
 # status is the rack's: 0 = healthy run, checkers clean.
