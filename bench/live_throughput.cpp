@@ -62,8 +62,10 @@
 // The final section is the zero-allocation audit (docs/PERFORMANCE.md): an
 // SC rack with the whole store prefilled runs with the allocation tracker
 // armed and CCKVS_CHECKs that the steady state performed zero operator-new
-// calls on any node thread.  It always uses the inproc fabric — the audit is
-// about the messaging/run-loop layers, which are shared by all backends.
+// calls on any node thread.  It runs on the --transport backend when that is
+// inproc or shm (the shm audit adds the frame codec, ring scratch and pool
+// magazines); --transport=socket audits inproc, since socket frames decode
+// on an rx thread the audit does not arm.
 
 #include <unistd.h>
 
@@ -412,7 +414,10 @@ int main(int argc, char** argv) {
     lp.ops_per_node = Smoke() ? 25'000 : 200'000;
     lp.coalescing = true;
     lp.seed = 42;
-    lp.transport.kind = TransportKind::kInproc;  // audit targets shared layers
+    // Socket frames decode on an rx thread the audit does not arm.
+    const TransportKind audit_transport =
+        transport == TransportKind::kSocket ? TransportKind::kInproc : transport;
+    lp.transport = SweepTransport(audit_transport);
     // The L1 tier and its admission sketch run inside the audited window —
     // strided ranks make the tier actually fill and serve, so a hot-path
     // allocation hiding in the probe/fill/invalidate paths aborts the bench.
@@ -436,10 +441,12 @@ int main(int argc, char** argv) {
     lp.pinning = pin;
     lp.busy_poll = busy_poll;
     const LiveReport lr = RunLive(
-        lp, std::string("live ccKVS/SC zero-alloc audit") +
-                (pin ? " pin" : "") + (busy_poll ? " busy-poll" : ""));
-    std::printf("zero-alloc audit (SC, inproc, prefilled store, L1 armed, "
+        lp, std::string("live ccKVS/SC zero-alloc audit transport=") +
+                ToString(audit_transport) + (pin ? " pin" : "") +
+                (busy_poll ? " busy-poll" : ""));
+    std::printf("zero-alloc audit (SC, %s, prefilled store, L1 armed, "
                 "%llu ops/node):\n",
+                ToString(audit_transport),
                 static_cast<unsigned long long>(lp.ops_per_node));
     std::printf("  steady-state hot-path allocs: %llu (invariant: 0), "
                 "l1 hits inside the window: %llu\n",

@@ -1,5 +1,7 @@
 #include "src/runtime/coalescer.h"
 
+#include <algorithm>
+#include <array>
 #include <limits>
 
 #include "src/common/check.h"
@@ -7,6 +9,72 @@
 #include "src/runtime/tracing.h"
 
 namespace cckvs {
+namespace {
+
+// The calling thread's magazine (see WireBatchPool): a fixed array, so the
+// magazine itself never allocates.  Live batches are [0, count); the older
+// half spills first, keeping the most recently recycled (cache-warm) ones.
+struct Magazine {
+  std::array<WireBatch, 2 * WireBatchPool::kMagazine> batches;
+  std::size_t count = 0;
+};
+
+thread_local Magazine t_magazine;
+
+}  // namespace
+
+WireBatch WireBatchPool::Acquire() {
+  Magazine& m = t_magazine;
+  if (m.count == 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    while (m.count < kMagazine && !free_.empty()) {
+      m.batches[m.count++] = std::move(free_.back());
+      free_.pop_back();
+    }
+  }
+  if (m.count == 0) {
+    return WireBatch{};
+  }
+  return std::move(m.batches[--m.count]);
+}
+
+void WireBatchPool::Recycle(WireBatch&& batch) {
+  batch.clear();
+  Magazine& m = t_magazine;
+  if (m.count == m.batches.size()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < kMagazine; ++i) {
+      if (free_.size() < cap_) {
+        free_.push_back(std::move(m.batches[i]));
+      }  // else over the cap: the shift below frees it
+      m.batches[i] = std::move(m.batches[i + kMagazine]);
+    }
+    m.count = kMagazine;
+  }
+  m.batches[m.count++] = std::move(batch);
+}
+
+void WireBatchPool::Prewarm(std::size_t count, std::size_t slots,
+                            std::size_t value_bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  cap_ = std::max(cap_, count);
+  free_.reserve(cap_);
+  while (free_.size() < count) {
+    WireBatch b;
+    b.Warm(slots, value_bytes);
+    free_.push_back(std::move(b));
+  }
+}
+
+std::size_t WireBatchPool::shared_size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return free_.size();
+}
+
+std::size_t WireBatchPool::cap() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cap_;
+}
 
 SendCoalescer::SendCoalescer(const CoalescerConfig& config)
     : config_(config),

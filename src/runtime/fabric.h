@@ -161,6 +161,12 @@ class TransportFabric {
   // message path allocation-free.
   WireBatchPool& batch_pool() { return batch_pool_; }
 
+  // Pre-sizes the node threads' codec scratch (serialize/deserialize
+  // buffers) to hold a `frame_bytes` encoding, so an audited window never
+  // sees their first growth.  LiveTransport's prewarm path calls it before
+  // any node thread starts.  Backends that move batches by value ignore it.
+  virtual void ReserveScratch(std::size_t frame_bytes) { (void)frame_bytes; }
+
   // True when inflight() is a rack-global count usable as the drain-phase
   // exit condition.  Ranked socket fabrics return false; those racks
   // terminate via the counting protocol instead.

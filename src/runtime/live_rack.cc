@@ -39,14 +39,14 @@ LiveTransport::Config TransportConfig(const LiveRackParams& p) {
     // Zero-alloc audit runs must never hand a cold batch to a node inside
     // its measured window, so stock the pool to the worst-case circulating
     // count: every inbound ring full of batches, plus each endpoint's open
-    // per-peer batches and poll scratch.  Cold-start warm-up is one-time per
-    // batch slot and therefore harmless in normal runs; in an audited window
-    // it reads as a (false) steady-state allocation.
-    c.prewarm_batches =
-        static_cast<std::size_t>(p.num_nodes) * c.channel_capacity +
-        static_cast<std::size_t>(p.num_nodes) *
-            static_cast<std::size_t>(p.num_nodes) +
-        64;
+    // per-peer batches and poll scratch, plus the warm batches each node
+    // thread's pool magazine may hold back (WireBatchPool::kMagazine).
+    // Cold-start warm-up is one-time per batch slot and therefore harmless
+    // in normal runs; in an audited window it reads as a (false) steady-state
+    // allocation.
+    const auto nodes = static_cast<std::size_t>(p.num_nodes);
+    const std::size_t magazines = nodes * 2 * WireBatchPool::kMagazine;
+    c.prewarm_batches = nodes * c.channel_capacity + nodes * nodes + magazines + 64;
     c.prewarm_value_bytes = p.workload.value_bytes;
   }
   return c;

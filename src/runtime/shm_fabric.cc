@@ -2,7 +2,8 @@
 // aligned, sized for num_nodes = n):
 //
 //   ShmHeader                      magic / ready / inflight / geometry
-//   ShmDoorbell[n]                 process-shared mutex+cond per consumer
+//   ShmDoorbell[n]                 parked flag + process-shared mutex/cond
+//                                  per consumer
 //   CreditCell[n*n]                credits returned to sender i by peer j
 //   n*n x { RingHdr, ring_bytes }  SPSC byte ring per (src,dst) lane
 //
@@ -11,14 +12,19 @@
 // tail; the consumer (owning thread of dst) owns head; head/tail are free-
 // running byte counters, so full/empty are exact and no slot is wasted.
 //
-// Lost-wakeup argument (mirrors MpscChannel): the producer publishes tail
-// with release order, then takes the consumer's doorbell mutex and signals
-// only if `parked` is set.  The consumer sets `parked` under that mutex and
-// re-checks every lane before sleeping.  Whichever side takes the mutex
-// second sees the other's write — either the producer sees parked=1 and
-// signals, or the consumer sees the new tail and never sleeps.  One frame
-// signals at most once: wakeup-once-per-batch, as the conformance suite
-// demands.
+// Lost-wakeup argument (Dekker's pattern, no lock on the busy path): the
+// producer publishes tail, issues a seq_cst fence, then reads the consumer's
+// atomic `parked`.  The consumer stores `parked` = 1 (under its doorbell
+// mutex), issues a seq_cst fence, then re-checks every lane before sleeping.
+// The two fences are totally ordered, so at least one side sees the other's
+// store: either the producer sees parked=1 — it then takes the mutex, which
+// the consumer holds until it is inside pthread_cond_timedwait, and signals —
+// or the consumer sees the new tail and never sleeps.  A producer that sees
+// parked=0 touches no lock and no shared read-modify-write, so busy-poll
+// consumers (which never park) cost their producers one fence and one load
+// per frame.  One frame signals at most once: wakeup-once-per-batch, as the
+// conformance suite demands.  The per-lane frame count behind stats().pushes
+// lives in the lane header and is written only by the lane's producer.
 //
 // A full ring is the §6.3 backstop, not a steady state (credits bound bytes
 // in flight); the producer counts one full_wait and spins with short sleeps
@@ -62,8 +68,7 @@ struct ShmHeader {
 struct alignas(kAlign) ShmDoorbell {
   pthread_mutex_t mu;
   pthread_cond_t cv;
-  std::uint32_t parked;  // guarded by mu
-  std::atomic<std::uint64_t> pushes;
+  std::atomic<std::uint32_t> parked;  // written under mu, read lock-free
   std::atomic<std::uint64_t> full_waits;
   std::atomic<std::uint64_t> wakeups;
 };
@@ -73,8 +78,9 @@ struct alignas(kAlign) CreditCell {
 };
 
 struct alignas(kAlign) RingHdr {
-  std::atomic<std::uint64_t> head;  // consumer-owned
-  std::atomic<std::uint64_t> tail;  // producer-owned
+  std::atomic<std::uint64_t> head;    // consumer-owned
+  std::atomic<std::uint64_t> tail;    // producer-owned
+  std::atomic<std::uint64_t> frames;  // producer-owned; stats().pushes
 };
 
 // Address-free atomics are required for cross-process use.
@@ -217,17 +223,35 @@ class ShmFabric final : public TransportFabric {
     len_le[3] = static_cast<std::uint8_t>(len >> 24);
     CopyIn(data, ring_bytes_, tail, len_le, 4);
     CopyIn(data, ring_bytes_, tail + 4, buf.data(), buf.size());
+    // Single writer per lane: a plain load+store, not a read-modify-write.
+    // Counted before the tail release, so whoever drains the frame sees it.
+    r->frames.store(r->frames.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
     r->tail.store(tail + frame, std::memory_order_release);
+    // Dekker with Wait(): publish tail, fence, then look for a parked
+    // consumer (see the header comment).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     ShmDoorbell* d = doorbell(to);
-    d->pushes.fetch_add(1, std::memory_order_relaxed);
+    if (d->parked.load(std::memory_order_relaxed) == 0) {
+      return;
+    }
     pthread_mutex_lock(&d->mu);
-    const bool wake = d->parked != 0;
+    const bool wake = d->parked.load(std::memory_order_relaxed) != 0;
     if (wake) {
       d->wakeups.fetch_add(1, std::memory_order_relaxed);
     }
     pthread_mutex_unlock(&d->mu);
     if (wake) {
       pthread_cond_signal(&d->cv);
+    }
+  }
+
+  void ReserveScratch(std::size_t frame_bytes) override {
+    for (Buffer& buf : tx_scratch_) {
+      buf.reserve(frame_bytes);
+    }
+    for (Buffer& buf : rx_scratch_) {
+      buf.reserve(frame_bytes);
     }
   }
 
@@ -285,13 +309,15 @@ class ShmFabric final : public TransportFabric {
     abs.tv_sec += static_cast<time_t>(ns / 1'000'000'000ull);
     abs.tv_nsec = static_cast<long>(ns % 1'000'000'000ull);
     pthread_mutex_lock(&d->mu);
-    d->parked = 1;
+    d->parked.store(1, std::memory_order_relaxed);
+    // Dekker with Deliver(): announce parked, fence, then re-check the lanes.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     while (!HasInbound(self)) {
       if (pthread_cond_timedwait(&d->cv, &d->mu, &abs) == ETIMEDOUT) {
         break;
       }
     }
-    d->parked = 0;
+    d->parked.store(0, std::memory_order_relaxed);
     pthread_mutex_unlock(&d->mu);
   }
 
@@ -315,8 +341,14 @@ class ShmFabric final : public TransportFabric {
 
   FabricStats stats(NodeId self) const override {
     const ShmDoorbell* d = doorbell(self);
-    return FabricStats{d->pushes.load(std::memory_order_relaxed),
-                       d->full_waits.load(std::memory_order_relaxed),
+    std::uint64_t pushes = 0;
+    for (int src = 0; src < n_; ++src) {
+      if (src != self) {
+        const RingHdr* r = ring_hdr(static_cast<NodeId>(src), self);
+        pushes += r->frames.load(std::memory_order_relaxed);
+      }
+    }
+    return FabricStats{pushes, d->full_waits.load(std::memory_order_relaxed),
                        d->wakeups.load(std::memory_order_relaxed)};
   }
 

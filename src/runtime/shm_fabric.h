@@ -5,8 +5,9 @@
 // §6.3 credit-return matrix, and the rack-global inflight counter.  Batches
 // travel as serialized frames ([u32 len][wire_codec batch]), exactly the
 // bytes the socket backend would put on a stream — so FIFO per lane is the
-// ring's own order, wakeup-once-per-batch is one doorbell signal per frame,
-// and inflight() stays rack-global because the counter lives in the region.
+// ring's own order, wakeup-once-per-batch is at most one doorbell signal per
+// frame (none, and no lock, unless the consumer is parked), and inflight()
+// stays rack-global because the counter lives in the region.
 //
 // The creator (rank 0, or the all-in-one process) initializes the region and
 // sets the ready flag; joiners attach and wait for it.  See shm_fabric.cc for

@@ -164,6 +164,13 @@ class SocketFabric final : public TransportFabric {
     }
   }
 
+  void ReserveScratch(std::size_t frame_bytes) override {
+    // tx only: rx_payload_ belongs to the already-running rx thread.
+    for (Buffer& buf : tx_scratch_) {
+      buf.reserve(frame_bytes);
+    }
+  }
+
   std::size_t Drain(NodeId self, std::vector<WireBatch>* out,
                     std::size_t max) override {
     return inboxes_[self]->TryDrain(out, max);

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/common/check.h"
+#include "src/runtime/wire_codec.h"
 
 namespace cckvs {
 namespace {
@@ -35,6 +36,18 @@ CoalescerConfig MakeCoalescerConfig(const LiveTransport::Config& c, NodeId self,
   return cc;
 }
 
+// Encoded size of a full warm batch: max_batch updates carrying
+// `value_bytes` each (WireBatch::Warm's slot shape).
+std::size_t WarmFrameBytes(int max_batch, std::size_t value_bytes) {
+  WireBatch batch;
+  for (int i = 0; i < max_batch; ++i) {
+    batch.Append(UpdateMsg{0, Value(value_bytes, '\0'), Timestamp{}});
+  }
+  Buffer buf;
+  SerializeWireBatch(batch, &buf);
+  return buf.size();
+}
+
 }  // namespace
 
 LiveTransport::LiveTransport(const Config& config) : config_(config) {
@@ -55,6 +68,8 @@ LiveTransport::LiveTransport(const Config& config) : config_(config) {
         config.prewarm_batches,
         static_cast<std::size_t>(config.coalesce_max_batch),
         config.prewarm_value_bytes);
+    fabric_->ReserveScratch(
+        WarmFrameBytes(config.coalesce_max_batch, config.prewarm_value_bytes));
   }
   endpoints_.resize(static_cast<std::size_t>(config.num_nodes));
   const int rank = config.transport.rank;

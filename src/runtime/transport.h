@@ -35,10 +35,14 @@
 //    the pool — exactly the sim's RackNode::SendAck.
 //
 // inflight() likewise counts MESSAGES — from the moment one enters an open
-// batch (committed to delivery) until its receive handler completes — so the
-// rack's drain-phase exit condition is unchanged by batching.  Ranked socket
-// racks, where the counter cannot span hosts, terminate via the counting
-// protocol in control_messages.h instead (fabric.h: InflightIsGlobal).
+// batch (committed to delivery) until the Poll that handled it returns — so
+// the rack's drain-phase exit condition is unchanged by batching.  The
+// receive side settles a whole Poll with one SubInflight after every handler
+// has run, not one rack-global read-modify-write per message; the later
+// decrement only keeps inflight() higher for longer, so the exit condition
+// gets more conservative, never less.  Ranked socket racks, where the counter
+// cannot span hosts, terminate via the counting protocol in
+// control_messages.h instead (fabric.h: InflightIsGlobal).
 
 #ifndef CCKVS_RUNTIME_TRANSPORT_H_
 #define CCKVS_RUNTIME_TRANSPORT_H_
@@ -123,7 +127,8 @@ class LiveTransport {
     // Drains up to `max_batches` inbound batches, invoking
     // handler(NodeId src, const WireBody&) for each message after the
     // receive-side run demux (consecutive same-key updates collapse to the
-    // newest; see coalescer.h), then performs per-message credit accounting.
+    // newest; see coalescer.h), then performs per-message credit accounting
+    // and, once every handler has run, settles inflight() for the whole poll.
     // Owning node's thread only.  Returns the number of messages processed.
     template <typename Handler>
     std::size_t Poll(std::size_t max_batches, Handler&& handler) {
@@ -143,14 +148,17 @@ class LiveTransport {
           if (!IsTermControl(body)) {
             ++data_processed_;
           }
-          // A collapsed update may still be held by the demux here; it is
-          // applied before Poll returns, and updates trigger no sends, so a
-          // racing drain-phase inflight()==0 observation stays sound.
-          fabric().SubInflight(1);
           ++processed;
         }
       }
       demux.Flush(handler);  // demux holds pointers into scratch_: flush first
+      if (processed > 0) {
+        // One decrement per poll, after the last handler (including a
+        // collapsed update the demux held until Flush) — a racing
+        // drain-phase inflight()==0 can only be observed once all of this
+        // poll's work, and every send it caused, is accounted for.
+        fabric().SubInflight(processed);
+      }
       for (WireBatch& batch : scratch_) {
         fabric().batch_pool().Recycle(std::move(batch));
       }
@@ -290,7 +298,7 @@ class LiveTransport {
   TransportFabric& fabric() { return *fabric_; }
   const TransportFabric& fabric() const { return *fabric_; }
 
-  // Messages enqueued but not yet fully processed (handler completed).  Zero
+  // Messages enqueued but not yet fully processed (their Poll returned).  Zero
   // together with all-nodes-quiescent means the rack can produce no further
   // work — the drain-phase exit condition.  Counts messages (including those
   // in open send batches), never batches.  Rack-global unless the fabric says

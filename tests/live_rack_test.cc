@@ -6,6 +6,8 @@
 // with genuine concurrency.  Op counts scale down under sanitizers (and up
 // via CCKVS_LIVE_OPS) — a plain Release run covers millions of operations.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/alloc_tracker.h"
 #include "src/runtime/live_rack.h"
 #include "src/verify/history.h"
 
@@ -356,6 +359,52 @@ TEST(LiveRackTest, EarlyStopStillSealsHistories) {
   EXPECT_LT(r.completed, p.ops_per_node * static_cast<std::uint64_t>(p.num_nodes));
   EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
 }
+
+// The zero-steady-state-allocation invariant, per backend: an SC rack over a
+// prefilled store runs its measured window (quota/4 .. halt) with the
+// allocation tracker armed, and alloc_assert CHECK-fails any node thread
+// that allocates.  Over shm this also covers the serialize/deserialize
+// scratch and the pool magazines that batches cross on every frame.
+class LiveRackZeroAllocTest : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(LiveRackZeroAllocTest, SteadyStateAllocatesNothing) {
+  LiveRackParams p;
+  p.num_nodes = 4;
+  p.consistency = ConsistencyModel::kSc;
+  // live_throughput's audit shape: strided per-node ranks keep the L1 tier
+  // filling and serving inside the window, and the frame mix they produce
+  // outgrows the shm codec scratch's warm-up size unless it is reserved.
+  p.workload.keyspace = 65'536;
+  p.workload.zipf_alpha = 0.99;
+  p.workload.write_ratio = 0.05;
+  p.workload.value_bytes = 40;
+  p.workload.node_rank_stride = 1'000;
+  p.cache_capacity = 1'000;
+  p.l1_capacity = 128;
+  p.window_per_node = 32;
+  p.ops_per_node = OpsPerNode(25'000, 4'000);
+  p.coalescing = true;
+  p.seed = 11;
+  p.prefill_store = true;
+  p.track_allocs = true;
+  p.alloc_assert = true;
+  p.transport.kind = GetParam();
+  p.transport.shm_name = "/cckvs_zeroalloc_" + std::to_string(getpid());
+  LiveRack rack(p);
+  const LiveReport r = rack.Run();
+  ASSERT_TRUE(r.transport_error.empty()) << r.transport_error;
+  EXPECT_GE(r.completed, p.ops_per_node * static_cast<std::uint64_t>(p.num_nodes));
+  EXPECT_GT(r.channel_messages, 0u);
+  if (alloc::TrackerAvailable()) {
+    EXPECT_EQ(r.hot_path_allocs, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, LiveRackZeroAllocTest,
+                         ::testing::Values(TransportKind::kInproc, TransportKind::kShm),
+                         [](const ::testing::TestParamInfo<TransportKind>& info) {
+                           return std::string(ToString(info.param));
+                         });
 
 }  // namespace
 }  // namespace cckvs

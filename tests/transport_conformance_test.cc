@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <variant>
@@ -278,6 +279,40 @@ TEST_P(ConformanceTest, WakeupOncePerBatch) {
   ASSERT_EQ(CollectKeys(receiver, 4).size(), 4u);
   EXPECT_LE(receiver.wakeups(), receiver.batches_received());
   EXPECT_LE(receiver.wakeups(), 1u);  // one batch, at most one wakeup
+}
+
+// Lost-wakeup stress for the doorbell: a consumer that parks between polls
+// races a producer delivering single-message batches at random gaps, so
+// deliveries land before, during and right after the consumer parks.  A lost
+// wakeup strands a message for the whole 30 s park, which the 10 s bound
+// catches; every delivery may wake at most once.
+TEST_P(ConformanceTest, NoLostWakeupUnderRandomDeliveryGaps) {
+  constexpr std::size_t kMessages = 2000;
+  LiveTransport t(Cfg(2));  // coalescing off: one message per batch
+  ASSERT_TRUE(t.ok()) << t.init_error();
+  auto& sender = t.endpoint(0);
+  auto& receiver = t.endpoint(1);
+
+  const auto t0 = Clock::now();
+  std::size_t received = 0;
+  std::thread consumer([&] {
+    const auto give_up = Clock::now() + std::chrono::seconds(60);
+    while (received < kMessages && Clock::now() < give_up) {
+      receiver.WaitForTraffic(std::chrono::seconds(30));
+      received += receiver.Poll(64, [](NodeId, const WireBody&) {});
+    }
+  });
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> gap_us(0, 100);
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    // Acks ride implicit credits, so the producer never parks on the pool.
+    sender.SendAck(1, AckMsg{static_cast<Key>(i), Timestamp{1, 0}});
+    std::this_thread::sleep_for(std::chrono::microseconds(gap_us(rng)));
+  }
+  consumer.join();
+  EXPECT_EQ(received, kMessages);
+  EXPECT_LT(Clock::now() - t0, kDeadline) << "lost wakeup";
+  EXPECT_LE(receiver.wakeups(), receiver.batches_received());
 }
 
 // Mixed-type traffic (credited updates/invalidates, uncredited acks and

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/alloc_tracker.h"
+#include "src/runtime/channel.h"
 #include "src/runtime/transport.h"
 
 namespace cckvs {
@@ -57,6 +59,92 @@ Drained DrainAll(LiveTransport::Endpoint& ep) {
     }
   });
   return d;
+}
+
+// --------------------------------------------------------------------------
+// WireBatchPool magazines
+// --------------------------------------------------------------------------
+
+// The inproc traffic shape: one thread acquires and fills batches, another
+// recycles them, so every batch migrates through the shared list in
+// kMagazine-sized moves.  With the pool prewarmed to the in-flight bound
+// plus two full magazines per thread, neither thread allocates once warm,
+// the consumer's spills bring the batches home, and the shared list never
+// retains more than its cap — even when fed far more batches than that.
+TEST(WireBatchPoolTest, MagazinesStayAllocationFreeAcrossThreads) {
+  constexpr std::size_t kMaxBatch = 16;
+  constexpr std::size_t kValueBytes = 40;  // past SSO: the string is heap
+  constexpr std::size_t kChannel = 32;
+  constexpr std::size_t kDrain = 8;
+  constexpr std::size_t kInFlight = kChannel + kDrain + 1;  // + producer's
+  constexpr std::size_t kThreads = 2;
+  constexpr std::size_t kBatches = 20'000;
+  constexpr std::size_t kWarmup = 2'000;
+  const std::size_t prewarm = kInFlight + kThreads * 2 * WireBatchPool::kMagazine;
+
+  WireBatchPool pool;
+  pool.Prewarm(prewarm, kMaxBatch, kValueBytes);
+  const std::size_t cap = pool.cap();  // the default cap, above prewarm
+  MpscChannel<WireBatch> handoff(kChannel);
+  const UpdateMsg msg{7, Value(kValueBytes, 'x'), Timestamp{1, 0}};
+
+  std::uint64_t producer_allocs = 0;
+  std::uint64_t consumer_allocs = 0;
+  std::size_t short_batches = 0;
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < kBatches; ++i) {
+      if (i == kWarmup) {
+        alloc::ResetThread();
+        alloc::EnableThread();
+      }
+      WireBatch batch = pool.Acquire();
+      for (std::size_t m = 0; m < kMaxBatch; ++m) {
+        batch.Append(msg);
+      }
+      handoff.Push(std::move(batch));
+    }
+    alloc::DisableThread();
+    producer_allocs = alloc::ThreadCount();
+  });
+  std::thread consumer([&] {
+    std::vector<WireBatch> drained;
+    drained.reserve(kDrain);
+    std::size_t seen = 0;
+    bool armed = false;
+    while (seen < kBatches) {
+      if (!armed && seen >= kWarmup) {
+        armed = true;
+        alloc::ResetThread();
+        alloc::EnableThread();
+      }
+      drained.clear();
+      seen += handoff.WaitDrain(&drained, kDrain, std::chrono::milliseconds(1));
+      for (WireBatch& batch : drained) {
+        short_batches += batch.size() != kMaxBatch ? 1 : 0;
+        pool.Recycle(std::move(batch));
+      }
+    }
+    alloc::DisableThread();
+    consumer_allocs = alloc::ThreadCount();
+  });
+  producer.join();
+  consumer.join();
+
+  EXPECT_EQ(short_batches, 0u);
+  if (alloc::TrackerAvailable()) {
+    EXPECT_EQ(producer_allocs, 0u);
+    EXPECT_EQ(consumer_allocs, 0u);
+  }
+  // The consumer's magazine spilled everything back but what one magazine
+  // (its own, freed at thread exit) and the producer's last refill hold.
+  EXPECT_LE(pool.shared_size(), cap);
+  EXPECT_GE(pool.shared_size(), prewarm - 3 * WireBatchPool::kMagazine);
+
+  // Far more batches than the cap come home: retention stays bounded.
+  for (std::size_t i = 0; i < 2 * cap; ++i) {
+    pool.Recycle(WireBatch{});
+  }
+  EXPECT_EQ(pool.shared_size(), cap);
 }
 
 // --------------------------------------------------------------------------
