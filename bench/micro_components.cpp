@@ -9,12 +9,15 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/cache/symmetric_cache.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/store/partition.h"
+#include "src/store/partitioner.h"
 #include "src/store/seqlock.h"
 #include "src/topk/flat_space_saving.h"
 #include "src/workload/workload.h"
@@ -100,6 +103,59 @@ void BM_StoreCrcwMixed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreCrcwMixed)->Threads(1)->Threads(2)->Threads(4);
+
+// One issue round of a live node on read_skew's miss path: 32 Zipf(0.99) GETs
+// against a prefilled 4-shard, 1M-key store (read_skew's shard sizing), read
+// one after another (serial) or after the live node's two prefetch passes
+// over the round (prefetched).  Time is per round; items count GETs.
+void BM_PartitionGetRound(benchmark::State& state, bool prefetch) {
+  constexpr int kShards = 4;
+  constexpr std::uint64_t kKeys = 1'000'000;
+  constexpr std::size_t kRound = 32;
+  constexpr std::size_t kRounds = 4096;  // pregenerated, replayed cyclically
+  static const ModuloPartitioner homes(kShards);
+  static const auto shards = [] {
+    std::vector<std::unique_ptr<Partition>> v;
+    for (int i = 0; i < kShards; ++i) {
+      PartitionConfig pc;
+      pc.buckets = kKeys / kShards / 4;
+      v.push_back(std::make_unique<Partition>(pc));
+    }
+    for (Key k = 0; k < kKeys; ++k) {
+      v[homes.HomeOf(k)]->Put(k, SynthesizeValue(k, 40));
+    }
+    return v;
+  }();
+  const ZipfSampler zipf(kKeys, 0.99);
+  const KeyScrambler scrambler(kKeys, 11);
+  Rng rng(12);
+  std::vector<Key> keys(kRound * kRounds);
+  std::vector<const Partition*> home(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = scrambler.RankToKey(zipf.Sample(rng) - 1);
+    home[i] = shards[homes.HomeOf(keys[i])].get();
+  }
+  Value v;
+  std::size_t round = 0;
+  for (auto _ : state) {
+    const std::size_t base = round * kRound;
+    round = (round + 1) % kRounds;
+    if (prefetch) {
+      for (std::size_t i = base; i < base + kRound; ++i) {
+        home[i]->PrefetchBucket(keys[i]);
+      }
+      for (std::size_t i = base; i < base + kRound; ++i) {
+        home[i]->PrefetchRecord(keys[i]);
+      }
+    }
+    for (std::size_t i = base; i < base + kRound; ++i) {
+      benchmark::DoNotOptimize(home[i]->Get(keys[i], &v));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kRound));
+}
+BENCHMARK_CAPTURE(BM_PartitionGetRound, serial, false);
+BENCHMARK_CAPTURE(BM_PartitionGetRound, prefetched, true);
 
 // ---------------------------------------------------------------------------
 // Seqlock

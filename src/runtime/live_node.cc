@@ -96,6 +96,7 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     sessions_[s].id = static_cast<SessionId>(id) * 100000u + static_cast<SessionId>(s);
   }
   idle_sessions_ = sessions_.size();
+  round_.resize(sessions_.size());
   rpc_waiting_.assign(sessions_.size(), 0);
   parked_sc_writes_.Reset(sessions_.size());
   parked_gated_.Reset(sessions_.size());
@@ -513,20 +514,51 @@ bool LiveNode::FillIdleSessions() {
   if (idle_sessions_ == 0) {
     return false;
   }
-  bool issued = false;
+  // Three passes, so the round's shard misses overlap instead of running one
+  // after another: generate each op and prefetch its home bucket; read each
+  // bucket's matching slot and prefetch the record; issue.  Everything that
+  // decides an op's outcome or its latency — the invoke stamp, history,
+  // hot-set sampling, the L1 and symmetric probes — stays per op in
+  // IssueOp/RouteOp, so a prefetch is only a hint.
+  std::size_t n = 0;
   for (std::uint32_t s = 0; s < sessions_.size(); ++s) {
     if (sessions_[s].idle) {
-      IssueOp(s);
-      issued = true;
+      Op& op = sessions_[s].op;
+      gen_.NextInto(&op);  // reuses the slot's value capacity
+      round_[n++] = RoundOp{s, PrefetchHomeBucket(op)};
     }
   }
-  return issued;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (round_[i].home != nullptr) {
+      round_[i].home->PrefetchRecord(sessions_[round_[i].slot].op.key);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    IssueOp(round_[i].slot);
+  }
+  return n != 0;
+}
+
+const Partition* LiveNode::PrefetchHomeBucket(const Op& op) {
+  if (ranked_ && rack_->HomeOf(op.key) != id_) {
+    return nullptr;  // remote rank: the miss goes over RPC, no local shard
+  }
+  if (l1_ != nullptr && !l1_validate_ && op.type == OpType::kGet &&
+      l1_->Contains(op.key)) {
+    // An SC L1 hit never reads the shard, and a prefetch it does not use
+    // costs it latency.  Lin L1 hits still peek the home shard, so they
+    // prefetch; symmetric-cache hits are not filtered, because the probe
+    // costs more than the wasted prefetch.
+    return nullptr;
+  }
+  const Partition& home = rack_->PartitionOf(op.key);
+  home.PrefetchBucket(op.key);
+  return &home;
 }
 
 void LiveNode::IssueOp(std::uint32_t slot) {
   Session& sess = sessions_[slot];
   CCKVS_DCHECK(sess.idle);
-  gen_.NextInto(&sess.op);  // reuses the slot's value capacity
   sess.invoke_cycles = CycleNow();
   if (tracer_ != nullptr && tracer_->SampleNext()) {
     // Deterministic 1-in-N op sampling: this op's whole lifecycle — including

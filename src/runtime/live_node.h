@@ -141,7 +141,13 @@ class LiveNode final : private HotSetHost {
   // run loop should exit: either rank 0 certified global quiescence twice in
   // a row and broadcast the halt, or we received the halt.
   bool RankedTermination();
+  // One issue round: generates every idle session's op, prefetches the
+  // shard lines those ops will read, then issues them in session order.
   bool FillIdleSessions();
+  // The shard this op's issue will read, with its home bucket prefetched; or
+  // nullptr when there is nothing local worth prefetching (see the .cc).
+  const Partition* PrefetchHomeBucket(const Op& op);
+  // Stamps and routes the slot's already-generated op.
   void IssueOp(std::uint32_t slot);
   // Routes the slot's already-generated op: cache path on a probe hit, else
   // the direct-shard miss path (parking on the residency gate if it is up).
@@ -208,6 +214,13 @@ class LiveNode final : private HotSetHost {
 
   std::vector<Session> sessions_;
   std::size_t idle_sessions_ = 0;
+  // FillIdleSessions' round buffer: the slots it issues and each op's shard
+  // to prefetch (nullptr: none).  Sized to the session count at construction.
+  struct RoundOp {
+    std::uint32_t slot = 0;
+    const Partition* home = nullptr;
+  };
+  std::vector<RoundOp> round_;
   SlotRing parked_sc_writes_;
   SlotRing parked_gated_;  // ops waiting out an epoch barrier
   bool retrying_gated_ = false;  // re-parks during RetryGatedOps are not counted

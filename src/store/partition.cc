@@ -26,9 +26,14 @@ Partition::Partition(const PartitionConfig& config)
 
 Partition::~Partition() = default;
 
-Partition::Bucket& Partition::HomeBucket(Key key) const {
-  const std::uint64_t h = HashKey(key);
-  return const_cast<Bucket&>(buckets_[h & bucket_mask_]);
+Partition::Stripe& Partition::MyStripe() const {
+  // Constant-initialized thread_local: no guard call on the hot path.
+  static std::atomic<std::size_t> next_thread{0};
+  thread_local std::size_t stripe = kStripes;
+  if (stripe == kStripes) {
+    stripe = next_thread.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  }
+  return stripes_[stripe];
 }
 
 std::uint16_t Partition::TagOf(std::uint64_t hash) const {
@@ -64,9 +69,8 @@ void Partition::WriteRecord(SlabAllocator::Ref ref, Key key, const Value& value,
   RelaxedCopyToShared(data + sizeof(hdr), value.data(), value.size());
 }
 
-bool Partition::Get(Key key, Value* value, Timestamp* ts,
-                    bool* cache_resident) const {
-  gets_.fetch_add(1, std::memory_order_relaxed);
+bool Partition::Lookup(Key key, Value* value, Timestamp* ts,
+                       bool* cache_resident) const {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
   const Bucket& head = buckets_[h & bucket_mask_];
@@ -110,7 +114,7 @@ bool Partition::Get(Key key, Value* value, Timestamp* ts,
       }
     }
     if (head.lock.ReadRetry(version)) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
+      Bump(MyStripe().retries);
       continue;
     }
     if (found) {
@@ -122,14 +126,22 @@ bool Partition::Get(Key key, Value* value, Timestamp* ts,
       }
       return true;
     }
-    break;
+    if (cache_resident != nullptr) {
+      *cache_resident = false;
+    }
+    return false;
   }
+}
 
-  if (cache_resident != nullptr) {
-    *cache_resident = false;
+bool Partition::Get(Key key, Value* value, Timestamp* ts,
+                    bool* cache_resident) const {
+  Stripe& stripe = MyStripe();
+  Bump(stripe.gets);
+  if (Lookup(key, value, ts, cache_resident)) {
+    return true;
   }
   if (config_.synthesize || config_.synthesize_into) {
-    synthesized_.fetch_add(1, std::memory_order_relaxed);
+    Bump(stripe.synthesized);
     if (value != nullptr) {
       if (config_.synthesize_into) {
         config_.synthesize_into(key, value);  // reuses the caller's capacity
@@ -142,8 +154,40 @@ bool Partition::Get(Key key, Value* value, Timestamp* ts,
     }
     return true;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  Bump(stripe.misses);
   return false;
+}
+
+bool Partition::PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) const {
+  Bump(MyStripe().peeks);
+  if (Lookup(key, nullptr, ts, cache_resident)) {
+    return true;
+  }
+  if (config_.synthesize || config_.synthesize_into) {
+    if (ts != nullptr) {
+      *ts = Timestamp{};
+    }
+    return true;
+  }
+  return false;
+}
+
+void Partition::PrefetchBucket(Key key) const {
+  __builtin_prefetch(&buckets_[HashKey(key) & bucket_mask_]);
+}
+
+void Partition::PrefetchRecord(Key key) const {
+  const std::uint64_t h = HashKey(key);
+  const std::uint16_t tag = TagOf(h);
+  for (const AtomicSlot& atomic_slot : buckets_[h & bucket_mask_].slots) {
+    const Slot slot = atomic_slot.load();
+    if (slot.used != 0 && slot.tag == tag) {
+      if (const char* data = slab_.TryData(slot.ref); data != nullptr) {
+        __builtin_prefetch(data);
+      }
+      return;
+    }
+  }
 }
 
 Partition::AtomicSlot* Partition::FindSlot(Bucket& head, Key key, std::uint16_t tag) {
@@ -225,7 +269,7 @@ void Partition::PutLocked(Bucket& head, Key key, std::uint16_t tag,
 }
 
 Timestamp Partition::Put(Key key, const Value& value) {
-  puts_.fetch_add(1, std::memory_order_relaxed);
+  Bump(MyStripe().puts);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
   Bucket& head = buckets_[h & bucket_mask_];
@@ -256,7 +300,7 @@ bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
     }
     fresh = Timestamp{hdr.clock + 1, config_.node_id};
   }
-  puts_.fetch_add(1, std::memory_order_relaxed);
+  Bump(MyStripe().puts);
   PutLocked(head, key, tag, value, fresh, 0);
   if (ts != nullptr) {
     *ts = fresh;
@@ -265,7 +309,8 @@ bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
 }
 
 bool Partition::Apply(Key key, const Value& value, Timestamp ts) {
-  puts_.fetch_add(1, std::memory_order_relaxed);
+  Stripe& stripe = MyStripe();
+  Bump(stripe.puts);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
   Bucket& head = buckets_[h & bucket_mask_];
@@ -275,7 +320,7 @@ bool Partition::Apply(Key key, const Value& value, Timestamp ts) {
     RecordHeader hdr;
     RelaxedCopyFromShared(&hdr, slab_.Data(found->load().ref), sizeof(hdr));
     if (Timestamp{hdr.clock, hdr.writer} >= ts) {
-      stale_applies_.fetch_add(1, std::memory_order_relaxed);
+      Bump(stripe.stale_applies);
       return false;
     }
     flags = hdr.flags;  // applies bypass the gate but must not drop it
@@ -373,18 +418,22 @@ bool Partition::Contains(Key key) const {
     if (!head.lock.ReadRetry(version)) {
       return found;
     }
-    retries_.fetch_add(1, std::memory_order_relaxed);
+    Bump(MyStripe().retries);
   }
 }
 
 PartitionStats Partition::stats() const {
   PartitionStats s;
-  s.gets = gets_.load(std::memory_order_relaxed);
-  s.puts = puts_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.synthesized_gets = synthesized_.load(std::memory_order_relaxed);
-  s.read_retries = retries_.load(std::memory_order_relaxed);
-  s.stale_applies = stale_applies_.load(std::memory_order_relaxed);
+  const auto relaxed = std::memory_order_relaxed;
+  for (const Stripe& stripe : stripes_) {
+    s.gets += stripe.gets.load(relaxed);
+    s.puts += stripe.puts.load(relaxed);
+    s.misses += stripe.misses.load(relaxed);
+    s.synthesized_gets += stripe.synthesized.load(relaxed);
+    s.read_retries += stripe.retries.load(relaxed);
+    s.stale_applies += stripe.stale_applies.load(relaxed);
+    s.peeks += stripe.peeks.load(relaxed);
+  }
   return s;
 }
 

@@ -12,6 +12,14 @@
 // reader/writer race of the seqlock algorithm is expressed race-free and the
 // live runtime's stress tests run this exact path under ThreadSanitizer.
 //
+// Cache-line layout: a bucket is one 64 B line and slab records start on a
+// line, so a miss on a record of at most 64 B touches two lines.  The access
+// counters are per-thread stripes (one line each), so a Get/Put never writes
+// a line another thread writes; stats() sums them — exact, but not an atomic
+// snapshot across fields or threads.  PrefetchBucket/PrefetchRecord let a
+// caller overlap the misses of a batch of lookups (the live node's issue
+// round) before it reads them one by one.
+//
 // Lazy materialization: the paper's experiments address 250 M keys.  A synthetic
 // default-value function lets GETs of never-written keys answer without
 // materializing 250 M records; PUTs always materialize.
@@ -55,6 +63,7 @@ struct PartitionStats {
   std::uint64_t synthesized_gets = 0;  // GET of absent key served synthetically
   std::uint64_t read_retries = 0;      // seqlock retry loops taken
   std::uint64_t stale_applies = 0;     // Apply() rejected by timestamp
+  std::uint64_t peeks = 0;             // PeekTimestamp() calls (not GETs)
 };
 
 class Partition {
@@ -87,10 +96,17 @@ class Partition {
   // flag, with no value copy-out.  The L1 tail's Lin validation path uses
   // this to check a private copy against the home shard on every hit; the
   // miss semantics mirror Get (a never-written key under a configured
-  // synthesizer reports the zero timestamp and returns true).
-  bool PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) const {
-    return Get(key, nullptr, ts, cache_resident);
-  }
+  // synthesizer reports the zero timestamp and returns true).  Counted in
+  // stats().peeks, never in gets or synthesized_gets.
+  bool PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) const;
+
+  // Memory-level-parallelism hints for a batch of lookups: PrefetchBucket
+  // pulls the key's home bucket toward this core; PrefetchRecord (issued
+  // after it) reads that bucket's matching slot without the seqlock and
+  // prefetches the record it names.  Neither blocks, counts or changes state,
+  // and a racing writer only makes the hint useless, never wrong.
+  void PrefetchBucket(Key key) const;
+  void PrefetchRecord(Key key) const;
 
   // Timestamped apply, used by write-back flushes from the symmetric cache and
   // by recovery paths: installs (value, ts) iff ts is newer than the stored
@@ -163,12 +179,14 @@ class Partition {
     void store(const Slot& s) { raw.store(PackSlot(s), std::memory_order_relaxed); }
   };
 
-  struct Bucket {
+  struct alignas(64) Bucket {
     Seqlock lock;
     // Index into overflow chunks or kNoOverflow; read by the lock-free path.
     std::atomic<std::uint32_t> overflow{kNoOverflow};
     AtomicSlot slots[kWays];
   };
+  static_assert(sizeof(Bucket) == 64 && alignof(Bucket) == 64,
+                "a bucket is exactly one cache line");
 
   // Record layout inside a slab slot: header then value bytes.
   struct RecordHeader {
@@ -180,8 +198,30 @@ class Partition {
   };
   static constexpr std::uint8_t kFlagCacheResident = 0x1;
 
-  Bucket& HomeBucket(Key key) const;
+  // Per-thread counter stripe: one cache line, so the counting RMWs of
+  // different threads never share a line.  Threads map onto stripes
+  // round-robin; two threads on one stripe stay exact (atomic adds).
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> gets{0};
+    std::atomic<std::uint64_t> puts{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> synthesized{0};
+    std::atomic<std::uint64_t> retries{0};
+    std::atomic<std::uint64_t> stale_applies{0};
+    std::atomic<std::uint64_t> peeks{0};
+  };
+  static constexpr std::size_t kStripes = 16;
+  Stripe& MyStripe() const;
+  static void Bump(std::atomic<std::uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::uint16_t TagOf(std::uint64_t hash) const;
+
+  // Seqlock lookup shared by Get and PeekTimestamp: on a hit fills the
+  // requested outputs and returns true; false when the key is absent.
+  // Counts retries only.
+  bool Lookup(Key key, Value* value, Timestamp* ts, bool* cache_resident) const;
 
   // Walks bucket + overflow chain; returns the slot holding `key` or nullptr.
   // Writer-side only (called under the bucket lock).
@@ -211,12 +251,7 @@ class Partition {
   SlabAllocator slab_;
   std::atomic<std::size_t> live_records_{0};
 
-  mutable std::atomic<std::uint64_t> gets_{0};
-  mutable std::atomic<std::uint64_t> puts_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> synthesized_{0};
-  mutable std::atomic<std::uint64_t> retries_{0};
-  mutable std::atomic<std::uint64_t> stale_applies_{0};
+  mutable Stripe stripes_[kStripes];
 
   Bucket* OverflowBucket(std::uint32_t idx) const;
 };

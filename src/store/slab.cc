@@ -33,8 +33,9 @@ SlabAllocator::Ref SlabAllocator::Allocate(std::size_t bytes) {
     CCKVS_CHECK_LT(chunk, kMaxChunks);
     if (chunk >= sc.owned.size()) {
       const std::size_t chunk_bytes = ClassBytes(cls) * kChunkSlots;
-      sc.owned.push_back(std::make_unique<char[]>(chunk_bytes));
-      sc.chunk_ptrs[chunk].store(sc.owned.back().get(), std::memory_order_release);
+      sc.owned.push_back(std::make_unique<CacheLine[]>(chunk_bytes / sizeof(CacheLine)));
+      sc.chunk_ptrs[chunk].store(reinterpret_cast<char*>(sc.owned.back().get()),
+                                 std::memory_order_release);
       arena_bytes_.fetch_add(chunk_bytes, std::memory_order_relaxed);
     }
   }

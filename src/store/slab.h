@@ -4,6 +4,9 @@
 // memory is never unmapped, which is what makes the seqlock read protocol safe:
 // a reader racing with a concurrent free/reuse may copy garbage bytes, but never
 // touches unmapped memory, and the seqlock version check discards the torn copy.
+// Chunks are cache-line aligned and every class is a multiple of 32 B, so a
+// record of 64 B or more starts on a line and one of at most 64 B never
+// straddles two.
 
 #ifndef CCKVS_STORE_SLAB_H_
 #define CCKVS_STORE_SLAB_H_
@@ -88,13 +91,17 @@ class SlabAllocator {
   // Hard cap per class: 4096 chunks x 1024 slots = 4M records per class.
   static constexpr std::uint32_t kMaxChunks = 4096;
 
+  struct alignas(64) CacheLine {
+    char bytes[64];
+  };
+
   struct SizeClass {
     std::mutex mu;
     // Readers resolve Data() through these atomics without taking `mu`; the
     // array is fixed-size so there is no reallocation race.  `owned` keeps the
     // allocations alive and is only touched under `mu`.
     std::atomic<char*> chunk_ptrs[kMaxChunks] = {};
-    std::vector<std::unique_ptr<char[]>> owned;
+    std::vector<std::unique_ptr<CacheLine[]>> owned;
     std::vector<std::uint32_t> freelist;
     std::uint32_t next_unused = 0;  // high-water mark across chunks
   };

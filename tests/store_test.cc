@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <unordered_map>
@@ -143,6 +144,17 @@ TEST(Slab, TryDataRejectsGarbageRefs) {
   EXPECT_NE(slab.TryData(real), nullptr);
 }
 
+TEST(Slab, RecordsStartOnACacheLine) {
+  // 8 chunks' worth of 64 B-class slots (1024 slots per chunk): every record
+  // of that class must occupy exactly one cache line.
+  SlabAllocator slab;
+  for (int i = 0; i < 8 * 1024; ++i) {
+    const auto ref = slab.Allocate(64);
+    ASSERT_EQ(SlabAllocator::ClassBytes(ref.cls), 64u);
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(slab.Data(ref)) % 64, 0u) << "slot " << i;
+  }
+}
+
 TEST(Slab, ConcurrentAllocFree) {
   SlabAllocator slab;
   std::vector<std::thread> threads;
@@ -271,6 +283,83 @@ TEST(Partition, SynthesizerServesColdReads) {
   part.Put(123, "real");
   ASSERT_TRUE(part.Get(123, &v, &ts));
   EXPECT_EQ(v, "real");
+}
+
+TEST(Partition, PeekCountsAsPeekNotGet) {
+  PartitionConfig pc = SmallConfig();
+  pc.synthesize = [](Key key) { return "synth-" + std::to_string(key); };
+  Partition part(pc);
+  Timestamp ts{5, 5};
+  bool resident = true;
+  ASSERT_TRUE(part.PeekTimestamp(77, &ts, &resident));  // never written
+  EXPECT_EQ(ts, Timestamp{});
+  EXPECT_FALSE(resident);
+  part.Put(78, "real");
+  ASSERT_TRUE(part.PeekTimestamp(78, &ts, &resident));
+  EXPECT_EQ(ts, (Timestamp{1, 3}));
+  const PartitionStats s = part.stats();
+  EXPECT_EQ(s.gets, 0u);
+  EXPECT_EQ(s.synthesized_gets, 0u);
+  EXPECT_EQ(s.peeks, 2u);
+}
+
+TEST(Partition, PrefetchHintsChangeNothing) {
+  Partition part(SmallConfig());
+  part.Put(42, "hello");
+  for (Key k : {Key{42}, Key{43}}) {  // present and absent
+    part.PrefetchBucket(k);
+    part.PrefetchRecord(k);
+  }
+  Value v;
+  ASSERT_TRUE(part.Get(42, &v));
+  EXPECT_EQ(v, "hello");
+  EXPECT_EQ(part.stats().gets, 1u);
+}
+
+TEST(Partition, StatsAreExactAcrossThreads) {
+  // Per-thread counter stripes must sum to exactly what was issued, whichever
+  // stripes the threads land on.
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20000;
+  Partition part(SmallConfig());
+  std::atomic<std::uint64_t> gets{0};
+  std::atomic<std::uint64_t> puts{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(t) + 40);
+      std::uint64_t my_gets = 0;
+      std::uint64_t my_puts = 0;
+      Value v;
+      Timestamp ts;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const Key key = rng.NextBounded(256);
+        switch (rng.NextBounded(3)) {
+          case 0:
+            part.Get(key, &v);
+            ++my_gets;
+            break;
+          case 1:
+            ASSERT_TRUE(part.TryPut(key, "v", &ts));  // no gate is ever up
+            ++my_puts;
+            break;
+          default:
+            part.Apply(key, "w", Timestamp{static_cast<std::uint32_t>(i), 1});
+            ++my_puts;  // applies count whether or not they win
+            break;
+        }
+      }
+      gets.fetch_add(my_gets);
+      puts.fetch_add(my_puts);
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const PartitionStats s = part.stats();
+  EXPECT_EQ(gets.load() + puts.load(), std::uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(s.gets, gets.load());
+  EXPECT_EQ(s.puts, puts.load());
 }
 
 TEST(Partition, ManyKeysForceOverflowChains) {
