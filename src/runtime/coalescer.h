@@ -17,10 +17,14 @@
 // order and the channel itself is FIFO.  Three flush policies:
 //
 //   * kSize      — the open batch reached max_batch (checked on every append);
-//   * kBoundary  — the host's run loop finished one pump iteration (its "op
-//                  boundary"): everything the iteration produced — acks for
-//                  polled invalidations, updates/invalidations from issued
-//                  ops — ships now, bounding message latency to one iteration;
+//   * kBoundary  — the host reached an op boundary: either a poll step that
+//                  handled messages (what the poll produced — acks for
+//                  polled invalidations, updates for completed write rounds,
+//                  RPC responses — ships at once, also between the slices of
+//                  an issue round), or the end of a pump iteration
+//                  (everything else the iteration produced, such as
+//                  updates/invalidations from issued ops), which bounds
+//                  message latency to one iteration;
 //   * kIdle      — the endpoint is about to sleep in WaitForTraffic; a
 //                  backstop so no message can sleep inside an open batch even
 //                  if a host forgets its boundary flushes.

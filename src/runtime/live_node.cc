@@ -19,6 +19,11 @@ namespace {
 // a pump handles at most kPollBatch * coalesce_max_batch messages.
 constexpr std::size_t kPollBatch = 256;
 
+// Issued ops between the issue round's mid-round polls.  Smaller slices poll
+// more often but ship more, smaller batches; docs/PERFORMANCE.md ("What a Lin
+// write waits for") has the curve this value was picked from.
+constexpr std::size_t kIssueSlice = 16;
+
 }  // namespace
 
 LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
@@ -176,8 +181,7 @@ void LiveNode::Run(StopToken stop) {
       // bail out so the run reports the error instead of hanging on drain.
       return;
     }
-    const std::size_t processed = PollInbound(kPollBatch);
-    ep_->FlushPending();       // credits may have come back
+    const std::size_t processed = PumpInbound();
     RetryParkedScWrites();
     MaybeRetryDeferred();      // protocol progress may have released evictions
     const bool gated_progress = RetryGatedOps();
@@ -192,11 +196,11 @@ void LiveNode::Run(StopToken stop) {
     }
     PollAllocWindow();
 
-    // Op boundary: everything this iteration produced — acks for the polled
-    // invalidations, updates/invalidations/epoch traffic from the ops above —
-    // ships now, one batch per peer.  Unconditional, so no message outlives
-    // an iteration inside an open batch and the done-check below can trust
-    // NothingPending().
+    // Op boundary: everything this iteration produced that its poll steps
+    // did not already ship — updates/invalidations/epoch traffic from the ops
+    // above — ships now, one batch per peer.  Unconditional, so no message
+    // outlives an iteration inside an open batch and the done-check below can
+    // trust NothingPending().
     ep_->FlushBatches(FlushCause::kBoundary);
 
     if (ranked_) {
@@ -294,6 +298,18 @@ void LiveNode::PublishCounters() {
   }
   w.allocs.store(track_allocs_ ? alloc::ThreadCount() : 0, relaxed);
   w.inbound_depth.store(rack_->transport().fabric().InboundDepth(id_), relaxed);
+}
+
+std::size_t LiveNode::PumpInbound() {
+  const std::size_t processed = PollInbound(kPollBatch);
+  ep_->FlushPending();  // credits may have come back
+  if (processed != 0) {
+    // What the poll produced — acks for polled invalidations, updates for
+    // writes whose last ack just landed, RPC responses — ships now instead of
+    // waiting out the rest of the iteration for the boundary flush.
+    ep_->FlushBatches(FlushCause::kBoundary);
+  }
+  return processed;
 }
 
 std::size_t LiveNode::PollInbound(std::size_t max) {
@@ -535,6 +551,21 @@ bool LiveNode::FillIdleSessions() {
   }
   for (std::size_t i = 0; i < n; ++i) {
     IssueOp(round_[i].slot);
+    if ((i + 1) % kIssueSlice == 0 && i + 1 < n) {
+      // Poll between slices, so a peer's invalidation, ack or update waits
+      // for at most one slice, not the whole round.  What makes this safe:
+      //  * every flush it adds is FlushBatches(kBoundary), so
+      //    coalesce_flush_deadline_us still governs held batches;
+      //  * no client op is issued inside a poll — UpdateRunDemux's
+      //    precondition for collapsing update runs;
+      //  * the round's not-yet-issued sessions stay idle until IssueOp, and
+      //    no inbound message can complete an idle session;
+      //  * gate checks and the symmetric and L1 probes all run at IssueOp
+      //    time, so an announce or fill polled mid-round is honoured;
+      //  * a mid-round TermProbeMsg cannot report done: LocallyQuiescent()
+      //    requires halted_, and the round runs only while !halted_.
+      PumpInbound();
+    }
   }
   return n != 0;
 }

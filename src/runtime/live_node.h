@@ -126,6 +126,10 @@ class LiveNode final : private HotSetHost {
     std::uint64_t tail_ = 0;
   };
 
+  // One poll step: drains up to kPollBatch inbound batches, moves credit-
+  // parked broadcasts into open batches, and — when the poll handled
+  // anything — ships the open batches at once.  Returns the poll's count.
+  std::size_t PumpInbound();
   std::size_t PollInbound(std::size_t max);
   // --- ranked (multi-process) mode ---
   // Remote-homed miss: ship the op to the home rank over the §6.1 RPC path
@@ -142,7 +146,8 @@ class LiveNode final : private HotSetHost {
   // a row and broadcast the halt, or we received the halt.
   bool RankedTermination();
   // One issue round: generates every idle session's op, prefetches the
-  // shard lines those ops will read, then issues them in session order.
+  // shard lines those ops will read, then issues them in session order,
+  // pumping the inbound fabric between slices of kIssueSlice ops.
   bool FillIdleSessions();
   // The shard this op's issue will read, with its home bucket prefetched; or
   // nullptr when there is nothing local worth prefetching (see the .cc).

@@ -10,7 +10,8 @@
 //
 // Fabric traffic is per-batch: outgoing messages append to per-peer
 // WireBatch buffers in the SendCoalescer and ship as one Deliver() when a
-// flush policy fires (size cap, the host's op-boundary flush, or the
+// flush policy fires (size cap, the host's op-boundary flushes — after each
+// poll that handled messages and at the end of each pump iteration — or the
 // pre-sleep idle backstop) — the live analogue of §8.5's header
 // amortization.  With Config::coalescing off the same path runs with batch
 // size 1.  Per-peer FIFO order — the invalidation-then-update order the Lin

@@ -222,6 +222,44 @@ TEST(LiveRackTest, DeadlineFlushStressStaysConsistent) {
   }
 }
 
+// The issue round polls the fabric between slices of 16 issued ops, so only
+// a window wider than one slice exercises the mid-round poll: 48 sessions
+// cross two slice boundaries per round.  Acks, updates and invalidations
+// polled mid-round ship at once while the rest of the round is still to be
+// issued; both checkers must still pass, on the in-process and the shm
+// fabric.
+TEST(LiveRackTest, SlicedIssueRoundStaysConsistent) {
+  for (const TransportKind kind : {TransportKind::kInproc, TransportKind::kShm}) {
+    for (const ConsistencyModel model :
+         {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
+      SCOPED_TRACE(std::string(ToString(kind)) + "/" + ToString(model));
+      LiveRackParams p = StressParams(model);
+      p.workload.keyspace = 512;
+      p.workload.write_ratio = 0.3;
+      p.cache_capacity = 128;
+      p.window_per_node = 48;
+      p.coalescing = true;
+      p.busy_poll = true;
+      p.ops_per_node = OpsPerNode(60'000, 8'000);
+      p.seed = 29;
+      p.transport.kind = kind;
+      p.transport.shm_name = "/cckvs_sliced_" + std::to_string(getpid());
+      LiveRack rack(p);
+      const LiveReport r = rack.Run();
+      ASSERT_TRUE(r.transport_error.empty()) << r.transport_error;
+      ExpectHealthyRun(p, r);
+      const std::string err = model == ConsistencyModel::kSc
+                                  ? rack.history().CheckPerKeySequentialConsistency()
+                                  : rack.history().CheckPerKeyLinearizability();
+      EXPECT_EQ(err, "");
+      EXPECT_EQ(rack.history().CheckWriteAtomicity(), "");
+      if (model == ConsistencyModel::kLin) {
+        EXPECT_EQ(r.rack.acks_sent, r.rack.invalidations_sent);
+      }
+    }
+  }
+}
+
 // Coalescing composed with the hot-set subsystem under drift: epoch traffic
 // (announce/fill/install barrier) rides the same batched lanes as the
 // protocol messages it must stay FIFO with.
