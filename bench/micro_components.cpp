@@ -1,6 +1,6 @@
 // google-benchmark microbenches for the data-plane components: the MICA-like
-// store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, the
-// symmetric cache probe path and the Space-Saving sketch.
+// store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, op
+// generation, the symmetric cache probe path and the Space-Saving sketch.
 //
 // These measure the real (wall-clock) cost of the concurrent data structures —
 // the part of the system that runs as genuine multithreaded code rather than
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/cache/symmetric_cache.h"
@@ -210,17 +211,35 @@ void BM_KeyScramble(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyScramble);
 
-void BM_WorkloadNext(benchmark::State& state) {
-  WorkloadConfig cfg;
-  cfg.keyspace = 250'000'000;
-  cfg.write_ratio = 0.01;
+void BM_WorkloadNext(benchmark::State& state, const WorkloadConfig& cfg) {
   WorkloadGenerator gen(cfg, 1, 6);
+  Op op;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gen.Next());
+    gen.NextInto(&op);
+    benchmark::DoNotOptimize(op.key);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_WorkloadNext);
+
+WorkloadConfig PaperWorkload() {
+  WorkloadConfig cfg;
+  cfg.keyspace = 250'000'000;
+  cfg.write_ratio = 0.01;
+  return cfg;
+}
+
+// The node_skew_l1 benchmark workload as node 1 sees it: 100k keys, 5% writes,
+// ranks rotated by one stride.  Its op cost is dominated by the rank-to-key
+// Feistel, whose cover domain (2^18) makes it cycle-walk.
+WorkloadConfig NodeSkewWorkload() {
+  WorkloadConfig cfg;
+  cfg.keyspace = 100'000;
+  cfg.write_ratio = 0.05;
+  cfg.node_rank_stride = 6250;
+  return cfg;
+}
+BENCHMARK_CAPTURE(BM_WorkloadNext, paper, PaperWorkload());
+BENCHMARK_CAPTURE(BM_WorkloadNext, node_skew, NodeSkewWorkload());
 
 // ---------------------------------------------------------------------------
 // Symmetric cache + top-k
@@ -256,6 +275,7 @@ void BM_CacheProbeMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheProbeMiss);
 
+// The epoch coordinator's shape: a 1M-key Zipf stream into 4096 counters.
 void BM_SpaceSavingOffer(benchmark::State& state) {
   FlatSpaceSaving ss(4096);
   ZipfSampler sampler(1'000'000, 0.99);
@@ -266,6 +286,40 @@ void BM_SpaceSavingOffer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpaceSavingOffer);
+
+// One node's L1 admission sketch in node_skew_l1: capacity 8192 (twice the
+// 4096-entry L1), offered the GETs of a rotated 100k-key node that miss the
+// 1000-key symmetric hot set, and aged every capacity * 8 offers as
+// LiveNode does.  The stream is precomputed so only Offer is timed.
+void BM_SpaceSavingOfferL1(benchmark::State& state) {
+  WorkloadConfig cfg = NodeSkewWorkload();
+  cfg.write_ratio = 0.0;
+  WorkloadGenerator node(cfg, 1, 12);
+  WorkloadGenerator global(cfg, 0, 12);
+  const std::vector<Key> hot = global.HottestKeys(1000);
+  const std::unordered_set<Key> symmetric(hot.begin(), hot.end());
+  std::vector<Key> misses;
+  while (misses.size() < (1u << 20)) {
+    const Key key = node.Next().key;
+    if (symmetric.count(key) == 0) {
+      misses.push_back(key);
+    }
+  }
+  FlatSpaceSaving ss(8192);
+  std::size_t i = 0;
+  std::uint64_t offers = 0;
+  for (auto _ : state) {
+    std::uint64_t guaranteed = 0;
+    ss.Offer(misses[i], &guaranteed);
+    benchmark::DoNotOptimize(guaranteed);
+    i = (i + 1) & (misses.size() - 1);
+    if (++offers % (ss.capacity() * 8) == 0) {
+      ss.DecayHalve();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpaceSavingOfferL1)->Name("BM_SpaceSavingOffer/l1");
 
 }  // namespace
 }  // namespace cckvs

@@ -166,6 +166,10 @@ std::uint64_t KeyScrambler::FeistelOnce(std::uint64_t x) const {
   return (left << half_bits_) | right;
 }
 
+double KeyScrambler::mean_walk() const {
+  return std::ldexp(1.0, 2 * half_bits_) / static_cast<double>(n_);
+}
+
 std::uint64_t KeyScrambler::RankToKey(std::uint64_t rank) const {
   CCKVS_DCHECK_LT(rank, n_);
   // Cycle-walk until the permuted value falls back inside [0, n).  The walk

@@ -78,6 +78,10 @@ class KeyScrambler {
 
   std::uint64_t n() const { return n_; }
 
+  // Mean Feistel passes per RankToKey: the cover domain's size over n, in
+  // [1, 4).
+  double mean_walk() const;
+
  private:
   std::uint64_t FeistelOnce(std::uint64_t x) const;
 

@@ -8,13 +8,32 @@
 // allocation.  Space-Saving tracks approximately the `capacity` most frequent
 // keys in O(capacity) memory: every key with true count > N/capacity is
 // present, and a reported count overestimates by at most its error.  The
-// replacement rule evicts the minimum counter and the newcomer inherits its
-// count as error.  Everything is stored flat and preallocated: an array
-// min-heap of counters plus an open-addressing key->heap-position index with
-// backward-shift deletion.  After construction only TopK() allocates.
+// replacement rule evicts a minimum counter and the newcomer inherits its
+// count as error.
 //
-// DecayHalve() ages the sketch for drifting popularity: halving every count
-// is monotone, so the heap order is preserved and aging is O(m).
+// Layout: Metwally's Stream-Summary, flattened into three preallocated
+// arrays, so every Offer is O(1) (one hash probe plus a constant number of
+// slot and group writes):
+//
+//  * slots_   one slot per tracked key {key, error, group, index_pos}, kept
+//             sorted by count, descending; the tail slot always holds a
+//             minimum count.
+//  * groups_  one Group {count, first, last} per run of equal counts: the
+//             count lives in the group, and its slots are slots_[first..last].
+//             Freed groups are chained through `first`; the array is reserved
+//             at capacity and touched only as runs open.
+//  * index_   open-addressing key -> slot position with backward-shift
+//             deletion; each slot keeps its index position as a backlink, so
+//             moving a slot is an O(1) index write, not a probe.
+//
+// An increment swaps the slot with the first slot of its run, then joins the
+// run above (count + 1) or opens a new one.  A newcomer enters at the tail
+// with count 0 — taking over the tail slot when the sketch is full — and is
+// incremented the same way.  After construction only TopK() allocates.
+//
+// DecayHalve() ages the sketch for drifting popularity: x -> x/2 keeps the
+// order, so it halves every count in place and merges the adjacent runs it
+// makes equal (2k and 2k+1) in one O(m) pass.
 
 #ifndef CCKVS_TOPK_FLAT_SPACE_SAVING_H_
 #define CCKVS_TOPK_FLAT_SPACE_SAVING_H_
@@ -42,7 +61,7 @@ class FlatSpaceSaving {
   // the guaranteed count — once the sketch saturates, a replacement victim's
   // inherited minimum makes every one-hit wonder's estimate look large, and
   // admitting on the estimate would churn the L1 with keys that were seen
-  // exactly once.  Allocation-free.
+  // exactly once.  O(1), allocation-free.
   std::uint64_t Offer(Key key, std::uint64_t* guaranteed = nullptr);
 
   // Halves every count and error (aging for drift).  Allocation-free.
@@ -56,31 +75,39 @@ class FlatSpaceSaving {
   std::vector<Entry> TopK(std::size_t k) const;
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return slots_.size(); }
 
  private:
+  struct Slot {
+    Key key;
+    std::uint64_t error;
+    std::uint32_t group;      // groups_ position of this slot's run
+    std::uint32_t index_pos;  // index_ position pointing back at this slot
+  };
+  struct Group {
+    std::uint64_t count;
+    std::uint32_t first;  // slot range [first, last]; next free group when freed
+    std::uint32_t last;
+  };
+
   std::size_t IndexHomePos(Key key) const;
   std::size_t FindIndexPos(Key key) const;  // index_.size() when absent
-  void IndexInsert(Key key, std::size_t heap_pos);
+  void IndexInsert(std::uint32_t slot);
   void IndexEraseAt(std::size_t pos);
-  void SiftUp(std::size_t heap_pos);
-  void SiftDown(std::size_t heap_pos);
-  void Swap(std::size_t a, std::size_t b);
+  std::uint32_t NewGroup(std::uint64_t count, std::uint32_t slot);
+  void FreeGroup(std::uint32_t group);
+  std::uint32_t Increment(std::uint32_t slot);  // returns the new position
 
   std::size_t capacity_;
-  std::vector<Entry> heap_;  // min-heap by count
+  std::vector<Slot> slots_;    // descending by count
+  std::vector<Group> groups_;  // live runs and the free chain
+  std::uint32_t free_group_;   // head of the free chain, kNone when empty
 
-  // Open-addressing index: position -> heap position (-1 = free), updated on
-  // every heap swap so lookups stay O(probe).
+  // Open-addressing index: position -> slot position (-1 = free).
   static constexpr std::int32_t kEmpty = -1;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   std::vector<std::int32_t> index_;
   std::size_t index_mask_;
-
-  // Backlink: heap position -> index position, so a heap Swap is two O(1)
-  // index writes instead of two hash probes.  A saturated sketch sifts the
-  // replaced root down the whole heap on most tail offers — with probing
-  // swaps that is 2·log(m) hash walks on the hot miss path.
-  std::vector<std::int32_t> index_pos_of_;
 };
 
 }  // namespace cckvs

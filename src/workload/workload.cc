@@ -1,5 +1,6 @@
 #include "src/workload/workload.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -72,7 +73,11 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
       sampler_(config.keyspace, config.zipf_alpha),
       scrambler_(config.keyspace, config.scramble_seed),
       rng_(seed),
-      writer_tag_(writer_tag) {
+      writer_tag_(writer_tag),
+      memo_(scrambler_.mean_walk() >= kMemoMinWalk
+                ? std::min<std::uint64_t>(kMemoRanks, config.keyspace)
+                : 0,
+            kNotMemoized) {
   CCKVS_CHECK_GE(config.keyspace, 1u);
   CCKVS_CHECK_GE(config.write_ratio, 0.0);
   CCKVS_CHECK_LE(config.write_ratio, 1.0);
@@ -84,18 +89,27 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
 }
 
 Key WorkloadGenerator::KeyOfRankAt(std::uint64_t rank0, std::uint64_t phase) const {
+  CCKVS_DCHECK_LT(rank0, config_.keyspace);
+  // Both rotations add two ranks below keyspace, so one conditional
+  // subtraction wraps the sum.
   if (config_.drift_period_ops != 0 && config_.drift_rank_shift != 0) {
     // Rotate ranks through the (bijective) scrambler domain: each phase the
     // top ranks land on keys that were drift_rank_shift ranks deeper before.
     const auto shift = static_cast<std::uint64_t>(
         static_cast<unsigned __int128>(phase) * config_.drift_rank_shift %
         config_.keyspace);
-    rank0 = (rank0 + shift) % config_.keyspace;
+    rank0 += shift;
+    if (rank0 >= config_.keyspace) {
+      rank0 -= config_.keyspace;
+    }
   }
   if (rank_offset_ != 0) {
     // Per-node skew: this generator's rank r is everyone else's rank
     // (r + offset) — the nodes disagree on which keys are hot.
-    rank0 = (rank0 + rank_offset_) % config_.keyspace;
+    rank0 += rank_offset_;
+    if (rank0 >= config_.keyspace) {
+      rank0 -= config_.keyspace;
+    }
   }
   return scrambler_.RankToKey(rank0);
 }
@@ -112,8 +126,21 @@ std::vector<Key> WorkloadGenerator::HottestKeysAt(std::size_t k,
 
 void WorkloadGenerator::NextInto(Op* op) {
   ++ops_;
-  const std::uint64_t rank = sampler_.Sample(rng_);  // 1-based
-  op->key = KeyOfRank(rank - 1);
+  const std::uint64_t rank0 = sampler_.Sample(rng_) - 1;  // sampler is 1-based
+  const std::uint64_t phase = drift_phase();
+  if (phase != memo_phase_) {
+    std::fill(memo_.begin(), memo_.end(), kNotMemoized);
+    memo_phase_ = phase;
+  }
+  if (rank0 < memo_.size()) {
+    Key& memo = memo_[rank0];
+    if (memo == kNotMemoized) {
+      memo = KeyOfRankAt(rank0, phase);
+    }
+    op->key = memo;
+  } else {
+    op->key = KeyOfRankAt(rank0, phase);
+  }
   if (config_.write_ratio > 0.0 && rng_.NextBool(config_.write_ratio)) {
     op->type = OpType::kPut;
     MakeWriteValueInto(writer_tag_, seq_++, config_.value_bytes, &op->value);

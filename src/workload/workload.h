@@ -112,6 +112,17 @@ class WorkloadGenerator {
   const WorkloadConfig& config() const { return config_; }
 
  private:
+  // NextInto memoizes KeyOfRankAt for the hottest kMemoRanks ranks (8 KB):
+  // at Zipf 0.99 they draw most ops.  Filled lazily, cleared when the drift
+  // phase changes; the op stream is unchanged.  Only where the scrambler
+  // cycle-walks kMemoMinWalk passes or more on average (2.6 at 100k keys):
+  // the memo test is a branch on the sampled rank that mispredicts about as
+  // often as a top rank is drawn, and at ~1 pass (1M or 250M keys) that
+  // costs more than the pass it saves.
+  static constexpr std::size_t kMemoRanks = 1024;
+  static constexpr double kMemoMinWalk = 2.0;
+  static constexpr Key kNotMemoized = ~Key{0};
+
   WorkloadConfig config_;
   ZipfSampler sampler_;
   KeyScrambler scrambler_;
@@ -120,6 +131,9 @@ class WorkloadGenerator {
   std::uint64_t rank_offset_ = 0;  // writer_tag * node_rank_stride mod keyspace
   std::uint64_t seq_ = 0;
   std::uint64_t ops_ = 0;
+  std::vector<Key> memo_;  // rank0 -> key at memo_phase_, kNotMemoized when unset;
+                           // empty when the memo is off
+  std::uint64_t memo_phase_ = 0;
 };
 
 // One generator per concurrent client thread: thread t gets writer tag t (so

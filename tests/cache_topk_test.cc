@@ -175,6 +175,83 @@ TEST(FlatSpaceSaving, RecallsTrueTopKOnZipf) {
   EXPECT_GE(found, 7);
 }
 
+// Drives each capacity through a Zipf stream far wider than the sketch, with
+// and without the L1's aging cadence (DecayHalve every capacity * 8 offers),
+// and checks the Space-Saving bounds against exact counts.  Under decay the
+// estimate bounds the count halved at every decay (floor), while count - error
+// still bounds the raw count.
+TEST(FlatSpaceSaving, InvariantsHoldUnderChurnAndDecay) {
+  constexpr std::uint64_t kKeys = 100'000;
+  constexpr int kOffers = 400'000;
+  constexpr int kCheckEvery = 100'000;
+  ZipfSampler sampler(kKeys, 0.99);
+  KeyScrambler scrambler(kKeys, 3);
+  for (const std::size_t capacity : {1, 2, 3, 16, 8192}) {
+    for (const bool decay : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "capacity " << capacity << " decay " << decay);
+      FlatSpaceSaving ss(capacity);
+      Rng rng(capacity * 2 + decay);
+      std::vector<std::uint64_t> raw(kKeys, 0);
+      std::vector<std::uint64_t> halved(kKeys, 0);  // as of decay stamp[k]
+      std::vector<std::uint64_t> stamp(kKeys, 0);
+      std::uint64_t decays = 0;
+      std::size_t distinct = 0;
+      const auto decayed = [&](Key k) -> std::uint64_t& {
+        const std::uint64_t shift = decays - stamp[k];
+        halved[k] = shift >= 64 ? 0 : halved[k] >> shift;
+        stamp[k] = decays;
+        return halved[k];
+      };
+      for (int i = 1; i <= kOffers; ++i) {
+        const Key k = scrambler.RankToKey(sampler.Sample(rng) - 1);
+        distinct += raw[k]++ == 0;
+        ++decayed(k);
+        std::uint64_t guaranteed = 0;
+        const std::uint64_t est = ss.Offer(k, &guaranteed);
+        ASSERT_GE(est, decayed(k));
+        ASSERT_LE(guaranteed, raw[k]);
+        ASSERT_EQ(est, ss.EstimateOf(k));
+        if (decay && i % (capacity * 8) == 0) {
+          ss.DecayHalve();
+          ++decays;
+        }
+        if (i % kCheckEvery != 0) {
+          continue;
+        }
+        const auto top = ss.TopK(capacity);
+        ASSERT_EQ(top.size(), std::min(capacity, distinct));
+        std::uint64_t sum = 0;
+        std::unordered_set<Key> tracked;
+        for (std::size_t j = 0; j < top.size(); ++j) {
+          const auto& e = top[j];
+          if (j > 0) {
+            ASSERT_GE(top[j - 1].count, e.count);
+          }
+          ASSERT_TRUE(tracked.insert(e.key).second);
+          ASSERT_EQ(ss.EstimateOf(e.key), e.count);
+          ASSERT_GE(e.count, decayed(e.key));
+          ASSERT_LE(e.count - e.error, raw[e.key]);
+          sum += e.count;
+        }
+        if (decay) {
+          ASSERT_LE(sum, static_cast<std::uint64_t>(i));
+        } else {
+          ASSERT_EQ(sum, static_cast<std::uint64_t>(i));
+        }
+        // An untracked key reads 0, and its true count is at most the
+        // minimum tracked count.
+        const std::uint64_t min_count = top.back().count;
+        for (Key u = 0; u < kKeys; ++u) {
+          if (tracked.count(u) == 0) {
+            ASSERT_EQ(ss.EstimateOf(u), 0u);
+            ASSERT_LE(decayed(u), min_count);
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EpochCoordinator
 // ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ TEST(FlatSpaceSaving, ChurnKeepsIndexConsistent) {
     }
   }
   ASSERT_EQ(sketch.size(), 16u);
-  // Every tracked entry is findable through the index at its heap count.
+  // Every tracked entry is findable through the index at its run's count.
   for (const auto& e : sketch.TopK(16)) {
     EXPECT_EQ(sketch.EstimateOf(e.key), e.count);
   }

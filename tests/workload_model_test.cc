@@ -186,6 +186,58 @@ TEST(Workload, UniformAlphaZero) {
   EXPECT_GT(distinct.size(), 8000u);
 }
 
+// FNV-1a over the (key, type) of the first `n` ops of a generator.
+std::uint64_t OpStreamHash(const WorkloadConfig& cfg, std::uint32_t writer_tag,
+                           std::uint64_t seed, int n) {
+  WorkloadGenerator gen(cfg, writer_tag, seed);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  Op op;
+  for (int i = 0; i < n; ++i) {
+    gen.NextInto(&op);
+    mix(op.key, 8);
+    mix(static_cast<std::uint64_t>(op.type), 1);
+  }
+  return h;
+}
+
+// The op streams are part of every seed's history and of sim/live parity:
+// any change to rank sampling or rank-to-key mapping (the hot-rank memo, the
+// rotations, drift phases) must leave them bit-identical.
+TEST(Workload, OpStreamIsPinned) {
+  constexpr int kOps = 2'000'000;
+
+  WorkloadConfig node_skew;  // the node_skew_l1 shape, at a rotated node
+  node_skew.keyspace = 100'000;
+  node_skew.write_ratio = 0.05;
+  node_skew.node_rank_stride = 6250;
+  EXPECT_EQ(OpStreamHash(node_skew, 5, 11, kOps), 0xf8c2fbd8067a103dull);
+
+  WorkloadConfig drift;  // crosses ten drift phases
+  drift.keyspace = 1'000'000;
+  drift.write_ratio = 0.01;
+  drift.drift_period_ops = 200'000;
+  drift.drift_rank_shift = 200;
+  EXPECT_EQ(OpStreamHash(drift, 2, 12, kOps), 0xf58f5f3977258846ull);
+
+  // Both rotations and ten drift phases at a keyspace whose scrambler
+  // cycle-walks, so the memo is on and must be refilled every phase.
+  WorkloadConfig skew_drift = node_skew;
+  skew_drift.drift_period_ops = 200'000;
+  skew_drift.drift_rank_shift = 200;
+  EXPECT_EQ(OpStreamHash(skew_drift, 3, 14, kOps), 0x2d56d5bae580783bull);
+
+  WorkloadConfig uniform;
+  uniform.keyspace = 5000;
+  uniform.zipf_alpha = 0.0;
+  EXPECT_EQ(OpStreamHash(uniform, 1, 13, kOps), 0xc014f52561295e7eull);
+}
+
 // ---------------------------------------------------------------------------
 // Analytical model (§8.7)
 // ---------------------------------------------------------------------------
