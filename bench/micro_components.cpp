@@ -275,6 +275,37 @@ void BM_CacheProbeMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheProbeMiss);
 
+// The read_skew benchmark workload's probe: the 1000 hottest of 1M Zipf-0.99
+// keys cached, probed with that generator's keys (about half hit), so the
+// hit/miss branches mispredict as they do on a live node.
+void BM_CacheProbe(benchmark::State& state, const WorkloadConfig& cfg) {
+  constexpr std::size_t kCapacity = 1000;
+  WorkloadGenerator gen(cfg, 1, 7);
+  SymmetricCache cache(kCapacity);
+  cache.InstallHotSet(gen.HottestKeys(kCapacity));
+  std::vector<Key> keys(std::size_t{1} << 16);
+  Op op;
+  for (Key& key : keys) {
+    gen.NextInto(&op);
+    key = op.key;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Probe(keys[i++ & (keys.size() - 1)]));
+  }
+  state.counters["hit_rate"] =
+      static_cast<double>(cache.stats().hits) / static_cast<double>(cache.stats().probes);
+  state.SetItemsProcessed(state.iterations());
+}
+
+WorkloadConfig ReadSkewWorkload() {
+  WorkloadConfig cfg;
+  cfg.keyspace = 1'000'000;
+  cfg.write_ratio = 0.0;
+  return cfg;
+}
+BENCHMARK_CAPTURE(BM_CacheProbe, read_skew, ReadSkewWorkload());
+
 // The epoch coordinator's shape: a 1M-key Zipf stream into 4096 counters.
 void BM_SpaceSavingOffer(benchmark::State& state) {
   FlatSpaceSaving ss(4096);

@@ -1,6 +1,9 @@
 #include "src/cache/symmetric_cache.h"
 
+#include <bit>
+#include <memory>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -8,27 +11,72 @@ namespace cckvs {
 
 SymmetricCache::SymmetricCache(std::size_t capacity) : capacity_(capacity) {
   CCKVS_CHECK_GE(capacity, 1u);
-  entries_.reserve(capacity * 2);
+  ResetIndex(std::bit_ceil(2 * capacity));
 }
 
-bool SymmetricCache::Probe(Key key) const {
-  ++stats_.probes;
-  if (entries_.count(key) != 0) {
-    ++stats_.hits;
-    return true;
+SymmetricCache::~SymmetricCache() {
+  for (CacheEntry* entry : slot_entries_) {
+    if (entry != nullptr) {
+      std::destroy_at(entry);
+    }
   }
-  ++stats_.misses;
-  return false;
+  for (CacheEntry* chunk : chunks_) {
+    std::allocator<CacheEntry>().deallocate(chunk, capacity_);
+  }
 }
 
-CacheEntry* SymmetricCache::Find(Key key) {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+void SymmetricCache::ResetIndex(std::size_t slots) {
+  slot_keys_.assign(slots, 0);
+  slot_entries_.assign(slots, nullptr);
+  mask_ = slots - 1;
+  shift_ = 64 - std::countr_zero(slots);
 }
 
-const CacheEntry* SymmetricCache::Find(Key key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+void SymmetricCache::GrowIndex() {
+  const std::vector<Key> keys = std::move(slot_keys_);
+  const std::vector<CacheEntry*> entries = std::move(slot_entries_);
+  ResetIndex(2 * entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i] != nullptr) {
+      const std::size_t slot = SlotOf(keys[i]);
+      slot_keys_[slot] = keys[i];
+      slot_entries_[slot] = entries[i];
+    }
+  }
+}
+
+void SymmetricCache::EraseSlot(std::size_t hole) {
+  for (std::size_t j = (hole + 1) & mask_; slot_entries_[j] != nullptr;
+       j = (j + 1) & mask_) {
+    // The key at j may move into the hole only if the hole lies on its probe
+    // run, i.e. its home slot is no further along than the hole.
+    if (((j - HomeSlot(slot_keys_[j])) & mask_) >= ((j - hole) & mask_)) {
+      slot_keys_[hole] = slot_keys_[j];
+      slot_entries_[hole] = slot_entries_[j];
+      hole = j;
+    }
+  }
+  slot_entries_[hole] = nullptr;
+}
+
+CacheEntry* SymmetricCache::NewEntry() {
+  CacheEntry* storage;
+  if (!free_.empty()) {
+    storage = free_.back();
+    free_.pop_back();
+  } else {
+    if (chunks_.empty() || chunk_used_ == capacity_) {
+      chunks_.push_back(std::allocator<CacheEntry>().allocate(capacity_));
+      chunk_used_ = 0;
+    }
+    storage = chunks_.back() + chunk_used_++;
+  }
+  return std::construct_at(storage);  // starts in kFilling
+}
+
+void SymmetricCache::FreeEntry(CacheEntry* entry) {
+  std::destroy_at(entry);
+  free_.push_back(entry);
 }
 
 void SymmetricCache::Fill(Key key, const Value& value, Timestamp ts) {
@@ -48,66 +96,72 @@ void SymmetricCache::Fill(Key key, const Value& value, Timestamp ts) {
 std::vector<SymmetricCache::Eviction> SymmetricCache::InstallHotSet(
     const std::vector<Key>& keys) {
   CCKVS_CHECK_LE(keys.size(), capacity_);
-  std::unordered_set<Key> fresh(keys.begin(), keys.end());
+  const std::unordered_set<Key> fresh(keys.begin(), keys.end());
   std::vector<Eviction> dirty;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (fresh.count(it->first) == 0) {
-      ++stats_.evictions;
-      if (it->second.dirty) {
-        ++stats_.dirty_evictions;
-        // Flush the installed (value, value_ts) pair: for entries in transient
-        // states the header timestamp may belong to a newer, not-yet-installed
-        // write, and pairing it with the old value would corrupt the shard.
-        dirty.push_back(Eviction{it->first, it->second.value, it->second.value_ts});
-      }
-      it = entries_.erase(it);
-    } else {
-      ++it;
+  for (const Key key : Keys()) {
+    Eviction ev{};
+    if (fresh.count(key) == 0 && Evict(key, &ev)) {
+      dirty.push_back(std::move(ev));
     }
   }
   for (const Key key : keys) {
-    if (entries_.find(key) == entries_.end()) {
-      entries_.emplace(key, CacheEntry{});
-    }
+    Admit(key);
   }
   return dirty;
 }
 
 void SymmetricCache::Admit(Key key) {
-  entries_.try_emplace(key);  // default CacheEntry starts in kFilling
+  std::size_t slot = SlotOf(key);
+  if (slot_entries_[slot] != nullptr) {
+    return;
+  }
+  if (4 * (size_ + 1) > 3 * slot_entries_.size()) {
+    GrowIndex();
+    slot = SlotOf(key);
+  }
+  slot_keys_[slot] = key;
+  slot_entries_[slot] = NewEntry();
+  ++size_;
 }
 
 bool SymmetricCache::Evict(Key key, Eviction* dirty_out) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const std::size_t slot = SlotOf(key);
+  CacheEntry* entry = slot_entries_[slot];
+  if (entry == nullptr) {
     return false;
   }
   ++stats_.evictions;
-  const bool dirty = it->second.dirty;
+  const bool dirty = entry->dirty;
   if (dirty) {
     ++stats_.dirty_evictions;
-    // As in InstallHotSet: flush the installed (value, value_ts) pair, never
-    // the header timestamp of a transient state.
-    *dirty_out = Eviction{key, std::move(it->second.value), it->second.value_ts};
+    // Flush the installed (value, value_ts) pair: for entries in transient
+    // states the header timestamp may belong to a newer, not-yet-installed
+    // write, and pairing it with the old value would corrupt the shard.
+    *dirty_out = Eviction{key, std::move(entry->value), entry->value_ts};
   }
-  entries_.erase(it);
+  EraseSlot(slot);
+  FreeEntry(entry);
+  --size_;
   return dirty;
 }
 
 std::vector<Key> SymmetricCache::Keys() const {
   std::vector<Key> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    keys.push_back(key);
+  keys.reserve(size_);
+  for (std::size_t i = 0; i < slot_entries_.size(); ++i) {
+    if (slot_entries_[i] != nullptr) {
+      keys.push_back(slot_keys_[i]);
+    }
   }
   return keys;
 }
 
 std::vector<Key> SymmetricCache::PendingFills() const {
   std::vector<Key> pending;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.state() == CacheState::kFilling) {
-      pending.push_back(key);
+  for (std::size_t i = 0; i < slot_entries_.size(); ++i) {
+    const CacheEntry* entry = slot_entries_[i];
+    if (entry != nullptr && entry->state() == CacheState::kFilling) {
+      pending.push_back(slot_keys_[i]);
     }
   }
   return pending;

@@ -12,16 +12,34 @@
 // transient-write bookkeeping a real node keeps in thread-private structures
 // (pending/shadow values) lives beside the header.
 //
+// Table layout: a flat, open-addressed index over stable entries, so a probe
+// is one multiplicative hash and a short linear scan of a compact array, and
+// the probe's result is the entry itself (no second lookup to read it).
+//  * The index is two parallel power-of-two arrays, keys and entry pointers (a
+//    null pointer marks an empty slot).  It starts at bit_ceil(2 * capacity)
+//    slots, so a full hot set fills at most half of it.  Deletion shifts the
+//    rest of the probe run back; there are no tombstones.
+//  * Entries live in chunks of `capacity` entries that are never moved or
+//    freed while the cache lives.  A chunk's entries are constructed as they
+//    are first handed out, and an evicted entry's storage goes on a free list.
+//    So a CacheEntry* stays valid until its key is evicted, as it would in a
+//    node-based map.
+//  * Admit does not enforce capacity (deferred evictions, chained announces).
+//    When membership would pass 3/4 of the index, the index doubles (every
+//    key is re-placed; no entry moves), and when every chunk is in use a new
+//    chunk is added.  Both happen only in Admit, i.e. at epoch time: Probe
+//    and Find never allocate or move anything.
+//
 // Concurrency: within the rack simulation a node's engine is serialized by the
 // event loop, so cache operations here are not internally locked; the CRCW
 // seqlock data path the paper measures is implemented (and stress-tested) in
-// store::Partition, from which the cache "inherits its structure".
+// store::Partition.
 
 #ifndef CCKVS_CACHE_SYMMETRIC_CACHE_H_
 #define CCKVS_CACHE_SYMMETRIC_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -102,14 +120,29 @@ struct CacheStats {
 class SymmetricCache {
  public:
   explicit SymmetricCache(std::size_t capacity);
+  ~SymmetricCache();
+  SymmetricCache(const SymmetricCache&) = delete;
+  SymmetricCache& operator=(const SymmetricCache&) = delete;
 
-  // Hot-set membership probe (counted in stats).
-  bool Probe(Key key) const;
+  // The index hash: in an index of 2^b slots, a key's home slot is the top b
+  // bits of key * kHashMultiplier (mod 2^64).  Public so tests can build keys
+  // that share a home slot.
+  static constexpr std::uint64_t kHashMultiplier = 0x9e3779b97f4a7c15ull;
+
+  // Hot-set membership probe (counted in stats): the key's entry, or nullptr
+  // when the key is not in the hot set.
+  CacheEntry* Probe(Key key) {
+    CacheEntry* entry = Find(key);
+    ++stats_.probes;
+    stats_.hits += entry != nullptr;
+    stats_.misses += entry == nullptr;
+    return entry;
+  }
 
   // Entry access; nullptr when the key is not in the hot set.  Does not count
   // as a probe.
-  CacheEntry* Find(Key key);
-  const CacheEntry* Find(Key key) const;
+  CacheEntry* Find(Key key) { return slot_entries_[SlotOf(key)]; }
+  const CacheEntry* Find(Key key) const { return slot_entries_[SlotOf(key)]; }
 
   // Installs the value of a hot key (initial fill or epoch fill).
   void Fill(Key key, const Value& value, Timestamp ts);
@@ -135,20 +168,50 @@ class SymmetricCache {
   // the departing entry carried an unflushed write.
   bool Evict(Key key, Eviction* dirty_out);
 
-  // Current membership, unordered.
+  // Current membership, in index order.
   std::vector<Key> Keys() const;
 
   // Keys currently in kFilling state (need a fetch from their home shard).
   std::vector<Key> PendingFills() const;
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
   const CacheStats& stats() const { return stats_; }
 
  private:
+  std::size_t HomeSlot(Key key) const {
+    return static_cast<std::size_t>((key * kHashMultiplier) >> shift_);
+  }
+  // The slot holding `key`, or the empty slot that ends its probe run.
+  std::size_t SlotOf(Key key) const {
+    std::size_t i = HomeSlot(key);
+    while (slot_entries_[i] != nullptr && slot_keys_[i] != key) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+  // Empties slot i and shifts the rest of its probe run back over the hole.
+  void EraseSlot(std::size_t i);
+  // Sets up an empty index of `slots` (a power of two) slots.
+  void ResetIndex(std::size_t slots);
+  // Doubles the index and re-places every key; no entry moves.
+  void GrowIndex();
+  CacheEntry* NewEntry();
+  void FreeEntry(CacheEntry* entry);
+
   std::size_t capacity_;
-  std::unordered_map<Key, CacheEntry> entries_;
-  mutable CacheStats stats_;
+  std::size_t size_ = 0;
+  // Index: slot_entries_[i] == nullptr marks an empty slot.
+  std::vector<Key> slot_keys_;
+  std::vector<CacheEntry*> slot_entries_;
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+  // Entry storage: raw chunks of capacity_ entries; the last chunk's first
+  // chunk_used_ entries have been handed out, earlier chunks are full.
+  std::vector<CacheEntry*> chunks_;
+  std::size_t chunk_used_ = 0;
+  std::vector<CacheEntry*> free_;
+  CacheStats stats_;
 };
 
 }  // namespace cckvs

@@ -443,20 +443,27 @@ void RackNode::ProcessOp(std::uint32_t slot) {
     }
     return;
   }
-  if (p.kind == SystemKind::kCcKvs && cache_->Probe(st.op.key)) {
+  const CacheEntry* entry =
+      p.kind == SystemKind::kCcKvs ? cache_->Probe(st.op.key) : nullptr;
+  if (entry != nullptr) {
     st.via_cache = true;
     if (st.op.type == OpType::kGet) {
-      Value value;
-      Timestamp ts;
-      const auto result = engine_->Read(
-          st.op.key, &value, &ts,
-          [this, slot](const Value& v, Timestamp t) { CompleteOp(slot, v, t, true); });
-      if (result == CoherenceEngine::ReadResult::kHit) {
+      if (entry->state() == CacheState::kValid) {
+        // One lookup per hit, as in LiveNode::RouteOp.
+        Value value;
+        Timestamp ts;
+        engine_->ReadHit(*entry, &value, &ts);
         workers_->Submit(p.cpu.cache_hit_ns, [this, slot, value, ts] {
           CompleteOp(slot, value, ts, true);
         });
+        return;
       }
-      // kBlocked: the parked-reader callback completes the op.
+      // Not Valid: the read parks, and the parked-reader callback completes
+      // the op.
+      engine_->Read(st.op.key, nullptr, nullptr,
+                    [this, slot](const Value& v, Timestamp t) {
+                      CompleteOp(slot, v, t, true);
+                    });
       return;
     }
     workers_->Submit(p.cpu.cache_write_ns, [this, slot] { ExecuteCachePut(slot); });

@@ -115,13 +115,7 @@ CoherenceEngine::ReadResult ScEngine::Read(Key key, Value* value, Timestamp* ts,
   CacheEntry* entry = cache_->Find(key);
   CCKVS_CHECK(entry != nullptr);
   if (entry->state() == CacheState::kValid) {
-    ++stats_.reads_hit;
-    if (value != nullptr) {
-      *value = entry->value;
-    }
-    if (ts != nullptr) {
-      *ts = entry->ts();
-    }
+    ReadHit(*entry, value, ts);
     return ReadResult::kHit;
   }
   // Only kFilling is reachable under SC (no Invalid/Write states).
@@ -269,13 +263,7 @@ CoherenceEngine::ReadResult LinEngine::Read(Key key, Value* value, Timestamp* ts
   CacheEntry* entry = cache_->Find(key);
   CCKVS_CHECK(entry != nullptr);
   if (entry->state() == CacheState::kValid) {
-    ++stats_.reads_hit;
-    if (value != nullptr) {
-      *value = entry->value;
-    }
-    if (ts != nullptr) {
-      *ts = entry->ts();
-    }
+    ReadHit(*entry, value, ts);
     return ReadResult::kHit;
   }
   // "A read request under Lin may hit in the cache but it may not succeed, if

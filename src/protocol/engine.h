@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/cache/symmetric_cache.h"
+#include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/protocol/messages.h"
 
@@ -108,6 +109,20 @@ class CoherenceEngine {
   // used.  kBlocked (Lin): the entry is in a transient state; `done` fires when
   // it becomes readable.
   virtual ReadResult Read(Key key, Value* value, Timestamp* ts, ReadDone done) = 0;
+
+  // A get whose probe already returned a kValid entry: both protocols serve
+  // it at once, so a host that probed can skip Read's second lookup and its
+  // callback.  Fills *value/*ts (each may be null) and counts a read hit.
+  void ReadHit(const CacheEntry& entry, Value* value, Timestamp* ts) {
+    CCKVS_DCHECK(entry.state() == CacheState::kValid);
+    ++stats_.reads_hit;
+    if (value != nullptr) {
+      *value = entry.value;
+    }
+    if (ts != nullptr) {
+      *ts = entry.ts();
+    }
+  }
 
   // Incoming protocol messages.
   virtual void OnUpdate(NodeId from, const UpdateMsg& msg) = 0;

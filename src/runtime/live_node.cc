@@ -578,8 +578,8 @@ const Partition* LiveNode::PrefetchHomeBucket(const Op& op) {
       l1_->Contains(op.key)) {
     // An SC L1 hit never reads the shard, and a prefetch it does not use
     // costs it latency.  Lin L1 hits still peek the home shard, so they
-    // prefetch; symmetric-cache hits are not filtered, because the probe
-    // costs more than the wasted prefetch.
+    // prefetch.  Symmetric-cache hits are not filtered: gating on the probe
+    // did not raise read_skew throughput (docs/PERFORMANCE.md).
     return nullptr;
   }
   const Partition& home = rack_->PartitionOf(op.key);
@@ -625,17 +625,21 @@ void LiveNode::RouteOp(std::uint32_t slot) {
       return;
     }
   }
-  if (cache_->Probe(key)) {
+  if (const CacheEntry* entry = cache_->Probe(key); entry != nullptr) {
     if (sess.op.type == OpType::kGet) {
-      Timestamp ts;
-      const auto result = engine_->Read(key, &read_scratch_, &ts,
-                                        [this, slot](const Value& v, Timestamp t) {
-                                          CompleteOp(slot, v, t, Route::kCache);
-                                        });
-      if (result == CoherenceEngine::ReadResult::kHit) {
+      if (entry->state() == CacheState::kValid) {
+        // Both protocols serve a Valid entry at once: the probe's lookup is
+        // the only one.
+        Timestamp ts;
+        engine_->ReadHit(*entry, &read_scratch_, &ts);
         CompleteOp(slot, read_scratch_, ts, Route::kCache);
+        return;
       }
-      // kBlocked: the parked-reader callback completes the op.
+      // Filling (or, Lin, Invalid/Write): the read parks, and the
+      // parked-reader callback completes the op.
+      engine_->Read(key, nullptr, nullptr, [this, slot](const Value& v, Timestamp t) {
+        CompleteOp(slot, v, t, Route::kCache);
+      });
       return;
     }
     if (engine_->model() == ConsistencyModel::kSc && !ep_->AllPeersHaveCredit()) {

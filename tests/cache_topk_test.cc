@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -121,6 +125,229 @@ TEST(SymmetricCache, PendingFillsListsUnfilledKeys) {
   EXPECT_EQ(set.size(), 2u);
   EXPECT_TRUE(set.count(1));
   EXPECT_TRUE(set.count(3));
+}
+
+TEST(SymmetricCache, ProbeReturnsEntry) {
+  SymmetricCache cache(4);
+  cache.InstallHotSet({7, 8});
+  cache.Fill(7, "seven", Timestamp{2, 1});
+  CacheEntry* hit = cache.Probe(7);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, cache.Find(7));
+  EXPECT_EQ(hit->value, "seven");
+  EXPECT_EQ(hit->state(), CacheState::kValid);
+  EXPECT_EQ(cache.Probe(8), cache.Find(8));
+  EXPECT_EQ(cache.Probe(8)->state(), CacheState::kFilling);
+  EXPECT_EQ(cache.Probe(9), nullptr);
+  EXPECT_EQ(cache.stats().probes, 4u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// The key whose hash product is `product`: multiplying by the inverse of the
+// index hash's (odd) multiplier mod 2^64 undoes the hash.
+Key KeyWithProduct(std::uint64_t product) {
+  // An odd a is its own inverse mod 8; each Newton step doubles the correct
+  // low bits (3, 6, 12, 24, 48, 96).
+  std::uint64_t inv = SymmetricCache::kHashMultiplier;
+  for (int i = 0; i < 5; ++i) {
+    inv *= 2 - SymmetricCache::kHashMultiplier * inv;
+  }
+  return product * inv;
+}
+
+// Drives random Admit / Evict / InstallHotSet / Fill / Probe / Find and hot
+// writes against a std::unordered_map model.  Key pools mix random keys with
+// clusters that share a home slot (the first, middle and last slot of the
+// initial index, so the last cluster's probe run wraps around), and phases
+// push membership up to 3x capacity, which grows the index and adds entry
+// chunks, before evicting back down.  Checks membership, pending fills, entry
+// contents and exact stats, and that no surviving entry ever moves.
+TEST(SymmetricCache, MatchesReferenceUnderChurn) {
+  struct Model {
+    bool filled = false;
+    bool dirty = false;
+    Value value;
+    Timestamp value_ts{};
+  };
+  for (const std::size_t capacity : {1, 2, 16, 1000}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    SymmetricCache cache(capacity);
+    Rng rng(capacity + 17);
+    const std::size_t slots = std::bit_ceil(2 * capacity);
+    const int slot_bits = std::countr_zero(slots);
+    std::vector<Key> pool;
+    for (const std::size_t home : {std::size_t{0}, slots / 2, slots - 1}) {
+      for (std::uint64_t low = 0; low < 6; ++low) {
+        // Low product bits far below the slot bits: the cluster shares its
+        // home slot in every index size the test reaches.
+        const std::uint64_t product = (std::uint64_t{home} << (64 - slot_bits)) | low;
+        pool.push_back(KeyWithProduct(product));
+        ASSERT_EQ(pool.back() * SymmetricCache::kHashMultiplier, product);
+      }
+    }
+    while (pool.size() < 4 * capacity + 18) {
+      pool.push_back(rng.Next());
+    }
+
+    std::unordered_map<Key, Model> model;
+    std::unordered_map<Key, const CacheEntry*> address;
+    CacheStats want;
+    std::uint32_t clock = 0;
+    const auto pick = [&] { return pool[rng.NextBounded(pool.size())]; };
+    const auto check_entry = [&](Key key, const CacheEntry* entry) {
+      const auto it = model.find(key);
+      if (it == model.end()) {
+        EXPECT_EQ(entry, nullptr) << key;
+        return;
+      }
+      ASSERT_NE(entry, nullptr) << key;
+      EXPECT_EQ(entry, address.at(key)) << key;
+      EXPECT_EQ(entry->state(),
+                it->second.filled ? CacheState::kValid : CacheState::kFilling);
+      EXPECT_EQ(entry->dirty, it->second.dirty);
+      EXPECT_EQ(entry->value, it->second.value);
+      EXPECT_EQ(entry->value_ts, it->second.value_ts);
+    };
+    const auto admit = [&](Key key) {
+      cache.Admit(key);
+      if (model.emplace(key, Model{}).second) {
+        address[key] = cache.Find(key);
+      }
+    };
+    const auto evicted = [&](Key key, bool dirty, const SymmetricCache::Eviction& ev) {
+      const Model& m = model.at(key);
+      ++want.evictions;
+      EXPECT_EQ(dirty, m.dirty);
+      if (m.dirty) {
+        ++want.dirty_evictions;
+        EXPECT_EQ(ev.key, key);
+        EXPECT_EQ(ev.value, m.value);
+        EXPECT_EQ(ev.ts, m.value_ts);
+      }
+      model.erase(key);
+      address.erase(key);
+    };
+    const auto check_all = [&] {
+      ASSERT_EQ(cache.size(), model.size());
+      const std::vector<Key> keys = cache.Keys();
+      EXPECT_EQ(std::unordered_set<Key>(keys.begin(), keys.end()).size(), keys.size());
+      std::unordered_set<Key> want_keys;
+      std::unordered_set<Key> want_pending;
+      for (const auto& [key, m] : model) {
+        want_keys.insert(key);
+        if (!m.filled) {
+          want_pending.insert(key);
+        }
+        check_entry(key, cache.Find(key));
+      }
+      EXPECT_EQ(std::unordered_set<Key>(keys.begin(), keys.end()), want_keys);
+      const std::vector<Key> pending = cache.PendingFills();
+      EXPECT_EQ(std::unordered_set<Key>(pending.begin(), pending.end()), want_pending);
+      const CacheStats& got = cache.stats();
+      EXPECT_EQ(got.probes, want.probes);
+      EXPECT_EQ(got.hits, want.hits);
+      EXPECT_EQ(got.misses, want.misses);
+      EXPECT_EQ(got.fills, want.fills);
+      EXPECT_EQ(got.evictions, want.evictions);
+      EXPECT_EQ(got.dirty_evictions, want.dirty_evictions);
+    };
+
+    std::size_t peak = 0;
+    for (int phase = 0; phase < 6; ++phase) {
+      // Even phases grow membership toward 3x capacity, odd ones shrink it.
+      const bool grow = phase % 2 == 0;
+      const int ops = static_cast<int>(8 * capacity) + 200;
+      for (int op = 0; op < ops; ++op) {
+        const Key key = pick();
+        // Grow phases: admit 40%, evict 5%, no installs (an install shrinks
+        // membership to capacity).  Shrink phases: admit 5%, evict 40%,
+        // install 3%.  Either way fill 10%, write 10%, probe the rest.
+        const std::uint64_t dice = rng.NextBounded(100);
+        if (dice < (grow ? 40u : 5u)) {
+          if (model.size() < 3 * capacity) {
+            admit(key);
+          }
+        } else if (dice < 45) {
+          SymmetricCache::Eviction ev{};
+          const bool dirty = cache.Evict(key, &ev);
+          if (model.count(key) != 0) {
+            evicted(key, dirty, ev);
+          } else {
+            EXPECT_FALSE(dirty);
+          }
+        } else if (dice < 55) {
+          if (model.count(key) != 0) {
+            const Timestamp ts{++clock, 1};
+            const Value value = "fill-" + std::to_string(clock);
+            cache.Fill(key, value, ts);
+            Model& m = model.at(key);
+            if (!m.filled) {
+              ++want.fills;
+              m = Model{true, false, value, ts};
+            }
+          }
+        } else if (dice < 65) {
+          // A hot write through the probed entry, as an engine makes one.
+          if (CacheEntry* entry = cache.Find(key); entry != nullptr) {
+            const Timestamp ts{++clock, 2};
+            entry->value = "write-" + std::to_string(clock);
+            entry->value_ts = ts;
+            entry->set_ts(ts);
+            entry->set_state(CacheState::kValid);
+            entry->dirty = true;
+            model.at(key) = Model{true, true, entry->value, ts};
+          }
+        } else if (!grow && dice < 68) {
+          std::vector<Key> next;
+          const std::size_t n = rng.NextBounded(capacity + 1);
+          for (std::size_t i = 0; i < n; ++i) {
+            next.push_back(pick());  // duplicates are admitted once
+          }
+          const std::unordered_set<Key> fresh(next.begin(), next.end());
+          std::unordered_map<Key, SymmetricCache::Eviction> dirty_by_key;
+          for (auto& ev : cache.InstallHotSet(next)) {
+            EXPECT_EQ(dirty_by_key.count(ev.key), 0u);
+            dirty_by_key[ev.key] = ev;
+          }
+          std::vector<Key> leaving;
+          for (const auto& [k, m] : model) {
+            if (fresh.count(k) == 0) {
+              leaving.push_back(k);
+            }
+          }
+          std::size_t dirty_leaving = 0;
+          for (const Key k : leaving) {
+            const bool dirty = model.at(k).dirty;
+            dirty_leaving += dirty;
+            EXPECT_EQ(dirty_by_key.count(k), dirty ? 1u : 0u);
+            evicted(k, dirty, dirty ? dirty_by_key[k] : SymmetricCache::Eviction{});
+          }
+          EXPECT_EQ(dirty_by_key.size(), dirty_leaving);
+          for (const Key k : next) {
+            if (model.emplace(k, Model{}).second) {
+              address[k] = cache.Find(k);
+            }
+          }
+        } else {
+          const CacheEntry* entry = cache.Probe(key);
+          ++want.probes;
+          ++(model.count(key) != 0 ? want.hits : want.misses);
+          check_entry(key, entry);
+          EXPECT_EQ(entry, cache.Find(key));
+        }
+        peak = std::max(peak, model.size());
+        if (op % 97 == 0) {
+          check_all();
+        }
+      }
+      check_all();
+    }
+    // Membership really reached the growth path: past 3/4 of the initial
+    // index and past one chunk of entries.
+    EXPECT_GT(4 * peak, 3 * slots);
+    EXPECT_GT(peak, capacity);
+  }
 }
 
 TEST(SymmetricCacheDeathTest, OverCapacityInstallAborts) {
