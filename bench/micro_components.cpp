@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -105,36 +106,47 @@ void BM_StoreCrcwMixed(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreCrcwMixed)->Threads(1)->Threads(2)->Threads(4);
 
-// One issue round of a live node on read_skew's miss path: 32 Zipf(0.99) GETs
-// against a prefilled 4-shard, 1M-key store (read_skew's shard sizing), read
-// one after another (serial) or after the live node's two prefetch passes
-// over the round (prefetched).  Time is per round; items count GETs.
-void BM_PartitionGetRound(benchmark::State& state, bool prefetch) {
-  constexpr int kShards = 4;
-  constexpr std::uint64_t kKeys = 1'000'000;
-  constexpr std::size_t kRound = 32;
-  constexpr std::size_t kRounds = 4096;  // pregenerated, replayed cyclically
-  static const ModuloPartitioner homes(kShards);
-  static const auto shards = [] {
-    std::vector<std::unique_ptr<Partition>> v;
-    for (int i = 0; i < kShards; ++i) {
+constexpr std::uint64_t kRoundStoreKeys = 1'000'000;
+
+// A prefilled 1M-key store split over `shards` shards at read_skew's sizing
+// (about four keys per bucket), built once per shard count.
+const std::vector<std::unique_ptr<Partition>>& PrefilledShards(int shards) {
+  static std::map<int, std::vector<std::unique_ptr<Partition>>> built;
+  auto& v = built[shards];
+  if (v.empty()) {
+    const ModuloPartitioner homes(shards);
+    for (int i = 0; i < shards; ++i) {
       PartitionConfig pc;
-      pc.buckets = kKeys / kShards / 4;
+      pc.buckets = kRoundStoreKeys / static_cast<std::uint64_t>(shards) / 4;
       v.push_back(std::make_unique<Partition>(pc));
     }
-    for (Key k = 0; k < kKeys; ++k) {
+    for (Key k = 0; k < kRoundStoreKeys; ++k) {
       v[homes.HomeOf(k)]->Put(k, SynthesizeValue(k, 40));
     }
-    return v;
-  }();
-  const ZipfSampler zipf(kKeys, 0.99);
-  const KeyScrambler scrambler(kKeys, 11);
+  }
+  return v;
+}
+
+// One issue round of a live node on read_skew's miss path: 32 Zipf(0.99) GETs
+// against the prefilled store, read one after another (serial) or after the
+// live node's two prefetch passes over the round (prefetched).  Time is per
+// round; items count GETs.  overflow_share is the share of the GETs whose key
+// sits past its head bucket, which the record prefetch cannot reach.
+void BM_PartitionGetRound(benchmark::State& state, bool prefetch, int shards) {
+  constexpr std::size_t kRound = 32;
+  constexpr std::size_t kRounds = 4096;  // pregenerated, replayed cyclically
+  const ModuloPartitioner homes(shards);
+  const auto& store = PrefilledShards(shards);
+  const ZipfSampler zipf(kRoundStoreKeys, 0.99);
+  const KeyScrambler scrambler(kRoundStoreKeys, 11);
   Rng rng(12);
   std::vector<Key> keys(kRound * kRounds);
   std::vector<const Partition*> home(keys.size());
+  std::size_t overflowed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     keys[i] = scrambler.RankToKey(zipf.Sample(rng) - 1);
-    home[i] = shards[homes.HomeOf(keys[i])].get();
+    home[i] = store[homes.HomeOf(keys[i])].get();
+    overflowed += home[i]->ChainDepth(keys[i]) > 0 ? 1 : 0;
   }
   Value v;
   std::size_t round = 0;
@@ -154,9 +166,12 @@ void BM_PartitionGetRound(benchmark::State& state, bool prefetch) {
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kRound));
+  state.counters["overflow_share"] =
+      static_cast<double>(overflowed) / static_cast<double>(keys.size());
 }
-BENCHMARK_CAPTURE(BM_PartitionGetRound, serial, false);
-BENCHMARK_CAPTURE(BM_PartitionGetRound, prefetched, true);
+BENCHMARK_CAPTURE(BM_PartitionGetRound, serial, false, 4);
+BENCHMARK_CAPTURE(BM_PartitionGetRound, prefetched, true, 4);
+BENCHMARK_CAPTURE(BM_PartitionGetRound, prefetched_8shards, true, 8);
 
 // ---------------------------------------------------------------------------
 // Seqlock

@@ -34,7 +34,7 @@ L1TailCache::L1TailCache(std::size_t capacity, L1Policy policy,
 }
 
 std::size_t L1TailCache::IndexHome(Key key) const {
-  return static_cast<std::size_t>(HashKey(key)) & index_mask_;
+  return HashIndex(HashKey(key), index_mask_);
 }
 
 std::size_t L1TailCache::FindIndexPos(Key key) const {

@@ -81,6 +81,8 @@ class L1TailCache {
  private:
   static constexpr std::int32_t kEmpty = -1;
 
+  // HashIndex's bits (src/common/hash.h), not the routed low bits: a ranked
+  // Lin rack admits only self-homed keys, which all share those.
   std::size_t IndexHome(Key key) const;
   // Probe position holding `key`, or the table size when absent.
   std::size_t FindIndexPos(Key key) const;

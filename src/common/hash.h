@@ -3,6 +3,7 @@
 #ifndef CCKVS_COMMON_HASH_H_
 #define CCKVS_COMMON_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -31,6 +32,24 @@ inline std::uint64_t Fnv1a(std::string_view bytes) {
 // Canonical key hash used across the KVS, the cache and the partitioners so a
 // key maps consistently everywhere.
 inline std::uint64_t HashKey(std::uint64_t key) { return Mix64(key); }
+
+// How one key's HashKey bits are shared out, so that no table sees bits that
+// another use of the same hash has already fixed:
+//   - route, the low bits: ModuloPartitioner homes a key on hash % nodes, which
+//     on a power-of-two rack is the low log2(nodes) bits (below bit 16 for any
+//     rack of up to 2^16 nodes);
+//   - index, bits 16..47: every table that holds one home's keys (a Partition's
+//     bucket index, the L1 tail's and the admission sketch's open-addressed
+//     index) takes its home position from HashIndex, so a node's keys spread
+//     over the whole table, not the 1/nodes of it whose low bits match;
+//   - tag, bits 48..63: Partition's 16-bit slot tag.
+inline constexpr std::uint64_t kHashIndexMaxSlots = std::uint64_t{1} << 32;
+
+// Home position of `hash` in a table of mask + 1 <= kHashIndexMaxSlots slots
+// (a power of two).
+inline std::size_t HashIndex(std::uint64_t hash, std::size_t mask) {
+  return static_cast<std::size_t>(hash >> 16) & mask;
+}
 
 }  // namespace cckvs
 

@@ -1,5 +1,7 @@
 #include "src/store/partition.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/common/atomic_copy.h"
@@ -9,19 +11,17 @@
 namespace cckvs {
 namespace {
 
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
+std::size_t BucketMask(std::size_t buckets) {
+  const std::size_t n = std::bit_ceil(std::max<std::size_t>(buckets, 2));
+  CCKVS_CHECK_LE(n, kHashIndexMaxSlots);  // HashIndex hands out 32 index bits
+  return n - 1;
 }
 
 }  // namespace
 
 Partition::Partition(const PartitionConfig& config)
     : config_(config),
-      bucket_mask_(RoundUpPow2(config.buckets < 2 ? 2 : config.buckets) - 1),
+      bucket_mask_(BucketMask(config.buckets)),
       buckets_(bucket_mask_ + 1) {}
 
 Partition::~Partition() = default;
@@ -73,7 +73,7 @@ bool Partition::Lookup(Key key, Value* value, Timestamp* ts,
                        bool* cache_resident) const {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  const Bucket& head = buckets_[h & bucket_mask_];
+  const Bucket& head = buckets_[BucketOf(h)];
 
   while (true) {
     const std::uint32_t version = head.lock.ReadBegin();
@@ -173,13 +173,13 @@ bool Partition::PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) cons
 }
 
 void Partition::PrefetchBucket(Key key) const {
-  __builtin_prefetch(&buckets_[HashKey(key) & bucket_mask_]);
+  __builtin_prefetch(&buckets_[BucketOf(HashKey(key))]);
 }
 
 void Partition::PrefetchRecord(Key key) const {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  for (const AtomicSlot& atomic_slot : buckets_[h & bucket_mask_].slots) {
+  for (const AtomicSlot& atomic_slot : buckets_[BucketOf(h)].slots) {
     const Slot slot = atomic_slot.load();
     if (slot.used != 0 && slot.tag == tag) {
       if (const char* data = slab_.TryData(slot.ref); data != nullptr) {
@@ -272,7 +272,7 @@ Timestamp Partition::Put(Key key, const Value& value) {
   Bump(MyStripe().puts);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = buckets_[BucketOf(h)];
   SeqlockWriteGuard guard(head.lock);
   Timestamp ts{1, config_.node_id};
   std::uint8_t flags = 0;
@@ -289,7 +289,7 @@ Timestamp Partition::Put(Key key, const Value& value) {
 bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = buckets_[BucketOf(h)];
   SeqlockWriteGuard guard(head.lock);
   Timestamp fresh{1, config_.node_id};
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {
@@ -313,7 +313,7 @@ bool Partition::Apply(Key key, const Value& value, Timestamp ts) {
   Bump(stripe.puts);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = buckets_[BucketOf(h)];
   SeqlockWriteGuard guard(head.lock);
   std::uint8_t flags = 0;
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {
@@ -332,7 +332,7 @@ bool Partition::Apply(Key key, const Value& value, Timestamp ts) {
 Partition::ResidentSnapshot Partition::MarkCacheResident(Key key) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = buckets_[BucketOf(h)];
   SeqlockWriteGuard guard(head.lock);
   ResidentSnapshot snap;
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {
@@ -358,7 +358,7 @@ Partition::ResidentSnapshot Partition::MarkCacheResident(Key key) {
 void Partition::ClearCacheResident(Key key) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = buckets_[BucketOf(h)];
   SeqlockWriteGuard guard(head.lock);
   AtomicSlot* found = FindSlot(head, key, tag);
   CCKVS_CHECK(found != nullptr);  // MarkCacheResident materialized the record
@@ -372,7 +372,7 @@ void Partition::ClearCacheResident(Key key) {
 bool Partition::Erase(Key key) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = buckets_[BucketOf(h)];
   SeqlockWriteGuard guard(head.lock);
   AtomicSlot* found = FindSlot(head, key, tag);
   if (found == nullptr) {
@@ -386,15 +386,18 @@ bool Partition::Erase(Key key) {
   return true;
 }
 
-bool Partition::Contains(Key key) const {
+bool Partition::Contains(Key key) const { return ChainDepth(key) >= 0; }
+
+int Partition::ChainDepth(Key key) const {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  const Bucket& head = buckets_[h & bucket_mask_];
+  const Bucket& head = buckets_[BucketOf(h)];
   while (true) {
     const std::uint32_t version = head.lock.ReadBegin();
-    bool found = false;
+    int depth = -1;
+    int walked = 0;
     const Bucket* bucket = &head;
-    while (bucket != nullptr && !found) {
+    while (bucket != nullptr && depth < 0) {
       for (const AtomicSlot& atomic_slot : bucket->slots) {
         const Slot slot = atomic_slot.load();
         if (slot.used != 0 && slot.tag == tag) {
@@ -405,18 +408,19 @@ bool Partition::Contains(Key key) const {
           RecordHeader hdr;
           RelaxedCopyFromShared(&hdr, data, sizeof(hdr));
           if (hdr.key == key) {
-            found = true;
+            depth = walked;
             break;
           }
         }
       }
-      if (!found) {
+      if (depth < 0) {
         const std::uint32_t next = bucket->overflow.load(std::memory_order_relaxed);
         bucket = next == kNoOverflow ? nullptr : OverflowBucket(next);
+        ++walked;
       }
     }
     if (!head.lock.ReadRetry(version)) {
-      return found;
+      return depth;
     }
     Bump(MyStripe().retries);
   }

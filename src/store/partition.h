@@ -13,7 +13,10 @@
 // live runtime's stress tests run this exact path under ThreadSanitizer.
 //
 // Cache-line layout: a bucket is one 64 B line and slab records start on a
-// line, so a miss on a record of at most 64 B touches two lines.  The access
+// line, so a miss on a record of at most 64 B touches two lines, as long as
+// the key sits in its head bucket rather than an overflow bucket: the head is
+// picked from hash bits the partitioner does not route on (HashIndex,
+// src/common/hash.h), so each shard's keys fill its whole index.  The access
 // counters are per-thread stripes (one line each), so a Get/Put never writes
 // a line another thread writes; stats() sums them — exact, but not an atomic
 // snapshot across fields or threads.  PrefetchBucket/PrefetchRecord let a
@@ -34,6 +37,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/types.h"
 #include "src/store/seqlock.h"
 #include "src/store/slab.h"
@@ -137,7 +141,15 @@ class Partition {
   bool Erase(Key key);
 
   bool Contains(Key key) const;
+  // Overflow buckets a lookup of `key` walks past its head bucket to reach
+  // its record: 0 when the head bucket holds it, -1 when the key is absent.
+  // A diagnostic for tests and microbenches; Contains is ChainDepth >= 0.
+  int ChainDepth(Key key) const;
   std::size_t size() const { return live_records_.load(std::memory_order_relaxed); }
+  // Overflow buckets allocated so far (never freed while the shard lives).
+  std::size_t overflow_buckets() const {
+    return overflow_count_.load(std::memory_order_relaxed);
+  }
 
   PartitionStats stats() const;
   // Slab counters backing this shard; thread-safe snapshot.
@@ -217,6 +229,9 @@ class Partition {
   }
 
   std::uint16_t TagOf(std::uint64_t hash) const;
+  // The head bucket's index: HashIndex's bits, never the low bits the
+  // partitioner routes on (src/common/hash.h).
+  std::size_t BucketOf(std::uint64_t hash) const { return HashIndex(hash, bucket_mask_); }
 
   // Seqlock lookup shared by Get and PeekTimestamp: on a hit fills the
   // requested outputs and returns true; false when the key is absent.

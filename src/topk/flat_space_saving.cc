@@ -29,7 +29,7 @@ FlatSpaceSaving::FlatSpaceSaving(std::size_t capacity)
 }
 
 std::size_t FlatSpaceSaving::IndexHomePos(Key key) const {
-  return static_cast<std::size_t>(HashKey(key)) & index_mask_;
+  return HashIndex(HashKey(key), index_mask_);
 }
 
 std::size_t FlatSpaceSaving::FindIndexPos(Key key) const {

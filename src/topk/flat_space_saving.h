@@ -90,6 +90,7 @@ class FlatSpaceSaving {
     std::uint32_t last;
   };
 
+  // HashIndex's bits (src/common/hash.h), as in the L1 tail it feeds.
   std::size_t IndexHomePos(Key key) const;
   std::size_t FindIndexPos(Key key) const;  // index_.size() when absent
   void IndexInsert(std::uint32_t slot);

@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/zipf.h"
+#include "src/store/partitioner.h"
 
 namespace cckvs {
 namespace {
@@ -394,6 +395,49 @@ TEST(Hash, KeyHashSpreadsLowBits) {
     }
   }
   EXPECT_LT(same_as_prev, 250);
+}
+
+// Whether index(HashKey(key), 1023) taken mod 2^k, for every k in 2..10, hits
+// each residue within 10% of uniform over the keys ModuloPartitioner(nodes)
+// homes on node 0: the keys one per-home table (a shard, a ranked node's L1 or
+// admission sketch) holds.
+bool SpreadsOneHomeEvenly(int nodes, std::size_t (*index)(std::uint64_t, std::size_t)) {
+  constexpr int kMaxBits = 10;
+  constexpr std::uint64_t kHomed = std::uint64_t{1} << 22;  // 4096 per residue at k = 10
+  const ModuloPartitioner homes(nodes);
+  std::vector<std::uint64_t> counts(std::size_t{1} << kMaxBits, 0);
+  for (Key key = 0, homed = 0; homed < kHomed; ++key) {
+    if (homes.HomeOf(key) == 0) {
+      ++counts[index(HashKey(key), counts.size() - 1)];
+      ++homed;
+    }
+  }
+  for (int k = kMaxBits; k >= 2; --k) {
+    const std::size_t residues = std::size_t{1} << k;
+    const double expected = static_cast<double>(kHomed) / static_cast<double>(residues);
+    for (std::size_t r = 0; r < residues; ++r) {
+      if (std::abs(static_cast<double>(counts[r]) - expected) > 0.1 * expected) {
+        return false;
+      }
+    }
+    // Fold to k - 1 bits: residue r mod 2^(k-1) collects r and r + 2^(k-1).
+    for (std::size_t r = 0; r < residues / 2; ++r) {
+      counts[r] += counts[r + residues / 2];
+    }
+  }
+  return true;
+}
+
+TEST(Hash, IndexBitsSpreadOneHomesKeysOverTheWholeTable) {
+  for (int nodes : {2, 4, 8}) {
+    EXPECT_TRUE(SpreadsOneHomeEvenly(nodes, HashIndex)) << nodes << " nodes";
+  }
+  // The routed low bits do not: on a 4-node rack node 0's keys all have
+  // hash % 4 == 0, so a raw hash & mask index leaves 3/4 of the table empty.
+  const auto low_bits = [](std::uint64_t hash, std::size_t mask) -> std::size_t {
+    return static_cast<std::size_t>(hash) & mask;
+  };
+  EXPECT_FALSE(SpreadsOneHomeEvenly(4, low_bits));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -373,6 +376,39 @@ TEST(Partition, ManyKeysForceOverflowChains) {
     Value v;
     ASSERT_TRUE(part.Get(k, &v)) << "key " << k;
     ASSERT_EQ(v, "v" + std::to_string(k));
+  }
+  EXPECT_GT(part.overflow_buckets(), 0u);
+  int deepest = 0;
+  for (Key k = 0; k < 5000; ++k) {
+    deepest = std::max(deepest, part.ChainDepth(k));
+  }
+  EXPECT_GT(deepest, 0);
+  EXPECT_EQ(part.ChainDepth(5000), -1);
+}
+
+TEST(Partition, KeysSpreadOverTheWholeIndex) {
+  // The benchmark's sizing (about four keys per bucket) must keep a shard's
+  // keys in their head buckets on every rack size.  The partitioner routes on
+  // HashKey(key) % nodes; a bucket index taken from those same low bits leaves
+  // a power-of-two rack's shards filling 1/nodes of their buckets and spilling
+  // into overflow chains (13.7-36.8% overflow buckets per bucket for 2-8 nodes).
+  constexpr Key kKeys = 200'000;
+  for (int nodes : {2, 3, 4, 8}) {
+    const ModuloPartitioner homes(nodes);
+    std::vector<std::unique_ptr<Partition>> shards;
+    PartitionConfig pc;
+    pc.buckets = std::bit_ceil(kKeys / static_cast<Key>(nodes) / 4);
+    for (int i = 0; i < nodes; ++i) {
+      shards.push_back(std::make_unique<Partition>(pc));
+    }
+    for (Key k = 0; k < kKeys; ++k) {
+      shards[homes.HomeOf(k)]->Put(k, "x");
+    }
+    for (int i = 0; i < nodes; ++i) {
+      EXPECT_LT(static_cast<double>(shards[i]->overflow_buckets()),
+                0.05 * static_cast<double>(pc.buckets))
+          << nodes << " nodes, shard " << i;
+    }
   }
 }
 
