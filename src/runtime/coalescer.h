@@ -36,9 +36,10 @@
 //
 // Credit accounting is deliberately NOT batched: credits are acquired per
 // message before it enters a batch, and receivers count/return them per
-// message (§6.3's bounds are about messages, not packets).  Likewise
-// LiveTransport::inflight() counts messages from the moment they enter an
-// open batch, so the drain-phase exit condition is unchanged.
+// message (§6.3's bounds are about messages, not packets).  Likewise the
+// termination counters (LiveTransport::Endpoint::data_sent/data_processed)
+// count messages from the moment they enter an open batch, so when a rack
+// may stop does not depend on how its messages were batched.
 //
 // Receive side: UpdateRunDemux groups consecutive same-key *updates* in the
 // drained stream into a run and forwards only the run's maximum-timestamp
@@ -54,6 +55,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -99,21 +101,35 @@ inline bool IsCredited(const WireBody& body) {
 
 // Termination-detection control traffic is excluded from the sent/processed
 // counters it is trying to balance (control_messages.h).
+template <typename T>
+inline constexpr bool kIsTermControl = std::is_same_v<T, TermProbeMsg> ||
+                                       std::is_same_v<T, TermStatusMsg> ||
+                                       std::is_same_v<T, TermHaltMsg>;
 inline bool IsTermControl(const WireBody& body) {
-  return std::holds_alternative<TermProbeMsg>(body) ||
-         std::holds_alternative<TermStatusMsg>(body) ||
-         std::holds_alternative<TermHaltMsg>(body);
+  return std::visit(
+      [](const auto& m) { return kIsTermControl<std::decay_t<decltype(m)>>; }, body);
+}
+
+// Position of alternative T in WireBody.
+template <typename T, std::size_t I = 0>
+constexpr std::size_t WireIndexOf() {
+  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, WireBody>>) {
+    return I;
+  } else {
+    return WireIndexOf<T, I + 1>();
+  }
 }
 
 // N same-destination messages sharing one channel push and one source id.
 //
 // Zero-alloc by design: the slot vector never shrinks.  clear() resets the
-// logical count without destroying slots, and the typed Append overloads
-// assign INTO an existing slot when its variant already holds the right
-// alternative — so a recycled batch whose slot held an UpdateMsg reuses that
-// UpdateMsg's string capacity instead of reconstructing it.  Steady-state
-// traffic (same message mix every iteration) therefore allocates nothing;
-// only growth beyond the high-water mark or an alternative change pays.
+// logical count without destroying slots, and every append (typed, by value,
+// or a decode) lands in a slot that already holds its alternative when one
+// is spare — so a recycled batch whose slot held an UpdateMsg reuses that
+// UpdateMsg's string capacity instead of reconstructing it, even after the
+// batch carried an ack or a termination probe.  Steady-state traffic
+// therefore allocates nothing; only growth beyond the high-water mark or an
+// alternative change with no spare slot pays.
 class WireBatch {
  public:
   NodeId src = 0;
@@ -121,20 +137,39 @@ class WireBatch {
   // Logical reset: slots (and their string capacity) survive for reuse.
   void clear() { count_ = 0; }
 
-  // Exposes the next slot for in-place construction (wire_codec decodes
-  // directly into it).  Grows the slot vector only past the high-water mark.
-  WireBody& AppendSlot() {
+  // Exposes the next slot, about to hold alternative `index`, for in-place
+  // construction (wire_codec decodes directly into it).  A slot holding
+  // another alternative trades places with a spare that holds `index`
+  // (variant swaps move strings; they never allocate).  With no such spare,
+  // a non-update keeps off a warm update slot while the vector has room for
+  // a fresh one.  Grows the slot vector only past the high-water mark.
+  WireBody& AppendSlot(std::size_t index) {
     if (count_ == slots_.size()) {
       slots_.emplace_back();
     }
-    return slots_[count_++];
+    WireBody& slot = slots_[count_++];
+    if (slot.index() == index) {
+      return slot;
+    }
+    for (std::size_t i = slots_.size(); i-- > count_;) {
+      if (slots_[i].index() == index) {
+        std::swap(slot, slots_[i]);
+        return slot;
+      }
+    }
+    if (std::holds_alternative<UpdateMsg>(slot) &&
+        slots_.size() < slots_.capacity()) {
+      slots_.emplace_back();  // within capacity: `slot` stays valid
+      std::swap(slot, slots_.back());
+    }
+    return slot;
   }
 
   // Typed append: assigns into the slot when the alternative matches (string
   // capacity reuse), otherwise re-seats the variant.
   template <typename T>
   void Append(const T& msg) {
-    WireBody& slot = AppendSlot();
+    WireBody& slot = AppendSlot(WireIndexOf<T>());
     if (auto* p = std::get_if<T>(&slot)) {
       *p = msg;
     } else {
@@ -142,17 +177,18 @@ class WireBatch {
     }
   }
 
-  void Append(WireBody&& body) { AppendSlot() = std::move(body); }
+  void Append(WireBody&& body) { AppendSlot(body.index()) = std::move(body); }
 
   // Pre-pays the growth costs a cold batch would otherwise pay mid-run: grows
   // the slot vector to `slots` entries and reserves `value_bytes` of string
   // capacity in each (slots default to UpdateMsg — the variant's first
-  // alternative and the only steady-state value carrier).  Idempotent on a
-  // warm batch.  WireBatchPool::Prewarm uses this at fabric init so a
-  // measured window never observes first-touch warm-up allocations.
+  // alternative and the only steady-state value carrier), plus room for one
+  // more, so one control message never costs a warm string (AppendSlot).
+  // Idempotent on a warm batch.  WireBatchPool::Prewarm uses this at fabric
+  // init so a measured window never observes first-touch warm-up allocations.
   void Warm(std::size_t slots, std::size_t value_bytes) {
     if (slots_.size() < slots) {
-      slots_.reserve(slots);
+      slots_.reserve(slots + 1);
       while (slots_.size() < slots) {
         slots_.emplace_back();
       }

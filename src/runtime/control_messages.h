@@ -1,26 +1,34 @@
-// Runtime control-plane messages: distributed termination for ranked racks.
+// Runtime control-plane messages: distributed termination, one rule for
+// every rack — in-process, shm or socket, all-in-one or ranked.
 //
-// A single-process rack detects global quiescence with one shared atomic
-// (LiveTransport::inflight()).  A multi-process rack has no shared memory to
-// put that atomic in (the socket backend spans hosts), so ranked runs use a
-// counting protocol instead — the classic four-counter termination detection
-// over FIFO channels:
+// A node that reached its quota may leave its run loop only once no node can
+// send another message (a late update or epoch fill must still be applied).
+// No backend keeps a rack-global message count, so every rack detects that
+// with the classic four-counter termination detection over FIFO channels,
+// node 0 coordinating:
 //
-//   * rank 0, once locally quiescent, broadcasts TermProbeMsg{round};
-//   * every rank answers with TermStatusMsg{round, done, sent, processed},
+//   * node 0, once locally quiescent, broadcasts TermProbeMsg{round};
+//   * every node answers with TermStatusMsg{round, done, sent, processed},
 //     where `sent`/`processed` count data messages only (Term* traffic is
 //     excluded, or the counts would chase their own tail);
-//   * rank 0 declares termination when two consecutive rounds return
-//     identical per-rank counts, every rank reports done, and the global
+//   * node 0 declares termination when two consecutive rounds return
+//     identical per-node counts, every node reports done, and the global
 //     sums match (sum sent == sum processed).  With per-peer FIFO lanes a
 //     data message still in flight is counted in some sender's `sent` but in
 //     no receiver's `processed`, so the sums cannot match twice in a row —
 //     and a message processed between the rounds changes the snapshot.
 //   * TermHaltMsg releases everyone: histories are sealed, the run is over.
+//     A node flushes its open batches as it exits, deadline or not, so no
+//     halt is left in a batch nobody will ship.
+//
+// `done` (LiveNode::LocallyQuiescent) is sound only if a node reporting it
+// cannot send until it receives a message: no client work, no parked or
+// deferred protocol work, nothing in an open batch.
 //
 // Term messages ride the normal transport lanes uncredited (like acks): at
 // most one probe/status per peer is outstanding per round, so the §6.3
-// channel bounds still hold with a constant slack.
+// channel bounds still hold with a constant slack.  Rounds are at least
+// 200 µs apart.
 
 #ifndef CCKVS_RUNTIME_CONTROL_MESSAGES_H_
 #define CCKVS_RUNTIME_CONTROL_MESSAGES_H_
@@ -31,12 +39,12 @@
 
 namespace cckvs {
 
-// Rank 0 -> everyone: report your termination counters for `round`.
+// Node 0 -> everyone: report your termination counters for `round`.
 struct TermProbeMsg {
   std::uint32_t round = 0;
 };
 
-// Everyone -> rank 0: local quiescence + data-message counters at receipt of
+// Everyone -> node 0: local quiescence + data-message counters at receipt of
 // the probe for `round`.
 struct TermStatusMsg {
   std::uint32_t round = 0;
@@ -46,7 +54,7 @@ struct TermStatusMsg {
   std::uint64_t processed = 0;  // data messages whose handler completed
 };
 
-// Rank 0 -> everyone: the rack is globally quiescent; stop pumping.
+// Node 0 -> everyone: the rack is globally quiescent; stop pumping.
 struct TermHaltMsg {
   std::uint32_t round = 0;  // the round that proved termination
 };

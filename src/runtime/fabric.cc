@@ -12,8 +12,7 @@ namespace cckvs {
 namespace {
 
 // The original single-process transport, behind the interface: one
-// MpscChannel per node, a credit matrix of atomics, one shared inflight
-// counter.  Batches move by value — no serialization on this path, which is
+// MpscChannel per node and a credit matrix of atomics.  Batches move by value — no serialization on this path, which is
 // what makes inproc the baseline the byte-moving backends are diffed against.
 class InprocFabric final : public TransportFabric {
  public:
@@ -51,16 +50,6 @@ class InprocFabric final : public TransportFabric {
     return Cell(self, peer).exchange(0, std::memory_order_acquire);
   }
 
-  void AddInflight(std::uint64_t n) override {
-    inflight_.fetch_add(n, std::memory_order_acq_rel);
-  }
-  void SubInflight(std::uint64_t n) override {
-    inflight_.fetch_sub(n, std::memory_order_acq_rel);
-  }
-  std::uint64_t inflight() const override {
-    return inflight_.load(std::memory_order_acquire);
-  }
-
   FabricStats stats(NodeId self) const override {
     const MpscChannel<WireBatch>& inbox = *inboxes_[self];
     return FabricStats{inbox.pushes(), inbox.full_waits(), inbox.wakeups()};
@@ -79,7 +68,6 @@ class InprocFabric final : public TransportFabric {
   const int num_nodes_;
   std::vector<std::unique_ptr<MpscChannel<WireBatch>>> inboxes_;
   std::vector<std::atomic<int>> returned_;
-  std::atomic<std::uint64_t> inflight_{0};
 };
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Everything above this interface — SendCoalescer batching, §6.3 credit
 // pools, per-peer FIFO parking, the engines, the epoch gate+barrier, the
-// SC/Lin checkers — is backend-agnostic.  The fabric owns exactly the five
+// SC/Lin checkers — is backend-agnostic.  The fabric owns exactly the
 // cross-endpoint touchpoints the in-process transport used to reach through
 // shared memory for:
 //
@@ -11,21 +11,22 @@
 //                                most once per batch;
 //   * ReturnCredits / TakeReturnedCredits — the header-only credit-update
 //                                ride (an atomic add in-process, a credit
-//                                frame on the wire);
-//   * Add/SubInflight          — the message-granular drain-phase counter.
+//                                frame on the wire).
+//
+// No fabric keeps a rack-global message count: every rack, in-process or
+// ranked, detects termination with the counting protocol in
+// control_messages.h, which needs only per-endpoint counters and FIFO lanes.
 //
 // Backends:
 //
 //   kInproc  — MpscChannel per node + atomic credit matrix; the original
 //              single-process transport, now behind the interface.
 //   kShm     — one mmap'd region: per-(src,dst) SPSC byte rings carrying
-//              serialized frames, process-shared doorbells, credit matrix and
-//              inflight counter in the region.  Same-host multi-process.
+//              serialized frames, process-shared doorbells and credit
+//              matrix in the region.  Same-host multi-process.
 //   kSocket  — UDS or TCP stream per peer pair carrying length-prefixed
 //              frames; a receive thread demuxes into local inboxes.  Ranked
-//              mode spans hosts, so inflight() is process-local there and
-//              ranked racks terminate via the counting protocol
-//              (control_messages.h) instead.
+//              mode spans hosts.
 //
 // A fabric is "all-in-one" (rank < 0: this process owns every endpoint — the
 // conformance tests and classic single-process racks) or "ranked" (rank >= 0:
@@ -140,12 +141,6 @@ class TransportFabric {
   // (resets the counter).  Owning thread of `self` only.
   virtual int TakeReturnedCredits(NodeId self, NodeId peer) = 0;
 
-  // Message-granular inflight accounting (rack-global for inproc/shm;
-  // process-local for ranked socket fabrics — see header comment).
-  virtual void AddInflight(std::uint64_t n) = 0;
-  virtual void SubInflight(std::uint64_t n) = 0;
-  virtual std::uint64_t inflight() const = 0;
-
   virtual FabricStats stats(NodeId self) const = 0;
 
   // Batches queued toward `self` and not yet drained (inproc/socket: inbox
@@ -166,11 +161,6 @@ class TransportFabric {
   // sees their first growth.  LiveTransport's prewarm path calls it before
   // any node thread starts.  Backends that move batches by value ignore it.
   virtual void ReserveScratch(std::size_t frame_bytes) { (void)frame_bytes; }
-
-  // True when inflight() is a rack-global count usable as the drain-phase
-  // exit condition.  Ranked socket fabrics return false; those racks
-  // terminate via the counting protocol instead.
-  virtual bool InflightIsGlobal() const { return true; }
 
   // First transport-level fault (peer hangup mid-frame, short write, decode
   // failure), empty when healthy.  Sticky; safe from any thread.

@@ -34,7 +34,7 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   const LiveRackParams& p = rack->params();
   quota_ = p.ops_per_node;
   ranked_ = rack->ranked();
-  coordinator_ = ranked_ && id == 0;
+  coordinator_ = id == 0;
   tracer_ = rack->tracer(id);
   if (tracer_ != nullptr) {
     ep_->set_tracer(tracer_);  // batch-residence spans (coalescer.h)
@@ -46,6 +46,9 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     pub_ = &rack->worker_counters(id);
   }
   if (coordinator_) {
+    // Sized once, so a probe round never allocates.
+    round_status_.reserve(static_cast<std::size_t>(p.num_nodes));
+    round_counts_.resize(static_cast<std::size_t>(p.num_nodes));
     prev_counts_.resize(static_cast<std::size_t>(p.num_nodes));
   }
 
@@ -167,7 +170,7 @@ void LiveNode::Run(StopToken stop) {
                        int{id_}, halted_, idle_sessions_, sessions_.size(),
                        parked_sc_writes_.size(), parked_gated_.size(),
                        rpc_outstanding_,
-                       ranked_ ? LocallyQuiescent() : done_, !ep_->NothingPending(),
+                       LocallyQuiescent(), !ep_->NothingPending(),
                        engine_->Quiescent(),
                        static_cast<unsigned long long>(counters_.completed),
                        static_cast<unsigned long long>(ep_->data_sent()),
@@ -198,31 +201,12 @@ void LiveNode::Run(StopToken stop) {
 
     // Op boundary: everything this iteration produced that its poll steps
     // did not already ship — updates/invalidations/epoch traffic from the ops
-    // above — ships now, one batch per peer.  Unconditional, so no message
-    // outlives an iteration inside an open batch and the done-check below can
-    // trust NothingPending().
+    // above — ships now, one batch per peer.  Without a flush deadline this
+    // leaves no message in an open batch past its iteration.
     ep_->FlushBatches(FlushCause::kBoundary);
 
-    if (ranked_) {
-      // Multi-process: no shared inflight atomic to consult, so global
-      // quiescence is certified by the counting protocol instead.
-      if (RankedTermination()) {
-        return;
-      }
-    } else {
-      if (!done_ && halted_ && AllSessionsIdle() && parked_sc_writes_.empty() &&
-          ep_->NothingPending() && engine_->Quiescent()) {
-        // Locally quiescent: no client work, no parked protocol work.  This is
-        // monotonic — with no local ops, incoming messages can only be updates
-        // (no sends) or invalidations (ack rides implicit credits).
-        done_ = true;
-        rack_->OnNodeDone();
-      }
-      if (done_ && rack_->AllNodesDone() && rack_->transport().inflight() == 0) {
-        // No node can create new messages and none are in flight: the rack is
-        // globally quiescent, histories are sealed.
-        return;
-      }
+    if (CheckTermination()) {
+      return;  // the rack is globally quiescent: histories are sealed
     }
 
     PublishCounters();
@@ -243,8 +227,8 @@ void LiveNode::Run(StopToken stop) {
         // Nothing to do right now.  Credit returns are silent (atomic adds),
         // so bound the sleep rather than waiting for a message that may not
         // come.
-        const bool settled = ranked_ ? LocallyQuiescent() : done_;
-        ep_->WaitForTraffic(std::chrono::microseconds(settled ? 50 : 200));
+        ep_->WaitForTraffic(
+            std::chrono::microseconds(LocallyQuiescent() ? 50 : 200));
       }
     }
   }
@@ -379,7 +363,7 @@ std::size_t LiveNode::PollInbound(std::size_t max) {
       status.done = LocallyQuiescent();
       status.sent = ep_->data_sent();
       status.processed = ep_->data_processed();
-      ep_->SendDirect(src, WireBody{status});
+      ep_->SendControl(src, status);
     } else if (const auto* status = std::get_if<TermStatusMsg>(&body)) {
       if (coordinator_ && round_open_ && status->round == term_round_) {
         round_status_.push_back(*status);
@@ -911,16 +895,19 @@ void LiveNode::OnRpcResponse(const RpcResponse& resp) {
 bool LiveNode::LocallyQuiescent() const {
   // Outstanding client RPCs keep their sessions non-idle, so AllSessionsIdle
   // covers rpc_outstanding_ too; gated ops bounced back by a home owe a
-  // re-route and count as local work.
+  // re-route and count as local work.  A deferred eviction counts too: its
+  // completion can publish EpochInstalled, and the run loop retries it
+  // without any inbound message.
   return halted_ && AllSessionsIdle() && parked_sc_writes_.empty() &&
-         parked_gated_.empty() && ep_->NothingPending() && engine_->Quiescent();
+         parked_gated_.empty() && ep_->NothingPending() && engine_->Quiescent() &&
+         (hot_mgr_ == nullptr || !hot_mgr_->HasDeferred());
 }
 
-bool LiveNode::RankedTermination() {
+bool LiveNode::CheckTermination() {
   if (halt_) {
-    // Coordinator certified global quiescence (or told us so): one last flush
-    // so our own halt/status bytes are on the wire, then exit.
-    ep_->FlushBatches(FlushCause::kBoundary);
+    // The coordinator certified global quiescence (or told us so): ship our
+    // own halt/status messages, deadline or not, then exit.
+    ep_->FlushBatches(FlushCause::kBoundary, /*hold_young=*/false);
     return true;
   }
   if (!coordinator_) {
@@ -929,19 +916,17 @@ bool LiveNode::RankedTermination() {
   const int n = rack_->params().num_nodes;
   if (round_open_ && round_status_.size() == static_cast<std::size_t>(n)) {
     // Round complete: evaluate.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> counts(
-        static_cast<std::size_t>(n));
     bool all_done = true;
     std::uint64_t sum_sent = 0;
     std::uint64_t sum_processed = 0;
     for (const TermStatusMsg& s : round_status_) {
-      counts[static_cast<std::size_t>(s.rank)] = {s.sent, s.processed};
+      round_counts_[static_cast<std::size_t>(s.rank)] = {s.sent, s.processed};
       all_done &= s.done;
       sum_sent += s.sent;
       sum_processed += s.processed;
     }
-    const bool stable = prev_valid_ && counts == prev_counts_;
-    prev_counts_ = counts;
+    const bool stable = prev_valid_ && round_counts_ == prev_counts_;
+    round_counts_.swap(prev_counts_);
     prev_valid_ = true;
     round_open_ = false;
     round_status_.clear();
@@ -950,10 +935,10 @@ bool LiveNode::RankedTermination() {
       // the rack is globally quiescent.  Release the peers and exit.
       for (NodeId peer = 0; peer < static_cast<NodeId>(n); ++peer) {
         if (peer != id_) {
-          ep_->SendDirect(peer, WireBody{TermHaltMsg{term_round_}});
+          ep_->SendControl(peer, TermHaltMsg{term_round_});
         }
       }
-      ep_->FlushBatches(FlushCause::kBoundary);
+      ep_->FlushBatches(FlushCause::kBoundary, /*hold_young=*/false);
       halt_ = true;
       return true;
     }
@@ -973,7 +958,7 @@ bool LiveNode::RankedTermination() {
       self_status.processed = ep_->data_processed();
       round_status_.push_back(self_status);
       for (NodeId peer = 1; peer < static_cast<NodeId>(n); ++peer) {
-        ep_->SendDirect(peer, WireBody{TermProbeMsg{term_round_}});
+        ep_->SendControl(peer, TermProbeMsg{term_round_});
       }
       ep_->FlushBatches(FlushCause::kBoundary);
     }

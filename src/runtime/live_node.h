@@ -54,8 +54,9 @@ class LiveNode final : private HotSetHost {
   void PrefillHotSet(const std::vector<Key>& hot_keys);
 
   // Thread body.  Issues ops until the quota (or a stop request), then drains:
-  // keeps pumping messages until every node is quiescent and the fabric is
-  // empty, so all histories seal.
+  // keeps pumping messages until the termination protocol
+  // (control_messages.h) proves the whole rack quiescent, so all histories
+  // seal.
   void Run(StopToken stop);
 
   // Shard access; the CRCW seqlock path makes this safe from any thread.
@@ -131,7 +132,7 @@ class LiveNode final : private HotSetHost {
   // anything — ships the open batches at once.  Returns the poll's count.
   std::size_t PumpInbound();
   std::size_t PollInbound(std::size_t max);
-  // --- ranked (multi-process) mode ---
+  // --- ranked (multi-process) mode: the RPC miss path ---
   // Remote-homed miss: ship the op to the home rank over the §6.1 RPC path
   // (op_id = session slot); the response completes the session.
   void SendRpc(std::uint32_t slot);
@@ -139,12 +140,13 @@ class LiveNode final : private HotSetHost {
   // gate exactly like a local miss would.
   void ServeRpc(NodeId src, const RpcRequest& req);
   void OnRpcResponse(const RpcResponse& resp);
-  // True when this rank can neither create nor owe any protocol message.
+  // True when this node can send no message until it receives one: the
+  // condition the termination protocol's soundness rests on.
   bool LocallyQuiescent() const;
-  // Four-counter termination (control_messages.h).  Returns true when the
-  // run loop should exit: either rank 0 certified global quiescence twice in
-  // a row and broadcast the halt, or we received the halt.
-  bool RankedTermination();
+  // Four-counter termination (control_messages.h), every rack.  Returns true
+  // when the run loop should exit: either node 0 certified global quiescence
+  // twice in a row and broadcast the halt, or we received the halt.
+  bool CheckTermination();
   // One issue round: generates every idle session's op, prefetches the
   // shard lines those ops will read, then issues them in session order,
   // pumping the inbound fabric between slices of kIssueSlice ops.
@@ -231,7 +233,6 @@ class LiveNode final : private HotSetHost {
   bool retrying_gated_ = false;  // re-parks during RetryGatedOps are not counted
   std::uint64_t quota_ = 0;
   bool halted_ = false;  // stopped issuing new ops
-  bool done_ = false;    // locally quiescent, reported to the rack
   bool record_history_ = false;  // cached: skips history-clock reads when off
   bool busy_poll_ = false;
 
@@ -250,17 +251,19 @@ class LiveNode final : private HotSetHost {
 
   // --- ranked-mode state ---
   bool ranked_ = false;
-  bool coordinator_ = false;  // ranked_ && rank 0: runs the termination probe
-  bool halt_ = false;         // TermHalt seen (or sent): exit after a flush
   std::vector<std::uint8_t> rpc_waiting_;  // per-slot: op is out on the wire
   std::size_t rpc_outstanding_ = 0;
-  // Inbound RPCs parked behind the residency gate, retried by the run loop.
-  // Coordinator probe-round state: statuses collected this round, and the
-  // previous round's (sent, processed) per rank for the two-identical-rounds
-  // stability test.
+
+  // --- termination state (control_messages.h) ---
+  bool coordinator_ = false;  // node 0: runs the termination probe
+  bool halt_ = false;         // TermHalt seen (or sent): exit after a flush
+  // Coordinator probe-round state: statuses collected this round, and this
+  // and the previous round's (sent, processed) per node for the
+  // two-identical-rounds stability test.  Sized at construction.
   std::uint32_t term_round_ = 0;
   bool round_open_ = false;
   std::vector<TermStatusMsg> round_status_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> round_counts_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> prev_counts_;
   bool prev_valid_ = false;
   SimTime last_probe_ns_ = 0;

@@ -27,7 +27,6 @@
 #ifndef CCKVS_RUNTIME_LIVE_RACK_H_
 #define CCKVS_RUNTIME_LIVE_RACK_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -79,7 +78,7 @@ struct LiveRackParams {
   // Transport coalescing (§8.5 on the live fabric; runtime/coalescer.h):
   // same-destination messages share one channel push, flushed by size cap,
   // op boundary, and the pre-sleep idle backstop.  Credit accounting and
-  // inflight() stay per-message either way.
+  // the termination counts stay per-message either way.
   bool coalescing = false;
   int coalesce_max_batch = 16;       // mirrors RackParams::coalesce_max_batch
   // Hold sub-cap batches up to this many µs before an op-boundary flush ships
@@ -145,8 +144,7 @@ struct LiveRackParams {
   // multi-process racks — which rank this process is (transport.rank >= 0:
   // this process runs exactly one node; peers are other processes).  In
   // ranked mode remote-homed misses travel over the §6.1 RPC path instead of
-  // the direct seqlock read, and the rack terminates via the counting
-  // protocol in control_messages.h.
+  // the direct seqlock read.
   TransportOptions transport;
   // Shared history-clock epoch for ranked racks (CLOCK_MONOTONIC is machine-
   // wide, so ranks agreeing on one epoch get comparable HistoryOp times).
@@ -193,12 +191,6 @@ class LiveRack {
             .count());
   }
 
-  // --- node-thread coordination ---
-  void OnNodeDone() { nodes_done_.fetch_add(1, std::memory_order_acq_rel); }
-  bool AllNodesDone() const {
-    return nodes_done_.load(std::memory_order_acquire) == params_.num_nodes;
-  }
-
   // Node `id`'s profiling counter block (valid for the rack's lifetime; the
   // node thread writes it, the profiler thread reads it).
   WorkerCounters& worker_counters(NodeId id) {
@@ -220,7 +212,6 @@ class LiveRack {
   std::vector<std::unique_ptr<Tracer>> tracers_;  // empty when tracing is off
   std::vector<std::unique_ptr<LiveNode>> nodes_;
   StopSource stop_;
-  std::atomic<int> nodes_done_{0};
   std::chrono::steady_clock::time_point epoch_;
   History history_;
   bool ran_ = false;

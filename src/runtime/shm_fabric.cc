@@ -1,7 +1,7 @@
 // Shared-memory fabric implementation.  Region layout (all offsets 64-byte
 // aligned, sized for num_nodes = n):
 //
-//   ShmHeader                      magic / ready / inflight / geometry
+//   ShmHeader                      magic / ready / geometry
 //   ShmDoorbell[n]                 parked flag + process-shared mutex/cond
 //                                  per consumer
 //   CreditCell[n*n]                credits returned to sender i by peer j
@@ -52,7 +52,9 @@
 namespace cckvs {
 namespace {
 
-constexpr std::uint64_t kMagic = 0x63634b56536d3166ull;  // "ccKVSm1f"
+// Bumped whenever the region layout changes, so a rank built from another
+// layout fails the attach check instead of misreading the region.
+constexpr std::uint64_t kMagic = 0x63634b56536d3266ull;  // "ccKVSm2f"
 constexpr std::size_t kAlign = 64;
 
 struct ShmHeader {
@@ -62,7 +64,6 @@ struct ShmHeader {
   std::uint32_t num_nodes;
   std::uint32_t pad;
   std::uint64_t ring_bytes;
-  std::atomic<std::uint64_t> inflight;
 };
 
 struct alignas(kAlign) ShmDoorbell {
@@ -327,16 +328,6 @@ class ShmFabric final : public TransportFabric {
 
   int TakeReturnedCredits(NodeId self, NodeId peer) override {
     return credit_cell(self, peer)->v.exchange(0, std::memory_order_acquire);
-  }
-
-  void AddInflight(std::uint64_t n) override {
-    header()->inflight.fetch_add(n, std::memory_order_acq_rel);
-  }
-  void SubInflight(std::uint64_t n) override {
-    header()->inflight.fetch_sub(n, std::memory_order_acq_rel);
-  }
-  std::uint64_t inflight() const override {
-    return header()->inflight.load(std::memory_order_acquire);
   }
 
   FabricStats stats(NodeId self) const override {

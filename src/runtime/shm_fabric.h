@@ -1,13 +1,13 @@
 // Shared-memory transport backend: same-host multi-process racks.
 //
 // One POSIX shm region holds the whole fabric: a per-(src,dst) SPSC byte
-// ring for every ordered node pair, a process-shared doorbell per node, the
-// §6.3 credit-return matrix, and the rack-global inflight counter.  Batches
-// travel as serialized frames ([u32 len][wire_codec batch]), exactly the
-// bytes the socket backend would put on a stream — so FIFO per lane is the
-// ring's own order, wakeup-once-per-batch is at most one doorbell signal per
-// frame (none, and no lock, unless the consumer is parked), and inflight()
-// stays rack-global because the counter lives in the region.
+// ring for every ordered node pair, a process-shared doorbell per node, and
+// the §6.3 credit-return matrix.  Batches travel as serialized frames
+// ([u32 len][wire_codec batch]), exactly the bytes the socket backend would
+// put on a stream — so FIFO per lane is the ring's own order, and
+// wakeup-once-per-batch is at most one doorbell signal per frame (none, and
+// no lock, unless the consumer is parked).  The region holds no message
+// count: termination is the counting protocol (control_messages.h).
 //
 // The creator (rank 0, or the all-in-one process) initializes the region and
 // sets the ready flag; joiners attach and wait for it.  See shm_fabric.cc for

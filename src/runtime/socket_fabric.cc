@@ -198,20 +198,6 @@ class SocketFabric final : public TransportFabric {
     return Cell(self, peer).exchange(0, std::memory_order_acquire);
   }
 
-  void AddInflight(std::uint64_t n) override {
-    inflight_.fetch_add(n, std::memory_order_acq_rel);
-  }
-  void SubInflight(std::uint64_t n) override {
-    inflight_.fetch_sub(n, std::memory_order_acq_rel);
-  }
-  std::uint64_t inflight() const override {
-    return inflight_.load(std::memory_order_acquire);
-  }
-
-  // A stream spans processes: in ranked mode adds and subs land in different
-  // processes, so the local counter is not a rack-global drain condition.
-  bool InflightIsGlobal() const override { return rank_ < 0; }
-
   FabricStats stats(NodeId self) const override {
     const MpscChannel<WireBatch>& inbox = *inboxes_[self];
     return FabricStats{inbox.pushes(), inbox.full_waits(), inbox.wakeups()};
@@ -533,7 +519,6 @@ class SocketFabric final : public TransportFabric {
   std::vector<int> fds_;  // [owner][peer], -1 when absent
   std::vector<std::unique_ptr<MpscChannel<WireBatch>>> inboxes_;
   std::vector<std::atomic<int>> returned_;
-  std::atomic<std::uint64_t> inflight_{0};
   int listen_fd_ = -1;
   std::string listen_path_;
   std::vector<Buffer> tx_scratch_;  // per src; each node writes only as itself

@@ -17,9 +17,9 @@
 // Faults never hang: peer hangup mid-frame, short writes, and undecodable
 // frames latch a sticky error() that the rack surfaces as a LiveReport
 // error; connect-refused past the deadline fails MakeSocketFabric cleanly.
-// Because a stream spans hosts, inflight() is process-local in ranked mode
-// (InflightIsGlobal() == false) and ranked racks terminate via the counting
-// protocol in control_messages.h.
+// Nothing here spans processes but the streams themselves: racks on this
+// backend, like every rack, terminate via the counting protocol in
+// control_messages.h, which rides the same streams.
 
 #ifndef CCKVS_RUNTIME_SOCKET_FABRIC_H_
 #define CCKVS_RUNTIME_SOCKET_FABRIC_H_

@@ -104,14 +104,10 @@ LiveTransport::Endpoint::Endpoint(LiveTransport* transport, NodeId self)
 }
 
 void LiveTransport::Endpoint::Enqueue(NodeId to, WireBody body) {
-  // Count before the message becomes visible so inflight() never
-  // under-reports a consumable message; the receiver decrements after its
-  // handler finishes.  Messages waiting in an open batch are in flight: they
-  // are past credit accounting and committed to delivery.
-  fabric().AddInflight(1);
-  if (!IsTermControl(body)) {
-    ++data_sent_;
-  }
+  // A message waiting in an open batch is already sent: it is past credit
+  // accounting and committed to delivery.  (Term* control never comes this
+  // way: SendControl takes the typed path.)
+  ++data_sent_;
   if (coalescer_.Append(to, std::move(body))) {
     DeliverBatch(to, coalescer_.Take(to, FlushCause::kSize));
   }
@@ -124,9 +120,9 @@ void LiveTransport::Endpoint::DeliverBatch(NodeId to, WireBatch batch) {
   fabric().Deliver(to, std::move(batch));
 }
 
-void LiveTransport::Endpoint::FlushBatches(FlushCause cause) {
-  const bool by_deadline =
-      cause == FlushCause::kBoundary && coalescer_.deadline_enabled();
+void LiveTransport::Endpoint::FlushBatches(FlushCause cause, bool hold_young) {
+  const bool by_deadline = hold_young && cause == FlushCause::kBoundary &&
+                           coalescer_.deadline_enabled();
   // One clock read per flush pass, not one per peer: this runs every
   // run-loop iteration on the hot path.
   const std::uint64_t now = by_deadline ? coalescer_.now_ns() : 0;

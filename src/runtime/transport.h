@@ -35,20 +35,15 @@
 //    the requester's session window, one probe per round), so they bypass
 //    the pool — exactly the sim's RackNode::SendAck.
 //
-// inflight() likewise counts MESSAGES — from the moment one enters an open
-// batch (committed to delivery) until the Poll that handled it returns — so
-// the rack's drain-phase exit condition is unchanged by batching.  The
-// receive side settles a whole Poll with one SubInflight after every handler
-// has run, not one rack-global read-modify-write per message; the later
-// decrement only keeps inflight() higher for longer, so the exit condition
-// gets more conservative, never less.  Ranked socket racks, where the counter
-// cannot span hosts, terminate via the counting protocol in
-// control_messages.h instead (fabric.h: InflightIsGlobal).
+// Termination counts are per-MESSAGE too: data_sent() counts a message when
+// it enters an open batch, data_processed() when its handler has run, and
+// neither counts Term* control.  The counting protocol (control_messages.h)
+// balances them across endpoints, so batching cannot change when a rack may
+// stop, and no rack-global counter is touched per message.
 
 #ifndef CCKVS_RUNTIME_TRANSPORT_H_
 #define CCKVS_RUNTIME_TRANSPORT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -120,17 +115,25 @@ class LiveTransport {
     void BroadcastFill(const FillMsg& msg);
     void BroadcastEpochInstalled(const EpochInstalledMsg& msg);
 
-    // Uncredited point-to-point send (RPC request/response, termination
-    // control): bounded by what it answers, so it bypasses the credit pool
-    // like an ack — but still coalesces.  Owning node's thread only.
+    // Uncredited point-to-point send (RPC request/response): bounded by what
+    // it answers, so it bypasses the credit pool like an ack — but still
+    // coalesces.  Owning node's thread only.
     void SendDirect(NodeId to, WireBody body);
+
+    // Termination control (Term* messages): uncredited like SendDirect, typed
+    // (slot-reusing, allocation-free), never counted in data_sent().
+    template <typename T>
+    void SendControl(NodeId to, const T& msg) {
+      static_assert(kIsTermControl<T>);
+      EnqueueTyped(to, msg);
+    }
 
     // Drains up to `max_batches` inbound batches, invoking
     // handler(NodeId src, const WireBody&) for each message after the
     // receive-side run demux (consecutive same-key updates collapse to the
-    // newest; see coalescer.h), then performs per-message credit accounting
-    // and, once every handler has run, settles inflight() for the whole poll.
-    // Owning node's thread only.  Returns the number of messages processed.
+    // newest; see coalescer.h), and does the per-message credit and
+    // termination accounting.  Owning node's thread only.  Returns the number
+    // of messages processed.
     template <typename Handler>
     std::size_t Poll(std::size_t max_batches, Handler&& handler) {
       scratch_.clear();
@@ -153,13 +156,6 @@ class LiveTransport {
         }
       }
       demux.Flush(handler);  // demux holds pointers into scratch_: flush first
-      if (processed > 0) {
-        // One decrement per poll, after the last handler (including a
-        // collapsed update the demux held until Flush) — a racing
-        // drain-phase inflight()==0 can only be observed once all of this
-        // poll's work, and every send it caused, is accounted for.
-        fabric().SubInflight(processed);
-      }
       for (WireBatch& batch : scratch_) {
         fabric().batch_pool().Recycle(std::move(batch));
       }
@@ -168,8 +164,10 @@ class LiveTransport {
     }
 
     // Ships every open batch (the host's op-boundary flush, or a test's
-    // explicit policy).  Owning node's thread only.
-    void FlushBatches(FlushCause cause);
+    // explicit policy).  A kBoundary flush holds sub-cap batches younger than
+    // coalesce_flush_deadline_us unless `hold_young` is false, as it must be
+    // for a node leaving its run loop.  Owning node's thread only.
+    void FlushBatches(FlushCause cause, bool hold_young = true);
 
     // Retries credit-parked broadcasts after harvesting returned credits.
     void FlushPending();
@@ -228,8 +226,8 @@ class LiveTransport {
     TransportFabric& fabric() const { return *transport_->fabric_; }
     void SendCredited(NodeId to, WireBody body);
     void HarvestCredits(NodeId peer);
-    // Commits one message to delivery: counts it in flight, appends it to the
-    // peer's open batch, and ships the batch if it hit the size cap.
+    // Commits one data message to delivery: counts it in data_sent(), appends
+    // it to the peer's open batch, and ships the batch if it hit the size cap.
     void Enqueue(NodeId to, WireBody body);
     void DeliverBatch(NodeId to, WireBatch batch);
     template <typename T>
@@ -237,11 +235,12 @@ class LiveTransport {
 
     // Typed Enqueue: assigns the message into a recycled batch slot instead
     // of constructing a WireBody temporary — the zero-alloc fast path for
-    // every steady-state send.  Typed sends are never Term* control traffic.
+    // every steady-state send.
     template <typename T>
     void EnqueueTyped(NodeId to, const T& msg) {
-      fabric().AddInflight(1);
-      ++data_sent_;
+      if constexpr (!kIsTermControl<T>) {
+        ++data_sent_;
+      }
       if (coalescer_.AppendTyped(to, msg)) {
         DeliverBatch(to, coalescer_.Take(to, FlushCause::kSize));
       }
@@ -298,13 +297,6 @@ class LiveTransport {
 
   TransportFabric& fabric() { return *fabric_; }
   const TransportFabric& fabric() const { return *fabric_; }
-
-  // Messages enqueued but not yet fully processed (their Poll returned).  Zero
-  // together with all-nodes-quiescent means the rack can produce no further
-  // work — the drain-phase exit condition.  Counts messages (including those
-  // in open send batches), never batches.  Rack-global unless the fabric says
-  // otherwise (ranked socket racks use the counting protocol instead).
-  std::uint64_t inflight() const { return fabric_->inflight(); }
 
  private:
   Config config_;

@@ -48,6 +48,11 @@ enum class WireTag : std::uint8_t {
   kTermHalt = 11,
 };
 
+// Tag t carries WireBody alternative t - 1, which lets the decoder ready a
+// reusable slot before reading the body (WireBatch::AppendSlot).
+static_assert(static_cast<std::size_t>(WireTag::kTermHalt) ==
+              std::variant_size_v<WireBody>);
+
 // Bounds-checked little-endian reader: every Get returns false instead of
 // aborting when the buffer runs out.  The deliberate non-throwing counterpart
 // of serialize.h's BufferReader, for frames that cross a trust boundary.
@@ -67,6 +72,13 @@ class SafeReader {
     }
     s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
+    return true;
+  }
+  bool PeekU8(std::uint8_t* v) const {
+    if (pos_ == size_) {
+      return false;
+    }
+    *v = data_[pos_];
     return true;
   }
   bool AtEnd() const { return pos_ == size_; }
@@ -308,7 +320,9 @@ inline bool TryDeserializeWireBatch(const std::uint8_t* data, std::size_t size,
   out->src = static_cast<NodeId>(src);
   out->clear();
   for (std::uint16_t i = 0; i < count; ++i) {
-    if (!TryDeserializeWireBody(&r, &out->AppendSlot())) {
+    std::uint8_t tag = 0;  // a bad tag fails TryDeserializeWireBody
+    r.PeekU8(&tag);
+    if (!TryDeserializeWireBody(&r, &out->AppendSlot(tag - 1u))) {
       return false;
     }
   }

@@ -6,10 +6,13 @@
 // with genuine concurrency.  Op counts scale down under sanitizers (and up
 // via CCKVS_LIVE_OPS) — a plain Release run covers millions of operations.
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -59,6 +62,26 @@ LiveRackParams StressParams(ConsistencyModel model) {
   p.record_history = true;
   p.seed = 7;
   return p;
+}
+
+// Rack::Run() with a time limit: a drain that never ends aborts the test
+// binary with a message, instead of running into the ctest timeout.
+LiveReport RunBounded(LiveRack& rack, std::chrono::seconds limit,
+                      const std::string& what) {
+  std::packaged_task<LiveReport()> task([&rack] { return rack.Run(); });
+  std::future<LiveReport> report = task.get_future();
+  std::thread runner(std::move(task));
+  if (report.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s: Run() did not return within %llds: drain hang\n",
+                 what.c_str(), static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    if (rack.params().transport.kind == TransportKind::kShm) {
+      shm_unlink(rack.params().transport.shm_name.c_str());
+    }
+    std::_Exit(1);  // the node threads cannot be joined
+  }
+  runner.join();
+  return report.get();
 }
 
 void ExpectHealthyRun(const LiveRackParams& p, const LiveReport& r) {
@@ -289,6 +312,43 @@ TEST(LiveRackTest, CoalescedEpochChurnUnderDriftStaysConsistent) {
                                 : rack.history().CheckPerKeyLinearizability();
     EXPECT_EQ(err, "") << "model=" << ToString(model);
     EXPECT_EQ(rack.history().CheckWriteAtomicity(), "") << "model=" << ToString(model);
+  }
+}
+
+// Ending a run while an epoch is still installing.  Epochs close every 2'000
+// of node 0's ops under fast drift, each one moving a large share of a
+// 1'000-key hot set, and broadcast credits are scarce: so as the rack halts,
+// peers that already reached their quota still evict, fill and broadcast
+// EpochInstalled, some of it parked for credits.  The termination protocol
+// must wait for all of it, parked messages included, and every run must
+// end, in-process and on shm.
+TEST(LiveRackTest, RunEndsWhileAnEpochIsInstalling) {
+  for (const TransportKind kind : {TransportKind::kInproc, TransportKind::kShm}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string what =
+          std::string(ToString(kind)) + "/seed " + std::to_string(seed);
+      SCOPED_TRACE(what);
+      LiveRackParams p = StressParams(ConsistencyModel::kSc);
+      p.workload.write_ratio = 0.05;
+      p.workload.drift_period_ops = 4'000;
+      p.workload.drift_rank_shift = 200;
+      p.cache_capacity = 1'000;
+      p.online_topk = true;
+      p.topk_epoch_requests = 2'000;
+      p.topk_sample_probability = 1.0;
+      p.bcast_credits_per_peer = 16;
+      p.ops_per_node = OpsPerNode(20'000, 4'000);
+      p.seed = seed;
+      p.transport.kind = kind;
+      p.transport.shm_name = "/cckvs_epochend_" + std::to_string(getpid());
+      LiveRack rack(p);
+      const LiveReport r = RunBounded(rack, std::chrono::seconds(60), what);
+      ASSERT_TRUE(r.transport_error.empty()) << r.transport_error;
+      ExpectHealthyRun(p, r);
+      EXPECT_GT(r.rack.epochs, 1u);
+      EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "");
+      EXPECT_EQ(rack.history().CheckWriteAtomicity(), "");
+    }
   }
 }
 

@@ -75,10 +75,17 @@ LiveRackParams MultiprocParams(TransportKind kind, ConsistencyModel model,
 }
 
 // Forks ranks 1..3, runs rank 0 in-process, merges all histories and runs
-// the full checkers.
+// the full checkers.  A nonzero `flush_deadline_us` turns coalescing on with
+// that hold window, so the ranks' termination messages can sit in held
+// batches too.
 void RunAndCertify(TransportKind kind, ConsistencyModel model,
-                   const std::string& run_tag, bool with_l1 = false) {
+                   const std::string& run_tag, bool with_l1 = false,
+                   std::uint64_t flush_deadline_us = 0) {
   LiveRackParams params = MultiprocParams(kind, model, run_tag);
+  if (flush_deadline_us > 0) {
+    params.coalescing = true;
+    params.coalesce_flush_deadline_us = flush_deadline_us;
+  }
   if (with_l1) {
     // Node-private L1 tail in every rank, with per-node rank skew so each
     // process actually fills its private tier.  The merged histories must
@@ -138,8 +145,11 @@ TEST(MultiprocRack, SocketFourRanksLinUnderEpochsAndDrift) {
   RunAndCertify(TransportKind::kSocket, ConsistencyModel::kLin, "uds_lin");
 }
 
+// With a 20 µs flush deadline: the halt rank 0 sends as it exits must ship
+// at once, not wait out a deadline no one is left to poll.
 TEST(MultiprocRack, SocketFourRanksScUnderEpochsAndDrift) {
-  RunAndCertify(TransportKind::kSocket, ConsistencyModel::kSc, "uds_sc");
+  RunAndCertify(TransportKind::kSocket, ConsistencyModel::kSc, "uds_sc",
+                /*with_l1=*/false, /*flush_deadline_us=*/20);
 }
 
 // Scans one exported per-rank trace file line by line (one event per line,

@@ -9,7 +9,8 @@
 //     (a parked broadcast may not be overtaken by a later send to the peer);
 //   * exact per-message credit accounting (§6.3 counts messages, never
 //     batches, and every credit comes back);
-//   * message-granular inflight() that drains to zero;
+//   * message-granular termination counters (data_sent/data_processed, Term*
+//     control excluded) that balance after a drain;
 //   * idle- and deadline-flush backstops (no message sleeps in an open batch);
 //   * wakeup-once-per-batch (wakeups ≤ batches pushed; zero without parking).
 //
@@ -186,22 +187,32 @@ TEST_P(ConformanceTest, ExactPerMessageCreditAccounting) {
   EXPECT_EQ(sender.credit_parks(), 0u);
 }
 
-// inflight() counts messages — not batches — and drains to exactly zero.
-TEST_P(ConformanceTest, InflightIsMessageGranular) {
+// The termination counters count messages — not batches, not Term* control —
+// and balance exactly once every message has been processed.
+TEST_P(ConformanceTest, TerminationCountsAreMessageGranular) {
   LiveTransport t(Cfg(3, /*coalescing=*/true, /*max_batch=*/8));
   ASSERT_TRUE(t.ok()) << t.init_error();
   auto& sender = t.endpoint(0);
+  auto& rx1 = t.endpoint(1);
+  auto& rx2 = t.endpoint(2);
 
   sender.BroadcastUpdate(Upd(1, 1));  // 2 messages (one per peer)
   sender.SendAck(1, AckMsg{42, Timestamp{1, 0}});
-  EXPECT_EQ(t.inflight(), 3u);  // counted while still in open batches
+  sender.SendControl(2, TermProbeMsg{1});
+  EXPECT_EQ(sender.data_sent(), 3u);  // counted while still in open batches
   sender.FlushBatches(FlushCause::kBoundary);
-  EXPECT_EQ(t.inflight(), 3u);  // shipping does not complete a message
+  EXPECT_EQ(sender.data_sent(), 3u);  // shipping does not change the count
 
-  ASSERT_EQ(CollectKeys(t.endpoint(1), 2).size(), 2u);
-  ASSERT_TRUE(Eventually([&] { return t.inflight() == 1u; }));
-  ASSERT_EQ(CollectKeys(t.endpoint(2), 1).size(), 1u);
-  ASSERT_TRUE(Eventually([&] { return t.inflight() == 0u; }));
+  ASSERT_EQ(CollectKeys(rx1, 2).size(), 2u);
+  EXPECT_EQ(rx1.data_processed(), 2u);
+  ASSERT_EQ(CollectKeys(rx2, 1).size(), 1u);
+  // The probe follows the update on the same FIFO lane; poll it out too.
+  ASSERT_TRUE(Eventually([&] {
+    rx2.Poll(64, [](NodeId, const WireBody&) {});
+    return rx2.messages_received() == 2u;
+  }));
+  EXPECT_EQ(rx2.data_processed(), 1u);  // the probe is not data
+  EXPECT_EQ(sender.data_sent(), rx1.data_processed() + rx2.data_processed());
 }
 
 // The pre-sleep idle flush: a message in an open batch must ship before the

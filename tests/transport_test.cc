@@ -4,8 +4,9 @@
 // must not disturb: per-peer FIFO order across batch boundaries (the Lin
 // invalidation-then-update order and the install barrier both ride it),
 // per-message credit accounting (§6.3's bounds are about messages, not
-// packets), and a message-granular inflight() (the drain-phase exit
-// condition).  These tests drive endpoints directly from one thread — the
+// packets), and message-granular termination counters (data_sent /
+// data_processed, which the counting protocol in control_messages.h
+// balances).  These tests drive endpoints directly from one thread — the
 // owning-thread contract only requires that calls are serialized, so a
 // single test thread may play every node in turn.
 
@@ -20,6 +21,7 @@
 #include "src/common/alloc_tracker.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/transport.h"
+#include "src/runtime/wire_codec.h"
 
 namespace cckvs {
 namespace {
@@ -45,6 +47,19 @@ struct Drained {
   std::vector<Timestamp> update_ts;
   std::size_t messages = 0;
 };
+
+// Data messages sent but not yet processed, summed over every endpoint: the
+// termination protocol's global balance (control_messages.h).  0 after a
+// drain.
+std::uint64_t Unprocessed(LiveTransport& t) {
+  std::uint64_t sent = 0;
+  std::uint64_t processed = 0;
+  for (int i = 0; i < t.config().num_nodes; ++i) {
+    sent += t.endpoint(static_cast<NodeId>(i)).data_sent();
+    processed += t.endpoint(static_cast<NodeId>(i)).data_processed();
+  }
+  return sent - processed;
+}
 
 Drained DrainAll(LiveTransport::Endpoint& ep) {
   Drained d;
@@ -147,6 +162,53 @@ TEST(WireBatchPoolTest, MagazinesStayAllocationFreeAcrossThreads) {
   EXPECT_EQ(pool.shared_size(), cap);
 }
 
+// A control message in a warm batch must not cost an update slot its string
+// capacity, on the send path (typed append) or the receive path (decode): a
+// full batch of updates appended or decoded into the recycled batch right
+// after still allocates nothing.
+TEST(WireBatchTest, ControlMessageKeepsWarmUpdateSlots) {
+  constexpr std::size_t kSlots = 16;
+  constexpr std::size_t kValueBytes = 40;  // past SSO: the string is heap
+  const UpdateMsg upd{7, std::string(kValueBytes, 'x'), Timestamp{1, 0}};
+  WireBatch updates;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    updates.Append(upd);
+  }
+  WireBatch probe_then_update;
+  probe_then_update.Append(TermProbeMsg{1});
+  probe_then_update.Append(upd);
+  Buffer updates_frame;
+  Buffer mixed_frame;
+  SerializeWireBatch(updates, &updates_frame);
+  SerializeWireBatch(probe_then_update, &mixed_frame);
+
+  WireBatch sent;
+  WireBatch received;
+  sent.Warm(kSlots, kValueBytes);
+  received.Warm(kSlots, kValueBytes);
+  alloc::ResetThread();
+  alloc::EnableThread();
+  for (int round = 0; round < 3; ++round) {
+    sent.clear();
+    sent.Append(TermStatusMsg{static_cast<std::uint32_t>(round), 1, true, 5, 5});
+    sent.clear();
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      sent.Append(upd);
+    }
+    ASSERT_TRUE(TryDeserializeWireBatch(mixed_frame, &received));
+    ASSERT_TRUE(TryDeserializeWireBatch(updates_frame, &received));
+  }
+  alloc::DisableThread();
+  if (alloc::TrackerAvailable()) {
+    EXPECT_EQ(alloc::ThreadCount(), 0u);
+  }
+  ASSERT_EQ(received.size(), kSlots);
+  for (const WireBody& body : received) {
+    ASSERT_TRUE(std::holds_alternative<UpdateMsg>(body));
+    EXPECT_EQ(std::get<UpdateMsg>(body).value, upd.value);
+  }
+}
+
 // --------------------------------------------------------------------------
 // SendCoalescer unit behaviour
 // --------------------------------------------------------------------------
@@ -239,7 +301,7 @@ TEST(TransportBatchingTest, PerPeerFifoAcrossBatchBoundaries) {
     EXPECT_LT(seen[i - 1], seen[i]);
   }
   EXPECT_EQ(seen.back().clock, 10u);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 TEST(TransportBatchingTest, DistinctKeysDeliverOneToOneInOrder) {
@@ -269,7 +331,7 @@ TEST(TransportBatchingTest, DistinctKeysDeliverOneToOneInOrder) {
   const Drained d = DrainAll(ep1);
   seen.insert(seen.end(), d.keys.begin(), d.keys.end());
   EXPECT_EQ(seen, sent);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -309,7 +371,7 @@ TEST(TransportBatchingTest, CreditAccountingExactUnderBatchedDelivery) {
   EXPECT_EQ(DrainAll(ep1).messages, 1u);
   // 4 - 5 spent + 4 returned = 3 available.
   EXPECT_TRUE(ep0.AllPeersHaveCredit());
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 TEST(TransportBatchingTest, AcksBypassCreditsButStillCoalesce) {
@@ -330,27 +392,38 @@ TEST(TransportBatchingTest, AcksBypassCreditsButStillCoalesce) {
 }
 
 // --------------------------------------------------------------------------
-// inflight() counts messages, never batches
+// Termination counters count data messages, never batches or Term* control
 // --------------------------------------------------------------------------
 
-TEST(TransportBatchingTest, InflightCountsMessagesThroughBatchLifecycle) {
+TEST(TransportBatchingTest, TerminationCountsMessagesThroughBatchLifecycle) {
   LiveTransport t(SmallConfig(3, /*coalescing=*/true, /*max_batch=*/8));
   auto& ep0 = t.endpoint(0);
+  auto& ep1 = t.endpoint(1);
+  auto& ep2 = t.endpoint(2);
 
   // Broadcast to two peers: 2 messages per call, still in open batches.
   ep0.BroadcastUpdate(Upd(400, 1));
   ep0.BroadcastUpdate(Upd(401, 2));
-  EXPECT_EQ(t.inflight(), 4u) << "open-batch messages are in flight";
+  EXPECT_EQ(ep0.data_sent(), 4u) << "open-batch messages are already sent";
+  EXPECT_EQ(Unprocessed(t), 4u);
   EXPECT_FALSE(ep0.NothingPending());
 
+  // Control traffic rides the same batches but is never counted.
+  ep0.SendControl(1, TermProbeMsg{1});
+  ep0.SendControl(2, TermHaltMsg{1});
+  EXPECT_EQ(ep0.data_sent(), 4u) << "Term* messages are not data";
+
   ep0.FlushBatches(FlushCause::kBoundary);
-  EXPECT_EQ(t.inflight(), 4u) << "shipping a batch must not change the count";
+  EXPECT_EQ(ep0.data_sent(), 4u) << "shipping a batch must not change the count";
+  EXPECT_EQ(Unprocessed(t), 4u);
   EXPECT_TRUE(ep0.NothingPending());
 
-  EXPECT_EQ(DrainAll(t.endpoint(1)).messages, 2u);
-  EXPECT_EQ(t.inflight(), 2u);
-  EXPECT_EQ(DrainAll(t.endpoint(2)).messages, 2u);
-  EXPECT_EQ(t.inflight(), 0u) << "drain-phase exit condition";
+  EXPECT_EQ(DrainAll(ep1).messages, 3u);  // two updates + the probe
+  EXPECT_EQ(ep1.data_processed(), 2u) << "one count per message, probe excluded";
+  EXPECT_EQ(Unprocessed(t), 2u);
+  EXPECT_EQ(DrainAll(ep2).messages, 3u);  // two updates + the halt
+  EXPECT_EQ(ep2.data_processed(), 2u);
+  EXPECT_EQ(Unprocessed(t), 0u) << "the drained rack balances";
 }
 
 // --------------------------------------------------------------------------
@@ -369,7 +442,7 @@ TEST(TransportBatchingTest, WaitForTrafficFlushesOpenBatches) {
   EXPECT_EQ(ep1.batches_received(), 1u);
   EXPECT_EQ(ep0.coalescer().flushes(FlushCause::kIdle), 1u);
   EXPECT_EQ(DrainAll(ep1).messages, 1u);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -393,7 +466,7 @@ TEST(TransportBatchingTest, ConsecutiveSameKeyUpdatesCollapseToNewest) {
   EXPECT_EQ(d.keys, (std::vector<Key>{600, 601}));
   EXPECT_EQ(d.update_ts[0].clock, 3u) << "a run forwards its newest element";
   EXPECT_EQ(ep1.updates_collapsed(), 2u);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 TEST(TransportBatchingTest, NonUpdateMessagesEndARunInOrder) {
