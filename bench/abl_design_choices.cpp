@@ -7,9 +7,6 @@
 //  (c) Credit-update batching (§6.4: batched header-only credits make flow
 //      control negligible).
 //  (d) Symmetric-cache size sweep (how much cache buys how much throughput).
-//  (e) L1 tail-cache replacement policy (LRU vs CLOCK vs LFU) on the live
-//      rack under per-node-skewed zipf — which policy holds each node's
-//      private warm tail best (docs/ARCHITECTURE.md "hierarchical caching").
 
 #include <cstdio>
 
@@ -86,52 +83,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  {
-    // All three policies watch the identical node-skewed stream through the
-    // identical admission sketch; only the eviction rule differs.  The L1 is
-    // deliberately small (512 slots against a ~6k-key per-node warm tail):
-    // a generously sized tier retires nothing and every policy looks alike —
-    // capacity pressure is what makes the eviction rule matter.  Zipf tails
-    // are recency-friendly (recently seen tail keys recur soon) but have a
-    // long one-hit fringe, so the interesting question is whether CLOCK's
-    // second-chance bit or LFU's frequency buckets beat plain LRU at keeping
-    // the fringe out.  Live run: the L1 probe/fill/evict work is on the real
-    // op path, so a policy with better hit rate but a pricier touch would
-    // show up here and not in a trace-driven comparison.
-    std::printf("(e) L1 replacement policy (live 4-node rack, node-skewed zipf, "
-                "L1 512):\n");
-    const std::uint64_t ops = Smoke() ? 30'000 : 200'000;
-    for (const L1Policy policy :
-         {L1Policy::kLru, L1Policy::kClock, L1Policy::kLfu}) {
-      LiveRackParams lp;
-      lp.num_nodes = 4;
-      lp.consistency = ConsistencyModel::kSc;
-      lp.workload.keyspace = 100'000;
-      lp.workload.zipf_alpha = 0.99;
-      lp.workload.write_ratio = 0.05;
-      lp.workload.value_bytes = 40;
-      lp.workload.node_rank_stride = lp.workload.keyspace / 16;
-      lp.cache_capacity = 1'000;
-      lp.window_per_node = 32;
-      lp.ops_per_node = ops;
-      lp.coalescing = true;
-      lp.seed = 42;
-      lp.l1_capacity = 512;
-      lp.l1_policy = policy;
-      const LiveReport r = RunLive(
-          lp, std::string("live L1 policy=") + ToString(policy) + " node-skew");
-      const double total = static_cast<double>(r.completed);
-      std::printf("    %-5s: %.2f Mops/s, l1 hits %6llu (%.1f%% of ops), "
-                  "fills %6llu, inval %4llu\n",
-                  ToString(policy), r.rack.mrps,
-                  static_cast<unsigned long long>(r.rack.l1_hits),
-                  total > 0 ? 100.0 * static_cast<double>(r.rack.l1_hits) / total
-                            : 0.0,
-                  static_cast<unsigned long long>(r.rack.l1_fills),
-                  static_cast<unsigned long long>(r.rack.l1_invalidations));
-    }
-    std::printf("    (policies share the admission sketch; the delta is pure "
-                "eviction quality)\n");
-  }
   return 0;
 }

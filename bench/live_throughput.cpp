@@ -46,7 +46,6 @@
 //                              entries, a number sets the capacity directly
 //                              (default off).  CI runs off and on as separate
 //                              jobs so the artifact pair prices the tier.
-//   --l1-policy=lru|clock|lfu  L1 replacement policy (default lru).
 //
 // Independent of --l1, the bench always runs a per-node-skew L1 pair: a
 // 4-process shm rack (ranks forked by RunRankedRack, runtime/multiproc.h,
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::uint64_t trace_sample = 64;
   std::uint64_t l1_capacity = 0;
-  L1Policy l1_policy = L1Policy::kLru;
   TransportKind transport = TransportKind::kInproc;
   const char* transport_name = "inproc";
   for (int i = 1; i < argc; ++i) {
@@ -144,11 +142,6 @@ int main(int argc, char** argv) {
       } else {
         l1_capacity = std::strtoull(v, nullptr, 10);
       }
-    } else if (std::strncmp(argv[i], "--l1-policy=", 12) == 0) {
-      if (!ParseL1Policy(argv[i] + 12, &l1_policy)) {
-        std::fprintf(stderr, "unknown --l1-policy (want lru|clock|lfu)\n");
-        return 2;
-      }
     }
   }
 
@@ -159,7 +152,6 @@ int main(int argc, char** argv) {
     lp->pinning = pin;
     lp->busy_poll = busy_poll;
     lp->l1_capacity = l1_capacity;
-    lp->l1_policy = l1_policy;
     if (!profile_csv.empty()) {
       lp->profile = true;
       lp->profile_csv_path = profile_csv + "." + std::to_string(rack_seq++);
@@ -168,9 +160,7 @@ int main(int argc, char** argv) {
   // L1-armed runs get distinct labels so bench_delta.py never diffs a run
   // that has a private tier against one that doesn't.
   const std::string l1_label =
-      l1_capacity == 0 ? ""
-                       : " l1=" + std::to_string(l1_capacity) + "/" +
-                             ToString(l1_policy);
+      l1_capacity == 0 ? "" : " l1=" + std::to_string(l1_capacity);
 
   const int kNodes = 8;
   const std::uint64_t ops = Smoke() ? 25'000 : 400'000;
@@ -287,8 +277,8 @@ int main(int argc, char** argv) {
     const int pair_nodes = 4;
     const std::uint64_t pair_ops = Smoke() ? 40'000 : 100'000;
     std::printf("per-node-skew L1 pair (4-process shm rack, busy-poll, "
-                "stride-rotated zipf ranks, L1 %llu/%s):\n",
-                static_cast<unsigned long long>(l1_cap), ToString(l1_policy));
+                "stride-rotated zipf ranks, L1 %llu):\n",
+                static_cast<unsigned long long>(l1_cap));
     std::printf("%-6s %12s %10s %10s %10s %10s %10s\n", "l1",
                 "rack Mops/s", "r0 hit%", "l1 hits", "l1 fills", "l1 inval",
                 "r0 rpcs");
@@ -312,7 +302,6 @@ int main(int argc, char** argv) {
       lp.seed = 42;
       lp.busy_poll = true;  // parked 4-proc racks measure wakeup chains
       lp.l1_capacity = l1_on ? l1_cap : 0;
-      lp.l1_policy = l1_policy;
       lp.transport = SweepTransport(TransportKind::kShm);
       const RankedRun run = RunRankedRack(lp);
       const LiveReport& lr = run.report;
@@ -330,8 +319,7 @@ int main(int argc, char** argv) {
               : 0.0;
       char label[128];
       std::snprintf(label, sizeof(label),
-                    "live ccKVS/SC node-skew 4proc-shm l1=%s/%s",
-                    l1_on ? "on" : "off", ToString(l1_policy));
+                    "live ccKVS/SC node-skew 4proc-shm l1=%s", l1_on ? "on" : "off");
       auto fields = LiveReportFields(lr);
       fields.emplace_back("rack_mrps", rack_mrps);
       if (l1_on) {
@@ -422,7 +410,6 @@ int main(int argc, char** argv) {
     // strided ranks make the tier actually fill and serve, so a hot-path
     // allocation hiding in the probe/fill/invalidate paths aborts the bench.
     lp.l1_capacity = 128;
-    lp.l1_policy = l1_policy;
     lp.workload.node_rank_stride = 1'000;
     lp.prefill_store = true;
     lp.track_allocs = true;

@@ -6,7 +6,7 @@
 //   $ ./multiproc_rack --transport=socket      # 4 ranks over UDS
 //   $ ./multiproc_rack --nodes=8 --ops=50000 --consistency=sc --epochs --drift
 //   $ ./multiproc_rack --trace=/tmp/rack.json --trace-sample=8   # per-op traces
-//   $ ./multiproc_rack --l1=256 --l1-policy=clock   # node-private L1 tails
+//   $ ./multiproc_rack --l1=256                # node-private L1 tails
 //
 // This process becomes rank 0: RunRankedRack (runtime/multiproc.h) forks
 // ranks 1..N-1, runs its own node, and collects every rank's artifact; the
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::uint64_t trace_sample = 64;
   std::uint64_t l1_capacity = 0;
-  L1Policy l1_policy = L1Policy::kLru;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -66,11 +65,6 @@ int main(int argc, char** argv) {
                     : std::strcmp(v, "on") == 0
                         ? 256
                         : std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--l1-policy=")) {
-      if (!ParseL1Policy(v, &l1_policy)) {
-        std::fprintf(stderr, "--l1-policy must be lru, clock or lfu\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -102,7 +96,6 @@ int main(int argc, char** argv) {
     // verdict below must stay clean exactly as without the tier — that IS
     // the demo.
     params.l1_capacity = l1_capacity;
-    params.l1_policy = l1_policy;
     params.workload.node_rank_stride = params.workload.keyspace / 16;
   }
   // Every rank writes PATH.rank<N>; rank 0 merges them below.
@@ -123,8 +116,7 @@ int main(int argc, char** argv) {
               consistency.c_str(), epochs ? ", online epochs" : "",
               drift ? ", drift" : "");
   if (l1_capacity > 0) {
-    std::printf(", L1 %llu/%s", static_cast<unsigned long long>(l1_capacity),
-                ToString(l1_policy));
+    std::printf(", L1 %llu", static_cast<unsigned long long>(l1_capacity));
   }
   std::printf("\n");
 

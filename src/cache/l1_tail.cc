@@ -16,14 +16,15 @@ std::size_t NextPow2(std::size_t n) {
 
 }  // namespace
 
-L1TailCache::L1TailCache(std::size_t capacity, L1Policy policy,
+L1TailCache::L1TailCache(std::size_t capacity, L1Policy /*policy: LRU*/,
                          std::uint32_t value_bytes)
     : capacity_(capacity > 0 ? capacity : 1),
-      policy_(MakeReplacementPolicy(policy, capacity_)),
       index_(NextPow2(capacity_ * 2), kEmpty),
       index_mask_(index_.size() - 1),
       keys_(capacity_, 0),
-      ts_(capacity_) {
+      ts_(capacity_),
+      prev_(capacity_, kNil),
+      next_(capacity_, kNil) {
   values_.resize(capacity_);
   free_.reserve(capacity_);
   for (std::size_t s = capacity_; s-- > 0;) {
@@ -82,11 +83,47 @@ void L1TailCache::IndexEraseAt(std::size_t pos) {
   }
 }
 
+void L1TailCache::Unlink(std::size_t slot) {
+  const std::size_t p = prev_[slot];
+  const std::size_t n = next_[slot];
+  if (p == kNil) {
+    head_ = n;
+  } else {
+    next_[p] = n;
+  }
+  if (n == kNil) {
+    tail_ = p;
+  } else {
+    prev_[n] = p;
+  }
+  prev_[slot] = kNil;
+  next_[slot] = kNil;
+}
+
+void L1TailCache::PushFront(std::size_t slot) {
+  prev_[slot] = kNil;
+  next_[slot] = head_;
+  if (head_ != kNil) {
+    prev_[head_] = slot;
+  }
+  head_ = slot;
+  if (tail_ == kNil) {
+    tail_ = slot;
+  }
+}
+
+void L1TailCache::Touch(std::size_t slot) {
+  if (head_ != slot) {
+    Unlink(slot);
+    PushFront(slot);
+  }
+}
+
 void L1TailCache::EraseSlot(std::size_t slot) {
   const std::size_t pos = FindIndexPos(keys_[slot]);
   CCKVS_CHECK(pos < index_.size());
   IndexEraseAt(pos);
-  policy_->OnErase(slot);
+  Unlink(slot);
   values_[slot].clear();  // keeps the reservation; drops the stale bytes
   free_.push_back(static_cast<std::uint32_t>(slot));
   --live_;
@@ -101,7 +138,7 @@ bool L1TailCache::Get(Key key, Value* value, Timestamp* ts) {
   const std::size_t slot = static_cast<std::size_t>(index_[pos]);
   value->assign(values_[slot]);
   *ts = ts_[slot];
-  policy_->OnAccess(slot);
+  Touch(slot);
   ++stats_.hits;
   return true;
 }
@@ -127,13 +164,13 @@ void L1TailCache::Fill(Key key, const Value& value, Timestamp ts) {
     const std::size_t slot = static_cast<std::size_t>(index_[pos]);
     values_[slot].assign(value);
     ts_[slot] = ts;
-    policy_->OnAccess(slot);
+    Touch(slot);
     ++stats_.fills;
     return;
   }
   if (free_.empty()) {
-    const std::size_t victim = policy_->Victim();
-    EraseSlot(victim);
+    CCKVS_CHECK(tail_ != kNil);
+    EraseSlot(tail_);
     ++stats_.evictions;
   }
   const std::size_t slot = static_cast<std::size_t>(free_.back());
@@ -142,7 +179,7 @@ void L1TailCache::Fill(Key key, const Value& value, Timestamp ts) {
   values_[slot].assign(value);
   ts_[slot] = ts;
   IndexInsert(key, slot);
-  policy_->OnInsert(slot);
+  PushFront(slot);
   ++live_;
   ++stats_.fills;
 }

@@ -18,23 +18,28 @@
 //    shard path could not have served, and per-key SC/Lin histories are
 //    unchanged (docs/ARCHITECTURE.md, "Hierarchical caching").
 //
-// Replacement is pluggable (cache/replacement.h): the cache owns the
-// key->slot index and slot storage; the policy ranks slots.  Everything is
-// preallocated — open-addressing index (backward-shift deletion, no
-// tombstones), slot arrays, and Value slots reserved at value_bytes — so a
-// warmed L1 runs allocation-free inside the alloc_assert audit.
+// Replacement is LRU: an exact recency list threaded through the slots
+// (prev/next slot arrays, no nodes), so a hit moves its slot to the front and
+// a fill into a full cache evicts the tail.  Everything is preallocated —
+// open-addressing index (backward-shift deletion, no tombstones), slot
+// arrays, and Value slots reserved at value_bytes — so a warmed L1 runs
+// allocation-free inside the alloc_assert audit.
 
 #ifndef CCKVS_CACHE_L1_TAIL_H_
 #define CCKVS_CACHE_L1_TAIL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/cache/replacement.h"
 #include "src/common/types.h"
 
 namespace cckvs {
+
+// The L1's replacement policy.  LRU is the only one; the enum, the
+// LiveRackParams::l1_policy field and the constructor argument stay only
+// because the repository benchmark's driver names them, and go with the next
+// change to that benchmark.
+enum class L1Policy : std::uint8_t { kLru = 0 };
 
 class L1TailCache {
  public:
@@ -43,7 +48,7 @@ class L1TailCache {
     std::uint64_t misses = 0;         // Get() probe on a non-resident key
     std::uint64_t fills = 0;          // admissions (insert or refresh)
     std::uint64_t invalidations = 0;  // write-through drops of a resident key
-    std::uint64_t evictions = 0;      // capacity evictions (policy victims)
+    std::uint64_t evictions = 0;      // capacity evictions (LRU victims)
   };
 
   // value_bytes sizes the per-slot Value reservation; values longer than the
@@ -51,19 +56,20 @@ class L1TailCache {
   L1TailCache(std::size_t capacity, L1Policy policy, std::uint32_t value_bytes);
 
   // Read probe.  On hit copies the private value/timestamp out (into a
-  // caller-owned, typically prewarmed buffer) and notifies the policy.
+  // caller-owned, typically prewarmed buffer) and makes the key the most
+  // recently used.
   bool Get(Key key, Value* value, Timestamp* ts);
 
-  // Membership probe without stats or policy effects (tier-exclusivity
+  // Membership probe without stats or recency effects (tier-exclusivity
   // checks, tests).
   bool Contains(Key key) const;
 
-  // Timestamp of a resident key without touching policy state; false when
-  // absent.  Used by tests to cross-check invalidation behaviour.
+  // Timestamp of a resident key without touching recency; false when absent.
+  // Used by tests to cross-check invalidation behaviour.
   bool PeekTimestamp(Key key, Timestamp* ts) const;
 
-  // Admits (or refreshes) `key` with an authoritative value+timestamp.
-  // Evicts the policy's victim when full.
+  // Admits (or refreshes) `key` with an authoritative value+timestamp, as the
+  // most recently used.  Evicts the least recently used key when full.
   void Fill(Key key, const Value& value, Timestamp ts);
 
   // Write-through invalidation: drops the private copy if resident.
@@ -75,11 +81,11 @@ class L1TailCache {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return live_; }
-  const char* policy_name() const { return policy_->name(); }
   const Stats& stats() const { return stats_; }
 
  private:
   static constexpr std::int32_t kEmpty = -1;
+  static constexpr std::size_t kNil = static_cast<std::size_t>(-1);
 
   // HashIndex's bits (src/common/hash.h), not the routed low bits: a ranked
   // Lin rack admits only self-homed keys, which all share those.
@@ -89,9 +95,12 @@ class L1TailCache {
   void IndexInsert(Key key, std::size_t slot);
   void IndexEraseAt(std::size_t pos);
   void EraseSlot(std::size_t slot);
+  // Recency list; Touch makes a live slot the most recently used.
+  void Unlink(std::size_t slot);
+  void PushFront(std::size_t slot);
+  void Touch(std::size_t slot);
 
   std::size_t capacity_;
-  std::unique_ptr<ReplacementPolicy> policy_;
 
   // Open-addressing index: position -> slot id (kEmpty = free).  Sized to a
   // power of two >= 2x capacity, so load factor stays <= 0.5.
@@ -104,6 +113,13 @@ class L1TailCache {
   std::vector<Timestamp> ts_;
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;
+
+  // Recency order over live slots: a doubly-linked list through prev_/next_,
+  // most recently used at head_, the eviction victim at tail_.
+  std::vector<std::size_t> prev_;
+  std::vector<std::size_t> next_;
+  std::size_t head_ = kNil;
+  std::size_t tail_ = kNil;
 
   Stats stats_;
 };

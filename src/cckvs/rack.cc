@@ -14,6 +14,7 @@
 #include "src/protocol/messages.h"
 #include "src/rdma/flow_control.h"
 #include "src/rdma/verbs.h"
+#include "src/runtime/wire_codec.h"
 
 namespace cckvs {
 namespace {
@@ -29,6 +30,30 @@ constexpr SimTime kClientParseNs = 20;  // request ingest before any probe
 
 // Per-message framing bytes inside a coalesced packet (counted as header).
 constexpr std::uint32_t kCoalesceFramingBytes = 2;
+
+// Every datagram body is one WireBatch frame (runtime/wire_codec.h), the
+// encoding the live rack's cross-process backends put on their wires.
+std::shared_ptr<const Buffer> Frame(const WireBatch& batch) {
+  auto body = std::make_shared<Buffer>();
+  SerializeWireBatch(batch, body.get());
+  return body;
+}
+
+template <typename Msg>
+std::shared_ptr<const Buffer> Frame(NodeId src, const Msg& msg) {
+  WireBatch batch;
+  batch.src = src;
+  batch.Append(msg);
+  return Frame(batch);
+}
+
+// Every frame comes from a RackNode, so one that does not decode is a bug.
+WireBatch Unframe(const Datagram& dg) {
+  WireBatch batch;
+  CCKVS_CHECK(TryDeserializeWireBatch(*dg.body, &batch));
+  CCKVS_CHECK(!batch.empty());
+  return batch;
+}
 
 }  // namespace
 
@@ -64,7 +89,15 @@ class RackNode final : public MessageSink, public HotSetHost {
   void MaybeRetryDeferred();
   // Posts `body` to every peer on the control QP; returns the send CPU cost.
   SimTime BroadcastControl(std::shared_ptr<const Buffer> body, TrafficClass cls,
-                           std::uint32_t payload_bytes_override = 0);
+                           std::uint32_t payload_bytes);
+  // Broadcasts one kControl message, which puts its encoded body (the frame
+  // less its batch header) on the wire.
+  template <typename Msg>
+  SimTime BroadcastControlMsg(const Msg& msg) {
+    std::shared_ptr<const Buffer> body = Frame(id_, msg);
+    const auto payload = static_cast<std::uint32_t>(body->size() - kWireBatchHeaderBytes);
+    return BroadcastControl(std::move(body), TrafficClass::kControl, payload);
+  }
 
   // --- Introspection ---
   const SymmetricCache* cache() const { return cache_.get(); }
@@ -106,12 +139,10 @@ class RackNode final : public MessageSink, public HotSetHost {
     std::shared_ptr<const Buffer> body;
   };
 
-  struct ReqCoalesceBuf {
-    std::vector<RpcRequest> reqs;
-    std::uint32_t payload_bytes = 0;
-  };
-  struct RespCoalesceBuf {
-    std::vector<RpcResponse> resps;
+  // The open RPC packet toward one peer in one traffic class: a single
+  // message without coalescing, up to coalesce_max_batch with it (§8.5).
+  struct RpcPacket {
+    WireBatch batch;
     std::uint32_t payload_bytes = 0;
   };
 
@@ -146,12 +177,16 @@ class RackNode final : public MessageSink, public HotSetHost {
 
   // RPC path.
   void StartRpc(std::uint32_t slot, NodeId home);
-  void EnqueueRpc(std::uint32_t slot, NodeId home);
-  void FlushRequestBuffer(NodeId dst);
-  void RespondRpc(NodeId dst, RpcResponse resp, OpType op_type);
-  void FlushResponseBuffer(NodeId dst);
+  void SendRequest(std::uint32_t slot, NodeId home);
+  // Adds one request or response to the open packet for (dst, cls), and
+  // ships it when coalescing is off or the packet is full.  `dst_qpn` is
+  // where a lone message goes; a coalesced packet goes to kQpRpcBase.
+  template <typename Msg>
+  void EnqueueRpc(NodeId dst, TrafficClass cls, const Msg& msg,
+                  std::uint32_t payload_bytes, std::uint16_t dst_qpn);
+  void FlushRpc(NodeId dst, TrafficClass cls, std::uint16_t dst_qpn);
+  RpcPacket& RpcPacketFor(NodeId dst, TrafficClass cls);
   void DrainPendingRpc(NodeId peer);
-  std::uint32_t RequestPayloadBytes(const Op& op) const;
   std::uint32_t RequestPayloadBytes(const RpcRequest& req) const;
   std::uint32_t ResponsePayloadBytes(OpType op) const;
 
@@ -169,7 +204,6 @@ class RackNode final : public MessageSink, public HotSetHost {
   void OnConsistencyRecv(const Datagram& dg);
   void OnCreditRecv(const Datagram& dg);
   void OnControlRecv(const Datagram& dg);
-  void HandleFills(const Datagram& dg);
 
   RackSimulation* rack_;
   NodeId id_;
@@ -211,8 +245,8 @@ class RackNode final : public MessageSink, public HotSetHost {
   // launch a write's updates without credits; the op waits, throttling writers
   // to the fabric's consistency-message drain rate).
   std::deque<std::uint32_t> parked_sc_writes_;
-  std::vector<ReqCoalesceBuf> req_coalesce_;
-  std::vector<RespCoalesceBuf> resp_coalesce_;
+  // Open RPC packets per peer: [0] requests, [1] responses (RpcPacketFor).
+  std::vector<RpcPacket> rpc_packets_[2];
 
   std::uint64_t completed_ = 0;
   std::uint64_t hit_completed_ = 0;
@@ -334,8 +368,9 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
 
   pending_rpc_.resize(static_cast<std::size_t>(p.num_nodes));
   pending_bcast_.resize(static_cast<std::size_t>(p.num_nodes));
-  req_coalesce_.resize(static_cast<std::size_t>(p.num_nodes));
-  resp_coalesce_.resize(static_cast<std::size_t>(p.num_nodes));
+  for (std::vector<RpcPacket>& lane : rpc_packets_) {
+    lane.resize(static_cast<std::size_t>(p.num_nodes));
+  }
 }
 
 void RackNode::PrefillHotSet(const std::vector<Key>& hot_keys) {
@@ -600,13 +635,6 @@ void RackNode::RetryGatedShardOps() {
   }
 }
 
-std::uint32_t RackNode::RequestPayloadBytes(const Op& op) const {
-  const WireFormat& wf = params().wire;
-  return op.type == OpType::kGet
-             ? wf.request_payload
-             : wf.request_payload + static_cast<std::uint32_t>(op.value.size());
-}
-
 std::uint32_t RackNode::RequestPayloadBytes(const RpcRequest& req) const {
   const WireFormat& wf = params().wire;
   return req.op == OpType::kGet
@@ -625,121 +653,71 @@ void RackNode::StartRpc(std::uint32_t slot, NodeId home) {
     pending_rpc_[home].push_back(slot);
     return;
   }
-  EnqueueRpc(slot, home);
+  SendRequest(slot, home);
 }
 
-void RackNode::EnqueueRpc(std::uint32_t slot, NodeId home) {
+void RackNode::SendRequest(std::uint32_t slot, NodeId home) {
   const OpState& st = ops_[slot];
   RpcRequest req;
   req.op_id = slot;
   req.op = st.op.type;
   req.key = st.op.key;
   req.value = st.op.value;
-
-  const RackParams& p = params();
-  if (p.coalescing) {
-    ReqCoalesceBuf& buf = req_coalesce_[home];
-    if (buf.reqs.empty()) {
-      sim().After(p.coalesce_window_ns, [this, home] { FlushRequestBuffer(home); });
-    }
-    buf.payload_bytes += RequestPayloadBytes(req);
-    buf.reqs.push_back(std::move(req));
-    if (static_cast<int>(buf.reqs.size()) >= p.coalesce_max_batch) {
-      FlushRequestBuffer(home);
-    }
-    return;
-  }
-
-  auto body = std::make_shared<Buffer>();
-  const std::uint32_t nominal = RequestPayloadBytes(req);
-  SerializeBatch(std::vector<RpcRequest>{req}, body.get());
-  UdQp::SendWr wr;
-  wr.dst = home;
-  wr.dst_qpn = static_cast<std::uint16_t>(
+  const auto qpn = static_cast<std::uint16_t>(
       kQpRpcBase + (rpc_qps_.size() > 1 ? KvsThreadFor(req.key) : 0));
-  wr.cls = TrafficClass::kRemoteRequest;
-  wr.header_bytes = p.wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = nominal;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
+  EnqueueRpc(home, TrafficClass::kRemoteRequest, req, RequestPayloadBytes(req), qpn);
 }
 
-void RackNode::FlushRequestBuffer(NodeId dst) {
-  ReqCoalesceBuf& buf = req_coalesce_[dst];
-  if (buf.reqs.empty()) {
-    return;
-  }
-  auto body = std::make_shared<Buffer>();
-  SerializeBatch(buf.reqs, body.get());
-  UdQp::SendWr wr;
-  wr.dst = dst;
-  wr.dst_qpn = kQpRpcBase;
-  wr.cls = TrafficClass::kRemoteRequest;
-  wr.header_bytes = params().wire.header_bytes +
-                    kCoalesceFramingBytes * static_cast<std::uint32_t>(buf.reqs.size());
-  wr.body = std::move(body);
-  wr.payload_bytes_override = buf.payload_bytes;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
-  buf.reqs.clear();
-  buf.payload_bytes = 0;
+RackNode::RpcPacket& RackNode::RpcPacketFor(NodeId dst, TrafficClass cls) {
+  return rpc_packets_[cls == TrafficClass::kRemoteRequest ? 0 : 1][dst];
 }
 
-void RackNode::RespondRpc(NodeId dst, RpcResponse resp, OpType op_type) {
+template <typename Msg>
+void RackNode::EnqueueRpc(NodeId dst, TrafficClass cls, const Msg& msg,
+                          std::uint32_t payload_bytes, std::uint16_t dst_qpn) {
   const RackParams& p = params();
-  if (p.coalescing) {
-    RespCoalesceBuf& buf = resp_coalesce_[dst];
-    if (buf.resps.empty()) {
-      sim().After(p.coalesce_window_ns, [this, dst] { FlushResponseBuffer(dst); });
-    }
-    buf.payload_bytes += ResponsePayloadBytes(op_type);
-    buf.resps.push_back(std::move(resp));
-    if (static_cast<int>(buf.resps.size()) >= p.coalesce_max_batch) {
-      FlushResponseBuffer(dst);
-    }
-    return;
+  RpcPacket& pkt = RpcPacketFor(dst, cls);
+  if (p.coalescing && pkt.batch.empty()) {
+    sim().After(p.coalesce_window_ns,
+                [this, dst, cls] { FlushRpc(dst, cls, kQpRpcBase); });
   }
-  auto body = std::make_shared<Buffer>();
-  const std::uint32_t nominal = ResponsePayloadBytes(op_type);
-  SerializeBatch(std::vector<RpcResponse>{resp}, body.get());
-  UdQp::SendWr wr;
-  wr.dst = dst;
-  wr.dst_qpn = kQpRpcBase;
-  wr.cls = TrafficClass::kRemoteResponse;
-  wr.header_bytes = p.wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = nominal;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
+  pkt.batch.Append(msg);
+  pkt.payload_bytes += payload_bytes;
+  if (!p.coalescing) {
+    FlushRpc(dst, cls, dst_qpn);
+  } else if (static_cast<int>(pkt.batch.size()) >= p.coalesce_max_batch) {
+    FlushRpc(dst, cls, kQpRpcBase);
+  }
 }
 
-void RackNode::FlushResponseBuffer(NodeId dst) {
-  RespCoalesceBuf& buf = resp_coalesce_[dst];
-  if (buf.resps.empty()) {
+void RackNode::FlushRpc(NodeId dst, TrafficClass cls, std::uint16_t dst_qpn) {
+  RpcPacket& pkt = RpcPacketFor(dst, cls);
+  if (pkt.batch.empty()) {
     return;
   }
-  auto body = std::make_shared<Buffer>();
-  SerializeBatch(buf.resps, body.get());
+  pkt.batch.src = id_;
   UdQp::SendWr wr;
   wr.dst = dst;
-  wr.dst_qpn = kQpRpcBase;
-  wr.cls = TrafficClass::kRemoteResponse;
-  wr.header_bytes = params().wire.header_bytes +
-                    kCoalesceFramingBytes * static_cast<std::uint32_t>(buf.resps.size());
-  wr.body = std::move(body);
-  wr.payload_bytes_override = buf.payload_bytes;
+  wr.dst_qpn = dst_qpn;
+  wr.cls = cls;
+  wr.header_bytes = params().wire.header_bytes;
+  if (params().coalescing) {
+    wr.header_bytes +=
+        kCoalesceFramingBytes * static_cast<std::uint32_t>(pkt.batch.size());
+  }
+  wr.body = Frame(pkt.batch);
+  wr.payload_bytes_override = pkt.payload_bytes;
   const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
   workers_->Submit(cpu, nullptr);
-  buf.resps.clear();
-  buf.payload_bytes = 0;
+  pkt.batch.clear();
+  pkt.payload_bytes = 0;
 }
 
 void RackNode::DrainPendingRpc(NodeId peer) {
   while (!pending_rpc_[peer].empty() && rpc_credits_.TryAcquire(peer)) {
     const std::uint32_t slot = pending_rpc_[peer].front();
     pending_rpc_[peer].pop_front();
-    EnqueueRpc(slot, peer);
+    SendRequest(slot, peer);
   }
 }
 
@@ -802,8 +780,7 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
   if (p.kind == SystemKind::kCentralCache) {
     return;  // single cache copy: no sharers to update
   }
-  auto body = std::make_shared<Buffer>();
-  Serialize(msg, body.get());
+  const std::shared_ptr<const Buffer> body = Frame(id_, msg);
   const std::uint32_t payload =
       p.wire.update_base_payload + static_cast<std::uint32_t>(msg.value.size());
 
@@ -857,8 +834,7 @@ void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
   if (p.kind == SystemKind::kCentralCache) {
     return;  // single cache copy: nothing to invalidate
   }
-  auto body = std::make_shared<Buffer>();
-  Serialize(msg, body.get());
+  const std::shared_ptr<const Buffer> body = Frame(id_, msg);
   std::vector<UdQp::SendWr> batch;
   for (int j = 0; j < p.num_nodes; ++j) {
     if (j != id_) {
@@ -876,14 +852,12 @@ void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
 void RackNode::SendAck(NodeId to, const AckMsg& msg) {
   // Acks are responses to invalidations: the writer's outstanding invalidations
   // bound them, so they ride on implicit credits (§6.3).
-  auto body = std::make_shared<Buffer>();
-  Serialize(msg, body.get());
   UdQp::SendWr wr;
   wr.dst = to;
   wr.dst_qpn = kQpConsistency;
   wr.cls = TrafficClass::kAck;
   wr.header_bytes = params().wire.header_bytes;
-  wr.body = std::move(body);
+  wr.body = Frame(id_, msg);
   wr.payload_bytes_override = params().wire.ack_payload;
   const SimTime cpu = consistency_qp_->PostSendBatch({wr});
   workers_->Submit(cpu, nullptr);
@@ -930,78 +904,57 @@ void RackNode::MaybeSendCreditUpdate(NodeId peer) {
 
 void RackNode::OnRpcRecv(const Datagram& dg) {
   const RackParams& p = params();
-  if (dg.cls == TrafficClass::kRemoteRequest) {
-    const auto reqs = DeserializeRequests(*dg.body);
-    for (const RpcRequest& req : reqs) {
+  WireBatch batch = Unframe(dg);
+  if (std::holds_alternative<RpcRequest>(batch[0])) {
+    for (const WireBody& body : batch) {
+      const RpcRequest& req = std::get<RpcRequest>(body);
       KvsPoolFor(req.key).Submit(
           p.cpu.rpc_handle_ns + p.cpu.kvs_op_ns + p.nic.recv_post_ns,
           [this, req, src = dg.src] {
             ExecuteKvsOpAsync(req, [this, src, op = req.op](const RpcResponse& resp) {
-              RespondRpc(src, resp, op);
+              EnqueueRpc(src, TrafficClass::kRemoteResponse, resp,
+                         ResponsePayloadBytes(op), kQpRpcBase);
             });
           });
     }
     return;
   }
-  CCKVS_CHECK(dg.cls == TrafficClass::kRemoteResponse);
-  const auto resps = DeserializeResponses(*dg.body);
-  workers_->Submit(
-      p.cpu.resp_handle_ns * resps.size() + p.nic.recv_post_ns,
-      [this, resps, src = dg.src] {
-        for (const RpcResponse& resp : resps) {
-          rpc_credits_.Release(src);
-          const std::uint32_t slot = resp.op_id;
-          CompleteOp(slot, resp.value, resp.ts, false);
-        }
-        DrainPendingRpc(src);
-      });
+  const SimTime cost = p.cpu.resp_handle_ns * batch.size() + p.nic.recv_post_ns;
+  workers_->Submit(cost, [this, batch = std::move(batch), src = dg.src] {
+    for (const WireBody& body : batch) {
+      const RpcResponse& resp = std::get<RpcResponse>(body);
+      rpc_credits_.Release(src);
+      CompleteOp(resp.op_id, resp.value, resp.ts, false);
+    }
+    DrainPendingRpc(src);
+  });
 }
 
 void RackNode::OnConsistencyRecv(const Datagram& dg) {
   const RackParams& p = params();
   consistency_qp_->PostRecvs(1);
-  switch (dg.cls) {
-    case TrafficClass::kUpdate: {
-      workers_->Submit(p.cpu.upd_apply_ns, [this, dg] {
-        const UpdateMsg msg = DeserializeUpdate(*dg.body);
-        if (cache_->Find(msg.key) != nullptr) {
-          engine_->OnUpdate(dg.src, msg);
-        } else if (rack_->HomeOf(msg.key) == id_) {
-          // The key churned out of the hot set mid-write: complete the
-          // write-back directly into the home shard.
-          PartitionFor(msg.key).Apply(msg.key, msg.value, msg.ts);
-        } else if (hot_mgr_ != nullptr) {
-          // Uncached and homed elsewhere: our membership lags an announce in
-          // flight.  Remember the update so a stashed fill cannot resurrect
-          // an older value (hot_set_manager.h, fill-vs-announce race).
-          hot_mgr_->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
-        }
-        MaybeSendCreditUpdate(dg.src);
+  const NodeId src = dg.src;
+  for (const WireBody& body : Unframe(dg)) {
+    if (const auto* upd = std::get_if<UpdateMsg>(&body)) {
+      workers_->Submit(p.cpu.upd_apply_ns, [this, src, msg = *upd] {
+        DeliverUpdate(src, msg, *cache_, engine_.get(), hot_mgr_.get(),
+                      [this](Key key) {
+                        return rack_->HomeOf(key) == id_ ? &PartitionFor(key) : nullptr;
+                      });
+        MaybeSendCreditUpdate(src);
         MaybeRetryDeferred();
       });
-      break;
-    }
-    case TrafficClass::kInvalidation: {
-      workers_->Submit(p.cpu.inv_apply_ns, [this, dg] {
-        const InvalidateMsg msg = DeserializeInvalidate(*dg.body);
-        if (hot_mgr_ != nullptr && cache_->Find(msg.key) == nullptr) {
-          hot_mgr_->NoteUncachedInvalidate(msg.key, msg.ts);
-        }
-        engine_->OnInvalidate(dg.src, msg);  // acks unconditionally, even if cold
-        MaybeSendCreditUpdate(dg.src);
+    } else if (const auto* inv = std::get_if<InvalidateMsg>(&body)) {
+      workers_->Submit(p.cpu.inv_apply_ns, [this, src, msg = *inv] {
+        DeliverInvalidate(src, msg, *cache_, engine_.get(), hot_mgr_.get());
+        MaybeSendCreditUpdate(src);
       });
-      break;
-    }
-    case TrafficClass::kAck: {
-      workers_->Submit(p.cpu.ack_apply_ns, [this, dg] {
-        const AckMsg msg = DeserializeAck(*dg.body);
-        engine_->OnAck(dg.src, msg);
+    } else {
+      workers_->Submit(p.cpu.ack_apply_ns, [this, src, msg = std::get<AckMsg>(body)] {
+        engine_->OnAck(src, msg);
         MaybeRetryDeferred();  // the ack may have completed a deferring write
       });
-      break;
     }
-    default:
-      CCKVS_CHECK(false && "unexpected class on consistency QP");
   }
 }
 
@@ -1036,8 +989,7 @@ void RackNode::OnCreditRecv(const Datagram& dg) {
 // ---------------------------------------------------------------------------
 
 SimTime RackNode::BroadcastControl(std::shared_ptr<const Buffer> body,
-                                   TrafficClass cls,
-                                   std::uint32_t payload_bytes_override) {
+                                   TrafficClass cls, std::uint32_t payload_bytes) {
   std::vector<UdQp::SendWr> batch;
   for (int j = 0; j < params().num_nodes; ++j) {
     if (j == id_) {
@@ -1049,7 +1001,7 @@ SimTime RackNode::BroadcastControl(std::shared_ptr<const Buffer> body,
     wr.cls = cls;
     wr.header_bytes = params().wire.header_bytes;
     wr.body = body;
-    wr.payload_bytes_override = payload_bytes_override;
+    wr.payload_bytes_override = payload_bytes;
     batch.push_back(std::move(wr));
   }
   return control_qp_->PostSendBatch(batch);
@@ -1057,9 +1009,7 @@ SimTime RackNode::BroadcastControl(std::shared_ptr<const Buffer> body,
 
 void RackNode::AnnounceHotSet(const HotSetAnnounceMsg& msg) {
   // Coordinator broadcast (control class), then local installation.
-  auto body = std::make_shared<Buffer>();
-  SerializeHotSet(msg, body.get());
-  const SimTime cpu = BroadcastControl(std::move(body), TrafficClass::kControl);
+  const SimTime cpu = BroadcastControlMsg(msg);
   workers_->Submit(cpu, [this, msg] { ApplyAnnounce(msg); });
 }
 
@@ -1095,27 +1045,24 @@ RackNode::FillSnapshot RackNode::GateAndSnapshot(Key key) {
 void RackNode::PublishFills(const std::vector<FillMsg>& fills) {
   const RackParams& p = params();
   constexpr std::size_t kChunk = 32;
+  WireBatch chunk;
+  chunk.src = id_;
   for (std::size_t base = 0; base < fills.size(); base += kChunk) {
-    const std::size_t count = std::min(kChunk, fills.size() - base);
-    std::vector<FillMsg> chunk(fills.begin() + static_cast<std::ptrdiff_t>(base),
-                               fills.begin() + static_cast<std::ptrdiff_t>(base + count));
-    auto body = std::make_shared<Buffer>();
-    SerializeBatch(chunk, body.get());
+    const std::size_t end = std::min(base + kChunk, fills.size());
+    chunk.clear();
     std::uint32_t payload = 0;
-    for (const FillMsg& f : chunk) {
-      payload += p.wire.update_base_payload + static_cast<std::uint32_t>(f.value.size());
+    for (std::size_t i = base; i < end; ++i) {
+      chunk.Append(fills[i]);
+      payload +=
+          p.wire.update_base_payload + static_cast<std::uint32_t>(fills[i].value.size());
     }
-    const SimTime cpu =
-        BroadcastControl(std::move(body), TrafficClass::kCacheFill, payload);
+    const SimTime cpu = BroadcastControl(Frame(chunk), TrafficClass::kCacheFill, payload);
     workers_->Submit(cpu, nullptr);
   }
 }
 
 void RackNode::PublishInstalled(const EpochInstalledMsg& msg) {
-  auto body = std::make_shared<Buffer>();
-  SerializeEpochInstalled(msg, body.get());
-  const SimTime cpu = BroadcastControl(std::move(body), TrafficClass::kControl);
-  workers_->Submit(cpu, nullptr);
+  workers_->Submit(BroadcastControlMsg(msg), nullptr);
 }
 
 void RackNode::LiftGate(Key key) {
@@ -1124,42 +1071,37 @@ void RackNode::LiftGate(Key key) {
 
 void RackNode::OnControlRecv(const Datagram& dg) {
   control_qp_->PostRecvs(1);
-  if (dg.cls == TrafficClass::kControl) {
-    if (PeekControlTag(*dg.body) == kCtrlTagHotSet) {
-      workers_->Submit(200, [this, dg] { ApplyAnnounce(DeserializeHotSet(*dg.body)); });
-    } else {
-      // Barrier confirmations ride the same FIFO fabric lanes as the sender's
-      // pre-install updates, and the worker pool starts jobs in delivery
-      // order.  Processing a confirmation at (at least) the update-apply cost
-      // makes it also *finish* after every earlier-delivered update has been
-      // applied, so a lifted gate can never expose a shard read to a value
-      // the barrier was waiting to drain.
-      workers_->Submit(params().cpu.upd_apply_ns, [this, dg] {
-        if (hot_mgr_ == nullptr) {
-          return;
-        }
-        const EpochInstalledMsg msg = DeserializeEpochInstalled(*dg.body);
-        hot_mgr_->DrivePeerInstalled(dg.src, msg.epoch);
-        RetryGatedShardOps();  // lifted gates release parked shard ops
-      });
-    }
-    return;
+  WireBatch batch = Unframe(dg);
+  if (const auto* hot = std::get_if<HotSetAnnounceMsg>(&batch[0])) {
+    workers_->Submit(200, [this, msg = *hot] { ApplyAnnounce(msg); });
+  } else if (const auto* installed = std::get_if<EpochInstalledMsg>(&batch[0])) {
+    // Barrier confirmations ride the same FIFO fabric lanes as the sender's
+    // pre-install updates, and the worker pool starts jobs in delivery
+    // order.  Processing a confirmation at (at least) the update-apply cost
+    // makes it also *finish* after every earlier-delivered update has been
+    // applied, so a lifted gate can never expose a shard read to a value
+    // the barrier was waiting to drain.
+    workers_->Submit(params().cpu.upd_apply_ns,
+                     [this, src = dg.src, epoch = installed->epoch] {
+                       if (hot_mgr_ == nullptr) {
+                         return;
+                       }
+                       hot_mgr_->DrivePeerInstalled(src, epoch);
+                       RetryGatedShardOps();  // lifted gates release parked shard ops
+                     });
+  } else {
+    // A chunk of cache fills, applied as one job.
+    workers_->Submit(params().cpu.upd_apply_ns, [this, batch = std::move(batch)] {
+      if (hot_mgr_ == nullptr) {
+        return;
+      }
+      for (const WireBody& body : batch) {
+        hot_mgr_->ApplyFill(std::get<FillMsg>(body));
+      }
+      MaybeRetryDeferred();   // fills may have released reader-parked evictions
+      RetryGatedShardOps();   // a filled key now serves parked ops via the cache
+    });
   }
-  CCKVS_CHECK(dg.cls == TrafficClass::kCacheFill);
-  HandleFills(dg);
-}
-
-void RackNode::HandleFills(const Datagram& dg) {
-  workers_->Submit(params().cpu.upd_apply_ns, [this, dg] {
-    if (hot_mgr_ == nullptr) {
-      return;
-    }
-    for (const FillMsg& f : DeserializeFills(*dg.body)) {
-      hot_mgr_->ApplyFill(f);
-    }
-    MaybeRetryDeferred();   // fills may have released reader-parked evictions
-    RetryGatedShardOps();   // a filled key now serves parked ops via the cache
-  });
 }
 
 RackNode::Snapshot RackNode::TakeSnapshot() const {

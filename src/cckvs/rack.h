@@ -70,6 +70,8 @@ class RackSimulation {
   // The hot-set subsystem of a node (nullptr unless online_topk); node 0 is
   // the coordinator.
   const HotSetManager* hot_set_manager(NodeId node) const;
+  // The simulated fabric, whose stats count every byte put on the wire.
+  const Network& network() const { return *net_; }
   NodeId HomeOf(Key key) const;
   // kCentralCache routing: whether `key` belongs to the (static) hot set held
   // by the dedicated cache node.

@@ -1,19 +1,15 @@
 // RPC request/response formats for the FaSST-style remote KVS access path
 // (§6.1): efficient single-key GET/PUT operations over UD sends.
 //
-// Packets may carry several requests or responses when request coalescing is on
-// (§8.5); the count rides first.  The `payload_bytes` put on the simulated wire
-// comes from WireFormat (the paper's calibrated sizes), not from the size of
-// these semantic buffers.
+// A packet carries several requests or responses when request coalescing is
+// on (§8.5).  Both hosts encode them with runtime/wire_codec.h; the
+// `payload_bytes` the simulator puts on its wire come from WireFormat (the
+// paper's calibrated sizes), not from the encoded length.
 
 #ifndef CCKVS_CCKVS_RPC_MESSAGES_H_
 #define CCKVS_CCKVS_RPC_MESSAGES_H_
 
-#include <vector>
-
 #include "src/common/types.h"
-#include "src/rdma/serialize.h"
-#include "src/topk/hot_set_messages.h"
 
 namespace cckvs {
 
@@ -43,135 +39,6 @@ struct RpcResponse {
   // either side of a trace can be reconstructed from a capture.
   std::uint64_t trace_id = 0;
 };
-
-inline void SerializeBatch(const std::vector<RpcRequest>& reqs, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU16(static_cast<std::uint16_t>(reqs.size()));
-  for (const RpcRequest& r : reqs) {
-    w.PutU32(r.op_id);
-    w.PutU8(static_cast<std::uint8_t>(r.op));
-    w.PutU64(r.key);
-    if (r.op == OpType::kPut) {
-      w.PutString(r.value);
-    }
-  }
-}
-
-inline std::vector<RpcRequest> DeserializeRequests(const Buffer& in) {
-  BufferReader r(in);
-  const std::uint16_t count = r.GetU16();
-  std::vector<RpcRequest> reqs(count);
-  for (RpcRequest& req : reqs) {
-    req.op_id = r.GetU32();
-    req.op = static_cast<OpType>(r.GetU8());
-    req.key = r.GetU64();
-    if (req.op == OpType::kPut) {
-      req.value = r.GetString();
-    }
-  }
-  return reqs;
-}
-
-inline void SerializeBatch(const std::vector<RpcResponse>& resps, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU16(static_cast<std::uint16_t>(resps.size()));
-  for (const RpcResponse& resp : resps) {
-    w.PutU32(resp.op_id);
-    w.PutU32(resp.ts.clock);
-    w.PutU8(resp.ts.writer);
-    w.PutU8(resp.gated ? 1 : 0);
-    w.PutString(resp.value);
-  }
-}
-
-inline std::vector<RpcResponse> DeserializeResponses(const Buffer& in) {
-  BufferReader r(in);
-  const std::uint16_t count = r.GetU16();
-  std::vector<RpcResponse> resps(count);
-  for (RpcResponse& resp : resps) {
-    resp.op_id = r.GetU32();
-    resp.ts.clock = r.GetU32();
-    resp.ts.writer = static_cast<NodeId>(r.GetU8());
-    resp.gated = r.GetU8() != 0;
-    resp.value = r.GetString();
-  }
-  return resps;
-}
-
-// Cache-fill batch (epoch hot-set installation; FillMsg lives in
-// src/topk/hot_set_messages.h with the rest of the epoch machinery types).
-inline void SerializeBatch(const std::vector<FillMsg>& fills, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU16(static_cast<std::uint16_t>(fills.size()));
-  for (const FillMsg& f : fills) {
-    w.PutU64(f.key);
-    w.PutU32(f.ts.clock);
-    w.PutU8(f.ts.writer);
-    w.PutU64(f.epoch);
-    w.PutString(f.value);
-  }
-}
-
-inline std::vector<FillMsg> DeserializeFills(const Buffer& in) {
-  BufferReader r(in);
-  const std::uint16_t count = r.GetU16();
-  std::vector<FillMsg> fills(count);
-  for (FillMsg& f : fills) {
-    f.key = r.GetU64();
-    f.ts.clock = r.GetU32();
-    f.ts.writer = static_cast<NodeId>(r.GetU8());
-    f.epoch = r.GetU64();
-    f.value = r.GetString();
-  }
-  return fills;
-}
-
-// Control-QP messages share TrafficClass::kControl; a leading tag byte
-// demultiplexes them.
-constexpr std::uint8_t kCtrlTagHotSet = 1;
-constexpr std::uint8_t kCtrlTagEpochInstalled = 2;
-
-inline std::uint8_t PeekControlTag(const Buffer& in) {
-  CCKVS_CHECK(!in.empty());
-  return in[0];
-}
-
-// Hot-set announcement from the epoch coordinator.
-inline void SerializeHotSet(const HotSetAnnounceMsg& msg, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU8(kCtrlTagHotSet);
-  w.PutU64(msg.epoch);
-  w.PutU32(static_cast<std::uint32_t>(msg.keys.size()));
-  for (const Key k : msg.keys) {
-    w.PutU64(k);
-  }
-}
-
-inline HotSetAnnounceMsg DeserializeHotSet(const Buffer& in) {
-  BufferReader r(in);
-  CCKVS_CHECK(r.GetU8() == kCtrlTagHotSet);
-  HotSetAnnounceMsg msg;
-  msg.epoch = r.GetU64();
-  const std::uint32_t count = r.GetU32();
-  msg.keys.resize(count);
-  for (Key& k : msg.keys) {
-    k = r.GetU64();
-  }
-  return msg;
-}
-
-// Install-barrier confirmation (the sender id travels as the message source).
-inline void SerializeEpochInstalled(const EpochInstalledMsg& msg, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU8(kCtrlTagEpochInstalled);
-  w.PutU64(msg.epoch);
-}
-
-inline EpochInstalledMsg DeserializeEpochInstalled(const Buffer& in) {
-  BufferReader r(in);
-  CCKVS_CHECK(r.GetU8() == kCtrlTagEpochInstalled);
-  return EpochInstalledMsg{r.GetU64()};
-}
 
 }  // namespace cckvs
 

@@ -1,10 +1,10 @@
-// Consistency-protocol messages (§5.2) and their wire serialization.
+// Consistency-protocol messages (§5.2).  Their byte encoding, shared by the
+// simulator and the live rack, is runtime/wire_codec.h.
 
 #ifndef CCKVS_PROTOCOL_MESSAGES_H_
 #define CCKVS_PROTOCOL_MESSAGES_H_
 
 #include "src/common/types.h"
-#include "src/rdma/serialize.h"
 
 namespace cckvs {
 
@@ -27,56 +27,6 @@ struct AckMsg {
   Key key = 0;
   Timestamp ts{};
 };
-
-inline void Serialize(const UpdateMsg& m, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU64(m.key);
-  w.PutU32(m.ts.clock);
-  w.PutU8(m.ts.writer);
-  w.PutString(m.value);
-}
-
-inline UpdateMsg DeserializeUpdate(const Buffer& in) {
-  BufferReader r(in);
-  UpdateMsg m;
-  m.key = r.GetU64();
-  m.ts.clock = r.GetU32();
-  m.ts.writer = static_cast<NodeId>(r.GetU8());
-  m.value = r.GetString();
-  return m;
-}
-
-inline void Serialize(const InvalidateMsg& m, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU64(m.key);
-  w.PutU32(m.ts.clock);
-  w.PutU8(m.ts.writer);
-}
-
-inline InvalidateMsg DeserializeInvalidate(const Buffer& in) {
-  BufferReader r(in);
-  InvalidateMsg m;
-  m.key = r.GetU64();
-  m.ts.clock = r.GetU32();
-  m.ts.writer = static_cast<NodeId>(r.GetU8());
-  return m;
-}
-
-inline void Serialize(const AckMsg& m, Buffer* out) {
-  BufferWriter w(out);
-  w.PutU64(m.key);
-  w.PutU32(m.ts.clock);
-  w.PutU8(m.ts.writer);
-}
-
-inline AckMsg DeserializeAck(const Buffer& in) {
-  BufferReader r(in);
-  AckMsg m;
-  m.key = r.GetU64();
-  m.ts.clock = r.GetU32();
-  m.ts.writer = static_cast<NodeId>(r.GetU8());
-  return m;
-}
 
 }  // namespace cckvs
 

@@ -1,9 +1,10 @@
-// Flat little-endian serialization for RPC and consistency messages.
+// Flat little-endian byte writer for messages on the wire.
 //
-// Messages travel through the simulated fabric as byte buffers, exactly as they
-// would through a real UD send: senders serialize, receivers deserialize.  This
-// keeps the transport honest (sizes on the wire are real) and gives the tests a
-// natural round-trip property to check.
+// Messages travel through the simulated fabric and the live rack's
+// cross-process backends as byte buffers, exactly as they would through a
+// real UD send: senders serialize, receivers deserialize.  The one message
+// codec built on this writer, and its bounds-checked reader, is
+// runtime/wire_codec.h.
 
 #ifndef CCKVS_RDMA_SERIALIZE_H_
 #define CCKVS_RDMA_SERIALIZE_H_
@@ -46,40 +47,6 @@ class BufferWriter {
   }
 
   Buffer* out_;
-};
-
-class BufferReader {
- public:
-  explicit BufferReader(const Buffer& in) : in_(in) {}
-
-  std::uint8_t GetU8() { return GetLe<std::uint8_t>(); }
-  std::uint16_t GetU16() { return GetLe<std::uint16_t>(); }
-  std::uint32_t GetU32() { return GetLe<std::uint32_t>(); }
-  std::uint64_t GetU64() { return GetLe<std::uint64_t>(); }
-  std::string GetString() {
-    const std::uint32_t len = GetU32();
-    CCKVS_CHECK_LE(pos_ + len, in_.size());
-    std::string s(reinterpret_cast<const char*>(in_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-  bool AtEnd() const { return pos_ == in_.size(); }
-  std::size_t remaining() const { return in_.size() - pos_; }
-
- private:
-  template <typename T>
-  T GetLe() {
-    CCKVS_CHECK_LE(pos_ + sizeof(T), in_.size());
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(in_[pos_ + i]) << (8 * i));
-    }
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  const Buffer& in_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace cckvs

@@ -55,180 +55,15 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <type_traits>
-#include <utility>
-#include <variant>
 #include <vector>
 
-#include "src/cckvs/rpc_messages.h"
 #include "src/common/histogram.h"
 #include "src/common/types.h"
-#include "src/protocol/messages.h"
-#include "src/runtime/control_messages.h"
-#include "src/topk/hot_set_messages.h"
+#include "src/runtime/wire_codec.h"
 
 namespace cckvs {
 
 class Tracer;  // runtime/tracing.h; batch-residence spans are optional
-
-// One message on the live fabric: the consistency protocol's three classes,
-// the hot-set subsystem's epoch traffic, the §6.1 RPC miss path (ranked
-// cross-process racks can't read a remote rank's shards through a seqlock, so
-// remote-homed misses travel as RpcRequest/RpcResponse), and the ranked
-// termination handshake (control_messages.h).  Epoch messages ride the same
-// credited lanes as broadcasts, which both bounds them under the §6.3 credit
-// scheme and keeps them FIFO behind the updates a node sent earlier — the
-// ordering the install barrier depends on (hot_set_manager.h).  RPC and Term*
-// traffic is uncredited like acks: responses answer requests one-for-one
-// (bounded by the requester's session window), and at most one probe/status
-// per peer is outstanding per termination round.
-using WireBody =
-    std::variant<UpdateMsg, InvalidateMsg, AckMsg, HotSetAnnounceMsg, FillMsg,
-                 EpochInstalledMsg, RpcRequest, RpcResponse, TermProbeMsg,
-                 TermStatusMsg, TermHaltMsg>;
-
-// Credited lanes spend §6.3 broadcast credits; everything else rides implicit
-// credits (acks answer invalidations, responses answer requests, Term* is
-// bounded per round).  Receivers must count and return credits for exactly
-// the credited classes or the sender's pool leaks/overflows.
-inline bool IsCredited(const WireBody& body) {
-  return std::holds_alternative<UpdateMsg>(body) ||
-         std::holds_alternative<InvalidateMsg>(body) ||
-         std::holds_alternative<HotSetAnnounceMsg>(body) ||
-         std::holds_alternative<FillMsg>(body) ||
-         std::holds_alternative<EpochInstalledMsg>(body);
-}
-
-// Termination-detection control traffic is excluded from the sent/processed
-// counters it is trying to balance (control_messages.h).
-template <typename T>
-inline constexpr bool kIsTermControl = std::is_same_v<T, TermProbeMsg> ||
-                                       std::is_same_v<T, TermStatusMsg> ||
-                                       std::is_same_v<T, TermHaltMsg>;
-inline bool IsTermControl(const WireBody& body) {
-  return std::visit(
-      [](const auto& m) { return kIsTermControl<std::decay_t<decltype(m)>>; }, body);
-}
-
-// Position of alternative T in WireBody.
-template <typename T, std::size_t I = 0>
-constexpr std::size_t WireIndexOf() {
-  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, WireBody>>) {
-    return I;
-  } else {
-    return WireIndexOf<T, I + 1>();
-  }
-}
-
-// N same-destination messages sharing one channel push and one source id.
-//
-// Zero-alloc by design: the slot vector never shrinks.  clear() resets the
-// logical count without destroying slots, and every append (typed, by value,
-// or a decode) lands in a slot that already holds its alternative when one
-// is spare — so a recycled batch whose slot held an UpdateMsg reuses that
-// UpdateMsg's string capacity instead of reconstructing it, even after the
-// batch carried an ack or a termination probe.  Steady-state traffic
-// therefore allocates nothing; only growth beyond the high-water mark or an
-// alternative change with no spare slot pays.
-class WireBatch {
- public:
-  NodeId src = 0;
-
-  // Logical reset: slots (and their string capacity) survive for reuse.
-  void clear() { count_ = 0; }
-
-  // Exposes the next slot, about to hold alternative `index`, for in-place
-  // construction (wire_codec decodes directly into it).  A slot holding
-  // another alternative trades places with a spare that holds `index`
-  // (variant swaps move strings; they never allocate).  With no such spare,
-  // a non-update keeps off a warm update slot while the vector has room for
-  // a fresh one.  Grows the slot vector only past the high-water mark.
-  WireBody& AppendSlot(std::size_t index) {
-    if (count_ == slots_.size()) {
-      slots_.emplace_back();
-    }
-    WireBody& slot = slots_[count_++];
-    if (slot.index() == index) {
-      return slot;
-    }
-    for (std::size_t i = slots_.size(); i-- > count_;) {
-      if (slots_[i].index() == index) {
-        std::swap(slot, slots_[i]);
-        return slot;
-      }
-    }
-    if (std::holds_alternative<UpdateMsg>(slot) &&
-        slots_.size() < slots_.capacity()) {
-      slots_.emplace_back();  // within capacity: `slot` stays valid
-      std::swap(slot, slots_.back());
-    }
-    return slot;
-  }
-
-  // Typed append: assigns into the slot when the alternative matches (string
-  // capacity reuse), otherwise re-seats the variant.
-  template <typename T>
-  void Append(const T& msg) {
-    WireBody& slot = AppendSlot(WireIndexOf<T>());
-    if (auto* p = std::get_if<T>(&slot)) {
-      *p = msg;
-    } else {
-      slot.emplace<T>(msg);
-    }
-  }
-
-  void Append(WireBody&& body) { AppendSlot(body.index()) = std::move(body); }
-
-  // Pre-pays the growth costs a cold batch would otherwise pay mid-run: grows
-  // the slot vector to `slots` entries and reserves `value_bytes` of string
-  // capacity in each (slots default to UpdateMsg — the variant's first
-  // alternative and the only steady-state value carrier), plus room for one
-  // more, so one control message never costs a warm string (AppendSlot).
-  // Idempotent on a warm batch.  WireBatchPool::Prewarm uses this at fabric
-  // init so a measured window never observes first-touch warm-up allocations.
-  void Warm(std::size_t slots, std::size_t value_bytes) {
-    if (slots_.size() < slots) {
-      slots_.reserve(slots + 1);
-      while (slots_.size() < slots) {
-        slots_.emplace_back();
-      }
-    }
-    for (WireBody& slot : slots_) {
-      if (auto* upd = std::get_if<UpdateMsg>(&slot)) {
-        upd->value.reserve(value_bytes);
-      }
-    }
-    count_ = 0;
-  }
-
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  const WireBody& operator[](std::size_t i) const { return slots_[i]; }
-  WireBody& operator[](std::size_t i) { return slots_[i]; }
-  const WireBody* begin() const { return slots_.data(); }
-  const WireBody* end() const { return slots_.data() + count_; }
-
-  WireBatch() = default;
-  WireBatch(const WireBatch&) = default;
-  WireBatch& operator=(const WireBatch&) = default;
-  // Moved-from batches must read as empty: the slot vector moves away, so a
-  // stale count_ would index nothing.
-  WireBatch(WireBatch&& other) noexcept
-      : src(other.src), slots_(std::move(other.slots_)), count_(other.count_) {
-    other.count_ = 0;
-  }
-  WireBatch& operator=(WireBatch&& other) noexcept {
-    src = other.src;
-    slots_ = std::move(other.slots_);
-    count_ = other.count_;
-    other.count_ = 0;
-    return *this;
-  }
-
- private:
-  std::vector<WireBody> slots_;  // live prefix [0, count_); rest are spares
-  std::size_t count_ = 0;
-};
 
 // Free list of warm WireBatches, shared by every endpoint of one fabric.
 // Batches cross threads (sender fills, receiver drains, receiver recycles),

@@ -304,26 +304,14 @@ std::size_t LiveNode::PollInbound(std::size_t max) {
         // written somewhere; the private copy must not outlive it.
         l1_->Invalidate(upd->key);
       }
-      if (cache_->Find(upd->key) != nullptr) {
-        engine_->OnUpdate(src, *upd);
-      } else if (rack_->HomeOf(upd->key) == id_) {
-        // Key not cached here (possible once hot sets churn): complete the
-        // write-back directly into the home shard, as the simulator does.
-        partition_->Apply(upd->key, upd->value, upd->ts);
-      } else if (hot_mgr_ != nullptr) {
-        // Uncached and homed elsewhere: our membership lags an announce in
-        // flight.  Remember the update so a stashed fill cannot resurrect an
-        // older value (hot_set_manager.h, fill-vs-announce race).
-        hot_mgr_->NoteUncachedUpdate(upd->key, upd->value, upd->ts);
-      }
+      DeliverUpdate(src, *upd, *cache_, engine_.get(), hot_mgr_.get(), [this](Key key) {
+        return rack_->HomeOf(key) == id_ ? partition_.get() : nullptr;
+      });
     } else if (const auto* inv = std::get_if<InvalidateMsg>(&body)) {
       if (l1_ != nullptr) {
         l1_->Invalidate(inv->key);
       }
-      if (hot_mgr_ != nullptr && cache_->Find(inv->key) == nullptr) {
-        hot_mgr_->NoteUncachedInvalidate(inv->key, inv->ts);
-      }
-      engine_->OnInvalidate(src, *inv);  // acks unconditionally
+      DeliverInvalidate(src, *inv, *cache_, engine_.get(), hot_mgr_.get());
     } else if (const auto* ack = std::get_if<AckMsg>(&body)) {
       engine_->OnAck(src, *ack);
     } else if (const auto* hot = std::get_if<HotSetAnnounceMsg>(&body)) {

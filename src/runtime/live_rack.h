@@ -65,6 +65,8 @@ struct LiveRackParams {
   // unchanged.  Worth turning on when per-node popularity diverges from the
   // rack-wide ranking (workload.node_rank_stride > 0).
   std::size_t l1_capacity = 0;
+  // LRU, the only policy; kept because the repository benchmark's driver
+  // sets it, and goes with the next change to that benchmark.
   L1Policy l1_policy = L1Policy::kLru;
 
   int window_per_node = 8;              // concurrent closed-loop sessions

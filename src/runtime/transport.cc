@@ -151,18 +151,6 @@ void LiveTransport::Endpoint::HarvestCredits(NodeId peer) {
   }
 }
 
-void LiveTransport::Endpoint::SendCredited(NodeId to, WireBody body) {
-  HarvestCredits(to);
-  // A non-empty pending queue means this peer's credits ran dry earlier;
-  // jumping the queue would reorder invalidation vs. update, so append.
-  if (!pending_[to].empty() || !bcast_credits_.TryAcquire(to)) {
-    ++credit_parks_;
-    pending_[to].push_back(std::move(body));
-    return;
-  }
-  Enqueue(to, std::move(body));
-}
-
 template <typename T>
 void LiveTransport::Endpoint::BroadcastCredited(const T& msg,
                                                 std::uint64_t* counter) {

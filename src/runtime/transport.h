@@ -224,7 +224,6 @@ class LiveTransport {
     friend class LiveTransport;
 
     TransportFabric& fabric() const { return *transport_->fabric_; }
-    void SendCredited(NodeId to, WireBody body);
     void HarvestCredits(NodeId peer);
     // Commits one data message to delivery: counts it in data_sent(), appends
     // it to the peer's open batch, and ships the batch if it hit the size cap.
@@ -246,8 +245,10 @@ class LiveTransport {
       }
     }
 
-    // Typed SendCredited: same credit protocol as the WireBody overload; only
-    // the (rare) credit-parked path still materializes a WireBody.
+    // Credited send: spends a §6.3 broadcast credit for `to`, or parks the
+    // message behind that peer's earlier parked ones until credits return
+    // (jumping the queue would reorder invalidation vs. update).  Only the
+    // (rare) credit-parked path materializes a WireBody.
     template <typename T>
     void SendCreditedTyped(NodeId to, const T& msg) {
       HarvestCredits(to);
@@ -290,9 +291,6 @@ class LiveTransport {
 
   // In ranked mode only the local rank's endpoint exists.
   Endpoint& endpoint(NodeId id) { return *endpoints_[id]; }
-  bool has_endpoint(NodeId id) const {
-    return id < endpoints_.size() && endpoints_[id] != nullptr;
-  }
   const Config& config() const { return config_; }
 
   TransportFabric& fabric() { return *fabric_; }

@@ -1,23 +1,32 @@
-// WireBatch <-> byte-frame codec for the cross-process transport backends.
+// The messages every node exchanges, and their one byte encoding.
 //
-// The in-process fabric moves WireBatch values directly; the shm-ring and
-// socket backends move byte frames, exactly as a real UD send would.  This
-// codec is the boundary: little-endian flat encoding via rdma/serialize.h
-// (the same writer the simulated fabric uses), one tag byte per message,
-// batch framing of
+// WireBody is one message: §5.2 updates, invalidations and acks, §6.1 RPCs,
+// §4 epoch traffic and the live rack's termination handshake.  WireBatch is
+// N of them from one source, and it is the unit both hosts put on a wire:
+// the simulator's RackNode encodes every datagram body as one WireBatch
+// frame, and the live rack's shm-ring and socket backends move the same
+// frames (the in-process fabric moves WireBatch values directly).  Encoding
+// is little-endian via rdma/serialize.h, one tag byte per message, batch
+// framing of
 //
 //   [u8 src] [u16 count] count x ( [u8 tag] body )
 //
 // and nothing else — transport-level length prefixes belong to the backend
-// (the shm ring and the socket stream each add their own [u32 len]).
+// (the shm ring and the socket stream each add their own [u32 len]).  The
+// simulator prices its datagrams with the paper's calibrated sizes
+// (WireFormat), not with these byte counts.
 //
 // Decoding NEVER trusts the buffer: TryDeserializeWireBatch returns false on
 // any truncation, trailing garbage, unknown tag or length overflow instead of
 // aborting, so a malformed or short frame from a dying peer surfaces as a
 // transport error, not corruption (the fault-injection tests drive exactly
-// this).  Header fields are endianness-stable by construction — serialize.h
-// writes little-endian bytes explicitly, so frames are portable across hosts
-// regardless of native byte order.
+// this).  The simulator, whose frames all come from its own nodes, treats a
+// failed decode as a fatal check.  Header fields are endianness-stable by
+// construction — serialize.h writes little-endian bytes explicitly, so
+// frames are portable across hosts regardless of native byte order.
+//
+// Header-only over the message headers, so the simulator uses it without
+// linking the live runtime.
 
 #ifndef CCKVS_RUNTIME_WIRE_CODEC_H_
 #define CCKVS_RUNTIME_WIRE_CODEC_H_
@@ -25,12 +34,180 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
+#include <vector>
 
+#include "src/cckvs/rpc_messages.h"
+#include "src/common/types.h"
+#include "src/protocol/messages.h"
 #include "src/rdma/serialize.h"
-#include "src/runtime/coalescer.h"
+#include "src/runtime/control_messages.h"
+#include "src/topk/hot_set_messages.h"
 
 namespace cckvs {
+
+// One message between nodes: the consistency protocol's three classes, the
+// hot-set subsystem's epoch traffic, the §6.1 RPC miss path (ranked
+// cross-process racks can't read a remote rank's shards through a seqlock, so
+// remote-homed misses travel as RpcRequest/RpcResponse), and the ranked
+// termination handshake (control_messages.h).  In the live rack, epoch
+// messages ride the same credited lanes as broadcasts, which both bounds them
+// under the §6.3 credit scheme and keeps them FIFO behind the updates a node
+// sent earlier — the ordering the install barrier depends on
+// (hot_set_manager.h).  RPC and Term* traffic is uncredited like acks:
+// responses answer requests one-for-one (bounded by the requester's session
+// window), and at most one probe/status per peer is outstanding per
+// termination round.
+using WireBody =
+    std::variant<UpdateMsg, InvalidateMsg, AckMsg, HotSetAnnounceMsg, FillMsg,
+                 EpochInstalledMsg, RpcRequest, RpcResponse, TermProbeMsg,
+                 TermStatusMsg, TermHaltMsg>;
+
+// Credited lanes spend §6.3 broadcast credits; everything else rides implicit
+// credits (acks answer invalidations, responses answer requests, Term* is
+// bounded per round).  Receivers must count and return credits for exactly
+// the credited classes or the sender's pool leaks/overflows.
+inline bool IsCredited(const WireBody& body) {
+  return std::holds_alternative<UpdateMsg>(body) ||
+         std::holds_alternative<InvalidateMsg>(body) ||
+         std::holds_alternative<HotSetAnnounceMsg>(body) ||
+         std::holds_alternative<FillMsg>(body) ||
+         std::holds_alternative<EpochInstalledMsg>(body);
+}
+
+// Termination-detection control traffic is excluded from the sent/processed
+// counters it is trying to balance (control_messages.h).
+template <typename T>
+inline constexpr bool kIsTermControl = std::is_same_v<T, TermProbeMsg> ||
+                                       std::is_same_v<T, TermStatusMsg> ||
+                                       std::is_same_v<T, TermHaltMsg>;
+inline bool IsTermControl(const WireBody& body) {
+  return std::visit(
+      [](const auto& m) { return kIsTermControl<std::decay_t<decltype(m)>>; }, body);
+}
+
+// Position of alternative T in WireBody.
+template <typename T, std::size_t I = 0>
+constexpr std::size_t WireIndexOf() {
+  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, WireBody>>) {
+    return I;
+  } else {
+    return WireIndexOf<T, I + 1>();
+  }
+}
+
+// N same-destination messages sharing one channel push and one source id.
+//
+// Zero-alloc by design: the slot vector never shrinks.  clear() resets the
+// logical count without destroying slots, and every append (typed, by value,
+// or a decode) lands in a slot that already holds its alternative when one
+// is spare — so a recycled batch whose slot held an UpdateMsg reuses that
+// UpdateMsg's string capacity instead of reconstructing it, even after the
+// batch carried an ack or a termination probe.  Steady-state traffic
+// therefore allocates nothing; only growth beyond the high-water mark or an
+// alternative change with no spare slot pays.
+class WireBatch {
+ public:
+  NodeId src = 0;
+
+  // Logical reset: slots (and their string capacity) survive for reuse.
+  void clear() { count_ = 0; }
+
+  // Exposes the next slot, about to hold alternative `index`, for in-place
+  // construction (wire_codec decodes directly into it).  A slot holding
+  // another alternative trades places with a spare that holds `index`
+  // (variant swaps move strings; they never allocate).  With no such spare,
+  // a non-update keeps off a warm update slot while the vector has room for
+  // a fresh one.  Grows the slot vector only past the high-water mark.
+  WireBody& AppendSlot(std::size_t index) {
+    if (count_ == slots_.size()) {
+      slots_.emplace_back();
+    }
+    WireBody& slot = slots_[count_++];
+    if (slot.index() == index) {
+      return slot;
+    }
+    for (std::size_t i = slots_.size(); i-- > count_;) {
+      if (slots_[i].index() == index) {
+        std::swap(slot, slots_[i]);
+        return slot;
+      }
+    }
+    if (std::holds_alternative<UpdateMsg>(slot) &&
+        slots_.size() < slots_.capacity()) {
+      slots_.emplace_back();  // within capacity: `slot` stays valid
+      std::swap(slot, slots_.back());
+    }
+    return slot;
+  }
+
+  // Typed append: assigns into the slot when the alternative matches (string
+  // capacity reuse), otherwise re-seats the variant.
+  template <typename T>
+  void Append(const T& msg) {
+    WireBody& slot = AppendSlot(WireIndexOf<T>());
+    if (auto* p = std::get_if<T>(&slot)) {
+      *p = msg;
+    } else {
+      slot.emplace<T>(msg);
+    }
+  }
+
+  void Append(WireBody&& body) { AppendSlot(body.index()) = std::move(body); }
+
+  // Pre-pays the growth costs a cold batch would otherwise pay mid-run: grows
+  // the slot vector to `slots` entries and reserves `value_bytes` of string
+  // capacity in each (slots default to UpdateMsg — the variant's first
+  // alternative and the only steady-state value carrier), plus room for one
+  // more, so one control message never costs a warm string (AppendSlot).
+  // Idempotent on a warm batch.  WireBatchPool::Prewarm uses this at fabric
+  // init so a measured window never observes first-touch warm-up allocations.
+  void Warm(std::size_t slots, std::size_t value_bytes) {
+    if (slots_.size() < slots) {
+      slots_.reserve(slots + 1);
+      while (slots_.size() < slots) {
+        slots_.emplace_back();
+      }
+    }
+    for (WireBody& slot : slots_) {
+      if (auto* upd = std::get_if<UpdateMsg>(&slot)) {
+        upd->value.reserve(value_bytes);
+      }
+    }
+    count_ = 0;
+  }
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  const WireBody& operator[](std::size_t i) const { return slots_[i]; }
+  WireBody& operator[](std::size_t i) { return slots_[i]; }
+  const WireBody* begin() const { return slots_.data(); }
+  const WireBody* end() const { return slots_.data() + count_; }
+
+  WireBatch() = default;
+  WireBatch(const WireBatch&) = default;
+  WireBatch& operator=(const WireBatch&) = default;
+  // Moved-from batches must read as empty: the slot vector moves away, so a
+  // stale count_ would index nothing.
+  WireBatch(WireBatch&& other) noexcept
+      : src(other.src), slots_(std::move(other.slots_)), count_(other.count_) {
+    other.count_ = 0;
+  }
+  WireBatch& operator=(WireBatch&& other) noexcept {
+    src = other.src;
+    slots_ = std::move(other.slots_);
+    count_ = other.count_;
+    other.count_ = 0;
+    return *this;
+  }
+
+ private:
+  std::vector<WireBody> slots_;  // live prefix [0, count_); rest are spares
+  std::size_t count_ = 0;
+};
+
 
 // One byte on the wire per message.  Values are load-bearing: they are the
 // cross-process ABI, so append — never renumber.
@@ -53,9 +230,9 @@ enum class WireTag : std::uint8_t {
 static_assert(static_cast<std::size_t>(WireTag::kTermHalt) ==
               std::variant_size_v<WireBody>);
 
-// Bounds-checked little-endian reader: every Get returns false instead of
-// aborting when the buffer runs out.  The deliberate non-throwing counterpart
-// of serialize.h's BufferReader, for frames that cross a trust boundary.
+// Bounds-checked little-endian reader, the counterpart of serialize.h's
+// BufferWriter: every Get returns false instead of aborting when the buffer
+// runs out, for frames that cross a trust boundary.
 class SafeReader {
  public:
   SafeReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
@@ -293,6 +470,9 @@ inline bool TryDeserializeWireBody(SafeReader* r, WireBody* out) {
   }
   return false;  // unknown tag
 }
+
+// A frame's batch header, [u8 src] [u16 count], ahead of its messages.
+inline constexpr std::size_t kWireBatchHeaderBytes = 3;
 
 inline void SerializeWireBatch(const WireBatch& batch, Buffer* out) {
   CCKVS_CHECK_LE(batch.size(),

@@ -9,9 +9,9 @@
 // it through the HotSetHost hooks (hot_set_host.h), so the discrete-event
 // RackSimulation, the live multithreaded LiveRack and the model checker's
 // transition scope all run the identical logic — hosts differ only in how the
-// published messages travel (serialized control/fill packets vs. in-process
-// channel variants vs. explicit FIFO lanes) and in where ops parked on the
-// shard residency gate wait.
+// published messages travel (WireBatch frames on the simulated or the live
+// fabric vs. the model checker's explicit FIFO lanes) and in where ops parked
+// on the shard residency gate wait.
 //
 // Protocol safety has two parts:
 //
@@ -237,6 +237,40 @@ class HotSetManager {
   std::unordered_map<Key, std::uint64_t> pending_clear_;
   std::vector<std::uint64_t> installed_;  // per-node installed epoch, self included
 };
+
+// The inbound consistency rules, one copy for every host (RackNode, LiveNode
+// and the model checker), so the fill-vs-announce fix above lives in one
+// place.  Hosts keep their own costs, credit returns, retries and L1 drops
+// around these calls.  `hot_mgr` is null on a host without online epochs.
+//
+// An update goes to the engine while the key is cached here.  An uncached
+// key completes its write-back into the home shard when this node is its
+// home — `home_shard(key)` returns that shard, or null when the key is homed
+// elsewhere — and is otherwise recorded ahead of its pending admission.
+template <typename HomeShard>
+void DeliverUpdate(NodeId src, const UpdateMsg& msg, const SymmetricCache& cache,
+                   CoherenceEngine* engine, HotSetManager* hot_mgr,
+                   HomeShard&& home_shard) {
+  if (cache.Find(msg.key) != nullptr) {
+    engine->OnUpdate(src, msg);
+  } else if (auto* shard = home_shard(msg.key)) {
+    shard->Apply(msg.key, msg.value, msg.ts);
+  } else if (hot_mgr != nullptr) {
+    hot_mgr->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
+  }
+}
+
+// An invalidation of an uncached key is recorded ahead of its pending
+// admission, and the engine always sees it: it acks even when cold, because
+// the writer counts every peer's ack.
+inline void DeliverInvalidate(NodeId src, const InvalidateMsg& msg,
+                              const SymmetricCache& cache, CoherenceEngine* engine,
+                              HotSetManager* hot_mgr) {
+  if (hot_mgr != nullptr && cache.Find(msg.key) == nullptr) {
+    hot_mgr->NoteUncachedInvalidate(msg.key, msg.ts);
+  }
+  engine->OnInvalidate(src, msg);
+}
 
 }  // namespace cckvs
 

@@ -697,25 +697,20 @@ class TransitionWorld {
     const auto d = static_cast<std::size_t>(dst);
     switch (msg.type) {
       case TMsg::Type::kInv:
-        if (caches_[d]->Find(msg.key) == nullptr) {
-          managers_[d]->NoteUncachedInvalidate(msg.key, msg.ts);
-        }
-        engines_[d]->OnInvalidate(src, InvalidateMsg{msg.key, msg.ts});
+        DeliverInvalidate(src, InvalidateMsg{msg.key, msg.ts}, *caches_[d],
+                          engines_[d].get(), managers_[d].get());
         break;
       case TMsg::Type::kAck:
         engines_[d]->OnAck(src, AckMsg{msg.key, msg.ts});
         break;
       case TMsg::Type::kUpd:
-        // As both hosts route updates: through the engine while the key is
-        // cached, into the home shard when homed here (a late write-back),
-        // else into the manager's pre-admission record.
-        if (caches_[d]->Find(msg.key) != nullptr) {
-          engines_[d]->OnUpdate(src, UpdateMsg{msg.key, msg.value, msg.ts});
-        } else if (HomeOf(msg.key) == dst) {
-          partitions_[d]->Apply(msg.key, msg.value, msg.ts);
-        } else {
-          managers_[d]->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
-        }
+        // The rule both hosts run (hot_set_manager.h): the engine while the
+        // key is cached, the home shard when homed here (a late write-back),
+        // else the manager's pre-admission record.
+        DeliverUpdate(src, UpdateMsg{msg.key, msg.value, msg.ts}, *caches_[d],
+                      engines_[d].get(), managers_[d].get(), [&](Key key) {
+                        return HomeOf(key) == dst ? partitions_[d].get() : nullptr;
+                      });
         break;
       case TMsg::Type::kFill:
         managers_[d]->ApplyFill(FillMsg{msg.key, msg.value, msg.ts, msg.epoch});

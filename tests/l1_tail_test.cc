@@ -1,15 +1,15 @@
-// Unit tests for the node-private L1 tail tier: the pluggable replacement
-// policies, the L1TailCache itself, the flat Space-Saving admission sketch,
-// and the Partition::PeekTimestamp hook the Lin validation path relies on.
+// Unit tests for the node-private L1 tail tier: the LRU L1TailCache, the flat
+// Space-Saving admission sketch, and the Partition::PeekTimestamp hook the
+// Lin validation path relies on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/cache/l1_tail.h"
-#include "src/cache/replacement.h"
 #include "src/store/partition.h"
 #include "src/topk/flat_space_saving.h"
 #include "src/workload/workload.h"
@@ -18,91 +18,12 @@ namespace cckvs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Replacement policies
-// ---------------------------------------------------------------------------
-
-TEST(ReplacementPolicy, ParseRoundTripsAllNames) {
-  for (const L1Policy p : {L1Policy::kLru, L1Policy::kClock, L1Policy::kLfu}) {
-    L1Policy parsed;
-    ASSERT_TRUE(ParseL1Policy(ToString(p), &parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  L1Policy parsed;
-  EXPECT_FALSE(ParseL1Policy("mru", &parsed));
-}
-
-TEST(ReplacementPolicy, LruEvictsLeastRecentlyTouched) {
-  LruPolicy lru(3);
-  lru.OnInsert(0);
-  lru.OnInsert(1);
-  lru.OnInsert(2);
-  EXPECT_EQ(lru.Victim(), 0u);  // oldest insert
-  lru.OnAccess(0);              // 0 becomes MRU; 1 is now coldest
-  EXPECT_EQ(lru.Victim(), 1u);
-  lru.OnErase(1);
-  lru.OnInsert(1);  // reinserted slot is MRU again
-  EXPECT_EQ(lru.Victim(), 2u);
-}
-
-TEST(ReplacementPolicy, ClockGivesSecondChanceToReferencedSlots) {
-  ClockPolicy clock(3);
-  clock.OnInsert(0);
-  clock.OnInsert(1);
-  clock.OnInsert(2);
-  // All referenced: the hand sweeps 0,1,2 clearing bits, wraps, and takes 0.
-  EXPECT_EQ(clock.Victim(), 0u);
-  // 1 and 2 now have clear bits; a fresh access protects 1, so the hand
-  // (parked past 0) takes 2.
-  clock.OnAccess(1);
-  clock.OnErase(0);
-  clock.OnInsert(0);
-  EXPECT_EQ(clock.Victim(), 2u);
-}
-
-TEST(ReplacementPolicy, LfuEvictsMinimumCountLowestSlot) {
-  LfuPolicy lfu(3);
-  lfu.OnInsert(0);
-  lfu.OnInsert(1);
-  lfu.OnInsert(2);
-  lfu.OnAccess(0);
-  lfu.OnAccess(0);
-  lfu.OnAccess(2);
-  EXPECT_EQ(lfu.Victim(), 1u);  // counts: 3, 1, 2
-  lfu.OnAccess(1);
-  // Tie between slots 1 and 2 at count 2: lowest slot index wins.
-  EXPECT_EQ(lfu.Victim(), 1u);
-}
-
-TEST(ReplacementPolicy, SameEventSequenceEvictsSameSlots) {
-  for (const L1Policy kind : {L1Policy::kLru, L1Policy::kClock, L1Policy::kLfu}) {
-    auto a = MakeReplacementPolicy(kind, 4);
-    auto b = MakeReplacementPolicy(kind, 4);
-    for (std::size_t s = 0; s < 4; ++s) {
-      a->OnInsert(s);
-      b->OnInsert(s);
-    }
-    for (int round = 0; round < 16; ++round) {
-      const auto touch = static_cast<std::size_t>((round * 7 + 3) % 4);
-      a->OnAccess(touch);
-      b->OnAccess(touch);
-      const std::size_t va = a->Victim();
-      ASSERT_EQ(va, b->Victim()) << ToString(kind) << " round " << round;
-      a->OnErase(va);
-      b->OnErase(va);
-      a->OnInsert(va);
-      b->OnInsert(va);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // L1TailCache
 // ---------------------------------------------------------------------------
 
 TEST(L1TailCache, FillGetInvalidate) {
   L1TailCache l1(4, L1Policy::kLru, 16);
   EXPECT_EQ(l1.size(), 0u);
-  EXPECT_STREQ(l1.policy_name(), "lru");
 
   l1.Fill(7, "seven", Timestamp{3, 1});
   Value v;
@@ -136,6 +57,12 @@ TEST(L1TailCache, RefillRefreshesInPlace) {
   EXPECT_EQ(ts, (Timestamp{2, 0}));
 }
 
+std::vector<Key> SortedKeys(const L1TailCache& l1) {
+  std::vector<Key> keys = l1.Keys();
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 TEST(L1TailCache, CapacityEvictionFollowsLruOrder) {
   L1TailCache l1(2, L1Policy::kLru, 8);
   l1.Fill(1, "a", Timestamp{1, 0});
@@ -149,10 +76,57 @@ TEST(L1TailCache, CapacityEvictionFollowsLruOrder) {
   EXPECT_TRUE(l1.Contains(3));
   EXPECT_EQ(l1.stats().evictions, 1u);
   EXPECT_EQ(l1.size(), 2u);
+
+  // A scripted sequence of every operation that touches recency, over
+  // capacity 4.  The expected resident sets are pinned from the LruPolicy
+  // the L1 used to plug in.
+  enum class Step { kFill, kGet, kInvalidate };
+  struct Case {
+    Step step;
+    Key key;
+    std::vector<Key> residents;  // sorted, after the step
+  };
+  const std::vector<Case> script = {
+      {Step::kFill, 1, {1}},
+      {Step::kFill, 2, {1, 2}},
+      {Step::kFill, 3, {1, 2, 3}},
+      {Step::kFill, 4, {1, 2, 3, 4}},
+      {Step::kFill, 1, {1, 2, 3, 4}},        // refresh: 1 becomes MRU
+      {Step::kFill, 5, {1, 3, 4, 5}},        // evicts 2
+      {Step::kGet, 3, {1, 3, 4, 5}},         // hit: 3 becomes MRU
+      {Step::kGet, 9, {1, 3, 4, 5}},         // miss: no effect
+      {Step::kFill, 6, {1, 3, 5, 6}},        // evicts 4
+      {Step::kInvalidate, 5, {1, 3, 6}},
+      {Step::kFill, 7, {1, 3, 6, 7}},        // takes the freed slot
+      {Step::kFill, 8, {3, 6, 7, 8}},        // evicts 1
+      {Step::kGet, 6, {3, 6, 7, 8}},
+      {Step::kFill, 2, {2, 6, 7, 8}},        // evicts 3
+      {Step::kInvalidate, 4, {2, 6, 7, 8}},  // not resident
+      {Step::kFill, 4, {2, 4, 6, 8}},        // evicts 7
+  };
+  L1TailCache script_l1(4, L1Policy::kLru, 8);
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const Case& c = script[i];
+    switch (c.step) {
+      case Step::kFill:
+        script_l1.Fill(c.key, std::to_string(c.key),
+                       Timestamp{static_cast<std::uint32_t>(i), 0});
+        break;
+      case Step::kGet:
+        script_l1.Get(c.key, &v, &ts);
+        break;
+      case Step::kInvalidate:
+        script_l1.Invalidate(c.key);
+        break;
+    }
+    EXPECT_EQ(SortedKeys(script_l1), c.residents) << "after step " << i;
+  }
+  EXPECT_EQ(script_l1.stats().evictions, 5u);
+  EXPECT_EQ(script_l1.stats().invalidations, 1u);
 }
 
 TEST(L1TailCache, KeysAndPeekTimestamp) {
-  L1TailCache l1(4, L1Policy::kClock, 8);
+  L1TailCache l1(4, L1Policy::kLru, 8);
   l1.Fill(10, "x", Timestamp{5, 2});
   l1.Fill(11, "y", Timestamp{6, 3});
   const std::vector<Key> keys = l1.Keys();
@@ -163,35 +137,35 @@ TEST(L1TailCache, KeysAndPeekTimestamp) {
   ASSERT_TRUE(l1.PeekTimestamp(10, &ts));
   EXPECT_EQ(ts, (Timestamp{5, 2}));
   EXPECT_FALSE(l1.PeekTimestamp(12, &ts));
-  // Peeks are policy-invisible: stats unchanged.
+  // Peeks leave stats (and recency) alone.
   EXPECT_EQ(l1.stats().hits, 0u);
   EXPECT_EQ(l1.stats().misses, 0u);
 }
 
-TEST(L1TailCache, SurvivesChurnAcrossAllPolicies) {
+TEST(L1TailCache, SurvivesChurn) {
   // Deletion uses backward-shift open addressing; hammer insert/erase cycles
   // well past capacity to exercise wrap-around and slot recycling.
-  for (const L1Policy kind : {L1Policy::kLru, L1Policy::kClock, L1Policy::kLfu}) {
-    L1TailCache l1(8, kind, 8);
-    for (Key k = 0; k < 512; ++k) {
-      l1.Fill(k, std::to_string(k), Timestamp{static_cast<std::uint32_t>(k), 0});
-      if (k % 3 == 0) {
-        l1.Invalidate(k / 2);
-      }
-      Value v;
-      Timestamp ts;
-      if (l1.Get(k, &v, &ts)) {
-        EXPECT_EQ(v, std::to_string(k));
-      }
-      ASSERT_LE(l1.size(), 8u);
+  L1TailCache l1(8, L1Policy::kLru, 8);
+  for (Key k = 0; k < 512; ++k) {
+    l1.Fill(k, std::to_string(k), Timestamp{static_cast<std::uint32_t>(k), 0});
+    if (k % 3 == 0) {
+      l1.Invalidate(k / 2);
     }
-    // Every surviving resident still round-trips.
-    for (const Key k : l1.Keys()) {
-      Value v;
-      Timestamp ts;
-      ASSERT_TRUE(l1.Get(k, &v, &ts));
+    Value v;
+    Timestamp ts;
+    if (l1.Get(k, &v, &ts)) {
       EXPECT_EQ(v, std::to_string(k));
     }
+    ASSERT_LE(l1.size(), 8u);
+  }
+  // The survivors, pinned from the LruPolicy the L1 used to plug in.
+  EXPECT_EQ(SortedKeys(l1), (std::vector<Key>{504, 505, 506, 507, 508, 509, 510, 511}));
+  // Every surviving resident still round-trips.
+  for (const Key k : l1.Keys()) {
+    Value v;
+    Timestamp ts;
+    ASSERT_TRUE(l1.Get(k, &v, &ts));
+    EXPECT_EQ(v, std::to_string(k));
   }
 }
 

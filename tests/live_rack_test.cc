@@ -375,36 +375,31 @@ TEST(LiveRackTest, PrefilledOnlineTopkStaysConsistent) {
 TEST(LiveRackTest, L1TailStressStaysConsistent) {
   for (const ConsistencyModel model :
        {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
-    for (const L1Policy policy : {L1Policy::kLru, L1Policy::kLfu}) {
-      LiveRackParams p = StressParams(model);
-      p.l1_capacity = 256;
-      p.l1_policy = policy;
-      p.workload.node_rank_stride = 1'024;  // per-node popularity divergence
-      p.ops_per_node = OpsPerNode(120'000, 20'000);
-      p.seed = 29;
-      LiveRack rack(p);
-      const LiveReport r = rack.Run();
-      ExpectHealthyRun(p, r);
-      EXPECT_GT(r.rack.l1_fills, 0u) << "L1 never admitted a key";
-      EXPECT_GT(r.rack.l1_hits, 0u) << "L1 never served a hit";
-      EXPECT_GT(r.rack.l1_invalidations, 0u) << "writes never invalidated";
-      for (NodeId n = 0; n < static_cast<NodeId>(p.num_nodes); ++n) {
-        const L1TailCache* l1 = rack.node(n).l1();
-        ASSERT_NE(l1, nullptr);
-        for (const Key key : l1->Keys()) {
-          EXPECT_EQ(rack.node(n).cache().Find(key), nullptr)
-              << "key " << key << " resident in both tiers on node "
-              << static_cast<int>(n);
-        }
+    LiveRackParams p = StressParams(model);
+    p.l1_capacity = 256;
+    p.workload.node_rank_stride = 1'024;  // per-node popularity divergence
+    p.ops_per_node = OpsPerNode(120'000, 20'000);
+    p.seed = 29;
+    LiveRack rack(p);
+    const LiveReport r = rack.Run();
+    ExpectHealthyRun(p, r);
+    EXPECT_GT(r.rack.l1_fills, 0u) << "L1 never admitted a key";
+    EXPECT_GT(r.rack.l1_hits, 0u) << "L1 never served a hit";
+    EXPECT_GT(r.rack.l1_invalidations, 0u) << "writes never invalidated";
+    for (NodeId n = 0; n < static_cast<NodeId>(p.num_nodes); ++n) {
+      const L1TailCache* l1 = rack.node(n).l1();
+      ASSERT_NE(l1, nullptr);
+      for (const Key key : l1->Keys()) {
+        EXPECT_EQ(rack.node(n).cache().Find(key), nullptr)
+            << "key " << key << " resident in both tiers on node "
+            << static_cast<int>(n);
       }
-      const std::string err = model == ConsistencyModel::kSc
-                                  ? rack.history().CheckPerKeySequentialConsistency()
-                                  : rack.history().CheckPerKeyLinearizability();
-      EXPECT_EQ(err, "") << "model=" << ToString(model)
-                         << " policy=" << ToString(policy);
-      EXPECT_EQ(rack.history().CheckWriteAtomicity(), "")
-          << "model=" << ToString(model) << " policy=" << ToString(policy);
     }
+    const std::string err = model == ConsistencyModel::kSc
+                                ? rack.history().CheckPerKeySequentialConsistency()
+                                : rack.history().CheckPerKeyLinearizability();
+    EXPECT_EQ(err, "") << "model=" << ToString(model);
+    EXPECT_EQ(rack.history().CheckWriteAtomicity(), "") << "model=" << ToString(model);
   }
 }
 
@@ -417,7 +412,6 @@ TEST(LiveRackTest, L1TailUnderEpochChurnStaysConsistent) {
        {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
     LiveRackParams p = StressParams(model);
     p.l1_capacity = 128;
-    p.l1_policy = L1Policy::kClock;
     p.workload.keyspace = 8'192;
     p.workload.node_rank_stride = 512;
     p.workload.drift_period_ops = 15'000;

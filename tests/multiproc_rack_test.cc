@@ -91,7 +91,6 @@ void RunAndCertify(TransportKind kind, ConsistencyModel model,
     // process actually fills its private tier.  The merged histories must
     // stay as checker-clean as without the L1.
     params.l1_capacity = 128;
-    params.l1_policy = L1Policy::kLru;
     params.workload.node_rank_stride = 512;
   }
 

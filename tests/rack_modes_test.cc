@@ -1,11 +1,9 @@
 // Integration tests for optional rack mechanisms: request coalescing, RDMA
-// multicast updates, EREW mode, open-loop load, RPC message round-trips and
-// wire-accounting identities.
+// multicast updates, EREW mode, open-loop load and wire-accounting identities.
 
 #include <gtest/gtest.h>
 
 #include "src/cckvs/rack.h"
-#include "src/cckvs/rpc_messages.h"
 
 namespace cckvs {
 namespace {
@@ -23,69 +21,6 @@ RackParams ModeRack(ConsistencyModel model = ConsistencyModel::kSc) {
   p.record_history = true;
   p.seed = 23;
   return p;
-}
-
-// ---------------------------------------------------------------------------
-// RPC message round-trips
-// ---------------------------------------------------------------------------
-
-TEST(RpcMessages, RequestBatchRoundTrip) {
-  std::vector<RpcRequest> reqs;
-  reqs.push_back(RpcRequest{1, OpType::kGet, 42, ""});
-  reqs.push_back(RpcRequest{2, OpType::kPut, 43, "value-bytes"});
-  reqs.push_back(RpcRequest{900, OpType::kGet, ~0ull, ""});
-  Buffer buf;
-  SerializeBatch(reqs, &buf);
-  const auto out = DeserializeRequests(buf);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].op_id, 1u);
-  EXPECT_EQ(out[0].op, OpType::kGet);
-  EXPECT_EQ(out[1].value, "value-bytes");
-  EXPECT_EQ(out[2].key, ~0ull);
-}
-
-TEST(RpcMessages, ResponseBatchRoundTrip) {
-  std::vector<RpcResponse> resps;
-  resps.push_back(RpcResponse{7, "payload", Timestamp{9, 3}});
-  resps.push_back(RpcResponse{8, "", Timestamp{0, 0}});
-  Buffer buf;
-  SerializeBatch(resps, &buf);
-  const auto out = DeserializeResponses(buf);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].op_id, 7u);
-  EXPECT_EQ(out[0].value, "payload");
-  EXPECT_EQ(out[0].ts, (Timestamp{9, 3}));
-  EXPECT_EQ(out[1].value, "");
-}
-
-TEST(RpcMessages, FillBatchRoundTrip) {
-  std::vector<FillMsg> fills;
-  fills.push_back(FillMsg{11, "hot-value", Timestamp{4, 1}, /*epoch=*/9});
-  Buffer buf;
-  SerializeBatch(fills, &buf);
-  const auto out = DeserializeFills(buf);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].key, 11u);
-  EXPECT_EQ(out[0].value, "hot-value");
-  EXPECT_EQ(out[0].ts, (Timestamp{4, 1}));
-  EXPECT_EQ(out[0].epoch, 9u);
-}
-
-TEST(RpcMessages, HotSetRoundTrip) {
-  const HotSetAnnounceMsg msg{/*epoch=*/3, {5, 7, 11, ~0ull}};
-  Buffer buf;
-  SerializeHotSet(msg, &buf);
-  EXPECT_EQ(PeekControlTag(buf), kCtrlTagHotSet);
-  const HotSetAnnounceMsg out = DeserializeHotSet(buf);
-  EXPECT_EQ(out.epoch, 3u);
-  EXPECT_EQ(out.keys, msg.keys);
-}
-
-TEST(RpcMessages, EpochInstalledRoundTrip) {
-  Buffer buf;
-  SerializeEpochInstalled(EpochInstalledMsg{42}, &buf);
-  EXPECT_EQ(PeekControlTag(buf), kCtrlTagEpochInstalled);
-  EXPECT_EQ(DeserializeEpochInstalled(buf).epoch, 42u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 
 #include "src/cckvs/rack.h"
@@ -246,6 +248,68 @@ TEST(RackEpochs, DriftingHotSetScStaysSequentiallyConsistent) {
   EXPECT_GT(r.epochs, 1u);
   EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "");
   EXPECT_EQ(rack.history().CheckWriteAtomicity(), "");
+}
+
+// ---------------------------------------------------------------------------
+// Pinned simulator output
+// ---------------------------------------------------------------------------
+
+constexpr int kNumClasses = static_cast<int>(TrafficClass::kNumClasses);
+
+struct SimPin {
+  std::uint64_t completed;
+  std::uint64_t updates_sent;
+  std::uint64_t invalidations_sent;
+  std::uint64_t acks_sent;
+  std::uint64_t epochs;
+  // Header + payload bytes per TrafficClass over the whole run, drain
+  // included.
+  std::array<std::uint64_t, kNumClasses> wire_bytes;
+};
+
+// One small drifting run with online top-k and coalescing on, so every
+// message type crosses the simulated fabric: RPCs in coalesced packets,
+// consistency traffic, credits, fills, hot-set announces and install
+// confirmations.  The constants were computed while each message type still
+// had its own serializer; a change to what the simulator sends, to when, or
+// to how many bytes a datagram puts on the wire moves them.
+void ExpectPinned(ConsistencyModel model, const SimPin& want) {
+  RackParams p = SmallRack(SystemKind::kCcKvs, model);
+  p.workload.keyspace = 2000;
+  p.cache_capacity = 64;
+  p.workload.drift_period_ops = 20'000;
+  p.workload.drift_rank_shift = 16;
+  p.workload.write_ratio = 0.1;
+  p.online_topk = true;
+  p.topk_epoch_requests = 2500;
+  p.topk_sample_probability = 0.5;
+  p.coalescing = true;
+  p.seed = 11;
+  RackSimulation rack(p);
+  const RackReport r = rack.Run(400'000, 100'000);
+  EXPECT_EQ(r.completed, want.completed);
+  EXPECT_EQ(r.updates_sent, want.updates_sent);
+  EXPECT_EQ(r.invalidations_sent, want.invalidations_sent);
+  EXPECT_EQ(r.acks_sent, want.acks_sent);
+  EXPECT_EQ(r.epochs, want.epochs);
+  for (int c = 0; c < kNumClasses; ++c) {
+    const auto cls = static_cast<TrafficClass>(c);
+    EXPECT_EQ(rack.network().stats().total_bytes(cls),
+              want.wire_bytes[static_cast<std::size_t>(c)])
+        << ToString(cls);
+  }
+}
+
+TEST(RackPinned, ScRunIsPinned) {
+  ExpectPinned(ConsistencyModel::kSc,
+               SimPin{51068, 8292, 0, 0, 5,
+                      {516571, 1004957, 878472, 0, 0, 40920, 21108, 12888}});
+}
+
+TEST(RackPinned, LinRunIsPinned) {
+  ExpectPinned(ConsistencyModel::kLin,
+               SimPin{44255, 7206, 7212, 7206, 4,
+                      {470460, 894652, 767916, 462600, 462600, 71517, 17616, 10740}});
 }
 
 }  // namespace

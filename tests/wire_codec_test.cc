@@ -330,6 +330,9 @@ TEST(WireCodec, BatchHeaderIsEndiannessStable) {
   for (std::size_t i = 0; i < sizeof(expect); ++i) {
     EXPECT_EQ(raw[i], expect[i]) << "byte " << i;
   }
+  // The simulator prices a lone control message as its frame less this
+  // header, so the constant must match the layout above.
+  EXPECT_EQ(kWireBatchHeaderBytes, 3u);
 }
 
 }  // namespace

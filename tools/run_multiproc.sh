@@ -8,13 +8,12 @@
 #   tools/run_multiproc.sh --nodes=8 --ops=50000 --consistency=sc \
 #       --epochs --drift
 #   tools/run_multiproc.sh --trace-dir=/tmp/traces  # per-op distributed traces
-#   tools/run_multiproc.sh --l1=256 --l1-policy=clock   # node-private L1 tails
+#   tools/run_multiproc.sh --l1=256                 # node-private L1 tails
 #
 # All flags are forwarded to multiproc_rack (including --trace=PATH and
 # --trace-sample=N; rank 0 merges the per-rank span files into PATH itself.
-# --l1=off|on|N and --l1-policy=lru|clock|lfu arm a node-private L1 tail
-# cache in every rank, and the merged SC/Lin checkers certify the run with
-# the tier serving).
+# --l1=off|on|N arms a node-private LRU L1 tail cache in every rank, and the
+# merged SC/Lin checkers certify the run with the tier serving).
 # --trace-dir=DIR is wrapper sugar: it expands to --trace=DIR/rack_trace.json
 # and lists the per-rank + merged trace files the run left behind.  Exit
 # status is the rack's: 0 = healthy run, checkers clean.
