@@ -142,11 +142,13 @@ void BM_PartitionGetRound(benchmark::State& state, bool prefetch, int shards) {
   const KeyScrambler scrambler(kRoundStoreKeys, 11);
   Rng rng(12);
   std::vector<Key> keys(kRound * kRounds);
+  std::vector<std::uint64_t> hashes(keys.size());
   std::vector<const Partition*> home(keys.size());
   std::size_t overflowed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     keys[i] = scrambler.RankToKey(zipf.Sample(rng) - 1);
-    home[i] = store[homes.HomeOf(keys[i])].get();
+    hashes[i] = HashKey(keys[i]);
+    home[i] = store[homes.HomeOfHash(hashes[i])].get();
     overflowed += home[i]->ChainDepth(keys[i]) > 0 ? 1 : 0;
   }
   Value v;
@@ -156,14 +158,14 @@ void BM_PartitionGetRound(benchmark::State& state, bool prefetch, int shards) {
     round = (round + 1) % kRounds;
     if (prefetch) {
       for (std::size_t i = base; i < base + kRound; ++i) {
-        home[i]->PrefetchBucket(keys[i]);
+        home[i]->PrefetchBucket(hashes[i]);
       }
       for (std::size_t i = base; i < base + kRound; ++i) {
-        home[i]->PrefetchRecord(keys[i]);
+        home[i]->PrefetchRecord(hashes[i]);
       }
     }
     for (std::size_t i = base; i < base + kRound; ++i) {
-      benchmark::DoNotOptimize(home[i]->Get(keys[i], &v));
+      benchmark::DoNotOptimize(home[i]->Get(keys[i], hashes[i], &v));
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kRound));
@@ -207,15 +209,29 @@ BENCHMARK(BM_SeqlockWrite);
 // Zipf sampling
 // ---------------------------------------------------------------------------
 
-void BM_ZipfSample(benchmark::State& state) {
-  ZipfSampler sampler(250'000'000, 0.99);
+// Zipf(0.99) draws over the paper's 250M keys and the benchmark's 1M
+// (read_skew) and 100k (node_skew) keys.  Draws on the 2048 hottest ranks
+// come from the sampler's hot table, the rest from the inversion.
+void BM_ZipfSample(benchmark::State& state, std::uint64_t keys) {
+  ZipfSampler sampler(keys, 0.99);
   Rng rng(5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sampler.Sample(rng));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSample);
+BENCHMARK_CAPTURE(BM_ZipfSample, paper, 250'000'000);
+BENCHMARK_CAPTURE(BM_ZipfSample, read_skew, 1'000'000);
+BENCHMARK_CAPTURE(BM_ZipfSample, node_skew, 100'000);
+
+// Building a sampler, hot table included: once per rack.
+void BM_ZipfSamplerBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    ZipfSampler sampler(1'000'000, 0.99);
+    benchmark::DoNotOptimize(sampler.hot_table());
+  }
+}
+BENCHMARK(BM_ZipfSamplerBuild)->Unit(benchmark::kMillisecond);
 
 void BM_KeyScramble(benchmark::State& state) {
   KeyScrambler scrambler(250'000'000, 9);
@@ -254,8 +270,16 @@ WorkloadConfig NodeSkewWorkload() {
   cfg.node_rank_stride = 6250;
   return cfg;
 }
+// The read_skew benchmark workload: 1M keys, reads only.
+WorkloadConfig ReadSkewWorkload() {
+  WorkloadConfig cfg;
+  cfg.keyspace = 1'000'000;
+  cfg.write_ratio = 0.0;
+  return cfg;
+}
 BENCHMARK_CAPTURE(BM_WorkloadNext, paper, PaperWorkload());
 BENCHMARK_CAPTURE(BM_WorkloadNext, node_skew, NodeSkewWorkload());
+BENCHMARK_CAPTURE(BM_WorkloadNext, read_skew, ReadSkewWorkload());
 
 // ---------------------------------------------------------------------------
 // Symmetric cache + top-k
@@ -314,12 +338,6 @@ void BM_CacheProbe(benchmark::State& state, const WorkloadConfig& cfg) {
   state.SetItemsProcessed(state.iterations());
 }
 
-WorkloadConfig ReadSkewWorkload() {
-  WorkloadConfig cfg;
-  cfg.keyspace = 1'000'000;
-  cfg.write_ratio = 0.0;
-  return cfg;
-}
 BENCHMARK_CAPTURE(BM_CacheProbe, read_skew, ReadSkewWorkload());
 
 // The epoch coordinator's shape: a 1M-key Zipf stream into 4096 counters.

@@ -34,23 +34,8 @@ L1TailCache::L1TailCache(std::size_t capacity, L1Policy /*policy: LRU*/,
   }
 }
 
-std::size_t L1TailCache::IndexHome(Key key) const {
-  return HashIndex(HashKey(key), index_mask_);
-}
-
-std::size_t L1TailCache::FindIndexPos(Key key) const {
-  std::size_t pos = IndexHome(key);
-  while (index_[pos] != kEmpty) {
-    if (keys_[static_cast<std::size_t>(index_[pos])] == key) {
-      return pos;
-    }
-    pos = (pos + 1) & index_mask_;
-  }
-  return index_.size();
-}
-
-void L1TailCache::IndexInsert(Key key, std::size_t slot) {
-  std::size_t pos = IndexHome(key);
+void L1TailCache::IndexInsert(std::uint64_t hash, std::size_t slot) {
+  std::size_t pos = IndexHome(hash);
   while (index_[pos] != kEmpty) {
     pos = (pos + 1) & index_mask_;
   }
@@ -71,7 +56,7 @@ void L1TailCache::IndexEraseAt(std::size_t pos) {
       return;
     }
     const std::size_t home =
-        IndexHome(keys_[static_cast<std::size_t>(index_[probe])]);
+        IndexHome(HashKey(keys_[static_cast<std::size_t>(index_[probe])]));
     // Move iff `home` is not cyclically inside (hole, probe].
     const bool reachable = hole < probe ? (home > hole && home <= probe)
                                         : (home > hole || home <= probe);
@@ -119,9 +104,7 @@ void L1TailCache::Touch(std::size_t slot) {
   }
 }
 
-void L1TailCache::EraseSlot(std::size_t slot) {
-  const std::size_t pos = FindIndexPos(keys_[slot]);
-  CCKVS_CHECK(pos < index_.size());
+void L1TailCache::EraseSlot(std::size_t slot, std::size_t pos) {
   IndexEraseAt(pos);
   Unlink(slot);
   values_[slot].clear();  // keeps the reservation; drops the stale bytes
@@ -129,8 +112,8 @@ void L1TailCache::EraseSlot(std::size_t slot) {
   --live_;
 }
 
-bool L1TailCache::Get(Key key, Value* value, Timestamp* ts) {
-  const std::size_t pos = FindIndexPos(key);
+bool L1TailCache::Get(Key key, std::uint64_t hash, Value* value, Timestamp* ts) {
+  const std::size_t pos = FindIndexPos(key, hash);
   if (pos == index_.size()) {
     ++stats_.misses;
     return false;
@@ -143,12 +126,8 @@ bool L1TailCache::Get(Key key, Value* value, Timestamp* ts) {
   return true;
 }
 
-bool L1TailCache::Contains(Key key) const {
-  return FindIndexPos(key) != index_.size();
-}
-
 bool L1TailCache::PeekTimestamp(Key key, Timestamp* ts) const {
-  const std::size_t pos = FindIndexPos(key);
+  const std::size_t pos = FindIndexPos(key, HashKey(key));
   if (pos == index_.size()) {
     return false;
   }
@@ -156,8 +135,9 @@ bool L1TailCache::PeekTimestamp(Key key, Timestamp* ts) const {
   return true;
 }
 
-void L1TailCache::Fill(Key key, const Value& value, Timestamp ts) {
-  const std::size_t pos = FindIndexPos(key);
+void L1TailCache::Fill(Key key, std::uint64_t hash, const Value& value,
+                       Timestamp ts) {
+  const std::size_t pos = FindIndexPos(key, hash);
   if (pos != index_.size()) {
     // Refresh in place: a newer authoritative read for an already-resident
     // key (e.g. re-admission racing an invalidation).
@@ -170,7 +150,9 @@ void L1TailCache::Fill(Key key, const Value& value, Timestamp ts) {
   }
   if (free_.empty()) {
     CCKVS_CHECK(tail_ != kNil);
-    EraseSlot(tail_);
+    const std::size_t victim_pos = FindIndexPos(keys_[tail_], HashKey(keys_[tail_]));
+    CCKVS_CHECK(victim_pos < index_.size());
+    EraseSlot(tail_, victim_pos);
     ++stats_.evictions;
   }
   const std::size_t slot = static_cast<std::size_t>(free_.back());
@@ -178,18 +160,18 @@ void L1TailCache::Fill(Key key, const Value& value, Timestamp ts) {
   keys_[slot] = key;
   values_[slot].assign(value);
   ts_[slot] = ts;
-  IndexInsert(key, slot);
+  IndexInsert(hash, slot);
   PushFront(slot);
   ++live_;
   ++stats_.fills;
 }
 
-bool L1TailCache::Invalidate(Key key) {
-  const std::size_t pos = FindIndexPos(key);
+bool L1TailCache::Invalidate(Key key, std::uint64_t hash) {
+  const std::size_t pos = FindIndexPos(key, hash);
   if (pos == index_.size()) {
     return false;
   }
-  EraseSlot(static_cast<std::size_t>(index_[pos]));
+  EraseSlot(static_cast<std::size_t>(index_[pos]), pos);
   ++stats_.invalidations;
   return true;
 }

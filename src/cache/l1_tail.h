@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/types.h"
 
 namespace cckvs {
@@ -58,11 +59,19 @@ class L1TailCache {
   // Read probe.  On hit copies the private value/timestamp out (into a
   // caller-owned, typically prewarmed buffer) and makes the key the most
   // recently used.
-  bool Get(Key key, Value* value, Timestamp* ts);
+  bool Get(Key key, Value* value, Timestamp* ts) {
+    return Get(key, HashKey(key), value, ts);
+  }
+  // Same, for a caller that already holds hash == HashKey(key); so are the
+  // hashed forms below (the live node hashes each op's key once).
+  bool Get(Key key, std::uint64_t hash, Value* value, Timestamp* ts);
 
   // Membership probe without stats or recency effects (tier-exclusivity
   // checks, tests).
-  bool Contains(Key key) const;
+  bool Contains(Key key) const { return Contains(key, HashKey(key)); }
+  bool Contains(Key key, std::uint64_t hash) const {
+    return FindIndexPos(key, hash) != index_.size();
+  }
 
   // Timestamp of a resident key without touching recency; false when absent.
   // Used by tests to cross-check invalidation behaviour.
@@ -70,11 +79,15 @@ class L1TailCache {
 
   // Admits (or refreshes) `key` with an authoritative value+timestamp, as the
   // most recently used.  Evicts the least recently used key when full.
-  void Fill(Key key, const Value& value, Timestamp ts);
+  void Fill(Key key, const Value& value, Timestamp ts) {
+    Fill(key, HashKey(key), value, ts);
+  }
+  void Fill(Key key, std::uint64_t hash, const Value& value, Timestamp ts);
 
   // Write-through invalidation: drops the private copy if resident.
   // Returns true when the key was resident (the caller counts those).
-  bool Invalidate(Key key);
+  bool Invalidate(Key key) { return Invalidate(key, HashKey(key)); }
+  bool Invalidate(Key key, std::uint64_t hash);
 
   // Current residents, unordered (tests; allocates — not hot path).
   std::vector<Key> Keys() const;
@@ -89,12 +102,24 @@ class L1TailCache {
 
   // HashIndex's bits (src/common/hash.h), not the routed low bits: a ranked
   // Lin rack admits only self-homed keys, which all share those.
-  std::size_t IndexHome(Key key) const;
+  std::size_t IndexHome(std::uint64_t hash) const {
+    return HashIndex(hash, index_mask_);
+  }
   // Probe position holding `key`, or the table size when absent.
-  std::size_t FindIndexPos(Key key) const;
-  void IndexInsert(Key key, std::size_t slot);
+  std::size_t FindIndexPos(Key key, std::uint64_t hash) const {
+    std::size_t pos = IndexHome(hash);
+    while (index_[pos] != kEmpty) {
+      if (keys_[static_cast<std::size_t>(index_[pos])] == key) {
+        return pos;
+      }
+      pos = (pos + 1) & index_mask_;
+    }
+    return index_.size();
+  }
+  void IndexInsert(std::uint64_t hash, std::size_t slot);
   void IndexEraseAt(std::size_t pos);
-  void EraseSlot(std::size_t slot);
+  // Drops live `slot`, whose index position is `pos`.
+  void EraseSlot(std::size_t slot, std::size_t pos);
   // Recency list; Touch makes a live slot the most recently used.
   void Unlink(std::size_t slot);
   void PushFront(std::size_t slot);

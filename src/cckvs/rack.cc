@@ -266,7 +266,7 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
       bcast_credits_(rack->params_.num_nodes, rack->params_.bcast_credits_per_peer),
       credit_batcher_(rack->params_.num_nodes, rack->params_.credit_update_batch),
       gen_(rack->params_.workload, /*writer_tag=*/id,
-           /*seed=*/PerThreadSeed(rack->params_.seed, id)),
+           /*seed=*/PerThreadSeed(rack->params_.seed, id), rack->zipf_),
       rng_(Mix64(rack->params_.seed ^ (0xb0b0u + id))) {
   const RackParams& p = params();
 
@@ -1133,7 +1133,8 @@ struct RackSimulation::Counters {
   std::uint64_t epochs = 0;
 };
 
-RackSimulation::RackSimulation(const RackParams& params) : params_(params) {
+RackSimulation::RackSimulation(const RackParams& params)
+    : params_(params), zipf_(params.workload.keyspace, params.workload.zipf_alpha) {
   CCKVS_CHECK_GE(params.num_nodes, 2);
   NetConfig net_cfg = params_.net;
   net_cfg.num_nodes = params_.num_nodes;
@@ -1148,7 +1149,7 @@ RackSimulation::RackSimulation(const RackParams& params) : params_(params) {
   if (params_.prefill_hot_set &&
       (params_.kind == SystemKind::kCcKvs ||
        params_.kind == SystemKind::kCentralCache)) {
-    WorkloadGenerator probe(params_.workload, 0, 0);
+    WorkloadGenerator probe(params_.workload, 0, 0, zipf_);
     const std::vector<Key> hot = probe.HottestKeys(params_.cache_capacity);
     if (params_.kind == SystemKind::kCentralCache) {
       hot_set_.insert(hot.begin(), hot.end());

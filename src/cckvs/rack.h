@@ -81,6 +81,9 @@ class RackSimulation {
   friend class RackNode;
 
   RackParams params_;
+  // Shared by every node's generator and the hot-set probe, so the rack
+  // builds one Zipf hot table.
+  ZipfSampler zipf_;
   Simulator sim_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<Partitioner> partitioner_;

@@ -1,5 +1,7 @@
 #include "src/common/zipf.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -89,6 +91,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha) : n_(n), alpha_(alpha) {
     h_integral_x1_ = HIntegral(1.5) - 1.0;
     h_integral_n_ = HIntegral(static_cast<double>(n) + 0.5);
     s_ = 2.0 - HIntegralInverse(HIntegral(2.5) - Pow(2.0, -alpha_));
+    table_ = BuildHotTable();
   }
 }
 
@@ -116,27 +119,114 @@ double ZipfSampler::HIntegralInverse(double x) const {
 
 double ZipfSampler::Pow(double x, double y) { return std::exp(y * std::log(x)); }
 
-std::uint64_t ZipfSampler::Sample(Rng& rng) const {
-  if (alpha_ == 0.0) {
-    return 1 + rng.NextBounded(n_);
-  }
+std::uint64_t ZipfSampler::Invert(std::uint64_t m, bool* accept) const {
   // Rejection-inversion (Hormann & Derflinger 1996), as popularized by the
-  // Apache Commons RejectionInversionZipfSampler.
-  while (true) {
-    const double u =
-        h_integral_n_ + rng.NextDouble() * (h_integral_x1_ - h_integral_n_);
-    const double x = HIntegralInverse(u);
-    auto k = static_cast<std::uint64_t>(x + 0.5);
-    if (k < 1) {
-      k = 1;
-    } else if (k > n_) {
-      k = n_;
+  // Apache Commons RejectionInversionZipfSampler.  u is what
+  // h_n + rng.NextDouble() * (h_1 - h_n) gives for the draw m.
+  const double u = h_integral_n_ +
+                   static_cast<double>(m) * 0x1.0p-53 * (h_integral_x1_ - h_integral_n_);
+  const double x = HIntegralInverse(u);
+  auto k = static_cast<std::uint64_t>(x + 0.5);
+  if (k < 1) {
+    k = 1;
+  } else if (k > n_) {
+    k = n_;
+  }
+  const auto kd = static_cast<double>(k);
+  *accept = kd - x <= s_ || u >= HIntegral(kd + 0.5) - Pow(kd, -alpha_);
+  return k;
+}
+
+std::shared_ptr<const ZipfSampler::HotTable> ZipfSampler::BuildHotTable() const {
+  constexpr std::uint64_t kEnd = HotTable::kDrawEnd;
+  auto table = std::make_shared<HotTable>();
+  const std::uint64_t ranks = std::min(HotTable::kMaxRanks, n_);
+  table->ranks_ = ranks;
+
+  // Piece codes fall as the draw grows: rank k's accept piece is 2k, its
+  // reject piece 2k - 1.  first[c] is the first draw whose code is <= c
+  // (kEnd when there is none), so code c's piece is [first[c], first[c - 1]).
+  const auto code = [this](std::uint64_t m) {
+    bool accept = false;
+    const std::uint64_t k = Invert(m, &accept);
+    return 2 * k - (accept ? 0 : 1);
+  };
+  // Where u(m) crosses `u`, from the draw's linear map; the search below
+  // needs it only as a starting point.
+  const double per_u = 0x1.0p53 / (h_integral_x1_ - h_integral_n_);
+  const auto estimate = [&](double u) {
+    const double m = (u - h_integral_n_) * per_u;
+    return m <= 0.0 ? std::uint64_t{0}
+                    : m >= 0x1.0p53 ? kEnd : static_cast<std::uint64_t>(m);
+  };
+  std::vector<std::uint64_t> first(2 * ranks + 1);
+  first[0] = kEnd;
+  std::uint64_t lo = 0;  // first[c + 1]: first[c] cannot lie below it
+  for (std::uint64_t c = 2 * ranks; c >= 1; --c) {
+    const auto kd = static_cast<double>((c + 1) / 2);
+    const double top = HIntegral(kd + 0.5);
+    const std::uint64_t guess =
+        std::clamp(estimate(c % 2 == 0 ? top : top - Pow(kd, -alpha_)), lo, kEnd);
+    // Smallest m in [lo, kEnd] with code(m) <= c (kEnd counts as true):
+    // gallop from the guess until a false/true pair brackets it, then bisect.
+    std::uint64_t below = lo;  // code(m) > c for every m < below
+    std::uint64_t at = kEnd;   // code(at) <= c
+    if (guess < kEnd) {
+      if (code(guess) <= c) {
+        at = guess;
+        for (std::uint64_t step = 1; at - below >= step; step *= 2) {
+          if (code(at - step) > c) {
+            below = at - step + 1;
+            break;
+          }
+          at -= step;
+        }
+      } else {
+        below = guess + 1;
+        for (std::uint64_t step = 1; below + step <= at; step *= 2) {
+          if (code(below + step - 1) <= c) {
+            at = below + step - 1;
+            break;
+          }
+          below += step;
+        }
+      }
     }
-    const auto kd = static_cast<double>(k);
-    if (kd - x <= s_ || u >= HIntegral(kd + 0.5) - Pow(kd, -alpha_)) {
-      return k;
+    while (below < at) {
+      const std::uint64_t mid = below + (at - below) / 2;
+      if (code(mid) <= c) {
+        at = mid;
+      } else {
+        below = mid + 1;
+      }
+    }
+    first[c] = lo = at;
+  }
+
+  table->m_hot_ = first[2 * ranks];
+  for (std::uint64_t c = 2 * ranks; c >= 1; --c) {
+    if (first[c] < first[c - 1]) {
+      table->start_.push_back(first[c]);
+      table->rank_.push_back(static_cast<std::uint16_t>(c % 2 == 0 ? c / 2 : 0));
     }
   }
+  table->start_.push_back(kEnd);
+  CCKVS_CHECK(!table->rank_.empty());
+
+  // Guide cells of 2^shift draws each, at most 2^kGuideBits of them.
+  const std::uint64_t span = kEnd - table->m_hot_;
+  table->shift_ = std::max(0, static_cast<int>(std::bit_width(span - 1)) -
+                                  HotTable::kGuideBits);
+  table->guide_.resize(static_cast<std::size_t>(((span - 1) >> table->shift_) + 1));
+  std::size_t j = 0;
+  for (std::size_t cell = 0; cell < table->guide_.size(); ++cell) {
+    const std::uint64_t cell_start = table->m_hot_ + (std::uint64_t{cell} << table->shift_);
+    while (cell_start >= table->start_[j + 1]) {
+      ++j;
+    }
+    table->guide_[cell] = static_cast<std::uint16_t>(j);
+  }
+  return table;
 }
 
 KeyScrambler::KeyScrambler(std::uint64_t n, std::uint64_t seed) : n_(n) {
@@ -164,10 +254,6 @@ std::uint64_t KeyScrambler::FeistelOnce(std::uint64_t x) const {
     left = new_left;
   }
   return (left << half_bits_) | right;
-}
-
-double KeyScrambler::mean_walk() const {
-  return std::ldexp(1.0, 2 * half_bits_) / static_cast<double>(n_);
 }
 
 std::uint64_t KeyScrambler::RankToKey(std::uint64_t rank) const {

@@ -9,6 +9,7 @@
 #include "src/common/check.h"
 #include "src/common/cpu.h"
 #include "src/common/cycles.h"
+#include "src/common/hash.h"
 #include "src/runtime/live_rack.h"
 
 namespace cckvs {
@@ -503,22 +504,25 @@ bool LiveNode::FillIdleSessions() {
     return false;
   }
   // Three passes, so the round's shard misses overlap instead of running one
-  // after another: generate each op and prefetch its home bucket; read each
-  // bucket's matching slot and prefetch the record; issue.  Everything that
-  // decides an op's outcome or its latency — the invoke stamp, history,
-  // hot-set sampling, the L1 and symmetric probes — stays per op in
-  // IssueOp/RouteOp, so a prefetch is only a hint.
+  // after another: generate each op, hash its key and pick its home (once:
+  // every later step of the op reuses both), and prefetch its home bucket;
+  // read each bucket's matching slot and prefetch the record; issue.
+  // Everything that decides an op's outcome or its latency — the invoke
+  // stamp, history, hot-set sampling, the L1 and symmetric probes — stays per
+  // op in IssueOp/RouteOp, so a prefetch is only a hint.
   std::size_t n = 0;
   for (std::uint32_t s = 0; s < sessions_.size(); ++s) {
-    if (sessions_[s].idle) {
-      Op& op = sessions_[s].op;
-      gen_.NextInto(&op);  // reuses the slot's value capacity
-      round_[n++] = RoundOp{s, PrefetchHomeBucket(op)};
+    Session& sess = sessions_[s];
+    if (sess.idle) {
+      gen_.NextInto(&sess.op);  // reuses the slot's value capacity
+      sess.hash = HashKey(sess.op.key);
+      sess.home = rack_->HomeOfHash(sess.hash);
+      round_[n++] = RoundOp{s, PrefetchHomeBucket(sess)};
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (round_[i].home != nullptr) {
-      round_[i].home->PrefetchRecord(sessions_[round_[i].slot].op.key);
+      round_[i].home->PrefetchRecord(sessions_[round_[i].slot].hash);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -542,20 +546,20 @@ bool LiveNode::FillIdleSessions() {
   return n != 0;
 }
 
-const Partition* LiveNode::PrefetchHomeBucket(const Op& op) {
-  if (ranked_ && rack_->HomeOf(op.key) != id_) {
+const Partition* LiveNode::PrefetchHomeBucket(const Session& sess) {
+  if (ranked_ && sess.home != id_) {
     return nullptr;  // remote rank: the miss goes over RPC, no local shard
   }
-  if (l1_ != nullptr && !l1_validate_ && op.type == OpType::kGet &&
-      l1_->Contains(op.key)) {
+  if (l1_ != nullptr && !l1_validate_ && sess.op.type == OpType::kGet &&
+      l1_->Contains(sess.op.key, sess.hash)) {
     // An SC L1 hit never reads the shard, and a prefetch it does not use
     // costs it latency.  Lin L1 hits still peek the home shard, so they
     // prefetch.  Symmetric-cache hits are not filtered: gating on the probe
     // did not raise read_skew throughput (docs/PERFORMANCE.md).
     return nullptr;
   }
-  const Partition& home = rack_->PartitionOf(op.key);
-  home.PrefetchBucket(op.key);
+  const Partition& home = rack_->PartitionAt(sess.home);
+  home.PrefetchBucket(sess.hash);
   return &home;
 }
 
@@ -588,11 +592,12 @@ void LiveNode::IssueOp(std::uint32_t slot) {
 void LiveNode::RouteOp(std::uint32_t slot) {
   Session& sess = sessions_[slot];
   const Key key = sess.op.key;
+  CCKVS_DCHECK_EQ(sess.hash, HashKey(key));
   if (l1_ != nullptr) {
     if (sess.op.type == OpType::kPut) {
       // Write-through-invalidate: drop the private copy up front (even if the
       // write later parks), then take the normal shard/RPC write path.
-      l1_->Invalidate(key);
+      l1_->Invalidate(key, sess.hash);
     } else if (TryServeFromL1(slot)) {
       return;
     }
@@ -634,7 +639,7 @@ bool LiveNode::TryServeFromL1(std::uint32_t slot) {
   Session& sess = sessions_[slot];
   const Key key = sess.op.key;
   Timestamp ts;
-  if (!l1_->Get(key, &read_scratch_, &ts)) {
+  if (!l1_->Get(key, sess.hash, &read_scratch_, &ts)) {
     return false;
   }
   if (l1_validate_) {
@@ -646,10 +651,11 @@ bool LiveNode::TryServeFromL1(std::uint32_t slot) {
     // the op falls through to the ordinary paths.
     Timestamp home_ts;
     bool resident = false;
-    const bool ok = rack_->PartitionOf(key).PeekTimestamp(key, &home_ts, &resident);
+    const bool ok =
+        rack_->PartitionAt(sess.home).PeekTimestamp(key, sess.hash, &home_ts, &resident);
     CCKVS_CHECK(ok);
     if (resident || !(home_ts == ts)) {
-      l1_->Invalidate(key);
+      l1_->Invalidate(key, sess.hash);
       return false;
     }
   }
@@ -660,12 +666,13 @@ bool LiveNode::TryServeFromL1(std::uint32_t slot) {
   return true;
 }
 
-void LiveNode::MaybeAdmitToL1(Key key, const Value& value, Timestamp ts) {
-  if (l1_admit_local_only_ && rack_->HomeOf(key) != id_) {
+void LiveNode::MaybeAdmitToL1(const Session& sess, const Value& value, Timestamp ts) {
+  if (l1_admit_local_only_ && sess.home != id_) {
     return;
   }
+  const Key key = sess.op.key;
   std::uint64_t guaranteed = 0;
-  l1_sketch_->Offer(key, &guaranteed);
+  l1_sketch_->Offer(key, sess.hash, &guaranteed);
   if (++l1_offers_ % (l1_sketch_->capacity() * 8) == 0) {
     // Age the sketch so a key that WAS locally hot cannot squat on a counter
     // forever once per-node popularity drifts.
@@ -681,7 +688,7 @@ void LiveNode::MaybeAdmitToL1(Key key, const Value& value, Timestamp ts) {
   if (cache_->Find(key) != nullptr) {
     return;  // tier exclusivity: the symmetric tier already owns it
   }
-  l1_->Fill(key, value, ts);
+  l1_->Fill(key, sess.hash, value, ts);
 }
 
 void LiveNode::RouteMissOp(std::uint32_t slot) {
@@ -693,18 +700,18 @@ void LiveNode::RouteMissOp(std::uint32_t slot) {
   // either settled into the shard or admitted into this node's cache.
   Session& sess = sessions_[slot];
   const Key key = sess.op.key;
-  if (ranked_ && rack_->HomeOf(key) != id_) {
+  if (ranked_ && sess.home != id_) {
     // Multi-process rack: the home shard lives in another address space, so
     // the direct load/store is out of reach — fall back to the §6.1 RPC path.
     SendRpc(slot);
     return;
   }
-  Partition& home = rack_->PartitionOf(key);
+  Partition& home = rack_->PartitionAt(sess.home);
   const std::uint64_t shard_start = sess.trace_id != 0 ? CycleNow() : 0;
   if (sess.op.type == OpType::kGet) {
     Timestamp ts;
     bool resident = false;
-    const bool ok = home.Get(key, &read_scratch_, &ts, &resident);
+    const bool ok = home.Get(key, sess.hash, &read_scratch_, &ts, &resident);
     CCKVS_CHECK(ok);  // the synthesizer guarantees every GET succeeds
     if (resident) {
       if (!retrying_gated_) {
@@ -723,7 +730,7 @@ void LiveNode::RouteMissOp(std::uint32_t slot) {
     CompleteOp(slot, read_scratch_, ts, Route::kMiss);
   } else {
     Timestamp ts;
-    if (!home.TryPut(key, sess.op.value, &ts)) {
+    if (!home.TryPut(key, sess.hash, sess.op.value, &ts)) {
       if (!retrying_gated_) {
         ++counters_.gate_retries;
       }
@@ -792,7 +799,7 @@ void LiveNode::SendRpc(std::uint32_t slot) {
     sess.rpc_span = tracer_->NewSpanId();
     sess.rpc_cycles = CycleNow();
   }
-  ep_->SendDirect(rack_->HomeOf(sess.op.key), WireBody{std::move(req)});
+  ep_->SendDirect(sess.home, WireBody{std::move(req)});
   rpc_waiting_[slot] = 1;
   ++rpc_outstanding_;
   ++counters_.rpcs_sent;
@@ -805,7 +812,8 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
   // Parking here would deadlock a halted rack whose final hot set keeps the
   // key resident forever.  The reply completes (or re-routes) the requester's
   // session; PUT responses echo the commit timestamp.
-  CCKVS_DCHECK(rack_->HomeOf(req.key) == id_);
+  const std::uint64_t hash = HashKey(req.key);
+  CCKVS_DCHECK(rack_->HomeOfHash(hash) == id_);
   const std::uint64_t serve_start =
       (tracer_ != nullptr && req.trace_id != 0) ? CycleNow() : 0;
   RpcResponse resp;
@@ -815,7 +823,7 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
     Value value;
     Timestamp ts;
     bool resident = false;
-    const bool ok = partition_->Get(req.key, &value, &ts, &resident);
+    const bool ok = partition_->Get(req.key, hash, &value, &ts, &resident);
     CCKVS_CHECK(ok);
     if (resident) {
       resp.gated = true;
@@ -825,13 +833,13 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
     }
   } else {
     Timestamp ts;
-    if (!partition_->TryPut(req.key, req.value, &ts)) {
+    if (!partition_->TryPut(req.key, hash, req.value, &ts)) {
       resp.gated = true;
     } else {
       if (l1_ != nullptr) {
         // A peer just wrote our shard; the home is the one place that
         // observes it, so invalidate any private copy here.
-        l1_->Invalidate(req.key);
+        l1_->Invalidate(req.key, hash);
       }
       resp.ts = ts;
     }
@@ -1011,12 +1019,12 @@ void LiveNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp
     // FIFO per peer pair, so any such stale response was delivered — and its
     // fill applied — before this write's own response; dropping the key here
     // therefore kills every fill the write could have raced.
-    l1_->Invalidate(sess.op.key);
+    l1_->Invalidate(sess.op.key, sess.hash);
   }
   if (l1_ != nullptr && route == Route::kMiss && sess.op.type == OpType::kGet) {
     // The miss path just produced an authoritative (value, ts) — the only
     // kind of read the L1 admits.
-    MaybeAdmitToL1(sess.op.key, read_value, ts);
+    MaybeAdmitToL1(sess, read_value, ts);
   }
 
   sess.idle = true;

@@ -93,6 +93,10 @@ class LiveNode final : private HotSetHost {
 
   struct Session {
     Op op;
+    // Derived once per op, when FillIdleSessions generates it: every shard,
+    // L1, sketch and RPC step of the op reuses them.
+    std::uint64_t hash = 0;  // HashKey(op.key)
+    NodeId home = 0;         // the rack's home node of op.key
     SimTime invoke = 0;               // history clock (record_history runs)
     std::uint64_t invoke_cycles = 0;  // rdtsc stamp; feeds the latency histogram
     SessionId id = 0;
@@ -153,7 +157,7 @@ class LiveNode final : private HotSetHost {
   bool FillIdleSessions();
   // The shard this op's issue will read, with its home bucket prefetched; or
   // nullptr when there is nothing local worth prefetching (see the .cc).
-  const Partition* PrefetchHomeBucket(const Op& op);
+  const Partition* PrefetchHomeBucket(const Session& sess);
   // Stamps and routes the slot's already-generated op.
   void IssueOp(std::uint32_t slot);
   // Routes the slot's already-generated op: cache path on a probe hit, else
@@ -165,7 +169,7 @@ class LiveNode final : private HotSetHost {
   bool TryServeFromL1(std::uint32_t slot);
   // Admission on authoritative miss reads: offer to the per-node sketch and
   // fill the L1 once the key proves locally hot (and is not globally hot).
-  void MaybeAdmitToL1(Key key, const Value& value, Timestamp ts);
+  void MaybeAdmitToL1(const Session& sess, const Value& value, Timestamp ts);
   void StartCacheWrite(std::uint32_t slot);
   void RetryParkedScWrites();
   bool RetryGatedOps();

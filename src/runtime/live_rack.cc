@@ -88,6 +88,11 @@ LiveRack::LiveRack(const LiveRackParams& params)
 
   std::vector<WorkloadGenerator> gens =
       MakePerThreadGenerators(params_.workload, params_.num_nodes, params_.seed);
+  // The ground-truth (phase-0) hot set: writer tag 0 samples the unrotated
+  // ranking every node agrees on.
+  const std::vector<Key> hot = params_.prefill_hot_set
+                                   ? gens[0].HottestKeys(params_.cache_capacity)
+                                   : std::vector<Key>{};
   if (!params_.trace_path.empty()) {
     // One ring per local node, allocated up front (the ring never grows, so
     // recording stays allocation-free in the steady state).  Must exist
@@ -105,13 +110,15 @@ LiveRack::LiveRack(const LiveRackParams& params)
     }
   }
   nodes_.resize(static_cast<std::size_t>(params_.num_nodes));
+  partitions_.resize(nodes_.size(), nullptr);
   for (int i = 0; i < params_.num_nodes; ++i) {
     if (!IsLocal(static_cast<NodeId>(i))) {
       continue;  // ranked: that node lives in another process
     }
-    nodes_[static_cast<std::size_t>(i)] =
-        std::make_unique<LiveNode>(this, static_cast<NodeId>(i),
-                                   std::move(gens[static_cast<std::size_t>(i)]));
+    const auto id = static_cast<std::size_t>(i);
+    nodes_[id] = std::make_unique<LiveNode>(this, static_cast<NodeId>(i),
+                                            std::move(gens[id]));
+    partitions_[id] = &nodes_[id]->partition();
   }
 
   if (params_.prefill_store) {
@@ -120,10 +127,13 @@ LiveRack::LiveRack(const LiveRackParams& params)
     // Runs before the hot-set prefill: MarkCacheResident below then finds
     // every hot record already present.
     const std::uint32_t vb = params_.workload.value_bytes;
+    Value value;
     for (std::uint64_t k = 0; k < params_.workload.keyspace; ++k) {
       const Key key = static_cast<Key>(k);
-      if (IsLocal(HomeOf(key))) {
-        PartitionOf(key).Apply(key, SynthesizeValue(key, vb), Timestamp{0, 0});
+      const NodeId home = HomeOf(key);
+      if (IsLocal(home)) {
+        SynthesizeValueInto(key, vb, &value);
+        PartitionAt(home).Apply(key, value, Timestamp{0, 0});
       }
     }
   }
@@ -133,8 +143,6 @@ LiveRack::LiveRack(const LiveRackParams& params)
     // set, so runs start in the steady state the paper measures.  Every rank
     // runs this same code, so collectively all shards get their gates raised
     // even though each process only touches its local shard.
-    WorkloadGenerator probe(params_.workload, /*writer_tag=*/0, /*seed=*/0);
-    const std::vector<Key> hot = probe.HottestKeys(params_.cache_capacity);
     if (params_.online_topk) {
       // Epochs will manage membership from here on: raise each key's shard
       // residency gate now, exactly as an epoch admission would have.

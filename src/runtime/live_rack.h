@@ -181,9 +181,12 @@ class LiveRack {
   }
 
   NodeId HomeOf(Key key) const { return partitioner_.HomeOf(key); }
+  // The same home from the key's HashKey (the live node hashes each op once).
+  NodeId HomeOfHash(std::uint64_t hash) const { return partitioner_.HomeOfHash(hash); }
   // Local shards only: in ranked mode a remote home has no Partition in this
   // process (misses go over RPC instead).
-  Partition& PartitionOf(Key key) { return nodes_[HomeOf(key)]->partition(); }
+  Partition& PartitionAt(NodeId home) { return *partitions_[home]; }
+  Partition& PartitionOf(Key key) { return PartitionAt(HomeOf(key)); }
 
   // Monotonic nanoseconds since construction; the live history clock.
   SimTime clock_ns() const {
@@ -213,6 +216,7 @@ class LiveRack {
   std::vector<WorkerCounters> worker_counters_;  // atomics: sized once, never moved
   std::vector<std::unique_ptr<Tracer>> tracers_;  // empty when tracing is off
   std::vector<std::unique_ptr<LiveNode>> nodes_;
+  std::vector<Partition*> partitions_;  // node id -> its shard; null when remote
   StopSource stop_;
   std::chrono::steady_clock::time_point epoch_;
   History history_;

@@ -36,12 +36,6 @@ Partition::Stripe& Partition::MyStripe() const {
   return stripes_[stripe];
 }
 
-std::uint16_t Partition::TagOf(std::uint64_t hash) const {
-  // Never 0 so that a zeroed slot cannot alias a real tag.
-  const auto tag = static_cast<std::uint16_t>(hash >> 48);
-  return tag == 0 ? 1 : tag;
-}
-
 Partition::Bucket* Partition::OverflowBucket(std::uint32_t idx) const {
   const std::uint32_t chunk = idx / kOverflowChunkSize;
   if (chunk >= kMaxOverflowChunks) {
@@ -69,11 +63,11 @@ void Partition::WriteRecord(SlabAllocator::Ref ref, Key key, const Value& value,
   RelaxedCopyToShared(data + sizeof(hdr), value.data(), value.size());
 }
 
-bool Partition::Lookup(Key key, Value* value, Timestamp* ts,
+bool Partition::Lookup(Key key, std::uint64_t hash, Value* value, Timestamp* ts,
                        bool* cache_resident) const {
-  const std::uint64_t h = HashKey(key);
-  const std::uint16_t tag = TagOf(h);
-  const Bucket& head = buckets_[BucketOf(h)];
+  CCKVS_DCHECK_EQ(hash, HashKey(key));
+  const std::uint16_t tag = TagOf(hash);
+  const Bucket& head = buckets_[BucketOf(hash)];
 
   while (true) {
     const std::uint32_t version = head.lock.ReadBegin();
@@ -133,11 +127,11 @@ bool Partition::Lookup(Key key, Value* value, Timestamp* ts,
   }
 }
 
-bool Partition::Get(Key key, Value* value, Timestamp* ts,
+bool Partition::Get(Key key, std::uint64_t hash, Value* value, Timestamp* ts,
                     bool* cache_resident) const {
   Stripe& stripe = MyStripe();
   Bump(stripe.gets);
-  if (Lookup(key, value, ts, cache_resident)) {
+  if (Lookup(key, hash, value, ts, cache_resident)) {
     return true;
   }
   if (config_.synthesize || config_.synthesize_into) {
@@ -158,9 +152,10 @@ bool Partition::Get(Key key, Value* value, Timestamp* ts,
   return false;
 }
 
-bool Partition::PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) const {
+bool Partition::PeekTimestamp(Key key, std::uint64_t hash, Timestamp* ts,
+                              bool* cache_resident) const {
   Bump(MyStripe().peeks);
-  if (Lookup(key, nullptr, ts, cache_resident)) {
+  if (Lookup(key, hash, nullptr, ts, cache_resident)) {
     return true;
   }
   if (config_.synthesize || config_.synthesize_into) {
@@ -172,14 +167,9 @@ bool Partition::PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) cons
   return false;
 }
 
-void Partition::PrefetchBucket(Key key) const {
-  __builtin_prefetch(&buckets_[BucketOf(HashKey(key))]);
-}
-
-void Partition::PrefetchRecord(Key key) const {
-  const std::uint64_t h = HashKey(key);
-  const std::uint16_t tag = TagOf(h);
-  for (const AtomicSlot& atomic_slot : buckets_[BucketOf(h)].slots) {
+void Partition::PrefetchRecord(std::uint64_t hash) const {
+  const std::uint16_t tag = TagOf(hash);
+  for (const AtomicSlot& atomic_slot : buckets_[BucketOf(hash)].slots) {
     const Slot slot = atomic_slot.load();
     if (slot.used != 0 && slot.tag == tag) {
       if (const char* data = slab_.TryData(slot.ref); data != nullptr) {
@@ -286,10 +276,11 @@ Timestamp Partition::Put(Key key, const Value& value) {
   return ts;
 }
 
-bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
-  const std::uint64_t h = HashKey(key);
-  const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[BucketOf(h)];
+bool Partition::TryPut(Key key, std::uint64_t hash, const Value& value,
+                       Timestamp* ts) {
+  CCKVS_DCHECK_EQ(hash, HashKey(key));
+  const std::uint16_t tag = TagOf(hash);
+  Bucket& head = buckets_[BucketOf(hash)];
   SeqlockWriteGuard guard(head.lock);
   Timestamp fresh{1, config_.node_id};
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {

@@ -84,6 +84,13 @@ class Partition {
   // set owns this key and the shard copy may be stale — direct readers must
   // retry until the epoch machinery clears the flag (see MarkCacheResident).
   bool Get(Key key, Value* value, Timestamp* ts = nullptr,
+           bool* cache_resident = nullptr) const {
+    return Get(key, HashKey(key), value, ts, cache_resident);
+  }
+  // Same, for a caller that already holds hash == HashKey(key); so are the
+  // hashed forms below.  The live node hashes each op's key once and passes
+  // that hash to every lookup the op makes.
+  bool Get(Key key, std::uint64_t hash, Value* value, Timestamp* ts = nullptr,
            bool* cache_resident = nullptr) const;
 
   // Plain client write at the home node: monotonically bumps the record's
@@ -94,7 +101,10 @@ class Partition {
   // Gated variant of Put for direct cross-thread writers: refuses (returns
   // false) when the record is cache-resident, so a shard write can never race
   // an authoritative cached copy.  On success *ts receives the timestamp.
-  bool TryPut(Key key, const Value& value, Timestamp* ts);
+  bool TryPut(Key key, const Value& value, Timestamp* ts) {
+    return TryPut(key, HashKey(key), value, ts);
+  }
+  bool TryPut(Key key, std::uint64_t hash, const Value& value, Timestamp* ts);
 
   // Header-only seqlock peek: the record's current timestamp and residency
   // flag, with no value copy-out.  The L1 tail's Lin validation path uses
@@ -102,15 +112,22 @@ class Partition {
   // miss semantics mirror Get (a never-written key under a configured
   // synthesizer reports the zero timestamp and returns true).  Counted in
   // stats().peeks, never in gets or synthesized_gets.
-  bool PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) const;
+  bool PeekTimestamp(Key key, Timestamp* ts, bool* cache_resident) const {
+    return PeekTimestamp(key, HashKey(key), ts, cache_resident);
+  }
+  bool PeekTimestamp(Key key, std::uint64_t hash, Timestamp* ts,
+                     bool* cache_resident) const;
 
-  // Memory-level-parallelism hints for a batch of lookups: PrefetchBucket
-  // pulls the key's home bucket toward this core; PrefetchRecord (issued
-  // after it) reads that bucket's matching slot without the seqlock and
-  // prefetches the record it names.  Neither blocks, counts or changes state,
-  // and a racing writer only makes the hint useless, never wrong.
-  void PrefetchBucket(Key key) const;
-  void PrefetchRecord(Key key) const;
+  // Memory-level-parallelism hints for a batch of lookups, given the key's
+  // HashKey: PrefetchBucket pulls the key's home bucket toward this core;
+  // PrefetchRecord (issued after it) reads that bucket's matching slot
+  // without the seqlock and prefetches the record it names.  Neither blocks,
+  // counts or changes state, and a racing writer only makes the hint
+  // useless, never wrong.
+  void PrefetchBucket(std::uint64_t hash) const {
+    __builtin_prefetch(&buckets_[BucketOf(hash)]);
+  }
+  void PrefetchRecord(std::uint64_t hash) const;
 
   // Timestamped apply, used by write-back flushes from the symmetric cache and
   // by recovery paths: installs (value, ts) iff ts is newer than the stored
@@ -228,7 +245,11 @@ class Partition {
     counter.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::uint16_t TagOf(std::uint64_t hash) const;
+  static std::uint16_t TagOf(std::uint64_t hash) {
+    // Never 0 so that a zeroed slot cannot alias a real tag.
+    const auto tag = static_cast<std::uint16_t>(hash >> 48);
+    return tag == 0 ? 1 : tag;
+  }
   // The head bucket's index: HashIndex's bits, never the low bits the
   // partitioner routes on (src/common/hash.h).
   std::size_t BucketOf(std::uint64_t hash) const { return HashIndex(hash, bucket_mask_); }
@@ -236,7 +257,8 @@ class Partition {
   // Seqlock lookup shared by Get and PeekTimestamp: on a hit fills the
   // requested outputs and returns true; false when the key is absent.
   // Counts retries only.
-  bool Lookup(Key key, Value* value, Timestamp* ts, bool* cache_resident) const;
+  bool Lookup(Key key, std::uint64_t hash, Value* value, Timestamp* ts,
+              bool* cache_resident) const;
 
   // Walks bucket + overflow chain; returns the slot holding `key` or nullptr.
   // Writer-side only (called under the bucket lock).

@@ -1,18 +1,19 @@
 #include "src/store/partitioner.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/check.h"
 #include "src/common/hash.h"
 
 namespace cckvs {
 
-ModuloPartitioner::ModuloPartitioner(int nodes) : nodes_(nodes) {
+ModuloPartitioner::ModuloPartitioner(int nodes)
+    : nodes_(nodes),
+      mask_(nodes > 1 && std::has_single_bit(static_cast<unsigned>(nodes))
+                ? static_cast<std::uint64_t>(nodes) - 1
+                : 0) {
   CCKVS_CHECK_GE(nodes, 1);
-}
-
-NodeId ModuloPartitioner::HomeOf(Key key) const {
-  return static_cast<NodeId>(HashKey(key) % static_cast<std::uint64_t>(nodes_));
 }
 
 ConsistentHashRing::ConsistentHashRing(int nodes, int vnodes, std::uint64_t seed)

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/types.h"
 
 namespace cckvs {
@@ -23,15 +24,24 @@ class Partitioner {
   virtual int num_nodes() const = 0;
 };
 
+// Homes a key on HashKey(key) % nodes.
 class ModuloPartitioner final : public Partitioner {
  public:
   explicit ModuloPartitioner(int nodes);
 
-  NodeId HomeOf(Key key) const override;
+  NodeId HomeOf(Key key) const override { return HomeOfHash(HashKey(key)); }
   int num_nodes() const override { return nodes_; }
+
+  // The home of a key whose HashKey is `hash`, for callers that hash each key
+  // once.  A power-of-two rack masks, which equals the modulo.
+  NodeId HomeOfHash(std::uint64_t hash) const {
+    return static_cast<NodeId>(mask_ != 0 ? hash & mask_
+                                          : hash % static_cast<std::uint64_t>(nodes_));
+  }
 
  private:
   int nodes_;
+  std::uint64_t mask_;  // nodes - 1 when nodes is a power of two above 1, else 0
 };
 
 // Consistent-hashing ring (Karger et al.) with `vnodes` virtual nodes per

@@ -28,12 +28,8 @@ FlatSpaceSaving::FlatSpaceSaving(std::size_t capacity)
   groups_.reserve(capacity_);  // live runs never outnumber slots
 }
 
-std::size_t FlatSpaceSaving::IndexHomePos(Key key) const {
-  return HashIndex(HashKey(key), index_mask_);
-}
-
-std::size_t FlatSpaceSaving::FindIndexPos(Key key) const {
-  std::size_t pos = IndexHomePos(key);
+std::size_t FlatSpaceSaving::FindIndexPos(Key key, std::uint64_t hash) const {
+  std::size_t pos = IndexHomePos(hash);
   while (index_[pos] != kEmpty) {
     if (slots_[static_cast<std::size_t>(index_[pos])].key == key) {
       return pos;
@@ -43,8 +39,8 @@ std::size_t FlatSpaceSaving::FindIndexPos(Key key) const {
   return index_.size();
 }
 
-void FlatSpaceSaving::IndexInsert(std::uint32_t slot) {
-  std::size_t pos = IndexHomePos(slots_[slot].key);
+void FlatSpaceSaving::IndexInsert(std::uint32_t slot, std::uint64_t hash) {
+  std::size_t pos = IndexHomePos(hash);
   while (index_[pos] != kEmpty) {
     pos = (pos + 1) & index_mask_;
   }
@@ -63,7 +59,7 @@ void FlatSpaceSaving::IndexEraseAt(std::size_t pos) {
       return;
     }
     Slot& moved = slots_[static_cast<std::size_t>(index_[probe])];
-    const std::size_t home = IndexHomePos(moved.key);
+    const std::size_t home = IndexHomePos(HashKey(moved.key));
     const bool reachable = hole < probe ? (home > hole && home <= probe)
                                         : (home > hole || home <= probe);
     if (!reachable) {
@@ -125,8 +121,9 @@ std::uint32_t FlatSpaceSaving::Increment(std::uint32_t slot) {
   return first;
 }
 
-std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t* guaranteed) {
-  const std::size_t pos = FindIndexPos(key);
+std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t hash,
+                                     std::uint64_t* guaranteed) {
+  const std::size_t pos = FindIndexPos(key, hash);
   std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
   if (pos != index_.size()) {
     slot = static_cast<std::uint32_t>(index_[pos]);
@@ -139,7 +136,7 @@ std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t* guaranteed) {
       groups_[g].last = slot;
     }
     slots_.push_back(Slot{key, 0, g, 0});  // within the reserve: no allocation
-    IndexInsert(slot);
+    IndexInsert(slot, hash);
   } else {
     // Space-Saving replacement: the newcomer takes over the tail slot, which
     // holds a minimum count, and inherits that count as its error bound.
@@ -148,7 +145,7 @@ std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t* guaranteed) {
     IndexEraseAt(tail.index_pos);
     tail.key = key;
     tail.error = groups_[tail.group].count;
-    IndexInsert(slot);
+    IndexInsert(slot, hash);
   }
   const Slot& s = slots_[Increment(slot)];
   const std::uint64_t count = groups_[s.group].count;
@@ -184,7 +181,7 @@ void FlatSpaceSaving::DecayHalve() {
 }
 
 std::uint64_t FlatSpaceSaving::EstimateOf(Key key) const {
-  const std::size_t pos = FindIndexPos(key);
+  const std::size_t pos = FindIndexPos(key, HashKey(key));
   if (pos == index_.size()) {
     return 0;
   }

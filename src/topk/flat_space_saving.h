@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/types.h"
 
 namespace cckvs {
@@ -62,7 +63,11 @@ class FlatSpaceSaving {
   // inherited minimum makes every one-hit wonder's estimate look large, and
   // admitting on the estimate would churn the L1 with keys that were seen
   // exactly once.  O(1), allocation-free.
-  std::uint64_t Offer(Key key, std::uint64_t* guaranteed = nullptr);
+  std::uint64_t Offer(Key key, std::uint64_t* guaranteed = nullptr) {
+    return Offer(key, HashKey(key), guaranteed);
+  }
+  // Same, for a caller that already holds hash == HashKey(key).
+  std::uint64_t Offer(Key key, std::uint64_t hash, std::uint64_t* guaranteed);
 
   // Halves every count and error (aging for drift).  Allocation-free.
   void DecayHalve();
@@ -91,9 +96,12 @@ class FlatSpaceSaving {
   };
 
   // HashIndex's bits (src/common/hash.h), as in the L1 tail it feeds.
-  std::size_t IndexHomePos(Key key) const;
-  std::size_t FindIndexPos(Key key) const;  // index_.size() when absent
-  void IndexInsert(std::uint32_t slot);
+  std::size_t IndexHomePos(std::uint64_t hash) const {
+    return HashIndex(hash, index_mask_);
+  }
+  // index_.size() when absent
+  std::size_t FindIndexPos(Key key, std::uint64_t hash) const;
+  void IndexInsert(std::uint32_t slot, std::uint64_t hash);
   void IndexEraseAt(std::size_t pos);
   std::uint32_t NewGroup(std::uint64_t count, std::uint32_t slot);
   void FreeGroup(std::uint32_t group);

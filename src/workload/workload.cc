@@ -69,15 +69,21 @@ bool ParseWriteValue(const Value& value, std::uint32_t* writer_tag,
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
                                      std::uint32_t writer_tag, std::uint64_t seed)
+    : WorkloadGenerator(config, writer_tag, seed,
+                        ZipfSampler(config.keyspace, config.zipf_alpha)) {}
+
+WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
+                                     std::uint32_t writer_tag, std::uint64_t seed,
+                                     const ZipfSampler& sampler)
     : config_(config),
-      sampler_(config.keyspace, config.zipf_alpha),
+      sampler_(sampler),
       scrambler_(config.keyspace, config.scramble_seed),
       rng_(seed),
       writer_tag_(writer_tag),
-      memo_(scrambler_.mean_walk() >= kMemoMinWalk
-                ? std::min<std::uint64_t>(kMemoRanks, config.keyspace)
-                : 0,
+      memo_(sampler.hot_table() != nullptr ? sampler.hot_table()->ranks() : 0,
             kNotMemoized) {
+  CCKVS_CHECK_EQ(sampler.n(), config.keyspace);
+  CCKVS_CHECK_EQ(sampler.alpha(), config.zipf_alpha);
   CCKVS_CHECK_GE(config.keyspace, 1u);
   CCKVS_CHECK_GE(config.write_ratio, 0.0);
   CCKVS_CHECK_LE(config.write_ratio, 1.0);
@@ -126,13 +132,14 @@ std::vector<Key> WorkloadGenerator::HottestKeysAt(std::size_t k,
 
 void WorkloadGenerator::NextInto(Op* op) {
   ++ops_;
-  const std::uint64_t rank0 = sampler_.Sample(rng_) - 1;  // sampler is 1-based
+  bool hot = false;
+  const std::uint64_t rank0 = sampler_.Sample(rng_, &hot) - 1;  // sampler is 1-based
   const std::uint64_t phase = drift_phase();
   if (phase != memo_phase_) {
     std::fill(memo_.begin(), memo_.end(), kNotMemoized);
     memo_phase_ = phase;
   }
-  if (rank0 < memo_.size()) {
+  if (hot) {
     Key& memo = memo_[rank0];
     if (memo == kNotMemoized) {
       memo = KeyOfRankAt(rank0, phase);
@@ -162,11 +169,12 @@ std::uint64_t PerThreadSeed(std::uint64_t seed, std::uint32_t t) {
 std::vector<WorkloadGenerator> MakePerThreadGenerators(const WorkloadConfig& config,
                                                        int threads,
                                                        std::uint64_t seed) {
+  const ZipfSampler sampler(config.keyspace, config.zipf_alpha);
   std::vector<WorkloadGenerator> gens;
   gens.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     gens.emplace_back(config, /*writer_tag=*/static_cast<std::uint32_t>(t),
-                      PerThreadSeed(seed, static_cast<std::uint32_t>(t)));
+                      PerThreadSeed(seed, static_cast<std::uint32_t>(t)), sampler);
   }
   return gens;
 }

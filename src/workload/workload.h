@@ -5,6 +5,12 @@
 // 8 B keys, values of 40 B / 256 B / 1 KB, and write ratios from 0 to 5%.
 // Popularity ranks map to key ids through a seeded Feistel bijection so hot keys
 // scatter across shards, as hashing scatters them in the real system.
+//
+// An op is derived once: a draw on one of the sampler's hot ranks (the 2048
+// hottest, answered from ZipfSampler's shared hot table) takes its key from a
+// per-generator memo instead of the Feistel network, so the common op at
+// Zipf 0.99 costs a table lookup and a memo read.  The op stream is the one
+// the plain inversion and scrambler give.
 
 #ifndef CCKVS_WORKLOAD_WORKLOAD_H_
 #define CCKVS_WORKLOAD_WORKLOAD_H_
@@ -84,6 +90,10 @@ class WorkloadGenerator {
   // id) so PUT payloads are globally unique.
   WorkloadGenerator(const WorkloadConfig& config, std::uint32_t writer_tag,
                     std::uint64_t seed);
+  // Same, sampling with a copy of `sampler` (and so sharing its hot table),
+  // which must have been built for (config.keyspace, config.zipf_alpha).
+  WorkloadGenerator(const WorkloadConfig& config, std::uint32_t writer_tag,
+                    std::uint64_t seed, const ZipfSampler& sampler);
 
   Op Next();
 
@@ -112,15 +122,10 @@ class WorkloadGenerator {
   const WorkloadConfig& config() const { return config_; }
 
  private:
-  // NextInto memoizes KeyOfRankAt for the hottest kMemoRanks ranks (8 KB):
-  // at Zipf 0.99 they draw most ops.  Filled lazily, cleared when the drift
-  // phase changes; the op stream is unchanged.  Only where the scrambler
-  // cycle-walks kMemoMinWalk passes or more on average (2.6 at 100k keys):
-  // the memo test is a branch on the sampled rank that mispredicts about as
-  // often as a top rank is drawn, and at ~1 pass (1M or 250M keys) that
-  // costs more than the pass it saves.
-  static constexpr std::size_t kMemoRanks = 1024;
-  static constexpr double kMemoMinWalk = 2.0;
+  // NextInto memoizes KeyOfRankAt for the sampler's hot ranks (16 KB at
+  // 2048), read only when the draw came from the hot table: at Zipf 0.99
+  // those ranks draw most ops.  Filled lazily, cleared when the drift phase
+  // changes; the op stream is unchanged.
   static constexpr Key kNotMemoized = ~Key{0};
 
   WorkloadConfig config_;
@@ -131,15 +136,15 @@ class WorkloadGenerator {
   std::uint64_t rank_offset_ = 0;  // writer_tag * node_rank_stride mod keyspace
   std::uint64_t seq_ = 0;
   std::uint64_t ops_ = 0;
-  std::vector<Key> memo_;  // rank0 -> key at memo_phase_, kNotMemoized when unset;
-                           // empty when the memo is off
+  std::vector<Key> memo_;  // rank0 -> key at memo_phase_, kNotMemoized when unset
   std::uint64_t memo_phase_ = 0;
 };
 
 // One generator per concurrent client thread: thread t gets writer tag t (so
 // PUT payloads stay globally unique) and PerThreadSeed(seed, t), while all
 // share the config's scramble seed and therefore agree on the rank-to-key
-// bijection — the property the symmetric hot set depends on.
+// bijection — the property the symmetric hot set depends on.  They share one
+// ZipfSampler, so the hot table is built once.
 std::vector<WorkloadGenerator> MakePerThreadGenerators(const WorkloadConfig& config,
                                                        int threads,
                                                        std::uint64_t seed);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -188,6 +190,80 @@ TEST(ZipfSampler, HugeDomain) {
   }
   const double expected = ZipfCdf(1'000'000, n, 0.99);
   EXPECT_NEAR(static_cast<double>(top_million) / draws, expected, 0.02);
+}
+
+// The draw-by-draw reference: rejection-inversion alone, one RNG word per
+// attempt, exactly as ZipfSampler drew before it had a hot table.
+std::uint64_t InversionSample(const ZipfSampler& sampler, Rng& rng) {
+  while (true) {
+    bool accept = false;
+    const std::uint64_t k = sampler.Invert(rng.Next() >> 11, &accept);
+    if (accept) {
+      return k;
+    }
+  }
+}
+
+class ZipfTable : public testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+// The hot table must be the inversion, draw for draw: every draw within 256
+// of a piece boundary gets the inversion's answer (so no boundary is off by
+// a rounding step), and 20M random draws give the inversion's ranks from the
+// same RNG words.
+TEST_P(ZipfTable, TableDrawsMatchInversion) {
+  const auto [n, alpha] = GetParam();
+  const ZipfSampler sampler(n, alpha);
+  const ZipfSampler::HotTable* table = sampler.hot_table();
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->ranks(), std::min<std::uint64_t>(2048, n));
+  EXPECT_LE(table->bytes(), 128u * 1024);
+
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  for (std::size_t j = 0; j <= table->pieces(); ++j) {
+    const std::uint64_t b = table->piece_start(j);
+    const std::uint64_t lo = b < 256 ? 0 : b - 256;
+    const std::uint64_t hi = std::min(b + 256, ZipfSampler::HotTable::kDrawEnd);
+    for (std::uint64_t m = lo; m < hi; ++m) {
+      bool accept = false;
+      const std::uint64_t k = sampler.Invert(m, &accept);
+      ++checked;
+      if (m >= table->m_hot()) {
+        mismatches += table->Lookup(m) != (accept ? k : 0) ? 1 : 0;
+      } else {
+        mismatches += k <= table->ranks() ? 1 : 0;  // below m_hot: a cold rank
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " boundary draws";
+
+  constexpr int kDraws = 20'000'000;
+  Rng with_table(n ^ 0x7ab1e);
+  Rng reference(n ^ 0x7ab1e);
+  std::uint64_t draw_mismatches = 0;
+  std::uint64_t hot_mismatches = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    bool hot = false;
+    const std::uint64_t got = sampler.Sample(with_table, &hot);
+    draw_mismatches += got != InversionSample(sampler, reference) ? 1 : 0;
+    hot_mismatches += hot != (got <= table->ranks()) ? 1 : 0;
+  }
+  EXPECT_EQ(draw_mismatches, 0u);
+  EXPECT_EQ(hot_mismatches, 0u);
+  EXPECT_EQ(with_table.Next(), reference.Next());  // same words consumed
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfTable,
+    testing::Combine(testing::Values<std::uint64_t>(5'000, 100'000, 1'000'000,
+                                                    250'000'000),
+                     testing::Values(0.6, 0.99, 1.0, 1.2)));
+
+TEST(ZipfSampler, CopiesShareOneHotTable) {
+  const ZipfSampler sampler(1'000'000, 0.99);
+  const ZipfSampler copy = sampler;
+  EXPECT_EQ(copy.hot_table(), sampler.hot_table());
+  EXPECT_EQ(ZipfSampler(1000, 0.0).hot_table(), nullptr);  // uniform: no table
 }
 
 // ---------------------------------------------------------------------------

@@ -310,8 +310,8 @@ TEST(Partition, PrefetchHintsChangeNothing) {
   Partition part(SmallConfig());
   part.Put(42, "hello");
   for (Key k : {Key{42}, Key{43}}) {  // present and absent
-    part.PrefetchBucket(k);
-    part.PrefetchRecord(k);
+    part.PrefetchBucket(HashKey(k));
+    part.PrefetchRecord(HashKey(k));
   }
   Value v;
   ASSERT_TRUE(part.Get(42, &v));
@@ -384,6 +384,62 @@ TEST(Partition, ManyKeysForceOverflowChains) {
   }
   EXPECT_GT(deepest, 0);
   EXPECT_EQ(part.ChainDepth(5000), -1);
+}
+
+// The hashed forms (the live node passes each op's HashKey) and the key
+// forms are one implementation: on a shard deep in overflow chains, with
+// residency flags up on some records and never-written keys synthesized,
+// they read, peek and write the same.
+TEST(Partition, HashedFormsMatchKeyForms) {
+  PartitionConfig pc = SmallConfig();
+  pc.synthesize = [](Key key) { return "synth-" + std::to_string(key); };
+  Partition by_key(pc);
+  Partition by_hash(pc);
+  constexpr Key kKeys = 3000;  // 64 buckets of 7 ways: most keys overflow
+  for (Key k = 0; k < kKeys; k += 2) {
+    const Value v = "v" + std::to_string(k);
+    Timestamp ts_key;
+    Timestamp ts_hash;
+    ASSERT_TRUE(by_key.TryPut(k, v, &ts_key));
+    ASSERT_TRUE(by_hash.TryPut(k, HashKey(k), v, &ts_hash));
+    ASSERT_EQ(ts_key, ts_hash);
+  }
+  for (Key k = 0; k < kKeys; k += 5) {
+    by_key.MarkCacheResident(k);
+    by_hash.MarkCacheResident(k);
+  }
+  ASSERT_GT(by_key.overflow_buckets(), 0u);
+  int deepest = 0;
+  for (Key k = 0; k < kKeys + 100; ++k) {  // written, resident and absent keys
+    const std::uint64_t h = HashKey(k);
+    deepest = std::max(deepest, by_key.ChainDepth(k));
+    Value v_key;
+    Value v_hash;
+    Timestamp ts_key{9, 9};
+    Timestamp ts_hash{9, 9};
+    bool res_key = false;
+    bool res_hash = true;
+    ASSERT_EQ(by_key.Get(k, &v_key, &ts_key, &res_key),
+              by_key.Get(k, h, &v_hash, &ts_hash, &res_hash));
+    ASSERT_EQ(v_key, v_hash) << "key " << k;
+    ASSERT_EQ(ts_key, ts_hash) << "key " << k;
+    ASSERT_EQ(res_key, res_hash) << "key " << k;
+    ASSERT_EQ(by_key.PeekTimestamp(k, &ts_key, &res_key),
+              by_key.PeekTimestamp(k, h, &ts_hash, &res_hash));
+    ASSERT_EQ(ts_key, ts_hash) << "key " << k;
+    ASSERT_EQ(res_key, res_hash) << "key " << k;
+    // A second write through each form: same verdict (refused while the
+    // record is resident), same timestamp, same stored bytes.
+    Timestamp put_key;
+    Timestamp put_hash;
+    ASSERT_EQ(by_key.TryPut(k, "w", &put_key), by_hash.TryPut(k, h, "w", &put_hash));
+    ASSERT_EQ(put_key, put_hash) << "key " << k;
+    ASSERT_TRUE(by_key.Get(k, &v_key, &ts_key));
+    ASSERT_TRUE(by_hash.Get(k, h, &v_hash, &ts_hash));
+    ASSERT_EQ(v_key, v_hash) << "key " << k;
+    ASSERT_EQ(ts_key, ts_hash) << "key " << k;
+  }
+  EXPECT_GT(deepest, 1);
 }
 
 TEST(Partition, KeysSpreadOverTheWholeIndex) {
@@ -569,6 +625,20 @@ TEST(ModuloPartitioner, CoversAllNodesEvenly) {
   }
   for (int c : counts) {
     EXPECT_NEAR(c, 10000, 400);
+  }
+}
+
+// HomeOfHash is HomeOf from the key's hash: the mask path on power-of-two
+// racks, the modulo path on the rest.
+TEST(Partitioner, HomeOfHashMatchesHomeOf) {
+  for (int nodes = 1; nodes <= 9; ++nodes) {
+    const ModuloPartitioner part(nodes);
+    for (Key k = 0; k < 1'000'000; ++k) {
+      const NodeId home = part.HomeOf(k);
+      ASSERT_EQ(home, static_cast<NodeId>(HashKey(k) % static_cast<std::uint64_t>(nodes)))
+          << "nodes " << nodes << " key " << k;
+      ASSERT_EQ(part.HomeOfHash(HashKey(k)), home) << "nodes " << nodes << " key " << k;
+    }
   }
 }
 

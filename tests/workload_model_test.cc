@@ -186,10 +186,8 @@ TEST(Workload, UniformAlphaZero) {
   EXPECT_GT(distinct.size(), 8000u);
 }
 
-// FNV-1a over the (key, type) of the first `n` ops of a generator.
-std::uint64_t OpStreamHash(const WorkloadConfig& cfg, std::uint32_t writer_tag,
-                           std::uint64_t seed, int n) {
-  WorkloadGenerator gen(cfg, writer_tag, seed);
+// FNV-1a over the (key, type) of the next `n` ops of `gen`.
+std::uint64_t OpStreamHash(WorkloadGenerator& gen, int n) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](std::uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) {
@@ -204,6 +202,12 @@ std::uint64_t OpStreamHash(const WorkloadConfig& cfg, std::uint32_t writer_tag,
     mix(static_cast<std::uint64_t>(op.type), 1);
   }
   return h;
+}
+
+std::uint64_t OpStreamHash(const WorkloadConfig& cfg, std::uint32_t writer_tag,
+                           std::uint64_t seed, int n) {
+  WorkloadGenerator gen(cfg, writer_tag, seed);
+  return OpStreamHash(gen, n);
 }
 
 // The op streams are part of every seed's history and of sim/live parity:
@@ -226,7 +230,7 @@ TEST(Workload, OpStreamIsPinned) {
   EXPECT_EQ(OpStreamHash(drift, 2, 12, kOps), 0xf58f5f3977258846ull);
 
   // Both rotations and ten drift phases at a keyspace whose scrambler
-  // cycle-walks, so the memo is on and must be refilled every phase.
+  // cycle-walks: the hot-rank memo must be refilled every phase.
   WorkloadConfig skew_drift = node_skew;
   skew_drift.drift_period_ops = 200'000;
   skew_drift.drift_rank_shift = 200;
@@ -236,6 +240,21 @@ TEST(Workload, OpStreamIsPinned) {
   uniform.keyspace = 5000;
   uniform.zipf_alpha = 0.0;
   EXPECT_EQ(OpStreamHash(uniform, 1, 13, kOps), 0xc014f52561295e7eull);
+
+  // The repository benchmark's two 1M-key shapes, nodes 0 and 3 of a
+  // 4-node rack seeded 1, built as the live rack builds its generators.
+  WorkloadConfig read_skew;
+  read_skew.keyspace = 1'000'000;
+  read_skew.value_bytes = 40;
+  std::vector<WorkloadGenerator> read_gens = MakePerThreadGenerators(read_skew, 4, 1);
+  EXPECT_EQ(OpStreamHash(read_gens[0], kOps), 0xea22513816adf462ull);
+  EXPECT_EQ(OpStreamHash(read_gens[3], kOps), 0x9e295c67eefba60full);
+
+  WorkloadConfig write_lin = read_skew;
+  write_lin.write_ratio = 0.05;
+  std::vector<WorkloadGenerator> write_gens = MakePerThreadGenerators(write_lin, 4, 1);
+  EXPECT_EQ(OpStreamHash(write_gens[0], kOps), 0x3fc2dec33c49e800ull);
+  EXPECT_EQ(OpStreamHash(write_gens[3], kOps), 0xb1574d15e6dd6af5ull);
 }
 
 // ---------------------------------------------------------------------------
