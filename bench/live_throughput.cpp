@@ -61,7 +61,8 @@
 // The final section is the zero-allocation audit (docs/PERFORMANCE.md): an
 // SC rack with the whole store prefilled runs with the allocation tracker
 // armed and CCKVS_CHECKs that the steady state performed zero operator-new
-// calls on any node thread.  It runs on the --transport backend when that is
+// calls on any node thread (Lin, allocation-free too, is audited on the same
+// shape by tests/live_rack_test.cc).  It runs on the --transport backend when that is
 // inproc or shm (the shm audit adds the frame codec, ring scratch and pool
 // magazines); --transport=socket audits inproc, since socket frames decode
 // on an rx thread the audit does not arm.
@@ -381,8 +382,8 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Zero-allocation steady-state audit.  SC only: Lin's pending-write map
-    // churns per write by design.  prefill_store materializes all 64K keys up
+    // Zero-allocation steady-state audit, on SC here; LiveRackZeroAllocTest
+    // audits Lin on the same shape.  prefill_store materializes all 64K keys up
     // front so no steady-state PUT inserts, and track_allocs arms the
     // per-thread operator-new counter inside each node's steady-state window
     // (opened at quota/4, closed at quiescence).  alloc_assert turns a nonzero

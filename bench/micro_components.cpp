@@ -1,6 +1,7 @@
 // google-benchmark microbenches for the data-plane components: the MICA-like
 // store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, op
-// generation, the symmetric cache probe path and the Space-Saving sketch.
+// generation, the symmetric cache probe path, the Space-Saving sketch and a
+// Lin write round between two engines.
 //
 // These measure the real (wall-clock) cost of the concurrent data structures —
 // the part of the system that runs as genuine multithreaded code rather than
@@ -17,8 +18,11 @@
 
 #include "src/cache/l1_tail.h"
 #include "src/cache/symmetric_cache.h"
+#include "src/common/alloc_tracker.h"
+#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
+#include "src/protocol/engine.h"
 #include "src/store/partition.h"
 #include "src/store/partitioner.h"
 #include "src/store/seqlock.h"
@@ -426,6 +430,79 @@ void BM_L1Tail(benchmark::State& state, const WorkloadConfig& cfg) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_L1Tail, node_skew, NodeSkewWorkload());
+
+// ---------------------------------------------------------------------------
+// Protocol
+// ---------------------------------------------------------------------------
+
+// Keeps the latest message of each kind an engine sends.  Copy-assigning the
+// update keeps its value's capacity, so the sink itself never allocates.
+class LatestMessageSink final : public MessageSink {
+ public:
+  void BroadcastUpdate(const UpdateMsg& msg) override { update = msg; }
+  void BroadcastInvalidate(const InvalidateMsg& msg) override { invalidate = msg; }
+  void SendAck(NodeId to, const AckMsg& msg) override {
+    (void)to;
+    ack = msg;
+  }
+
+  UpdateMsg update;
+  InvalidateMsg invalidate;
+  AckMsg ack;
+};
+
+// One Lin write round between two engines of a 2-node rack, plus one read
+// parked on the round: node 0 writes and invalidates, node 1 acks, a node-1
+// read parks on its Invalid entry, node 0 collects the ack and broadcasts
+// the update, and node 1's update wakes the read.  The engines are warmed as
+// a live node warms them (PrewarmScratch, then OnFilled at the prefill), so
+// allocs_per_iter, the heap allocations per round on this thread after the
+// warm-up rounds, reads 0.
+void BM_LinWriteRound(benchmark::State& state) {
+  constexpr Key kKey = 42;
+  constexpr std::size_t kValueBytes = 40;
+  SymmetricCache cache0(1);
+  SymmetricCache cache1(1);
+  LatestMessageSink sink0;
+  LatestMessageSink sink1;
+  LinEngine writer(0, 2, &cache0, &sink0);
+  LinEngine reader(1, 2, &cache1, &sink1);
+  auto prefill = [&](SymmetricCache& cache, LinEngine& engine) {
+    engine.PrewarmScratch(kValueBytes);
+    cache.InstallHotSet({kKey});
+    cache.Fill(kKey, Value(kValueBytes, 'i'), Timestamp{0, 0});
+    engine.OnFilled(kKey);
+  };
+  prefill(cache0, writer);
+  prefill(cache1, reader);
+  const Value value(kValueBytes, 'v');
+  std::uint64_t writes_done = 0;
+  std::uint64_t reads_done = 0;
+  auto round = [&] {
+    writer.Write(kKey, value, [&writes_done] { ++writes_done; });
+    reader.OnInvalidate(0, sink0.invalidate);
+    reader.Read(kKey, nullptr, nullptr,
+                [&reads_done](const Value&, Timestamp) { ++reads_done; });
+    writer.OnAck(1, sink1.ack);
+    reader.OnUpdate(0, sink0.update);
+  };
+  for (int i = 0; i < 16; ++i) {
+    round();  // warm-up: first-touch costs land here
+  }
+  alloc::ResetThread();
+  alloc::EnableThread();
+  for (auto _ : state) {
+    round();
+    benchmark::DoNotOptimize(reads_done);
+  }
+  alloc::DisableThread();
+  CCKVS_CHECK_EQ(writes_done, reads_done);
+  CCKVS_CHECK(writer.Quiescent() && reader.Quiescent());
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(alloc::ThreadCount()) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LinWriteRound);
 
 }  // namespace
 }  // namespace cckvs

@@ -130,6 +130,8 @@ bool SymmetricCache::Evict(Key key, Eviction* dirty_out) {
   if (entry == nullptr) {
     return false;
   }
+  // A waiter on an evicted entry would never complete (its session hangs).
+  CCKVS_CHECK(!entry->HasWaiters());
   ++stats_.evictions;
   const bool dirty = entry->dirty;
   if (dirty) {

@@ -10,7 +10,11 @@
 // (§6.2): consistency state (1 B, Lin only), spinlock (1 B), last writer id
 // (1 B), received-ack counter (1 B), version = Lamport clock (4 B).  The extra
 // transient-write bookkeeping a real node keeps in thread-private structures
-// (pending/shadow values) lives beside the header.
+// (pending/shadow values) lives beside the header, and so do the coherence
+// engine's waiters on the key: the in-flight write's completion, the readers
+// parked until the entry is Valid and the local writes queued behind it.  An
+// entry with a waiter must not be evicted (Evict CHECKs it): the waiter could
+// never complete.
 //
 // Table layout: a flat, open-addressed index over stable entries, so a probe
 // is one multiplicative hash and a short linear scan of a compact array, and
@@ -40,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/common/types.h"
@@ -80,6 +85,41 @@ struct CacheEntryHeader {
 };
 static_assert(sizeof(CacheEntryHeader) == 8, "header must stay 8 bytes (§6.2)");
 
+// Completion callbacks of the coherence engines (protocol/engine.h).
+using WriteDone = std::function<void()>;
+using ReadDone = std::function<void(const Value&, Timestamp)>;
+
+// A reader parked on an entry until it is Valid, or a local write queued on
+// it until it can start.  Waiters are nodes of the entry's FIFO drawn from
+// the engine's free list, so a reused node keeps a queued value's capacity.
+struct Waiter {
+  ReadDone read;    // a parked read's completion
+  Value value;      // a queued write's value
+  WriteDone write;  // a queued write's completion
+  Waiter* next = nullptr;
+};
+
+// A FIFO of waiters linked through Waiter::next.  It owns none of them.
+struct WaiterFifo {
+  Waiter* head = nullptr;
+  Waiter* tail = nullptr;
+
+  bool empty() const { return head == nullptr; }
+  void PushBack(Waiter* w) {
+    w->next = nullptr;
+    (tail == nullptr ? head : tail->next) = w;
+    tail = w;
+  }
+  Waiter* PopFront() {
+    Waiter* w = head;
+    head = w->next;
+    if (head == nullptr) {
+      tail = nullptr;
+    }
+    return w;
+  }
+};
+
 struct CacheEntry {
   CacheEntryHeader header;
   Value value;
@@ -94,10 +134,29 @@ struct CacheEntry {
   bool write_in_flight = false;  // this node's write awaits acks
   Timestamp pending_ts{};        // timestamp of the in-flight write
   Value pending_value;           // its value
+  WriteDone write_done;          // its completion
   bool superseded = false;       // a higher-ts invalidation overtook the write
   bool has_shadow = false;       // a higher-ts update arrived mid-write
   Timestamp shadow_ts{};
   Value shadow_value;
+
+  // --- engine waiters on the key (engine-owned) ---
+  WaiterFifo parked_readers;
+  WaiterFifo queued_writes;
+
+  // True while a local write is in flight or any operation waits here.
+  bool HasWaiters() const {
+    return write_in_flight || !parked_readers.empty() || !queued_writes.empty();
+  }
+
+  // Makes `v`, written at `t`, the entry's Valid value (dirty: write-back).
+  void Install(const Value& v, Timestamp t) {
+    value = v;
+    value_ts = t;
+    set_ts(t);
+    set_state(CacheState::kValid);
+    dirty = true;
+  }
 
   Timestamp ts() const { return Timestamp{header.version, header.last_writer}; }
   void set_ts(Timestamp t) {
@@ -165,7 +224,8 @@ class SymmetricCache {
   // node holding deferred evictions transiently exceeds it by their count.
   void Admit(Key key);  // no-op if present; enters in kFilling
   // Removes `key` (no-op if absent).  Returns true and fills *dirty_out when
-  // the departing entry carried an unflushed write.
+  // the departing entry carried an unflushed write.  CHECK-fails when the
+  // entry still has a waiter (CacheEntry::HasWaiters).
   bool Evict(Key key, Eviction* dirty_out);
 
   // Current membership, in index order.

@@ -6,50 +6,96 @@
 
 namespace cckvs {
 
-bool CoherenceEngine::Quiescent() const {
-  for (const auto& [key, readers] : parked_readers_) {
-    if (!readers.empty()) {
-      return false;
-    }
+namespace {
+
+// Waiter nodes made up front: more than a live node's sessions (32 in the
+// benchmark, at most 48 in the tests) can ever park or queue at once.
+constexpr std::size_t kWarmWaiters = 64;
+
+}  // namespace
+
+void CoherenceEngine::PrewarmScratch(std::size_t value_bytes) {
+  update_scratch_.value.reserve(value_bytes);
+  warm_value_bytes_ = value_bytes;
+  for (std::size_t i = 0; i < kWarmWaiters; ++i) {
+    Waiter& w = waiter_nodes_.emplace_back();
+    w.value.reserve(value_bytes);
+    GiveWaiter(&w);
   }
-  for (const auto& [key, writes] : queued_writes_) {
-    if (!writes.empty()) {
-      return false;
-    }
-  }
-  return true;
 }
 
-bool CoherenceEngine::EvictionSafe(Key key) const {
-  if (auto it = parked_readers_.find(key);
-      it != parked_readers_.end() && !it->second.empty()) {
-    return false;
-  }
-  if (auto it = queued_writes_.find(key);
-      it != queued_writes_.end() && !it->second.empty()) {
-    return false;
-  }
-  return true;
-}
-
-void CoherenceEngine::OnEvicted(Key key) {
-  CCKVS_DCHECK(EvictionSafe(key));
-  parked_readers_.erase(key);
-  queued_writes_.erase(key);
-}
-
-void CoherenceEngine::WakeReaders(Key key) {
-  auto it = parked_readers_.find(key);
-  if (it == parked_readers_.end() || it->second.empty()) {
-    return;
-  }
+void CoherenceEngine::OnFilled(Key key) {
   CacheEntry* entry = cache_->Find(key);
-  if (entry == nullptr || entry->state() != CacheState::kValid) {
-    return;  // still not readable; keep them parked
+  CCKVS_CHECK(entry != nullptr);
+  if (warm_value_bytes_ != 0 && model() == ConsistencyModel::kLin) {
+    // SC entries stay cold: SC never writes pending/shadow values.
+    entry->pending_value.reserve(warm_value_bytes_);
+    entry->shadow_value.reserve(warm_value_bytes_);
   }
-  std::vector<ReadDone> readers = std::move(it->second);
-  parked_readers_.erase(it);
-  for (ReadDone& done : readers) {
+  WakeReaders(entry);
+  StartQueuedWrites(key, entry);
+}
+
+CoherenceEngine::ReadResult CoherenceEngine::Read(Key key, Value* value, Timestamp* ts,
+                                                  ReadDone done) {
+  CacheEntry* entry = cache_->Find(key);
+  CCKVS_CHECK(entry != nullptr);
+  if (entry->state() == CacheState::kValid) {
+    ReadHit(*entry, value, ts);
+    return ReadResult::kHit;
+  }
+  // SC blocks only on kFilling.  Lin also blocks on Invalid and Write: "a read
+  // request under Lin may hit in the cache but it may not succeed, if the
+  // key-value pair is in Invalid state" (§6.2) — it waits for the update.
+  CCKVS_DCHECK(model() == ConsistencyModel::kLin || entry->state() == CacheState::kFilling);
+  ++stats_.reads_blocked;
+  ++waiters_;
+  Waiter* w = TakeWaiter();
+  w->read = std::move(done);
+  entry->parked_readers.PushBack(w);
+  return ReadResult::kBlocked;
+}
+
+CoherenceEngine::WriteResult CoherenceEngine::Write(Key key, const Value& value,
+                                                    WriteDone done) {
+  CacheEntry* entry = cache_->Find(key);
+  CCKVS_CHECK(entry != nullptr);
+  ++stats_.writes;
+  if (entry->write_in_flight || entry->state() == CacheState::kFilling) {
+    // Lin: one in-flight write per key per node; later local writes queue
+    // behind it (sessions on this node remain in session order).  Both: a
+    // write over an unfilled entry would restart the key's Lamport clock at 1
+    // and could reuse a timestamp from before the key left the hot set; it
+    // waits for the fill, which carries the clock the shard reached.
+    ++stats_.local_writes_queued;
+    ++waiters_;
+    Waiter* w = TakeWaiter();
+    w->value = value;  // copy-assign reuses the node's string capacity
+    w->write = std::move(done);
+    entry->queued_writes.PushBack(w);
+    return WriteResult::kPending;
+  }
+  return StartWrite(key, entry, value, std::move(done));
+}
+
+void CoherenceEngine::StartQueuedWrites(Key key, CacheEntry* entry) {
+  // SC drains the queue here; a Lin write stays in flight, and its completion
+  // starts the next one.
+  while (!entry->write_in_flight && entry->state() != CacheState::kFilling &&
+         !entry->queued_writes.empty()) {
+    Waiter* next = entry->queued_writes.PopFront();
+    --waiters_;
+    StartWrite(key, entry, next->value, std::move(next->write));
+    GiveWaiter(next);
+  }
+}
+
+void CoherenceEngine::WakeReaders(CacheEntry* entry) {
+  while (entry->state() == CacheState::kValid && !entry->parked_readers.empty()) {
+    Waiter* w = entry->parked_readers.PopFront();
+    ReadDone done = std::move(w->read);
+    GiveWaiter(w);
+    --waiters_;
     done(entry->value, entry->ts());
   }
 }
@@ -58,32 +104,12 @@ void CoherenceEngine::WakeReaders(Key key) {
 // ScEngine
 // ---------------------------------------------------------------------------
 
-CoherenceEngine::WriteResult ScEngine::Write(Key key, const Value& value,
-                                             WriteDone done) {
-  CacheEntry* entry = cache_->Find(key);
-  CCKVS_CHECK(entry != nullptr);
-  ++stats_.writes;
-  if (entry->state() == CacheState::kFilling) {
-    // Writing over an unfilled entry would restart the key's Lamport clock at
-    // 1 and could reuse a timestamp from before the key left the hot set;
-    // wait for the fill, which carries the clock the shard reached.
-    QueueWrite(key, value, std::move(done));
-    return WriteResult::kPending;
-  }
-  ApplyWrite(key, entry, value, std::move(done));
-  return WriteResult::kCompleted;
-}
-
-void ScEngine::ApplyWrite(Key key, CacheEntry* entry, const Value& value,
-                          WriteDone done) {
+CoherenceEngine::WriteResult ScEngine::StartWrite(Key key, CacheEntry* entry,
+                                                  const Value& value, WriteDone done) {
   // Burckhardt-style: bump the Lamport clock, apply locally, broadcast, return.
   // Writes are asynchronous and reads that follow observe the new value at once.
   const Timestamp ts{entry->header.version + 1, self_};
-  entry->value = value;
-  entry->value_ts = ts;
-  entry->set_ts(ts);
-  entry->set_state(CacheState::kValid);
-  entry->dirty = true;
+  entry->Install(value, ts);
   update_scratch_.key = key;
   update_scratch_.value = value;  // copy-assign reuses the scratch's capacity
   update_scratch_.ts = ts;
@@ -92,70 +118,33 @@ void ScEngine::ApplyWrite(Key key, CacheEntry* entry, const Value& value,
   if (done != nullptr) {
     done();
   }
-  WakeReaders(key);
+  WakeReaders(entry);
+  return WriteResult::kCompleted;
 }
 
-void ScEngine::StartQueuedWrites(Key key) {
-  auto it = queued_writes_.find(key);
-  if (it == queued_writes_.end()) {
-    return;
-  }
-  while (!it->second.empty()) {
-    auto [value, done] = std::move(it->second.front());
-    it->second.pop_front();
-    CacheEntry* entry = cache_->Find(key);
-    CCKVS_CHECK(entry != nullptr);  // queued writes defer eviction
-    ApplyWrite(key, entry, value, std::move(done));
-  }
-  queued_writes_.erase(key);
-}
-
-CoherenceEngine::ReadResult ScEngine::Read(Key key, Value* value, Timestamp* ts,
-                                           ReadDone done) {
-  CacheEntry* entry = cache_->Find(key);
-  CCKVS_CHECK(entry != nullptr);
-  if (entry->state() == CacheState::kValid) {
-    ReadHit(*entry, value, ts);
-    return ReadResult::kHit;
-  }
-  // Only kFilling is reachable under SC (no Invalid/Write states).
-  CCKVS_DCHECK(entry->state() == CacheState::kFilling);
-  ParkReader(key, std::move(done));
-  return ReadResult::kBlocked;
-}
-
-void ScEngine::OnUpdate(NodeId from, const UpdateMsg& msg) {
-  (void)from;
+void ScEngine::OnUpdate(NodeId, const UpdateMsg& msg) {
   CacheEntry* entry = cache_->Find(msg.key);
   if (entry == nullptr) {
     return;  // key left the hot set (epoch churn); nothing to keep consistent
   }
   // Apply iff newer: bigger Lamport clock, writer id as tie-breaker.
   if (msg.ts > entry->ts()) {
-    entry->value = msg.value;
-    entry->value_ts = msg.ts;
-    entry->set_ts(msg.ts);
-    entry->set_state(CacheState::kValid);
-    entry->dirty = true;
+    entry->Install(msg.value, msg.ts);
     ++stats_.updates_applied;
-    WakeReaders(msg.key);
+    WakeReaders(entry);
     // A remote update can be what makes a kFilling entry readable (the fill
     // itself will then be discarded as stale): release queued writes too.
-    StartQueuedWrites(msg.key);
+    StartQueuedWrites(msg.key, entry);
   } else {
     ++stats_.updates_discarded;
   }
 }
 
-void ScEngine::OnInvalidate(NodeId from, const InvalidateMsg& msg) {
-  (void)from;
-  (void)msg;
+void ScEngine::OnInvalidate(NodeId, const InvalidateMsg&) {
   CCKVS_CHECK(false && "SC protocol has no invalidations");
 }
 
-void ScEngine::OnAck(NodeId from, const AckMsg& msg) {
-  (void)from;
-  (void)msg;
+void ScEngine::OnAck(NodeId, const AckMsg&) {
   CCKVS_CHECK(false && "SC protocol has no acks");
 }
 
@@ -163,40 +152,8 @@ void ScEngine::OnAck(NodeId from, const AckMsg& msg) {
 // LinEngine
 // ---------------------------------------------------------------------------
 
-CoherenceEngine::WriteResult LinEngine::Write(Key key, const Value& value,
-                                              WriteDone done) {
-  CacheEntry* entry = cache_->Find(key);
-  CCKVS_CHECK(entry != nullptr);
-  ++stats_.writes;
-  if (entry->write_in_flight || entry->state() == CacheState::kFilling) {
-    // One in-flight write per key per node; later local writes queue behind it
-    // (sessions on this node remain in session order).  Writes over unfilled
-    // entries queue too: starting from version 0 would restart the key's
-    // Lamport clock and could reuse a timestamp from a previous hot-set era.
-    QueueWrite(key, value, std::move(done));
-    return WriteResult::kPending;
-  }
-  StartWrite(key, entry, value, std::move(done));
-  return WriteResult::kPending;
-}
-
-void LinEngine::StartQueuedWrites(Key key) {
-  CacheEntry* entry = cache_->Find(key);
-  if (entry == nullptr || entry->write_in_flight ||
-      entry->state() == CacheState::kFilling) {
-    return;
-  }
-  auto it = queued_writes_.find(key);
-  if (it == queued_writes_.end() || it->second.empty()) {
-    return;
-  }
-  auto [value, done] = std::move(it->second.front());
-  it->second.pop_front();
-  StartWrite(key, entry, value, std::move(done));
-}
-
-void LinEngine::StartWrite(Key key, CacheEntry* entry, const Value& value,
-                           WriteDone done) {
+CoherenceEngine::WriteResult LinEngine::StartWrite(Key key, CacheEntry* entry,
+                                                   const Value& value, WriteDone done) {
   // Transition to the transient Write state and broadcast invalidations carrying
   // the new timestamp (Figure 7, phase 1).
   const Timestamp ts{entry->header.version + 1, self_};
@@ -205,14 +162,16 @@ void LinEngine::StartWrite(Key key, CacheEntry* entry, const Value& value,
   entry->write_in_flight = true;
   entry->pending_ts = ts;
   entry->pending_value = value;
+  entry->write_done = std::move(done);
+  ++waiters_;
   entry->superseded = false;
   entry->has_shadow = false;
   entry->header.ack_count = 0;
-  pending_done_[key] = std::move(done);
   sink_->BroadcastInvalidate(InvalidateMsg{key, ts});
   if (num_nodes_ == 1) {
     CompleteWrite(key, entry);  // no sharers to invalidate
   }
+  return WriteResult::kPending;
 }
 
 void LinEngine::CompleteWrite(Key key, CacheEntry* entry) {
@@ -227,49 +186,25 @@ void LinEngine::CompleteWrite(Key key, CacheEntry* entry) {
   entry->header.ack_count = 0;
   if (!entry->superseded) {
     CCKVS_DCHECK(entry->ts() == entry->pending_ts);
-    entry->value = entry->pending_value;
-    entry->value_ts = entry->pending_ts;
-    entry->set_state(CacheState::kValid);
-    entry->dirty = true;
+    entry->Install(entry->pending_value, entry->pending_ts);
   } else {
     ++stats_.writes_superseded;
     if (entry->has_shadow && entry->shadow_ts == entry->ts()) {
       // The superseding writer's update already arrived; install it.
-      entry->value = entry->shadow_value;
-      entry->value_ts = entry->shadow_ts;
-      entry->set_state(CacheState::kValid);
-      entry->dirty = true;
+      entry->Install(entry->shadow_value, entry->shadow_ts);
       entry->has_shadow = false;
     } else {
       entry->set_state(CacheState::kInvalid);  // its update is still in flight
     }
   }
   ++stats_.writes_completed;
-  auto done_it = pending_done_.find(key);
-  CCKVS_CHECK(done_it != pending_done_.end());
-  WriteDone done = std::move(done_it->second);
-  pending_done_.erase(done_it);
+  WriteDone done = std::exchange(entry->write_done, nullptr);
+  --waiters_;
   if (done != nullptr) {
     done();
   }
-  if (entry->state() == CacheState::kValid) {
-    WakeReaders(key);
-  }
-  StartQueuedWrites(key);  // next queued local write, if any
-}
-
-CoherenceEngine::ReadResult LinEngine::Read(Key key, Value* value, Timestamp* ts,
-                                            ReadDone done) {
-  CacheEntry* entry = cache_->Find(key);
-  CCKVS_CHECK(entry != nullptr);
-  if (entry->state() == CacheState::kValid) {
-    ReadHit(*entry, value, ts);
-    return ReadResult::kHit;
-  }
-  // "A read request under Lin may hit in the cache but it may not succeed, if
-  // the key-value pair is in Invalid state" (§6.2) — it waits for the update.
-  ParkReader(key, std::move(done));
-  return ReadResult::kBlocked;
+  WakeReaders(entry);
+  StartQueuedWrites(key, entry);  // next queued local write, if any
 }
 
 void LinEngine::OnInvalidate(NodeId from, const InvalidateMsg& msg) {
@@ -293,7 +228,7 @@ void LinEngine::OnInvalidate(NodeId from, const InvalidateMsg& msg) {
       if (was_filling) {
         // The entry left kFilling without a fill: its clock is live now, so
         // writes queued behind the fill may start (bumping past msg.ts).
-        StartQueuedWrites(msg.key);
+        StartQueuedWrites(msg.key, entry);
       }
     }
   } else {
@@ -301,8 +236,7 @@ void LinEngine::OnInvalidate(NodeId from, const InvalidateMsg& msg) {
   }
 }
 
-void LinEngine::OnAck(NodeId from, const AckMsg& msg) {
-  (void)from;
+void LinEngine::OnAck(NodeId, const AckMsg& msg) {
   CacheEntry* entry = cache_->Find(msg.key);
   if (entry == nullptr || !entry->write_in_flight || msg.ts != entry->pending_ts) {
     // Ack for a write that is no longer pending (e.g. the key churned out of
@@ -316,24 +250,18 @@ void LinEngine::OnAck(NodeId from, const AckMsg& msg) {
   }
 }
 
-void LinEngine::OnUpdate(NodeId from, const UpdateMsg& msg) {
-  (void)from;
+void LinEngine::OnUpdate(NodeId, const UpdateMsg& msg) {
   CacheEntry* entry = cache_->Find(msg.key);
   if (entry == nullptr) {
     return;
   }
   if (entry->state() == CacheState::kWrite) {
     // Our own write is mid-flight.  Buffer newer values; install on completion.
-    if (msg.ts > entry->ts()) {
-      // The update overtook its invalidation (UD gives no ordering).
+    // A newer update overtook its invalidation (UD gives no ordering); an
+    // equal one matches the invalidation that superseded us.
+    if (msg.ts > entry->ts() || (entry->superseded && msg.ts == entry->ts())) {
       entry->set_ts(msg.ts);
       entry->superseded = true;
-      entry->shadow_ts = msg.ts;
-      entry->shadow_value = msg.value;
-      entry->has_shadow = true;
-      ++stats_.updates_applied;
-    } else if (entry->superseded && msg.ts == entry->ts()) {
-      // The update matching the invalidation that superseded us.
       entry->shadow_ts = msg.ts;
       entry->shadow_value = msg.value;
       entry->has_shadow = true;
@@ -347,14 +275,10 @@ void LinEngine::OnUpdate(NodeId from, const UpdateMsg& msg) {
       msg.ts > entry->ts()) {
     // Either the update we were invalidated for, or a newer one that overtook
     // its invalidation; both install directly.
-    entry->value = msg.value;
-    entry->value_ts = msg.ts;
-    entry->set_ts(msg.ts);
-    entry->set_state(CacheState::kValid);
-    entry->dirty = true;
+    entry->Install(msg.value, msg.ts);
     ++stats_.updates_applied;
-    WakeReaders(msg.key);
-    StartQueuedWrites(msg.key);  // the entry may have been kFilling until now
+    WakeReaders(entry);
+    StartQueuedWrites(msg.key, entry);  // the entry may have been kFilling until now
   } else {
     ++stats_.updates_discarded;
   }

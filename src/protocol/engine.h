@@ -26,17 +26,19 @@
 // calls (client ops and message deliveries).  Completion is callback-based:
 // Write/Read return immediately and fire WriteDone/ReadDone when the
 // operation completes under the model's rules, so a blocking Lin write is
-// simply a callback deferred until the last ack.  See docs/ARCHITECTURE.md
-// for the full state machine, including the superseded-write and
-// update-overtakes-invalidation races.
+// simply a callback deferred until the last ack.  Every such waiter lives on
+// its key's CacheEntry (symmetric_cache.h): the in-flight Lin write's
+// completion beside pending_ts, parked readers and queued local writes in
+// per-entry FIFOs.  The engine keeps no per-key state of its own, only a
+// count of its waiters and the free list of FIFO nodes.  See
+// docs/ARCHITECTURE.md for the full state machine, including the
+// superseded-write and update-overtakes-invalidation races.
 
 #ifndef CCKVS_PROTOCOL_ENGINE_H_
 #define CCKVS_PROTOCOL_ENGINE_H_
 
+#include <cstddef>
 #include <deque>
-#include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "src/cache/symmetric_cache.h"
 #include "src/common/check.h"
@@ -88,9 +90,9 @@ struct EngineStats {
 
 class CoherenceEngine {
  public:
-  using WriteDone = std::function<void()>;
+  using WriteDone = cckvs::WriteDone;
   // Blocked reads resume with the value and timestamp they finally observed.
-  using ReadDone = std::function<void(const Value&, Timestamp)>;
+  using ReadDone = cckvs::ReadDone;
 
   enum class WriteResult { kCompleted, kPending };
   enum class ReadResult { kHit, kBlocked };
@@ -103,12 +105,12 @@ class CoherenceEngine {
 
   // A put that hit the cache.  `done` fires when the write completes under the
   // model's rules (SC: immediately; Lin: after all acks + update broadcast).
-  virtual WriteResult Write(Key key, const Value& value, WriteDone done) = 0;
+  WriteResult Write(Key key, const Value& value, WriteDone done);
 
   // A get that hit the cache.  kHit: *value/*ts are filled and `done` is not
-  // used.  kBlocked (Lin): the entry is in a transient state; `done` fires when
-  // it becomes readable.
-  virtual ReadResult Read(Key key, Value* value, Timestamp* ts, ReadDone done) = 0;
+  // used.  kBlocked: the entry is unfilled or (Lin) in a transient state;
+  // `done` fires when it becomes readable.
+  ReadResult Read(Key key, Value* value, Timestamp* ts, ReadDone done);
 
   // A get whose probe already returned a kValid entry: both protocols serve
   // it at once, so a host that probed can skip Read's second lookup and its
@@ -129,29 +131,21 @@ class CoherenceEngine {
   virtual void OnInvalidate(NodeId from, const InvalidateMsg& msg) = 0;
   virtual void OnAck(NodeId from, const AckMsg& msg) = 0;
 
-  // The host filled a kFilling entry (epoch machinery): wakes blocked readers
-  // and starts writes that queued while the entry awaited its value.
-  void OnFilled(Key key) {
-    WakeReaders(key);
-    StartQueuedWrites(key);
+  // The host filled a kFilling entry (an epoch fill or, live, the prefill):
+  // wakes blocked readers and starts writes that queued while the entry
+  // awaited its value.  After PrewarmScratch, a Lin entry's transient-write
+  // values also get their capacity here, so its first writes do not allocate.
+  void OnFilled(Key key);
+
+  // True when `key` can leave the hot set without stranding a waiter: no
+  // parked reader, no queued local write and (Lin) no in-flight write.  A
+  // Lin write whose entry disappears could never collect its acks, so its
+  // session would hang.  Hosts ask this before evicting a key and defer the
+  // eviction when it says no; SymmetricCache::Evict CHECKs it.
+  bool EvictionSafe(Key key) const {
+    const CacheEntry* entry = cache_->Find(key);
+    return entry == nullptr || !entry->HasWaiters();
   }
-
-  // --- hot-set membership hooks (epoch machinery) ---
-  //
-  // The engine owns per-key transient state (in-flight writes, queued local
-  // writes, parked readers) that an eviction would strand: a Lin write whose
-  // entry disappears can never collect its acks, so its session hangs and
-  // Quiescent() stays false forever.  Hosts must therefore ask EvictionSafe
-  // before removing a key from the hot set, defer the eviction when it says
-  // no, and call OnEvicted right after the entry is gone.
-
-  // True when `key` can leave the hot set without stranding protocol state:
-  // no parked readers, no queued local writes and (Lin) no in-flight write.
-  virtual bool EvictionSafe(Key key) const;
-
-  // Notification that `key` left the hot set (its cache entry is already
-  // gone).  Requires EvictionSafe(key); drops empty per-key bookkeeping.
-  virtual void OnEvicted(Key key);
 
   virtual ConsistencyModel model() const = 0;
   const EngineStats& stats() const { return stats_; }
@@ -173,32 +167,44 @@ class CoherenceEngine {
   // growth — which lands inside the measured window (and trips the zero-alloc
   // audit) whenever warmup happened not to write a hot key, e.g. under
   // node-strided skew where most of a node's writes miss the shared cache.
-  void PrewarmScratch(std::size_t value_bytes) {
-    update_scratch_.value.reserve(value_bytes);
-  }
+  // Also makes the first waiter nodes and sets the value size OnFilled warms
+  // Lin entries to.  Call once, before the first operation.
+  void PrewarmScratch(std::size_t value_bytes);
 
-  // True when no write is in flight and no reader is parked (quiescence; used
-  // by tests and the model checker's deadlock detection).
-  virtual bool Quiescent() const;
+  // True when no write is in flight and no operation waits (quiescence; used
+  // by hosts' termination, tests and the model checker's deadlock detection).
+  bool Quiescent() const { return waiters_ == 0; }
 
  protected:
-  void ParkReader(Key key, ReadDone done) {
-    ++stats_.reads_blocked;
-    parked_readers_[key].push_back(std::move(done));
-  }
+  // Delivers the entry's value to its parked readers, in park order, while
+  // the entry is Valid.  Each reader leaves the FIFO before its callback
+  // runs, so a callback may re-enter the engine.
+  void WakeReaders(CacheEntry* entry);
 
-  // Delivers the entry's current value to every reader parked on `key`.
-  void WakeReaders(Key key);
+  // Starts a local write on an entry that can take it (no write in flight,
+  // not kFilling).  SC applies it at once (kCompleted); Lin starts its
+  // invalidation round (kPending).  `value` is read before any callback runs.
+  virtual WriteResult StartWrite(Key key, CacheEntry* entry, const Value& value,
+                                 WriteDone done) = 0;
 
   // Starts local writes queued behind a kFilling entry (or, Lin, behind an
-  // in-flight write) once the entry can accept them.  SC drains the whole
-  // queue inline; Lin starts the head and lets its completion chain the rest.
-  virtual void StartQueuedWrites(Key key) = 0;
+  // in-flight write) once the entry can accept them.
+  void StartQueuedWrites(Key key, CacheEntry* entry);
 
-  // Queues (value, done) until StartQueuedWrites releases it.
-  void QueueWrite(Key key, const Value& value, WriteDone done) {
-    ++stats_.local_writes_queued;
-    queued_writes_[key].emplace_back(value, std::move(done));
+  // Waiter nodes come from a free list over every node the engine has made:
+  // once it has had as many waiters at once as it ever will (at most one per
+  // session), parking and queueing allocate nothing.
+  Waiter* TakeWaiter() {
+    if (free_waiters_ == nullptr) {
+      GiveWaiter(&waiter_nodes_.emplace_back());
+    }
+    Waiter* w = free_waiters_;
+    free_waiters_ = w->next;
+    return w;
+  }
+  void GiveWaiter(Waiter* w) {
+    w->next = free_waiters_;
+    free_waiters_ = w;
   }
 
   NodeId self_;
@@ -206,8 +212,11 @@ class CoherenceEngine {
   SymmetricCache* cache_;
   MessageSink* sink_;
   EngineStats stats_;
-  std::unordered_map<Key, std::vector<ReadDone>> parked_readers_;
-  std::unordered_map<Key, std::deque<std::pair<Value, WriteDone>>> queued_writes_;
+  // Parked readers, queued writes and in-flight Lin writes on every entry.
+  std::size_t waiters_ = 0;
+  std::deque<Waiter> waiter_nodes_;  // a deque never moves its elements
+  Waiter* free_waiters_ = nullptr;
+  std::size_t warm_value_bytes_ = 0;  // 0: OnFilled warms nothing
 
   // Reused across broadcasts so the value's string capacity survives; building
   // a fresh UpdateMsg per write would allocate on every put (hot path).
@@ -219,8 +228,6 @@ class ScEngine final : public CoherenceEngine {
  public:
   using CoherenceEngine::CoherenceEngine;
 
-  WriteResult Write(Key key, const Value& value, WriteDone done) override;
-  ReadResult Read(Key key, Value* value, Timestamp* ts, ReadDone done) override;
   void OnUpdate(NodeId from, const UpdateMsg& msg) override;
   void OnInvalidate(NodeId from, const InvalidateMsg& msg) override;
   void OnAck(NodeId from, const AckMsg& msg) override;
@@ -228,8 +235,8 @@ class ScEngine final : public CoherenceEngine {
   ConsistencyModel model() const override { return ConsistencyModel::kSc; }
 
  private:
-  void StartQueuedWrites(Key key) override;
-  void ApplyWrite(Key key, CacheEntry* entry, const Value& value, WriteDone done);
+  WriteResult StartWrite(Key key, CacheEntry* entry, const Value& value,
+                         WriteDone done) override;
 };
 
 // Per-key Linearizability (§5.2, "Lin Protocol").
@@ -237,29 +244,16 @@ class LinEngine final : public CoherenceEngine {
  public:
   using CoherenceEngine::CoherenceEngine;
 
-  WriteResult Write(Key key, const Value& value, WriteDone done) override;
-  ReadResult Read(Key key, Value* value, Timestamp* ts, ReadDone done) override;
   void OnUpdate(NodeId from, const UpdateMsg& msg) override;
   void OnInvalidate(NodeId from, const InvalidateMsg& msg) override;
   void OnAck(NodeId from, const AckMsg& msg) override;
 
   ConsistencyModel model() const override { return ConsistencyModel::kLin; }
 
-  bool Quiescent() const override {
-    return CoherenceEngine::Quiescent() && pending_done_.empty();
-  }
-
-  bool EvictionSafe(Key key) const override {
-    return CoherenceEngine::EvictionSafe(key) && pending_done_.count(key) == 0;
-  }
-
  private:
-  void StartQueuedWrites(Key key) override;
-  void StartWrite(Key key, CacheEntry* entry, const Value& value, WriteDone done);
+  WriteResult StartWrite(Key key, CacheEntry* entry, const Value& value,
+                         WriteDone done) override;
   void CompleteWrite(Key key, CacheEntry* entry);
-
-  // done-callbacks of in-flight writes, keyed by key.
-  std::unordered_map<Key, WriteDone> pending_done_;
 };
 
 }  // namespace cckvs

@@ -116,6 +116,7 @@ void LiveNode::PrefillHotSet(const std::vector<Key>& hot_keys) {
   for (const Key key : hot_keys) {
     cache_->Fill(key, SynthesizeValue(key, rack_->params().workload.value_bytes),
                  Timestamp{0, 0});
+    engine_->OnFilled(key);  // warms a Lin entry
   }
   if (hot_mgr_ != nullptr && hot_mgr_->coordinator()) {
     // Keys the first epoch drops from the oracle set must settle like any

@@ -131,9 +131,9 @@ struct LiveRackParams {
   // Count operator-new calls on each node thread between warmup (quota/4
   // completed) and halt; the count lands in LiveReport::hot_path_allocs.
   // With alloc_assert the run CHECK-fails unless that count is zero — the
-  // zero-steady-state-allocation invariant, enforceable under SC with a
-  // prefilled store (Lin's variant churn and pending-write map allocate by
-  // design).  No-op under ASan/TSan, which replace operator new themselves.
+  // zero-steady-state-allocation invariant, enforceable under SC and Lin
+  // with a prefilled store.  No-op under ASan/TSan, which replace operator
+  // new themselves.
   bool track_allocs = false;
   bool alloc_assert = false;
   // Materialize every key of the keyspace in its home shard up front, so

@@ -119,8 +119,9 @@ class WireBatch {
   // construction (wire_codec decodes directly into it).  A slot holding
   // another alternative trades places with a spare that holds `index`
   // (variant swaps move strings; they never allocate).  With no such spare,
-  // a non-update keeps off a warm update slot while the vector has room for
-  // a fresh one.  Grows the slot vector only past the high-water mark.
+  // a non-update keeps off a warm update slot: it takes a spare that holds
+  // no update, or a fresh slot while the vector has room for one.  Grows the
+  // slot vector only past the high-water mark.
   WireBody& AppendSlot(std::size_t index) {
     if (count_ == slots_.size()) {
       slots_.emplace_back();
@@ -129,16 +130,23 @@ class WireBatch {
     if (slot.index() == index) {
       return slot;
     }
+    std::size_t non_update = slots_.size();  // a spare holding no update
     for (std::size_t i = slots_.size(); i-- > count_;) {
       if (slots_[i].index() == index) {
         std::swap(slot, slots_[i]);
         return slot;
       }
+      if (!std::holds_alternative<UpdateMsg>(slots_[i])) {
+        non_update = i;
+      }
     }
-    if (std::holds_alternative<UpdateMsg>(slot) &&
-        slots_.size() < slots_.capacity()) {
-      slots_.emplace_back();  // within capacity: `slot` stays valid
-      std::swap(slot, slots_.back());
+    if (std::holds_alternative<UpdateMsg>(slot)) {
+      if (non_update < slots_.size()) {
+        std::swap(slot, slots_[non_update]);
+      } else if (slots_.size() < slots_.capacity()) {
+        slots_.emplace_back();  // within capacity: `slot` stays valid
+        std::swap(slot, slots_.back());
+      }
     }
     return slot;
   }
@@ -160,13 +168,15 @@ class WireBatch {
   // Pre-pays the growth costs a cold batch would otherwise pay mid-run: grows
   // the slot vector to `slots` entries and reserves `value_bytes` of string
   // capacity in each (slots default to UpdateMsg — the variant's first
-  // alternative and the only steady-state value carrier), plus room for one
-  // more, so one control message never costs a warm string (AppendSlot).
-  // Idempotent on a warm batch.  WireBatchPool::Prewarm uses this at fabric
-  // init so a measured window never observes first-touch warm-up allocations.
+  // alternative and the only steady-state value carrier).  It also reserves
+  // room for `slots + 1` more, so even a full batch of invalidations, acks or
+  // control messages takes fresh slots and never re-seats a warm update slot
+  // (AppendSlot): a Lin batch mixes all three.  Idempotent on a warm batch.
+  // WireBatchPool::Prewarm uses this at fabric init so a measured window
+  // never observes first-touch warm-up allocations.
   void Warm(std::size_t slots, std::size_t value_bytes) {
     if (slots_.size() < slots) {
-      slots_.reserve(slots + 1);
+      slots_.reserve(2 * slots + 1);
       while (slots_.size() < slots) {
         slots_.emplace_back();
       }

@@ -150,7 +150,6 @@ void HotSetManager::TryEvict(Key key, Transition* t) {
   }
   SymmetricCache::Eviction ev;
   const bool dirty = cache_->Evict(key, &ev);
-  engine_->OnEvicted(key);
   deferred_.erase(key);
   if (config_.home_of(key) == config_.self) {
     // Only the home flushes (§4); symmetric contents make its copy

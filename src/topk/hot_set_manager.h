@@ -15,13 +15,14 @@
 //
 // Protocol safety has two parts:
 //
-//  * Engine membership hooks.  Evicting a key with an in-flight Lin write,
-//    queued local writes or parked readers would strand engine state (the
-//    write could never collect its acks; its session would hang).  The
-//    manager asks CoherenceEngine::EvictionSafe first and *defers* unsafe
-//    evictions; hosts call RetryDeferred as protocol progress (acks, updates,
-//    fills) releases keys.  An epoch counts as installed only when nothing is
-//    deferred.
+//  * Engine membership hooks.  The engine's waiters on a key (an in-flight
+//    Lin write, queued local writes, parked readers) live on its cache
+//    entry, and evicting it would strand them (the write could never collect
+//    its acks; its session would hang; SymmetricCache::Evict CHECKs this).
+//    The manager asks CoherenceEngine::EvictionSafe first and *defers*
+//    unsafe evictions; hosts call RetryDeferred as protocol progress (acks,
+//    updates, fills) releases keys.  An epoch counts as installed only when
+//    nothing is deferred.
 //
 //  * The install barrier.  Every node broadcasts EpochInstalledMsg after
 //    finishing an install.  Because a node's pre-eviction updates travel the

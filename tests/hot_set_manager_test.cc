@@ -161,6 +161,51 @@ TEST(HotSetManager, ParkedReaderDefersEvictionUntilFill) {
   EXPECT_EQ(h.cache->Find(3), nullptr);
 }
 
+TEST(HotSetManager, RetargetedDeferredKeyKeepsItsWaiters) {
+  // Key 3 is admitted in epoch 1 and still unfilled when epoch 2 drops it: a
+  // parked reader and a queued write defer its eviction.  Epoch 3 targets the
+  // key again before its fill lands.  The entry stays, waiters and all, and
+  // the fill completes both.
+  for (auto model : {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
+    SCOPED_TRACE(ToString(model));
+    Harness h(model);
+    h.mgr->Apply(HotSetAnnounceMsg{1, {3}});  // admitted, kFilling
+    bool read_done = false;
+    Value read_value;
+    h.engine->Read(3, nullptr, nullptr, [&](const Value& v, Timestamp) {
+      read_done = true;
+      read_value = v;
+    });
+    bool write_done = false;
+    h.engine->Write(3, "queued", [&] { write_done = true; });  // queues
+
+    auto t = h.mgr->Apply(HotSetAnnounceMsg{2, {5}});  // drops key 3
+    EXPECT_TRUE(h.mgr->HasDeferred());
+    EXPECT_FALSE(t.installed_advanced);
+    t = h.mgr->Apply(HotSetAnnounceMsg{3, {3, 5}});  // and takes it back
+    EXPECT_FALSE(h.mgr->HasDeferred());
+    EXPECT_TRUE(t.installed_advanced);
+    ASSERT_NE(h.cache->Find(3), nullptr);
+    EXPECT_TRUE(h.cache->Find(3)->HasWaiters());
+    EXPECT_FALSE(h.engine->Quiescent());
+
+    h.mgr->ApplyFill(FillMsg{3, "filled", Timestamp{2, 1}, 1});
+    EXPECT_TRUE(read_done);
+    EXPECT_EQ(read_value, "filled");
+    if (model == ConsistencyModel::kLin) {
+      // The queued write started at the fill; its ack round completes it.
+      EXPECT_FALSE(write_done);
+      ASSERT_EQ(h.sink.invalidations.size(), 1u);
+      h.engine->OnAck(1, AckMsg{3, h.sink.invalidations[0].ts});
+    }
+    EXPECT_TRUE(write_done);
+    EXPECT_EQ(h.cache->Find(3)->value, "queued");
+    EXPECT_EQ(h.cache->Find(3)->ts(), (Timestamp{3, 0}));
+    EXPECT_TRUE(h.engine->Quiescent());
+    EXPECT_TRUE(h.engine->EvictionSafe(3));
+  }
+}
+
 TEST(HotSetManager, FillThatBeatsItsAnnounceIsStashed) {
   Harness h(ConsistencyModel::kSc);
   // Epoch 1's announce has not arrived, but the home's fill has.

@@ -452,44 +452,56 @@ TEST(LiveRackTest, EarlyStopStillSealsHistories) {
   EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
 }
 
-// The zero-steady-state-allocation invariant, per backend: an SC rack over a
-// prefilled store runs its measured window (quota/4 .. halt) with the
-// allocation tracker armed, and alloc_assert CHECK-fails any node thread
+// The zero-steady-state-allocation invariant, per backend and protocol: a
+// rack over a prefilled store runs its measured window (quota/4 .. halt) with
+// the allocation tracker armed, and alloc_assert CHECK-fails any node thread
 // that allocates.  Over shm this also covers the serialize/deserialize
-// scratch and the pool magazines that batches cross on every frame.
-class LiveRackZeroAllocTest : public ::testing::TestWithParam<TransportKind> {};
+// scratch and the pool magazines that batches cross on every frame.  Under
+// Lin it also covers the ack round: invalidations, acks and updates through
+// the warm wire slots, and in-flight writes, parked readers and queued local
+// writes on their cache entries.
+class LiveRackZeroAllocTest : public ::testing::TestWithParam<TransportKind> {
+ protected:
+  static void RunAudit(ConsistencyModel model) {
+    LiveRackParams p;
+    p.num_nodes = 4;
+    p.consistency = model;
+    // live_throughput's audit shape: strided per-node ranks keep the L1 tier
+    // filling and serving inside the window, and the frame mix they produce
+    // outgrows the shm codec scratch's warm-up size unless it is reserved.
+    p.workload.keyspace = 65'536;
+    p.workload.zipf_alpha = 0.99;
+    p.workload.write_ratio = 0.05;
+    p.workload.value_bytes = 40;
+    p.workload.node_rank_stride = 1'000;
+    p.cache_capacity = 1'000;
+    p.l1_capacity = 128;
+    p.window_per_node = 32;
+    p.ops_per_node = OpsPerNode(25'000, 4'000);
+    p.coalescing = true;
+    p.seed = 11;
+    p.prefill_store = true;
+    p.track_allocs = true;
+    p.alloc_assert = true;
+    p.transport.kind = GetParam();
+    p.transport.shm_name = "/cckvs_zeroalloc_" + std::to_string(getpid());
+    LiveRack rack(p);
+    const LiveReport r = rack.Run();
+    ASSERT_TRUE(r.transport_error.empty()) << r.transport_error;
+    EXPECT_GE(r.completed, p.ops_per_node * static_cast<std::uint64_t>(p.num_nodes));
+    EXPECT_GT(r.channel_messages, 0u);
+    if (alloc::TrackerAvailable()) {
+      EXPECT_EQ(r.hot_path_allocs, 0u);
+    }
+  }
+};
 
 TEST_P(LiveRackZeroAllocTest, SteadyStateAllocatesNothing) {
-  LiveRackParams p;
-  p.num_nodes = 4;
-  p.consistency = ConsistencyModel::kSc;
-  // live_throughput's audit shape: strided per-node ranks keep the L1 tier
-  // filling and serving inside the window, and the frame mix they produce
-  // outgrows the shm codec scratch's warm-up size unless it is reserved.
-  p.workload.keyspace = 65'536;
-  p.workload.zipf_alpha = 0.99;
-  p.workload.write_ratio = 0.05;
-  p.workload.value_bytes = 40;
-  p.workload.node_rank_stride = 1'000;
-  p.cache_capacity = 1'000;
-  p.l1_capacity = 128;
-  p.window_per_node = 32;
-  p.ops_per_node = OpsPerNode(25'000, 4'000);
-  p.coalescing = true;
-  p.seed = 11;
-  p.prefill_store = true;
-  p.track_allocs = true;
-  p.alloc_assert = true;
-  p.transport.kind = GetParam();
-  p.transport.shm_name = "/cckvs_zeroalloc_" + std::to_string(getpid());
-  LiveRack rack(p);
-  const LiveReport r = rack.Run();
-  ASSERT_TRUE(r.transport_error.empty()) << r.transport_error;
-  EXPECT_GE(r.completed, p.ops_per_node * static_cast<std::uint64_t>(p.num_nodes));
-  EXPECT_GT(r.channel_messages, 0u);
-  if (alloc::TrackerAvailable()) {
-    EXPECT_EQ(r.hot_path_allocs, 0u);
-  }
+  RunAudit(ConsistencyModel::kSc);
+}
+
+TEST_P(LiveRackZeroAllocTest, LinSteadyStateAllocatesNothing) {
+  RunAudit(ConsistencyModel::kLin);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, LiveRackZeroAllocTest,

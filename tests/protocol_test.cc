@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/symmetric_cache.h"
@@ -451,14 +455,61 @@ TEST(MembershipHooks, EvictionSafeFalseWithParkedReader) {
   EXPECT_TRUE(f.engine(1).EvictionSafe(kKey));
 }
 
-TEST(MembershipHooks, OnEvictedDropsPerKeyBookkeeping) {
+TEST(MembershipHooks, ReadmittedEntryStartsClean) {
+  // The waiters live on the entry, so an evicted key takes nothing with it
+  // and a re-admitted one starts with empty queues.  Use every waiter kind
+  // on node 0's entry first, so its queue slots have held callbacks.
   FakeFabric f(2, ConsistencyModel::kLin);
+  int callbacks = 0;
+  f.engine(1).Write(kKey, "theirs", [&callbacks] { ++callbacks; });
+  f.DeliverOne();  // node 1's invalidation: node 0's entry turns Invalid
+  f.engine(0).Read(kKey, nullptr, nullptr,
+                   [&callbacks](const Value&, Timestamp) { ++callbacks; });
+  f.engine(0).Write(kKey, "mine", [&callbacks] { ++callbacks; });
+  f.engine(0).Write(kKey, "queued", [&callbacks] { ++callbacks; });
+  EXPECT_FALSE(f.engine(0).EvictionSafe(kKey));
   f.DeliverAllInOrder();
+  ASSERT_EQ(callbacks, 4);
+  ASSERT_TRUE(f.engine(0).Quiescent());
   ASSERT_TRUE(f.engine(0).EvictionSafe(kKey));
+
   SymmetricCache::Eviction ev;
   f.cache(0).Evict(kKey, &ev);
-  f.engine(0).OnEvicted(kKey);
+  EXPECT_TRUE(f.engine(0).EvictionSafe(kKey));  // absent keys strand nothing
+  f.cache(0).Admit(kKey);
+  const CacheEntry& fresh = f.entry(0);
+  EXPECT_FALSE(fresh.HasWaiters());
+  EXPECT_TRUE(fresh.parked_readers.empty());
+  EXPECT_TRUE(fresh.queued_writes.empty());
+  EXPECT_FALSE(fresh.write_done);
+
+  // A read parked on the refilled entry wakes once, with the fill's value;
+  // nothing from the entry's previous life fires.
+  Value got;
+  f.engine(0).Read(kKey, nullptr, nullptr, [&](const Value& v, Timestamp) {
+    got = v;
+    ++callbacks;
+  });
+  EXPECT_FALSE(f.engine(0).Quiescent());
+  f.cache(0).Fill(kKey, "refilled", ev.ts);
+  f.engine(0).OnFilled(kKey);
+  EXPECT_EQ(got, "refilled");
+  EXPECT_EQ(callbacks, 5);
+  EXPECT_FALSE(f.entry(0).HasWaiters());
   EXPECT_TRUE(f.engine(0).Quiescent());
+  EXPECT_TRUE(f.engine(0).EvictionSafe(kKey));
+}
+
+TEST(MembershipHooksDeathTest, EvictingAnEntryWithAWaiterFails) {
+  // An eviction that would strand a waiter must fail loudly, also in Release:
+  // dropping the callback would hang its session instead.
+  FakeFabric f(2, ConsistencyModel::kLin);
+  f.engine(0).Write(kKey, "w", nullptr);  // in flight on node 0
+  f.DeliverOne();                         // node 1's entry turns Invalid
+  f.engine(1).Read(kKey, nullptr, nullptr, [](const Value&, Timestamp) {});
+  SymmetricCache::Eviction ev;
+  EXPECT_DEATH(f.cache(0).Evict(kKey, &ev), "HasWaiters");  // in-flight write
+  EXPECT_DEATH(f.cache(1).Evict(kKey, &ev), "HasWaiters");  // parked reader
 }
 
 TEST(MembershipHooks, ScWriteToFillingEntryQueuesUntilFill) {
@@ -527,6 +578,157 @@ TEST(MembershipHooks, RemoteTrafficReleasesFillingQueuedWrite) {
   EXPECT_TRUE(f.engine(1).Quiescent());
   // Node 0's write carries the higher timestamp, so both converge on "mine".
   EXPECT_EQ(f.entryOf(0, kFresh).value, f.entryOf(1, kFresh).value);
+}
+
+// Every waiter an engine keeps sits on a cache entry.  Drive both protocols
+// through random reads, writes, deliveries, fills and EvictionSafe-gated
+// evictions and re-admissions, and after every step compare the engine's
+// waiter accounting with the test's own count of the operations still waiting
+// on each key and with a scan of the cache entries.  Some read callbacks
+// re-enter the engine: a plain Read, or (Lin) a Write and then a Read of the
+// same key, which parks behind the write it just started.
+TEST(Protocols, WaiterAccountingMatchesEntryScan) {
+  constexpr Key kKeys[] = {kKey, 1001, 1002, 1003};
+  constexpr int kNodes = 3;
+  for (auto model : {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string(ToString(model)) + " seed " + std::to_string(seed));
+      FakeFabric f(kNodes, model);
+      for (int i = 0; i < kNodes; ++i) {
+        for (const Key key : kKeys) {
+          if (key != kKey) {
+            f.cache(i).Admit(key);
+            f.cache(i).Fill(key, "init", Timestamp{0, 0});
+          }
+        }
+      }
+      Rng rng(seed);
+      // waiting[node][key]: operations issued on `node` whose callback has
+      // not fired yet.
+      std::map<std::pair<int, Key>, int> waiting;
+      std::uint64_t issued = 0;
+      std::uint64_t finished = 0;
+      int serial = 0;
+      auto done_write = [&](int node, Key key) {
+        return [&waiting, &finished, node, key] {
+          --waiting[{node, key}];
+          ++finished;
+        };
+      };
+      auto issue_write = [&](int node, Key key) {
+        ++issued;
+        ++waiting[{node, key}];
+        f.engine(node).Write(key, "v" + std::to_string(++serial), done_write(node, key));
+      };
+      std::function<void(int, Key, int)> issue_read = [&](int node, Key key,
+                                                          int reenter) {
+        ++issued;
+        ++waiting[{node, key}];
+        Value v;
+        Timestamp ts;
+        const auto r = f.engine(node).Read(
+            key, &v, &ts, [&, node, key, reenter](const Value&, Timestamp) {
+              --waiting[{node, key}];
+              ++finished;
+              if (reenter == 1) {
+                issue_read(node, key, 0);
+              } else if (reenter == 2) {
+                issue_write(node, key);
+                issue_read(node, key, 0);
+              }
+            });
+        if (r == CoherenceEngine::ReadResult::kHit) {
+          --waiting[{node, key}];
+          ++finished;
+        }
+      };
+      auto check = [&] {
+        for (int i = 0; i < kNodes; ++i) {
+          int node_waiting = 0;
+          for (const Key key : kKeys) {
+            const int expect = waiting[{i, key}];
+            node_waiting += expect;
+            int on_entry = 0;
+            if (const CacheEntry* e = f.cache(i).Find(key); e != nullptr) {
+              for (const WaiterFifo* q : {&e->parked_readers, &e->queued_writes}) {
+                for (const Waiter* w = q->head; w != nullptr; w = w->next) {
+                  ++on_entry;
+                }
+              }
+              on_entry += e->write_in_flight ? 1 : 0;
+            }
+            ASSERT_EQ(on_entry, expect) << "node " << i << " key " << key;
+            ASSERT_EQ(f.engine(i).EvictionSafe(key), expect == 0)
+                << "node " << i << " key " << key;
+          }
+          ASSERT_EQ(f.engine(i).Quiescent(), node_waiting == 0) << "node " << i;
+        }
+      };
+      for (int step = 0; step < 3000; ++step) {
+        const int node = static_cast<int>(rng.NextBounded(kNodes));
+        const Key key = kKeys[rng.NextBounded(std::size(kKeys))];
+        const bool cached = f.cache(node).Find(key) != nullptr;
+        const std::uint64_t action = rng.NextBounded(100);
+        if (action < 30) {
+          if (!f.queue().empty()) {
+            f.DeliverOne(rng.NextBounded(f.queue().size()));
+          }
+        } else if (action < 55) {
+          if (cached) {
+            const std::uint64_t r = rng.NextBounded(8);
+            issue_read(node, key,
+                       r == 0 ? 1 : (r == 1 && model == ConsistencyModel::kLin ? 2 : 0));
+          }
+        } else if (action < 75) {
+          if (cached) {
+            issue_write(node, key);
+          }
+        } else if (action < 85) {
+          if (cached && f.cache(node).Find(key)->state() == CacheState::kFilling) {
+            f.cache(node).Fill(key, "fill", Timestamp{0, 0});
+            f.engine(node).OnFilled(key);
+          }
+        } else if (action < 95) {
+          if (cached && f.engine(node).EvictionSafe(key)) {
+            SymmetricCache::Eviction ev;
+            f.cache(node).Evict(key, &ev);
+          }
+        } else if (!cached) {
+          f.cache(node).Admit(key);
+        }
+        check();
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+      // Drain: deliver everything and fill what is still filling.  Every
+      // operation then completes, so no waiter was lost or left behind.
+      while (!f.queue().empty() || [&] {
+        bool filled = false;
+        for (int i = 0; i < kNodes; ++i) {
+          for (const Key key : f.cache(i).PendingFills()) {
+            f.cache(i).Fill(key, "fill", Timestamp{0, 0});
+            f.engine(i).OnFilled(key);
+            filled = true;
+          }
+        }
+        return filled;
+      }()) {
+        f.DeliverAllInOrder();
+      }
+      check();
+      EXPECT_EQ(finished, issued);
+      std::uint64_t blocked = 0;
+      std::uint64_t queued = 0;
+      for (int i = 0; i < kNodes; ++i) {
+        blocked += f.engine(i).stats().reads_blocked;
+        queued += f.engine(i).stats().local_writes_queued;
+      }
+      EXPECT_GT(blocked, 0u);
+      EXPECT_GT(queued, 0u);
+      EXPECT_GT(finished, 0u);
+    }
+  }
 }
 
 TEST(Protocols, QuiescentAfterDrain) {

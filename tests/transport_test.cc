@@ -209,6 +209,56 @@ TEST(WireBatchTest, ControlMessageKeepsWarmUpdateSlots) {
   }
 }
 
+// A Lin batch mixes updates, invalidations and acks.  Warm leaves room for a
+// full batch of non-update slots, so however the mix shifts from batch to
+// batch, no invalidation or ack re-seats a warm update slot: a max-size mixed
+// batch goes through append, serialize, decode and clear, round after round,
+// without allocating on either side.
+TEST(WireBatchTest, MixedLinBatchesStayAllocationFree) {
+  constexpr std::size_t kSlots = 16;
+  constexpr std::size_t kValueBytes = 40;  // past SSO: the string is heap
+  const UpdateMsg upd{7, std::string(kValueBytes, 'x'), Timestamp{1, 0}};
+  const InvalidateMsg inv{8, Timestamp{2, 1}};
+  const AckMsg ack{9, Timestamp{3, 2}};
+  WireBatch sent;
+  WireBatch received;
+  sent.Warm(kSlots, kValueBytes);
+  received.Warm(kSlots, kValueBytes);
+  Buffer frame;
+  frame.reserve(kWireBatchHeaderBytes + kSlots * 128);
+  alloc::ResetThread();
+  alloc::EnableThread();
+  for (std::size_t round = 0; round < 12; ++round) {
+    sent.clear();
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      // Each round shifts the mix, and every fourth round is all updates.
+      switch (round % 4 == 3 ? 0 : (i * (round + 1) + round) % 3) {
+        case 0:
+          sent.Append(upd);
+          break;
+        case 1:
+          sent.Append(inv);
+          break;
+        default:
+          sent.Append(ack);
+          break;
+      }
+    }
+    frame.clear();
+    SerializeWireBatch(sent, &frame);
+    ASSERT_TRUE(TryDeserializeWireBatch(frame, &received));
+    ASSERT_EQ(received.size(), kSlots);
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      ASSERT_EQ(received[i].index(), sent[i].index());
+    }
+    received.clear();
+  }
+  alloc::DisableThread();
+  if (alloc::TrackerAvailable()) {
+    EXPECT_EQ(alloc::ThreadCount(), 0u);
+  }
+}
+
 // --------------------------------------------------------------------------
 // SendCoalescer unit behaviour
 // --------------------------------------------------------------------------
