@@ -273,7 +273,7 @@ struct SimPin {
 // confirmations.  The constants were computed while each message type still
 // had its own serializer; a change to what the simulator sends, to when, or
 // to how many bytes a datagram puts on the wire moves them.
-void ExpectPinned(ConsistencyModel model, const SimPin& want) {
+RackParams DriftingRack(ConsistencyModel model) {
   RackParams p = SmallRack(SystemKind::kCcKvs, model);
   p.workload.keyspace = 2000;
   p.cache_capacity = 64;
@@ -285,6 +285,10 @@ void ExpectPinned(ConsistencyModel model, const SimPin& want) {
   p.topk_sample_probability = 0.5;
   p.coalescing = true;
   p.seed = 11;
+  return p;
+}
+
+void ExpectPinned(const RackParams& p, const SimPin& want) {
   RackSimulation rack(p);
   const RackReport r = rack.Run(400'000, 100'000);
   EXPECT_EQ(r.completed, want.completed);
@@ -301,15 +305,55 @@ void ExpectPinned(ConsistencyModel model, const SimPin& want) {
 }
 
 TEST(RackPinned, ScRunIsPinned) {
-  ExpectPinned(ConsistencyModel::kSc,
+  ExpectPinned(DriftingRack(ConsistencyModel::kSc),
                SimPin{51068, 8292, 0, 0, 5,
                       {516571, 1004957, 878472, 0, 0, 40920, 21108, 12888}});
 }
 
 TEST(RackPinned, LinRunIsPinned) {
-  ExpectPinned(ConsistencyModel::kLin,
+  ExpectPinned(DriftingRack(ConsistencyModel::kLin),
                SimPin{44255, 7206, 7212, 7206, 4,
                       {470460, 894652, 767916, 462600, 462600, 71517, 17616, 10740}});
+}
+
+// The four runs below cover the op paths the two drifting runs do not:
+// Poisson arrivals with slots allocated and freed per op, the central-cache
+// funnel, EREW shards with their per-thread RPC queue pairs, and SC writes
+// parked on broadcast credits.  Their constants were computed before the op
+// path moved into NodeCore, and pin that the move changed nothing the
+// simulator does.
+
+TEST(RackPinned, OpenLoopRunIsPinned) {
+  RackParams p = DriftingRack(ConsistencyModel::kSc);
+  p.open_loop_mrps_per_node = 40.0;
+  ExpectPinned(p, SimPin{65184, 10485, 0, 0, 7, {631063, 1258526, 1106805, 0, 0, 51615, 27624, 17184}});
+}
+
+TEST(RackPinned, CentralCacheRunIsPinned) {
+  RackParams p = SmallRack(SystemKind::kCentralCache);
+  p.workload.keyspace = 2000;
+  p.cache_capacity = 64;
+  p.workload.write_ratio = 0.1;
+  p.seed = 11;
+  ExpectPinned(p, SimPin{36056, 0, 0, 0, 0, {1329270, 2005360, 0, 0, 0, 0, 0, 0}});
+}
+
+TEST(RackPinned, ErewLinRunIsPinned) {
+  RackParams p = DriftingRack(ConsistencyModel::kLin);
+  p.kvs_erew = true;
+  ExpectPinned(p, SimPin{43204, 7065, 7065, 7066, 4,
+                         {461884, 877668, 750735, 452250, 452250, 69843, 17616, 10740}});
+}
+
+TEST(RackPinned, ScCreditParkedRunIsPinned) {
+  // Two credits per peer and half the ops writes: SC write hits run out of
+  // broadcast credits and park until credit updates return.
+  RackParams p = DriftingRack(ConsistencyModel::kSc);
+  p.workload.write_ratio = 0.5;
+  p.bcast_credits_per_peer = 2;
+  p.credit_update_batch = 1;
+  ExpectPinned(p, SimPin{12210, 10269, 0, 0, 1,
+                         {261163, 215680, 1086387, 0, 0, 405759, 3180, 2148}});
 }
 
 }  // namespace
