@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "src/cckvs/node_core.h"
 #include "src/cckvs/report_util.h"
 #include "src/cckvs/rpc_messages.h"
 #include "src/common/check.h"
@@ -61,7 +62,7 @@ WireBatch Unframe(const Datagram& dg) {
 // RackNode
 // ===========================================================================
 
-class RackNode final : public MessageSink, public HotSetHost {
+class RackNode final : public MessageSink, public HotSetHost, private NodeHostHooks {
  public:
   RackNode(RackSimulation* rack, NodeId id);
 
@@ -121,17 +122,30 @@ class RackNode final : public MessageSink, public HotSetHost {
     SimTime kvs_busy = 0;
   };
   Snapshot TakeSnapshot() const;
-  void ResetLatency() { latency_.Reset(); }
-  const Histogram& latency() const { return latency_; }
+  void ResetLatency() { core_.latency().Reset(); }
+  const Histogram& latency() const { return core_.latency(); }
 
  private:
-  struct OpState {
-    Op op;
-    SimTime start = 0;
-    SessionId session = 0;
-    bool via_cache = false;
-    bool in_use = false;
-  };
+  // --- NodeCore host (node_core.h): the client-op path runs in core_ ---
+  friend class NodeCore<RackNode>;
+  static constexpr bool kInlineCpu = false;
+  template <typename Fn>
+  void ChargeCpu(CpuStage stage, Fn&& fn) {
+    workers_->Submit(stage == CpuStage::kCacheHit ? params().cpu.cache_hit_ns
+                                                  : params().cpu.cache_write_ns,
+                     std::forward<Fn>(fn));
+  }
+  // Every miss, self-homed ones included, is a job on a KVS thread of its
+  // home (SendMiss), never a shard access in place.
+  Partition* ShardFor(NodeId /*home*/) { return nullptr; }
+  void SendMiss(std::uint32_t slot);
+  bool AllPeersHaveCredit() const;
+  SimTime HistoryNow() { return sim().now(); }
+  SimTime LatencyStamp() { return sim().now(); }
+  static std::uint64_t LatencyNs(SimTime from, SimTime to) { return to - from; }
+  // Closed loop: the session's next op; open loop or draining: free the slot.
+  void OnComplete(std::uint32_t slot, const Value& read_value, Timestamp ts,
+                  OpRoute route, std::uint64_t done);
 
   struct PendingBcast {
     TrafficClass cls;
@@ -150,15 +164,14 @@ class RackNode final : public MessageSink, public HotSetHost {
   Simulator& sim() { return rack_->sim_; }
 
   // Client load.
-  std::uint32_t AllocSlot();
-  void LaunchClosedLoopSession(std::uint32_t slot);
   void ScheduleOpenLoopArrival();
-  void GenerateOp(std::uint32_t slot);
-  void ProcessOp(std::uint32_t slot);
-  void ExecuteCachePut(std::uint32_t slot);
-  void RouteMiss(std::uint32_t slot);
-  void CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                  bool via_cache);
+  // Draws the slot's next op, issues it, and routes it once the request's
+  // parse and probe CPU is paid.
+  void IssueNext(std::uint32_t slot);
+  // Figure 2b: every hot-key op funnels to the dedicated cache node.  True
+  // when the op was taken that way.
+  bool RouteToCentralCache(std::uint32_t slot);
+  RpcRequest RequestFor(std::uint32_t slot) const;
 
   // KVS execution.
   int KvsThreadFor(Key key) const;
@@ -196,8 +209,6 @@ class RackNode final : public MessageSink, public HotSetHost {
                        std::vector<UdQp::SendWr>* batch);
   void DrainPendingBcast(NodeId peer);
   void MaybeSendCreditUpdate(NodeId peer);
-  bool AllPeersHaveBcastCredit() const;
-  void RetryParkedScWrites();
 
   // Receive handlers.
   void OnRpcRecv(const Datagram& dg);
@@ -228,8 +239,7 @@ class RackNode final : public MessageSink, public HotSetHost {
 
   WorkloadGenerator gen_;
   Rng rng_;
-  std::vector<OpState> ops_;
-  std::vector<std::uint32_t> free_slots_;
+  NodeCore<RackNode> core_;
 
   // KVS ops (local misses and incoming RPCs) parked on the shard residency
   // gate during an epoch transition; re-routed by RetryGatedShardOps.
@@ -241,22 +251,14 @@ class RackNode final : public MessageSink, public HotSetHost {
 
   std::vector<std::deque<std::uint32_t>> pending_rpc_;
   std::vector<std::deque<PendingBcast>> pending_bcast_;
-  // SC write-hits parked on broadcast credits (§6.3: a cache thread cannot
-  // launch a write's updates without credits; the op waits, throttling writers
-  // to the fabric's consistency-message drain rate).
-  std::deque<std::uint32_t> parked_sc_writes_;
   // Open RPC packets per peer: [0] requests, [1] responses (RpcPacketFor).
   std::vector<RpcPacket> rpc_packets_[2];
 
-  std::uint64_t completed_ = 0;
-  std::uint64_t hit_completed_ = 0;
-  std::uint64_t miss_completed_ = 0;
   std::uint64_t updates_sent_ = 0;
   std::uint64_t invs_sent_ = 0;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t credit_updates_sent_ = 0;
   bool draining_ = false;
-  Histogram latency_;
 };
 
 RackNode::RackNode(RackSimulation* rack, NodeId id)
@@ -267,7 +269,8 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
       credit_batcher_(rack->params_.num_nodes, rack->params_.credit_update_batch),
       gen_(rack->params_.workload, /*writer_tag=*/id,
            /*seed=*/PerThreadSeed(rack->params_.seed, id), rack->zipf_),
-      rng_(Mix64(rack->params_.seed ^ (0xb0b0u + id))) {
+      rng_(Mix64(rack->params_.seed ^ (0xb0b0u + id))),
+      core_(this, id) {
   const RackParams& p = params();
 
   // KVS shards: one partition per KVS thread under EREW, one shared under CRCW.
@@ -323,48 +326,46 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
     hot_mgr_ =
         std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(), this);
   }
+  // The central strawman's cache is reached by RouteToCentralCache alone, so
+  // only ccKVS nodes probe.
+  const bool probes = p.kind == SystemKind::kCcKvs;
+  core_.Attach({.cache = probes ? cache_.get() : nullptr,
+                .engine = probes ? engine_.get() : nullptr,
+                .hot_mgr = hot_mgr_.get(),
+                .history = p.record_history ? &rack->history_ : nullptr});
 
   // RDMA endpoint and QPs.
   endpoint_ = std::make_unique<RdmaEndpoint>(rack->net_.get(), id, p.nic);
   const int peers = p.num_nodes - 1;
   const int rpc_qp_count = erew ? p.kvs_threads : 1;
-  for (int q = 0; q < rpc_qp_count; ++q) {
+  // A QP with `depth` receives posted, delivering to `on_recv`.
+  const auto make_qp = [this](int qpn, int depth, UdQp::RecvHandler on_recv) {
     QpConfig qc;
-    qc.qpn = static_cast<std::uint16_t>(kQpRpcBase + q);
-    qc.recv_queue_depth = std::max(64, 2 * peers * p.rpc_credits_per_peer);
+    qc.qpn = static_cast<std::uint16_t>(qpn);
+    qc.recv_queue_depth = depth;
     UdQp* qp = endpoint_->CreateQp(qc);
-    qp->PostRecvs(qc.recv_queue_depth);
+    qp->PostRecvs(depth);
+    qp->SetRecvHandler(std::move(on_recv));
+    return qp;
+  };
+  for (int q = 0; q < rpc_qp_count; ++q) {
+    UdQp* qp = make_qp(kQpRpcBase + q, std::max(64, 2 * peers * p.rpc_credits_per_peer),
+                       nullptr);
     qp->SetRecvHandler([this, qp](const Datagram& dg) {
       qp->PostRecvs(1);  // repost the consumed receive
       OnRpcRecv(dg);
     });
     rpc_qps_.push_back(qp);
   }
-  {
-    QpConfig qc;
-    qc.qpn = kQpConsistency;
-    qc.recv_queue_depth = std::max(64, 3 * peers * p.bcast_credits_per_peer);
-    consistency_qp_ = endpoint_->CreateQp(qc);
-    consistency_qp_->PostRecvs(qc.recv_queue_depth);
-    consistency_qp_->SetRecvHandler([this](const Datagram& dg) { OnConsistencyRecv(dg); });
-  }
-  {
-    QpConfig qc;
-    qc.qpn = kQpCredit;
-    qc.recv_queue_depth =
-        std::max(64, peers * (p.bcast_credits_per_peer / p.credit_update_batch + 2));
-    credit_qp_ = endpoint_->CreateQp(qc);
-    credit_qp_->PostRecvs(qc.recv_queue_depth);
-    credit_qp_->SetRecvHandler([this](const Datagram& dg) { OnCreditRecv(dg); });
-  }
-  {
-    QpConfig qc;
-    qc.qpn = kQpControl;
-    qc.recv_queue_depth = 4096;
-    control_qp_ = endpoint_->CreateQp(qc);
-    control_qp_->PostRecvs(qc.recv_queue_depth);
-    control_qp_->SetRecvHandler([this](const Datagram& dg) { OnControlRecv(dg); });
-  }
+  consistency_qp_ =
+      make_qp(kQpConsistency, std::max(64, 3 * peers * p.bcast_credits_per_peer),
+              [this](const Datagram& dg) { OnConsistencyRecv(dg); });
+  credit_qp_ = make_qp(
+      kQpCredit,
+      std::max(64, peers * (p.bcast_credits_per_peer / p.credit_update_batch + 2)),
+      [this](const Datagram& dg) { OnCreditRecv(dg); });
+  control_qp_ =
+      make_qp(kQpControl, 4096, [this](const Datagram& dg) { OnControlRecv(dg); });
 
   pending_rpc_.resize(static_cast<std::size_t>(p.num_nodes));
   pending_bcast_.resize(static_cast<std::size_t>(p.num_nodes));
@@ -406,26 +407,9 @@ void RackNode::Start() {
     return;
   }
   for (int i = 0; i < p.window_per_node; ++i) {
-    LaunchClosedLoopSession(AllocSlot());
+    IssueNext(core_.Acquire());
   }
 }
-
-std::uint32_t RackNode::AllocSlot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    ops_[slot].in_use = true;
-    return slot;
-  }
-  ops_.push_back(OpState{});
-  ops_.back().in_use = true;
-  const auto slot = static_cast<std::uint32_t>(ops_.size() - 1);
-  ops_[slot].session =
-      static_cast<SessionId>(id_) * 100000u + slot;  // sessions pinned to a node
-  return slot;
-}
-
-void RackNode::LaunchClosedLoopSession(std::uint32_t slot) { GenerateOp(slot); }
 
 void RackNode::ScheduleOpenLoopArrival() {
   // Poisson arrivals at open_loop_mrps_per_node.
@@ -436,117 +420,71 @@ void RackNode::ScheduleOpenLoopArrival() {
     if (draining_) {
       return;
     }
-    GenerateOp(AllocSlot());
+    IssueNext(core_.Acquire());
     ScheduleOpenLoopArrival();
   });
 }
 
-void RackNode::GenerateOp(std::uint32_t slot) {
-  OpState& st = ops_[slot];
-  st.op = gen_.Next();
-  st.start = sim().now();
-  st.via_cache = false;
-  if (hot_mgr_ != nullptr && hot_mgr_->coordinator() && hot_mgr_->Sample(st.op.key)) {
-    AnnounceHotSet(hot_mgr_->announcement());
-  }
+void RackNode::IssueNext(std::uint32_t slot) {
+  NodeCore<RackNode>::Slot& s = core_.slot(slot);
+  s.op = gen_.Next();
+  s.hash = HashKey(s.op.key);
+  s.home = rack_->HomeOf(s.op.key);
+  core_.Issue(slot);
   workers_->Submit(kClientParseNs + params().cpu.cache_probe_ns +
                        endpoint_->PollSweepCost(),
-                   [this, slot] { ProcessOp(slot); });
+                   [this, slot] {
+                     if (!RouteToCentralCache(slot)) {
+                       core_.Route(slot);
+                     }
+                   });
 }
 
-void RackNode::ProcessOp(std::uint32_t slot) {
-  OpState& st = ops_[slot];
+bool RackNode::RouteToCentralCache(std::uint32_t slot) {
+  const Op& op = core_.slot(slot).op;
   const RackParams& p = params();
-  if (p.kind == SystemKind::kCentralCache && rack_->IsHotKey(st.op.key)) {
-    // Figure 2b: all hot traffic funnels to the dedicated cache node.
-    if (id_ == 0) {
-      st.via_cache = true;
-      RpcRequest req;
-      req.op_id = slot;
-      req.op = st.op.type;
-      req.key = st.op.key;
-      req.value = st.op.value;
-      workers_->Submit(st.op.type == OpType::kGet ? p.cpu.cache_hit_ns
-                                                  : p.cpu.cache_write_ns,
-                       [this, slot, req] {
-                         ExecuteKvsOpAsync(req, [this, slot](const RpcResponse& r) {
-                           CompleteOp(slot, r.value, r.ts, true);
-                         });
-                       });
-    } else {
-      StartRpc(slot, /*home=*/0);
-    }
-    return;
+  if (p.kind != SystemKind::kCentralCache || !rack_->IsHotKey(op.key)) {
+    return false;
   }
-  const CacheEntry* entry =
-      p.kind == SystemKind::kCcKvs ? cache_->Probe(st.op.key) : nullptr;
-  if (entry != nullptr) {
-    st.via_cache = true;
-    if (st.op.type == OpType::kGet) {
-      if (entry->state() == CacheState::kValid) {
-        // One lookup per hit, as in LiveNode::RouteOp.
-        Value value;
-        Timestamp ts;
-        engine_->ReadHit(*entry, &value, &ts);
-        workers_->Submit(p.cpu.cache_hit_ns, [this, slot, value, ts] {
-          CompleteOp(slot, value, ts, true);
-        });
-        return;
-      }
-      // Not Valid: the read parks, and the parked-reader callback completes
-      // the op.
-      engine_->Read(st.op.key, nullptr, nullptr,
-                    [this, slot](const Value& v, Timestamp t) {
-                      CompleteOp(slot, v, t, true);
-                    });
-      return;
-    }
-    workers_->Submit(p.cpu.cache_write_ns, [this, slot] { ExecuteCachePut(slot); });
-    return;
+  if (id_ != 0) {
+    StartRpc(slot, /*home=*/0);
+    return true;
   }
-  RouteMiss(slot);
+  workers_->Submit(op.type == OpType::kGet ? p.cpu.cache_hit_ns : p.cpu.cache_write_ns,
+                   [this, slot, req = RequestFor(slot)] {
+                     ExecuteKvsOpAsync(req, [this, slot](const RpcResponse& r) {
+                       core_.Complete(slot, r.value, r.ts, OpRoute::kCache);
+                     });
+                   });
+  return true;
 }
 
-void RackNode::ExecuteCachePut(std::uint32_t slot) {
-  OpState& st = ops_[slot];
-  const Key key = st.op.key;
-  CacheEntry* entry = cache_->Find(key);
-  if (entry == nullptr) {
-    // The key churned out of the hot set between probe and execution (online
-    // top-k runs only); fall back to the miss path.
-    st.via_cache = false;
-    RouteMiss(slot);
+RpcRequest RackNode::RequestFor(std::uint32_t slot) const {
+  const Op& op = core_.slot(slot).op;
+  return RpcRequest{.op_id = slot, .op = op.type, .key = op.key, .value = op.value};
+}
+
+void RackNode::SendMiss(std::uint32_t slot) {
+  const NodeCore<RackNode>::Slot& s = core_.slot(slot);
+  if (s.home != id_) {
+    StartRpc(slot, s.home);
     return;
   }
-  if (engine_->model() == ConsistencyModel::kSc && !AllPeersHaveBcastCredit()) {
-    // SC writes complete as soon as the update broadcast is posted, so posting
-    // is the throttle point: without credits for every peer the op waits.
-    // (Lin writes are inherently throttled by their ack round.)
-    parked_sc_writes_.push_back(slot);
-    return;
-  }
-  engine_->Write(key, st.op.value, [this, slot, key] {
-    CompleteOp(slot, ops_[slot].op.value, engine_->CompletedWriteTs(key), true);
+  KvsPoolFor(s.op.key).Submit(params().cpu.kvs_op_ns, [this, slot,
+                                                       req = RequestFor(slot)] {
+    ExecuteKvsOpAsync(req, [this, slot](const RpcResponse& resp) {
+      core_.Complete(slot, resp.value, resp.ts, OpRoute::kMiss);
+    });
   });
 }
 
-void RackNode::RouteMiss(std::uint32_t slot) {
-  OpState& st = ops_[slot];
-  const NodeId home = rack_->HomeOf(st.op.key);
-  if (home == id_) {
-    RpcRequest req;
-    req.op_id = slot;
-    req.op = st.op.type;
-    req.key = st.op.key;
-    req.value = st.op.value;
-    KvsPoolFor(st.op.key).Submit(params().cpu.kvs_op_ns, [this, slot, req] {
-      ExecuteKvsOpAsync(req, [this, slot](const RpcResponse& resp) {
-        CompleteOp(slot, resp.value, resp.ts, false);
-      });
-    });
+void RackNode::OnComplete(std::uint32_t slot, const Value& /*read_value*/,
+                          Timestamp /*ts*/, OpRoute /*route*/, std::uint64_t /*done*/) {
+  if (draining_ || params().open_loop_mrps_per_node > 0.0) {
+    core_.Release(slot);
     return;
   }
-  StartRpc(slot, home);
+  IssueNext(slot);
 }
 
 int RackNode::KvsThreadFor(Key key) const {
@@ -594,22 +532,12 @@ void RackNode::ExecuteKvsOpAsync(const RpcRequest& req,
   // miss path uses): a record still owned by a hot-set era — evicted here but
   // not yet settled rack-wide — parks the op until the install barrier lifts
   // the gate or an epoch re-admits the key into this cache.
-  Partition& part = PartitionFor(req.key);
   RpcResponse resp;
   resp.op_id = req.op_id;
-  if (req.op == OpType::kGet) {
-    bool resident = false;
-    const bool ok = part.Get(req.key, &resp.value, &resp.ts, &resident);
-    CCKVS_CHECK(ok);  // the synthesizer guarantees every GET succeeds
-    if (resident) {
-      parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
-      return;
-    }
-  } else {
-    if (!part.TryPut(req.key, req.value, &resp.ts)) {
-      parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
-      return;
-    }
+  if (!GatedShardOp(PartitionFor(req.key), req.op, req.key, HashKey(req.key), req.value,
+                    &resp.value, &resp.ts)) {
+    parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
+    return;
   }
   respond(resp);
 }
@@ -657,12 +585,7 @@ void RackNode::StartRpc(std::uint32_t slot, NodeId home) {
 }
 
 void RackNode::SendRequest(std::uint32_t slot, NodeId home) {
-  const OpState& st = ops_[slot];
-  RpcRequest req;
-  req.op_id = slot;
-  req.op = st.op.type;
-  req.key = st.op.key;
-  req.value = st.op.value;
+  const RpcRequest req = RequestFor(slot);
   const auto qpn = static_cast<std::uint16_t>(
       kQpRpcBase + (rpc_qps_.size() > 1 ? KvsThreadFor(req.key) : 0));
   EnqueueRpc(home, TrafficClass::kRemoteRequest, req, RequestPayloadBytes(req), qpn);
@@ -696,19 +619,13 @@ void RackNode::FlushRpc(NodeId dst, TrafficClass cls, std::uint16_t dst_qpn) {
     return;
   }
   pkt.batch.src = id_;
-  UdQp::SendWr wr;
-  wr.dst = dst;
-  wr.dst_qpn = dst_qpn;
-  wr.cls = cls;
-  wr.header_bytes = params().wire.header_bytes;
-  if (params().coalescing) {
-    wr.header_bytes +=
-        kCoalesceFramingBytes * static_cast<std::uint32_t>(pkt.batch.size());
-  }
-  wr.body = Frame(pkt.batch);
-  wr.payload_bytes_override = pkt.payload_bytes;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
+  const std::uint32_t framing =
+      params().coalescing
+          ? kCoalesceFramingBytes * static_cast<std::uint32_t>(pkt.batch.size())
+          : 0;
+  workers_->Submit(rpc_qps_[0]->PostSendBatch({UdQp::SendWr{
+      dst, dst_qpn, cls, params().wire.header_bytes + framing, Frame(pkt.batch),
+      pkt.payload_bytes}}), nullptr);
   pkt.batch.clear();
   pkt.payload_bytes = 0;
 }
@@ -719,38 +636,6 @@ void RackNode::DrainPendingRpc(NodeId peer) {
     pending_rpc_[peer].pop_front();
     SendRequest(slot, peer);
   }
-}
-
-void RackNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                          bool via_cache) {
-  OpState& st = ops_[slot];
-  CCKVS_CHECK(st.in_use);
-  ++completed_;
-  if (via_cache) {
-    ++hit_completed_;
-  } else {
-    ++miss_completed_;
-  }
-  latency_.Record(sim().now() - st.start);
-
-  if (params().record_history) {
-    HistoryOp h;
-    h.session = st.session;
-    h.type = st.op.type;
-    h.key = st.op.key;
-    h.value = st.op.type == OpType::kPut ? st.op.value : read_value;
-    h.ts = ts;
-    h.invoke = st.start;
-    h.complete = sim().now();
-    rack_->history_.Record(std::move(h));
-  }
-
-  if (draining_ || params().open_loop_mrps_per_node > 0.0) {
-    st.in_use = false;
-    free_slots_.push_back(slot);
-    return;
-  }
-  GenerateOp(slot);  // closed loop: next request for this session
 }
 
 // ---------------------------------------------------------------------------
@@ -765,14 +650,8 @@ void RackNode::SendConsistency(NodeId peer, TrafficClass cls,
     pending_bcast_[peer].push_back(PendingBcast{cls, payload_bytes, std::move(body)});
     return;
   }
-  UdQp::SendWr wr;
-  wr.dst = peer;
-  wr.dst_qpn = kQpConsistency;
-  wr.cls = cls;
-  wr.header_bytes = params().wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = payload_bytes;
-  batch->push_back(std::move(wr));
+  batch->push_back(UdQp::SendWr{peer, kQpConsistency, cls, params().wire.header_bytes,
+                                std::move(body), payload_bytes});
 }
 
 void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
@@ -787,14 +666,7 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
   if (p.multicast_updates) {
     // §6.3 ablation: single message to the switch, replicated at egress.  Only
     // taken when every peer has credit; otherwise fall through to unicast.
-    bool all_credits = true;
-    for (int j = 0; j < p.num_nodes; ++j) {
-      if (j != id_ && bcast_credits_.available(static_cast<NodeId>(j)) == 0) {
-        all_credits = false;
-        break;
-      }
-    }
-    if (all_credits) {
+    if (AllPeersHaveCredit()) {
       std::vector<NodeId> dsts;
       for (int j = 0; j < p.num_nodes; ++j) {
         if (j != id_) {
@@ -802,14 +674,10 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
           dsts.push_back(static_cast<NodeId>(j));
         }
       }
-      UdQp::SendWr wr;
-      wr.dst_qpn = kQpConsistency;
-      wr.cls = TrafficClass::kUpdate;
-      wr.header_bytes = p.wire.header_bytes;
-      wr.body = body;
-      wr.payload_bytes_override = payload;
-      const SimTime cpu = consistency_qp_->PostMulticast(wr, dsts);
-      workers_->Submit(cpu, nullptr);
+      workers_->Submit(consistency_qp_->PostMulticast(
+          UdQp::SendWr{0, kQpConsistency, TrafficClass::kUpdate, p.wire.header_bytes,
+                       body, payload},
+          dsts), nullptr);
       updates_sent_ += dsts.size();
       return;
     }
@@ -824,8 +692,7 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
   }
   updates_sent_ += p.num_nodes - 1;
   if (!batch.empty()) {
-    const SimTime cpu = consistency_qp_->PostSendBatch(batch);
-    workers_->Submit(cpu, nullptr);
+    workers_->Submit(consistency_qp_->PostSendBatch(batch), nullptr);
   }
 }
 
@@ -844,23 +711,16 @@ void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
   }
   invs_sent_ += p.num_nodes - 1;
   if (!batch.empty()) {
-    const SimTime cpu = consistency_qp_->PostSendBatch(batch);
-    workers_->Submit(cpu, nullptr);
+    workers_->Submit(consistency_qp_->PostSendBatch(batch), nullptr);
   }
 }
 
 void RackNode::SendAck(NodeId to, const AckMsg& msg) {
   // Acks are responses to invalidations: the writer's outstanding invalidations
   // bound them, so they ride on implicit credits (§6.3).
-  UdQp::SendWr wr;
-  wr.dst = to;
-  wr.dst_qpn = kQpConsistency;
-  wr.cls = TrafficClass::kAck;
-  wr.header_bytes = params().wire.header_bytes;
-  wr.body = Frame(id_, msg);
-  wr.payload_bytes_override = params().wire.ack_payload;
-  const SimTime cpu = consistency_qp_->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
+  workers_->Submit(consistency_qp_->PostSendBatch(
+      {UdQp::SendWr{to, kQpConsistency, TrafficClass::kAck, params().wire.header_bytes,
+                    Frame(id_, msg), params().wire.ack_payload}}), nullptr);
   ++acks_sent_;
 }
 
@@ -869,18 +729,11 @@ void RackNode::DrainPendingBcast(NodeId peer) {
   while (!pending_bcast_[peer].empty() && bcast_credits_.TryAcquire(peer)) {
     PendingBcast pb = std::move(pending_bcast_[peer].front());
     pending_bcast_[peer].pop_front();
-    UdQp::SendWr wr;
-    wr.dst = peer;
-    wr.dst_qpn = kQpConsistency;
-    wr.cls = pb.cls;
-    wr.header_bytes = params().wire.header_bytes;
-    wr.body = std::move(pb.body);
-    wr.payload_bytes_override = pb.payload_bytes;
-    batch.push_back(std::move(wr));
+    batch.push_back(UdQp::SendWr{peer, kQpConsistency, pb.cls, params().wire.header_bytes,
+                                 std::move(pb.body), pb.payload_bytes});
   }
   if (!batch.empty()) {
-    const SimTime cpu = consistency_qp_->PostSendBatch(batch);
-    workers_->Submit(cpu, nullptr);
+    workers_->Submit(consistency_qp_->PostSendBatch(batch), nullptr);
   }
 }
 
@@ -888,13 +741,9 @@ void RackNode::MaybeSendCreditUpdate(NodeId peer) {
   if (!credit_batcher_.OnReceived(peer)) {
     return;
   }
-  UdQp::SendWr wr;
-  wr.dst = peer;
-  wr.dst_qpn = kQpCredit;
-  wr.cls = TrafficClass::kCreditUpdate;
-  wr.header_bytes = params().wire.CreditUpdateWire();  // header-only message
-  const SimTime cpu = credit_qp_->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
+  workers_->Submit(credit_qp_->PostSendBatch(  // a header-only message
+      {UdQp::SendWr{peer, kQpCredit, TrafficClass::kCreditUpdate,
+                    params().wire.CreditUpdateWire(), nullptr, 0}}), nullptr);
   ++credit_updates_sent_;
 }
 
@@ -924,7 +773,7 @@ void RackNode::OnRpcRecv(const Datagram& dg) {
     for (const WireBody& body : batch) {
       const RpcResponse& resp = std::get<RpcResponse>(body);
       rpc_credits_.Release(src);
-      CompleteOp(resp.op_id, resp.value, resp.ts, false);
+      core_.Complete(resp.op_id, resp.value, resp.ts, OpRoute::kMiss);
     }
     DrainPendingRpc(src);
   });
@@ -958,7 +807,7 @@ void RackNode::OnConsistencyRecv(const Datagram& dg) {
   }
 }
 
-bool RackNode::AllPeersHaveBcastCredit() const {
+bool RackNode::AllPeersHaveCredit() const {
   for (int j = 0; j < params().num_nodes; ++j) {
     if (j != id_ && bcast_credits_.available(static_cast<NodeId>(j)) == 0) {
       return false;
@@ -967,20 +816,12 @@ bool RackNode::AllPeersHaveBcastCredit() const {
   return true;
 }
 
-void RackNode::RetryParkedScWrites() {
-  while (!parked_sc_writes_.empty() && AllPeersHaveBcastCredit()) {
-    const std::uint32_t slot = parked_sc_writes_.front();
-    parked_sc_writes_.pop_front();
-    ExecuteCachePut(slot);
-  }
-}
-
 void RackNode::OnCreditRecv(const Datagram& dg) {
   credit_qp_->PostRecvs(1);
   workers_->Submit(params().cpu.credit_handle_ns, [this, src = dg.src] {
     bcast_credits_.Release(src, credit_batcher_.batch());
     DrainPendingBcast(src);
-    RetryParkedScWrites();
+    core_.RetryParkedScWrites();
   });
 }
 
@@ -995,14 +836,8 @@ SimTime RackNode::BroadcastControl(std::shared_ptr<const Buffer> body,
     if (j == id_) {
       continue;
     }
-    UdQp::SendWr wr;
-    wr.dst = static_cast<NodeId>(j);
-    wr.dst_qpn = kQpControl;
-    wr.cls = cls;
-    wr.header_bytes = params().wire.header_bytes;
-    wr.body = body;
-    wr.payload_bytes_override = payload_bytes;
-    batch.push_back(std::move(wr));
+    batch.push_back(UdQp::SendWr{static_cast<NodeId>(j), kQpControl, cls,
+                                 params().wire.header_bytes, body, payload_bytes});
   }
   return control_qp_->PostSendBatch(batch);
 }
@@ -1056,8 +891,8 @@ void RackNode::PublishFills(const std::vector<FillMsg>& fills) {
       payload +=
           p.wire.update_base_payload + static_cast<std::uint32_t>(fills[i].value.size());
     }
-    const SimTime cpu = BroadcastControl(Frame(chunk), TrafficClass::kCacheFill, payload);
-    workers_->Submit(cpu, nullptr);
+    workers_->Submit(BroadcastControl(Frame(chunk), TrafficClass::kCacheFill, payload),
+                     nullptr);
   }
 }
 
@@ -1105,19 +940,14 @@ void RackNode::OnControlRecv(const Datagram& dg) {
 }
 
 RackNode::Snapshot RackNode::TakeSnapshot() const {
-  Snapshot s;
-  s.completed = completed_;
-  s.hit_completed = hit_completed_;
-  s.miss_completed = miss_completed_;
-  s.updates_sent = updates_sent_;
-  s.invs_sent = invs_sent_;
-  s.acks_sent = acks_sent_;
-  s.credit_updates_sent = credit_updates_sent_;
-  s.worker_busy = workers_->busy_time();
+  SimTime kvs_busy = 0;
   for (const auto& pool : kvs_pools_) {
-    s.kvs_busy += pool->busy_time();
+    kvs_busy += pool->busy_time();
   }
-  return s;
+  const NodeCounters& c = core_.counters();
+  return Snapshot{c.completed, c.hit_completed, c.miss_completed, updates_sent_,
+                  invs_sent_, acks_sent_, credit_updates_sent_, workers_->busy_time(),
+                  kvs_busy};
 }
 
 // ===========================================================================

@@ -7,7 +7,10 @@
 //   * UD queue pairs for remote requests, consistency messages and credit
 //     updates (§6.4), with credit-based flow control (§6.3),
 //   * closed-loop client sessions (or open-loop Poisson arrivals for latency
-//     experiments).
+//     experiments), whose ops run through NodeCore (node_core.h), the op path
+//     the live rack's LiveNode runs too.  The node is its simulated host: CPU
+//     stages are worker-pool jobs, and every miss is a request to the home's
+//     KVS pool.
 //
 // Run(measure, warmup) drives the load, discards the warmup window and returns
 // the measured RackReport.  With record_history set, every completed client

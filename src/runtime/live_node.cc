@@ -31,7 +31,8 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     : rack_(rack),
       id_(id),
       ep_(&rack->transport().endpoint(id)),
-      gen_(std::move(gen)) {
+      gen_(std::move(gen)),
+      core_(this, id) {
   const LiveRackParams& p = rack->params();
   quota_ = p.ops_per_node;
   ranked_ = rack->ranked();
@@ -40,7 +41,6 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   if (tracer_ != nullptr) {
     ep_->set_tracer(tracer_);  // batch-residence spans (coalescer.h)
   }
-  record_history_ = p.record_history;
   busy_poll_ = p.busy_poll;
   track_allocs_ = p.track_allocs;
   if (p.profile) {
@@ -99,16 +99,20 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
                                                static_cast<HotSetHost*>(this));
   }
 
-  sessions_.resize(static_cast<std::size_t>(p.window_per_node));
-  for (std::size_t s = 0; s < sessions_.size(); ++s) {
-    // Sessions are pinned to their node, as in the simulator.
-    sessions_[s].id = static_cast<SessionId>(id) * 100000u + static_cast<SessionId>(s);
+  core_.Attach({.cache = cache_.get(),
+                .engine = engine_.get(),
+                .hot_mgr = hot_mgr_.get(),
+                .l1 = l1_.get(),
+                .l1_validate = l1_validate_,
+                .history = p.record_history ? &history_ : nullptr});
+  for (int s = 0; s < p.window_per_node; ++s) {
+    core_.Acquire();
   }
-  idle_sessions_ = sessions_.size();
-  round_.resize(sessions_.size());
-  rpc_waiting_.assign(sessions_.size(), 0);
-  parked_sc_writes_.Reset(sessions_.size());
-  parked_gated_.Reset(sessions_.size());
+  round_.resize(core_.size());
+  rpc_waiting_.assign(core_.size(), 0);
+  if (tracer_ != nullptr) {
+    traces_.resize(core_.size());
+  }
 }
 
 void LiveNode::PrefillHotSet(const std::vector<Key>& hot_keys) {
@@ -125,7 +129,7 @@ void LiveNode::PrefillHotSet(const std::vector<Key>& hot_keys) {
   }
 }
 
-SimTime LiveNode::NowTs() {
+SimTime LiveNode::HistoryNow() {
   SimTime t = rack_->clock_ns();
   if (t <= last_ts_) {
     t = last_ts_ + 1;
@@ -158,23 +162,23 @@ void LiveNode::Run(StopToken stop) {
           // arg0 = ops completed; arg1 packs the four queue depths a hang
           // diagnosis needs (16 bits each: gated, parked SC, RPCs out, idle).
           const std::uint64_t a1 =
-              (static_cast<std::uint64_t>(parked_gated_.size()) & 0xffff) |
-              ((static_cast<std::uint64_t>(parked_sc_writes_.size()) & 0xffff) << 16) |
+              (static_cast<std::uint64_t>(core_.gated_parked()) & 0xffff) |
+              ((static_cast<std::uint64_t>(core_.credit_parked()) & 0xffff) << 16) |
               ((static_cast<std::uint64_t>(rpc_outstanding_) & 0xffff) << 32) |
-              ((static_cast<std::uint64_t>(idle_sessions_) & 0xffff) << 48);
-          tracer_->Instant(SpanKind::kStateDump, 0, 0, counters_.completed, a1);
+              ((static_cast<std::uint64_t>(core_.idle_slots()) & 0xffff) << 48);
+          tracer_->Instant(SpanKind::kStateDump, 0, 0, core_.counters().completed, a1);
         }
         if (debug_state) {
           std::fprintf(stderr,
                        "[node %d] halted=%d idle=%zu/%zu parked_sc=%zu gated=%zu "
                        "rpc_out=%zu quiesc=%d pending=%d engineq=%d "
                        "completed=%llu sent=%llu proc=%llu round=%u open=%d stat=%zu\n",
-                       int{id_}, halted_, idle_sessions_, sessions_.size(),
-                       parked_sc_writes_.size(), parked_gated_.size(),
+                       int{id_}, halted_, core_.idle_slots(), core_.size(),
+                       core_.credit_parked(), core_.gated_parked(),
                        rpc_outstanding_,
                        LocallyQuiescent(), !ep_->NothingPending(),
                        engine_->Quiescent(),
-                       static_cast<unsigned long long>(counters_.completed),
+                       static_cast<unsigned long long>(core_.counters().completed),
                        static_cast<unsigned long long>(ep_->data_sent()),
                        static_cast<unsigned long long>(ep_->data_processed()),
                        term_round_, round_open_, round_status_.size());
@@ -187,13 +191,13 @@ void LiveNode::Run(StopToken stop) {
       return;
     }
     const std::size_t processed = PumpInbound();
-    RetryParkedScWrites();
+    core_.RetryParkedScWrites();
     MaybeRetryDeferred();      // protocol progress may have released evictions
-    const bool gated_progress = RetryGatedOps();
+    const bool gated_progress = core_.RetryGatedOps();
 
     bool issued = false;
     if (!halted_) {
-      if (stop.StopRequested() || counters_.completed >= quota_) {
+      if (stop.StopRequested() || core_.counters().completed >= quota_) {
         halted_ = true;
       } else {
         issued = FillIdleSessions();
@@ -243,7 +247,7 @@ void LiveNode::PollAllocWindow() {
   if (!alloc_window_open_) {
     // Warmup: the first quarter of the quota grows every buffer, pool and
     // freelist to its steady-state capacity; only what comes after counts.
-    if (!halted_ && counters_.completed >= quota_ / 4) {
+    if (!halted_ && core_.counters().completed >= quota_ / 4) {
       alloc_window_open_ = true;
       alloc::ResetThread();
       alloc::EnableThread();
@@ -267,10 +271,11 @@ void LiveNode::PublishCounters() {
   }
   WorkerCounters& w = *pub_;
   const auto relaxed = std::memory_order_relaxed;
-  w.ops.store(counters_.completed, relaxed);
-  w.hits.store(counters_.hit_completed, relaxed);
-  w.misses.store(counters_.miss_completed, relaxed);
-  w.rpcs.store(counters_.rpcs_sent, relaxed);
+  const NodeCounters& c = core_.counters();
+  w.ops.store(c.completed, relaxed);
+  w.hits.store(c.hit_completed, relaxed);
+  w.misses.store(c.miss_completed, relaxed);
+  w.rpcs.store(rpcs_sent_, relaxed);
   w.msgs_sent.store(ep_->coalescer().messages_sent(), relaxed);
   w.batches_sent.store(ep_->coalescer().batches_sent(), relaxed);
   w.flush_size.store(ep_->coalescer().flushes(FlushCause::kSize), relaxed);
@@ -278,7 +283,7 @@ void LiveNode::PublishCounters() {
   w.flush_idle.store(ep_->coalescer().flushes(FlushCause::kIdle), relaxed);
   w.flush_deadline.store(ep_->coalescer().flushes(FlushCause::kDeadline), relaxed);
   if (l1_ != nullptr) {
-    w.l1_hits.store(counters_.l1_hits, relaxed);
+    w.l1_hits.store(c.l1_hits, relaxed);
     w.l1_invalidations.store(l1_->stats().invalidations, relaxed);
     w.l1_fills.store(l1_->stats().fills, relaxed);
   }
@@ -426,6 +431,11 @@ void LiveNode::MaybeRetryDeferred() {
   }
 }
 
+void LiveNode::AnnounceHotSet(const HotSetAnnounceMsg& msg) {
+  ep_->BroadcastHotSet(msg);
+  DriveAnnounceTraced(msg);
+}
+
 void LiveNode::DriveAnnounceTraced(const HotSetAnnounceMsg& msg) {
   if (l1_ != nullptr) {
     // Tier exclusivity: any key the rack just promoted to the symmetric hot
@@ -472,36 +482,8 @@ void LiveNode::MaybeCloseBarrier() {
   barrier_start_cycles_ = 0;
 }
 
-bool LiveNode::RetryGatedOps() {
-  if (parked_gated_.empty()) {
-    return false;
-  }
-  retrying_gated_ = true;  // re-parks are not new gate encounters
-  bool progress = false;
-  const std::size_t n = parked_gated_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t slot = parked_gated_.front();
-    parked_gated_.pop_front();
-    const std::size_t parked_before = parked_gated_.size();
-    RouteOp(slot);  // may re-park at the back
-    const bool reparked = parked_gated_.size() != parked_before;
-    progress |= !reparked;
-    // Un-parked into a path that won't reach CompleteOp soon (a fresh RPC, an
-    // SC credit park): the gated wait is over now, so close its span here.
-    // When RouteOp completed the op, CompleteOp already closed and cleared it.
-    Session& sess = sessions_[slot];
-    if (!reparked && sess.park_cycles != 0) {
-      tracer_->Emit(SpanKind::kGatedWait, sess.trace_id, tracer_->NewSpanId(),
-                    sess.op_span, sess.park_cycles, CycleNow(), sess.op.key, 0);
-      sess.park_cycles = 0;
-    }
-  }
-  retrying_gated_ = false;
-  return progress;
-}
-
 bool LiveNode::FillIdleSessions() {
-  if (idle_sessions_ == 0) {
+  if (core_.idle_slots() == 0) {
     return false;
   }
   // Three passes, so the round's shard misses overlap instead of running one
@@ -510,10 +492,10 @@ bool LiveNode::FillIdleSessions() {
   // read each bucket's matching slot and prefetch the record; issue.
   // Everything that decides an op's outcome or its latency — the invoke
   // stamp, history, hot-set sampling, the L1 and symmetric probes — stays per
-  // op in IssueOp/RouteOp, so a prefetch is only a hint.
+  // op in the core's Issue and Route, so a prefetch is only a hint.
   std::size_t n = 0;
-  for (std::uint32_t s = 0; s < sessions_.size(); ++s) {
-    Session& sess = sessions_[s];
+  for (std::uint32_t s = 0; s < core_.size(); ++s) {
+    Core::Slot& sess = core_.slot(s);
     if (sess.idle) {
       gen_.NextInto(&sess.op);  // reuses the slot's value capacity
       sess.hash = HashKey(sess.op.key);
@@ -523,11 +505,12 @@ bool LiveNode::FillIdleSessions() {
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (round_[i].home != nullptr) {
-      round_[i].home->PrefetchRecord(sessions_[round_[i].slot].hash);
+      round_[i].home->PrefetchRecord(core_.slot(round_[i].slot).hash);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    IssueOp(round_[i].slot);
+    core_.Issue(round_[i].slot);
+    core_.Route(round_[i].slot);
     if ((i + 1) % kIssueSlice == 0 && i + 1 < n) {
       // Poll between slices, so a peer's invalidation, ack or update waits
       // for at most one slice, not the whole round.  What makes this safe:
@@ -535,9 +518,9 @@ bool LiveNode::FillIdleSessions() {
       //    coalesce_flush_deadline_us still governs held batches;
       //  * no client op is issued inside a poll — UpdateRunDemux's
       //    precondition for collapsing update runs;
-      //  * the round's not-yet-issued sessions stay idle until IssueOp, and
+      //  * the round's not-yet-issued sessions stay idle until Issue, and
       //    no inbound message can complete an idle session;
-      //  * gate checks and the symmetric and L1 probes all run at IssueOp
+      //  * gate checks and the symmetric and L1 probes all run at Route
       //    time, so an announce or fill polled mid-round is honoured;
       //  * a mid-round TermProbeMsg cannot report done: LocallyQuiescent()
       //    requires halted_, and the round runs only while !halted_.
@@ -547,7 +530,7 @@ bool LiveNode::FillIdleSessions() {
   return n != 0;
 }
 
-const Partition* LiveNode::PrefetchHomeBucket(const Session& sess) {
+const Partition* LiveNode::PrefetchHomeBucket(const Core::Slot& sess) {
   if (ranked_ && sess.home != id_) {
     return nullptr;  // remote rank: the miss goes over RPC, no local shard
   }
@@ -564,110 +547,8 @@ const Partition* LiveNode::PrefetchHomeBucket(const Session& sess) {
   return &home;
 }
 
-void LiveNode::IssueOp(std::uint32_t slot) {
-  Session& sess = sessions_[slot];
-  CCKVS_DCHECK(sess.idle);
-  sess.invoke_cycles = CycleNow();
-  if (tracer_ != nullptr && tracer_->SampleNext()) {
-    // Deterministic 1-in-N op sampling: this op's whole lifecycle — including
-    // any RPC legs served by a remote rank — shares this trace id.
-    sess.trace_id = tracer_->NewTraceId();
-    sess.op_span = tracer_->NewSpanId();
-  }
-  if (record_history_) {
-    // The history clock is only consulted when a history is being recorded;
-    // latency always comes from the per-op cycle stamps.
-    sess.invoke = NowTs();
-  }
-  sess.idle = false;
-  --idle_sessions_;
-  if (hot_mgr_ != nullptr && hot_mgr_->coordinator() &&
-      hot_mgr_->Sample(sess.op.key)) {
-    const HotSetAnnounceMsg ann = hot_mgr_->announcement();
-    ep_->BroadcastHotSet(ann);
-    DriveAnnounceTraced(ann);
-  }
-  RouteOp(slot);
-}
-
-void LiveNode::RouteOp(std::uint32_t slot) {
-  Session& sess = sessions_[slot];
-  const Key key = sess.op.key;
-  CCKVS_DCHECK_EQ(sess.hash, HashKey(key));
-  if (l1_ != nullptr) {
-    if (sess.op.type == OpType::kPut) {
-      // Write-through-invalidate: drop the private copy up front (even if the
-      // write later parks), then take the normal shard/RPC write path.
-      l1_->Invalidate(key, sess.hash);
-    } else if (TryServeFromL1(slot)) {
-      return;
-    }
-  }
-  if (const CacheEntry* entry = cache_->Probe(key); entry != nullptr) {
-    if (sess.op.type == OpType::kGet) {
-      if (entry->state() == CacheState::kValid) {
-        // Both protocols serve a Valid entry at once: the probe's lookup is
-        // the only one.
-        Timestamp ts;
-        engine_->ReadHit(*entry, &read_scratch_, &ts);
-        CompleteOp(slot, read_scratch_, ts, Route::kCache);
-        return;
-      }
-      // Filling (or, Lin, Invalid/Write): the read parks, and the
-      // parked-reader callback completes the op.
-      engine_->Read(key, nullptr, nullptr, [this, slot](const Value& v, Timestamp t) {
-        CompleteOp(slot, v, t, Route::kCache);
-      });
-      return;
-    }
-    if (engine_->model() == ConsistencyModel::kSc && !ep_->AllPeersHaveCredit()) {
-      // SC writes complete as soon as the update broadcast is posted, so
-      // posting is the throttle point (§6.3): no credits, the op waits.
-      ++counters_.sc_credit_stalls;
-      if (sess.trace_id != 0 && sess.credit_park_cycles == 0) {
-        sess.credit_park_cycles = CycleNow();
-      }
-      parked_sc_writes_.push_back(slot);
-      return;
-    }
-    StartCacheWrite(slot);
-    return;
-  }
-  RouteMissOp(slot);
-}
-
-bool LiveNode::TryServeFromL1(std::uint32_t slot) {
-  Session& sess = sessions_[slot];
-  const Key key = sess.op.key;
-  Timestamp ts;
-  if (!l1_->Get(key, sess.hash, &read_scratch_, &ts)) {
-    return false;
-  }
-  if (l1_validate_) {
-    // Lin: a hit only counts if the home shard still holds the exact write we
-    // cached — (clock, writer) uniquely identifies a write, so a timestamp
-    // match means same value, and the peek instant is the linearization
-    // point, exactly as a real shard Get would be.  A resident flag means the
-    // symmetric tier owns the key now; either way the private copy dies and
-    // the op falls through to the ordinary paths.
-    Timestamp home_ts;
-    bool resident = false;
-    const bool ok =
-        rack_->PartitionAt(sess.home).PeekTimestamp(key, sess.hash, &home_ts, &resident);
-    CCKVS_CHECK(ok);
-    if (resident || !(home_ts == ts)) {
-      l1_->Invalidate(key, sess.hash);
-      return false;
-    }
-  }
-  if (sess.trace_id != 0) {
-    tracer_->Instant(SpanKind::kL1Hit, sess.trace_id, sess.op_span, key, 0);
-  }
-  CompleteOp(slot, read_scratch_, ts, Route::kL1);
-  return true;
-}
-
-void LiveNode::MaybeAdmitToL1(const Session& sess, const Value& value, Timestamp ts) {
+void LiveNode::MaybeAdmitToL1(const Core::Slot& sess, const Value& value,
+                              Timestamp ts) {
   if (l1_admit_local_only_ && sess.home != id_) {
     return;
   }
@@ -692,118 +573,121 @@ void LiveNode::MaybeAdmitToL1(const Session& sess, const Value& value, Timestamp
   l1_->Fill(key, sess.hash, value, ts);
 }
 
-void LiveNode::RouteMissOp(std::uint32_t slot) {
-  // Miss: the scale-out-ccNUMA data plane.  Access the home shard directly
-  // through the CRCW seqlock path — a remote read is a lock-free copy-out, a
-  // remote write takes only the bucket's writer lock.  During an epoch
-  // transition the record's residency gate may be up (the hot set still owns
-  // the key somewhere in the rack); such ops park and retry until the key is
-  // either settled into the shard or admitted into this node's cache.
-  Session& sess = sessions_[slot];
-  const Key key = sess.op.key;
-  if (ranked_ && sess.home != id_) {
-    // Multi-process rack: the home shard lives in another address space, so
-    // the direct load/store is out of reach — fall back to the §6.1 RPC path.
-    SendRpc(slot);
-    return;
-  }
-  Partition& home = rack_->PartitionAt(sess.home);
-  const std::uint64_t shard_start = sess.trace_id != 0 ? CycleNow() : 0;
-  if (sess.op.type == OpType::kGet) {
-    Timestamp ts;
-    bool resident = false;
-    const bool ok = home.Get(key, sess.hash, &read_scratch_, &ts, &resident);
-    CCKVS_CHECK(ok);  // the synthesizer guarantees every GET succeeds
-    if (resident) {
-      if (!retrying_gated_) {
-        ++counters_.gate_retries;
-      }
-      if (sess.trace_id != 0 && sess.park_cycles == 0) {
-        sess.park_cycles = shard_start;
-      }
-      parked_gated_.push_back(slot);
-      return;
-    }
-    if (shard_start != 0) {
-      tracer_->Emit(SpanKind::kShardRead, sess.trace_id, tracer_->NewSpanId(),
-                    sess.op_span, shard_start, CycleNow(), key, 0);
-    }
-    CompleteOp(slot, read_scratch_, ts, Route::kMiss);
-  } else {
-    Timestamp ts;
-    if (!home.TryPut(key, sess.hash, sess.op.value, &ts)) {
-      if (!retrying_gated_) {
-        ++counters_.gate_retries;
-      }
-      if (sess.trace_id != 0 && sess.park_cycles == 0) {
-        sess.park_cycles = shard_start;
-      }
-      parked_gated_.push_back(slot);
-      return;
-    }
-    if (shard_start != 0) {
-      tracer_->Emit(SpanKind::kShardWrite, sess.trace_id, tracer_->NewSpanId(),
-                    sess.op_span, shard_start, CycleNow(), key, 0);
-    }
-    CompleteOp(slot, sess.op.value, ts, Route::kMiss);
+// --- NodeCore host hooks ---
+
+Partition* LiveNode::ShardFor(NodeId home) {
+  return ranked_ && home != id_ ? nullptr : &rack_->PartitionAt(home);
+}
+
+LiveNode::OpTrace* LiveNode::Sampled(std::uint32_t slot) {
+  return tracer_ != nullptr && traces_[slot].trace_id != 0 ? &traces_[slot] : nullptr;
+}
+
+void LiveNode::EmitChildSpan(std::uint32_t slot, SpanKind kind, std::uint64_t start,
+                             std::uint64_t end) {
+  const OpTrace& t = traces_[slot];
+  tracer_->Emit(kind, t.trace_id, tracer_->NewSpanId(), t.op_span, start, end,
+                core_.slot(slot).op.key, 0);
+}
+
+void LiveNode::OnIssue(std::uint32_t slot) {
+  if (tracer_ != nullptr && tracer_->SampleNext()) {
+    // Deterministic 1-in-N op sampling: this op's whole lifecycle — including
+    // any RPC legs served by a remote rank — shares this trace id.
+    traces_[slot].trace_id = tracer_->NewTraceId();
+    traces_[slot].op_span = tracer_->NewSpanId();
   }
 }
 
-void LiveNode::StartCacheWrite(std::uint32_t slot) {
-  Session& sess = sessions_[slot];
-  if (sess.credit_park_cycles != 0) {
-    // The SC write sat parked on broadcast credits; the park is over.
-    tracer_->Emit(SpanKind::kCreditWait, sess.trace_id, tracer_->NewSpanId(),
-                  sess.op_span, sess.credit_park_cycles, CycleNow(),
-                  sess.op.key, 0);
-    sess.credit_park_cycles = 0;
+void LiveNode::OnPark(std::uint32_t slot, OpPark why) {
+  if (OpTrace* t = Sampled(slot); t != nullptr && t->since(why) == 0) {
+    t->since(why) = CycleNow();
   }
-  const Key key = sess.op.key;
-  if (cache_->Find(key) == nullptr) {
-    // The key churned out of the hot set while this write sat parked on
-    // credits; take the miss path instead.
-    RouteMissOp(slot);
-    return;
-  }
-  // [this, slot] fits std::function's small-buffer optimization; capturing
-  // `key` too would push the closure past it and heap-allocate per write.
-  engine_->Write(key, sessions_[slot].op.value, [this, slot] {
-    CompleteOp(slot, sessions_[slot].op.value,
-               engine_->CompletedWriteTs(sessions_[slot].op.key), Route::kCache);
-  });
 }
 
-void LiveNode::RetryParkedScWrites() {
-  while (!parked_sc_writes_.empty() && ep_->AllPeersHaveCredit()) {
-    const std::uint32_t slot = parked_sc_writes_.front();
-    parked_sc_writes_.pop_front();
-    StartCacheWrite(slot);
+void LiveNode::OnUnpark(std::uint32_t slot, OpPark why) {
+  // The op left its ring for a path that may not complete it soon (a fresh
+  // RPC, an SC write, a credit park): its wait ends now.
+  if (OpTrace* t = Sampled(slot); t != nullptr && t->since(why) != 0) {
+    const SpanKind kind =
+        why == OpPark::kCredit ? SpanKind::kCreditWait : SpanKind::kGatedWait;
+    EmitChildSpan(slot, kind, t->since(why), CycleNow());
+    t->since(why) = 0;
   }
+}
+
+std::uint64_t LiveNode::ShardAccessStart(std::uint32_t slot) {
+  return Sampled(slot) != nullptr ? CycleNow() : 0;
+}
+
+void LiveNode::OnShardAccess(std::uint32_t slot, std::uint64_t start) {
+  if (start != 0) {
+    EmitChildSpan(slot,
+                  core_.slot(slot).op.type == OpType::kGet ? SpanKind::kShardRead
+                                                           : SpanKind::kShardWrite,
+                  start, CycleNow());
+  }
+}
+
+void LiveNode::OnComplete(std::uint32_t slot, const Value& read_value, Timestamp ts,
+                          OpRoute route, std::uint64_t done_cycles) {
+  const Core::Slot& sess = core_.slot(slot);
+  if (OpTrace* t = Sampled(slot); t != nullptr) {
+    if (route == OpRoute::kL1) {
+      tracer_->Instant(SpanKind::kL1Hit, t->trace_id, t->op_span, sess.op.key, 0);
+    }
+    if (t->park_cycles != 0) {
+      EmitChildSpan(slot, SpanKind::kGatedWait, t->park_cycles, done_cycles);
+    }
+    // The root span: issue -> completion.  arg1 packs op type and route.
+    tracer_->Emit(SpanKind::kOp, t->trace_id, t->op_span, 0, sess.invoke_stamp,
+                  done_cycles, sess.op.key,
+                  (sess.op.type == OpType::kPut ? 1u : 0u) |
+                      (route == OpRoute::kCache ? 2u : 0u) |
+                      (route == OpRoute::kL1 ? 4u : 0u));
+    *t = OpTrace{};
+  }
+  if (l1_ == nullptr) {
+    return;
+  }
+  if (sess.op.type == OpType::kPut) {
+    // Invalidate AGAIN at completion, not just at routing: a concurrent
+    // session's in-flight GET may have read the shard before this write and
+    // refilled the L1 after the routing-time invalidation.  The fabric is
+    // FIFO per peer pair, so any such stale response was delivered — and its
+    // fill applied — before this write's own response; dropping the key here
+    // therefore kills every fill the write could have raced.
+    l1_->Invalidate(sess.op.key, sess.hash);
+  } else if (route == OpRoute::kMiss) {
+    // The miss path just produced an authoritative (value, ts) — the only
+    // kind of read the L1 admits.
+    MaybeAdmitToL1(sess, read_value, ts);
+  }
+  // Closed loop: the next op is issued by the run loop's FillIdleSessions(),
+  // never from inside a completion callback (no recursion through the engine).
 }
 
 // --- ranked (multi-process) mode ---
 
-void LiveNode::SendRpc(std::uint32_t slot) {
-  Session& sess = sessions_[slot];
-  RpcRequest req;
-  req.op_id = slot;  // session slots are stable until the response lands
-  req.op = sess.op.type;
-  req.key = sess.op.key;
-  if (sess.op.type == OpType::kPut) {
-    req.value = sess.op.value;
-  }
-  if (sess.trace_id != 0) {
+void LiveNode::SendMiss(std::uint32_t slot) {
+  const Core::Slot& sess = core_.slot(slot);
+  // Session slots are stable until the response lands.
+  RpcRequest req{.op_id = slot,
+                 .op = sess.op.type,
+                 .key = sess.op.key,
+                 .value = sess.op.type == OpType::kPut ? sess.op.value : Value{}};
+  if (OpTrace* t = Sampled(slot); t != nullptr) {
     // Trace context piggybacks on the wire (wire_codec.h, append-only ABI);
     // the home rank's rpc_serve span stitches to ours through these ids.
-    req.trace_id = sess.trace_id;
-    req.parent_span = sess.op_span;
-    sess.rpc_span = tracer_->NewSpanId();
-    sess.rpc_cycles = CycleNow();
+    req.trace_id = t->trace_id;
+    req.parent_span = t->op_span;
+    t->rpc_span = tracer_->NewSpanId();
+    t->rpc_cycles = CycleNow();
   }
   ep_->SendDirect(sess.home, WireBody{std::move(req)});
   rpc_waiting_[slot] = 1;
   ++rpc_outstanding_;
-  ++counters_.rpcs_sent;
+  ++rpcs_sent_;
 }
 
 void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
@@ -820,29 +704,16 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
   RpcResponse resp;
   resp.op_id = req.op_id;
   resp.trace_id = req.trace_id;  // echo: response joins the requester's trace
-  if (req.op == OpType::kGet) {
-    Value value;
-    Timestamp ts;
-    bool resident = false;
-    const bool ok = partition_->Get(req.key, hash, &value, &ts, &resident);
-    CCKVS_CHECK(ok);
-    if (resident) {
-      resp.gated = true;
-    } else {
-      resp.value = std::move(value);
-      resp.ts = ts;
-    }
-  } else {
-    Timestamp ts;
-    if (!partition_->TryPut(req.key, hash, req.value, &ts)) {
-      resp.gated = true;
-    } else {
-      if (l1_ != nullptr) {
-        // A peer just wrote our shard; the home is the one place that
-        // observes it, so invalidate any private copy here.
-        l1_->Invalidate(req.key, hash);
-      }
-      resp.ts = ts;
+  Value value;
+  Timestamp ts;
+  resp.gated = !GatedShardOp(*partition_, req.op, req.key, hash, req.value, &value, &ts);
+  if (!resp.gated) {
+    resp.value = std::move(value);
+    resp.ts = ts;
+    if (req.op == OpType::kPut && l1_ != nullptr) {
+      // A peer just wrote our shard; the home is the one place that observes
+      // it, so invalidate any private copy here.
+      l1_->Invalidate(req.key, hash);
     }
   }
   if (serve_start != 0) {
@@ -858,45 +729,39 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
 
 void LiveNode::OnRpcResponse(const RpcResponse& resp) {
   const std::uint32_t slot = resp.op_id;
-  CCKVS_CHECK_LT(slot, sessions_.size());
+  CCKVS_CHECK_LT(slot, core_.size());
   CCKVS_CHECK(rpc_waiting_[slot]);
   rpc_waiting_[slot] = 0;
   --rpc_outstanding_;
-  Session& sess = sessions_[slot];
-  if (sess.rpc_span != 0) {
+  if (OpTrace* t = Sampled(slot); t != nullptr) {
     // Requester-side RPC leg: send stamp -> response landing.
-    tracer_->Emit(SpanKind::kRpc, sess.trace_id, sess.rpc_span, sess.op_span,
-                  sess.rpc_cycles, CycleNow(), sess.op.key,
-                  resp.gated ? 1 : 0);
-    sess.rpc_span = 0;
-    sess.rpc_cycles = 0;
+    tracer_->Emit(SpanKind::kRpc, t->trace_id, t->rpc_span, t->op_span, t->rpc_cycles,
+                  CycleNow(), core_.slot(slot).op.key, resp.gated ? 1 : 0);
+    t->rpc_span = 0;
+    t->rpc_cycles = 0;
   }
   if (resp.gated) {
     // Home shard is behind the residency gate.  Park locally and re-route at
-    // the next pump — RouteOp probes the cache first, so once the announce
-    // and fill land the op completes as a hit; until then it re-RPCs, paced
-    // by the run loop's idle sleep.  Same retry loop the single-process miss
+    // the next pump — Route probes the cache first, so once the announce and
+    // fill land the op completes as a hit; until then it re-RPCs, paced by
+    // the run loop's idle sleep.  Same retry loop the single-process miss
     // path uses, stretched across the wire.
-    ++counters_.gate_retries;
-    if (sess.trace_id != 0 && sess.park_cycles == 0) {
-      sess.park_cycles = CycleNow();
-    }
-    parked_gated_.push_back(slot);
+    core_.ParkGated(slot);
     return;
   }
-  CompleteOp(slot,
-             sess.op.type == OpType::kGet ? resp.value : sess.op.value,
-             resp.ts, Route::kMiss);
+  const Op& op = core_.slot(slot).op;
+  core_.Complete(slot, op.type == OpType::kGet ? resp.value : op.value, resp.ts,
+                 OpRoute::kMiss);
 }
 
 bool LiveNode::LocallyQuiescent() const {
-  // Outstanding client RPCs keep their sessions non-idle, so AllSessionsIdle
-  // covers rpc_outstanding_ too; gated ops bounced back by a home owe a
-  // re-route and count as local work.  A deferred eviction counts too: its
-  // completion can publish EpochInstalled, and the run loop retries it
-  // without any inbound message.
-  return halted_ && AllSessionsIdle() && parked_sc_writes_.empty() &&
-         parked_gated_.empty() && ep_->NothingPending() && engine_->Quiescent() &&
+  // Outstanding client RPCs keep their sessions non-idle, so idle slots cover
+  // rpc_outstanding_ too; gated ops bounced back by a home owe a re-route and
+  // count as local work.  A deferred eviction counts too: its completion can
+  // publish EpochInstalled, and the run loop retries it without any inbound
+  // message.
+  return halted_ && core_.idle_slots() == core_.size() && core_.credit_parked() == 0 &&
+         core_.gated_parked() == 0 && ep_->NothingPending() && engine_->Quiescent() &&
          (hot_mgr_ == nullptr || !hot_mgr_->HasDeferred());
 }
 
@@ -961,77 +826,6 @@ bool LiveNode::CheckTermination() {
     }
   }
   return false;
-}
-
-void LiveNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                          Route route) {
-  Session& sess = sessions_[slot];
-  CCKVS_CHECK(!sess.idle);
-  ++counters_.completed;
-  if (route == Route::kMiss) {
-    ++counters_.miss_completed;
-  } else {
-    // Hierarchy hit rate: L1 and symmetric hits both avoided the shard/RPC.
-    ++counters_.hit_completed;
-    if (route == Route::kL1) {
-      ++counters_.l1_hits;
-    }
-  }
-  // Per-op latency from raw cycle stamps (rdtsc where available): immune to
-  // the history clock's tie-breaking bumps and cheap enough to keep on in
-  // busy-poll runs — the Fig 13c-comparable numbers come from this histogram.
-  const std::uint64_t done_cycles = CycleNow();
-  latency_.Record(CyclesToNs(done_cycles - sess.invoke_cycles));
-  if (sess.trace_id != 0) {
-    if (sess.park_cycles != 0) {
-      tracer_->Emit(SpanKind::kGatedWait, sess.trace_id, tracer_->NewSpanId(),
-                    sess.op_span, sess.park_cycles, done_cycles, sess.op.key, 0);
-    }
-    // The root span: issue -> completion.  arg1 packs op type and route.
-    tracer_->Emit(SpanKind::kOp, sess.trace_id, sess.op_span, 0,
-                  sess.invoke_cycles, done_cycles, sess.op.key,
-                  (sess.op.type == OpType::kPut ? 1u : 0u) |
-                      (route == Route::kCache ? 2u : 0u) |
-                      (route == Route::kL1 ? 4u : 0u));
-    sess.trace_id = 0;
-    sess.op_span = 0;
-    sess.rpc_span = 0;
-    sess.rpc_cycles = 0;
-    sess.park_cycles = 0;
-    sess.credit_park_cycles = 0;
-  }
-
-  if (record_history_) {
-    HistoryOp h;
-    h.session = sess.id;
-    h.type = sess.op.type;
-    h.key = sess.op.key;
-    h.value = sess.op.type == OpType::kPut ? sess.op.value : read_value;
-    h.ts = ts;
-    h.invoke = sess.invoke;
-    h.complete = NowTs();
-    history_.push_back(std::move(h));
-  }
-
-  if (l1_ != nullptr && sess.op.type == OpType::kPut) {
-    // Invalidate AGAIN at completion, not just at routing: a concurrent
-    // session's in-flight GET may have read the shard before this write and
-    // refilled the L1 after the routing-time invalidation.  The fabric is
-    // FIFO per peer pair, so any such stale response was delivered — and its
-    // fill applied — before this write's own response; dropping the key here
-    // therefore kills every fill the write could have raced.
-    l1_->Invalidate(sess.op.key, sess.hash);
-  }
-  if (l1_ != nullptr && route == Route::kMiss && sess.op.type == OpType::kGet) {
-    // The miss path just produced an authoritative (value, ts) — the only
-    // kind of read the L1 admits.
-    MaybeAdmitToL1(sess, read_value, ts);
-  }
-
-  sess.idle = true;
-  ++idle_sessions_;
-  // Closed loop: the next op is issued by the run loop's FillIdleSessions(),
-  // never from inside a completion callback (no recursion through the engine).
 }
 
 }  // namespace cckvs

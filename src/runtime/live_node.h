@@ -10,6 +10,14 @@
 //     seqlock path — the scale-out-ccNUMA data plane: a cache miss is served
 //     by a plain load/store against the home shard, not an RPC.
 //
+// Client ops run in NodeCore (cckvs/node_core.h), the op path the simulator's
+// RackNode shares; LiveNode is its live host.  It runs CPU stages inline,
+// hands out home shards (a ranked rack's remote homes are RPCs instead),
+// stamps latency with rdtsc, and hooks spans, L1 admission and the ranked RPC
+// leg onto the core's park and completion points.  Above the core it keeps
+// what only a real thread has: the prefetching issue round, sliced polling,
+// the served RPCs, termination and tracing.
+//
 // Client load is closed-loop: `window` sessions per node, each issuing its
 // next operation as soon as the previous completes, from a per-thread
 // WorkloadGenerator.  Completions are engine callbacks, so a Lin write or a
@@ -26,7 +34,9 @@
 
 #include "src/cache/l1_tail.h"
 #include "src/cache/symmetric_cache.h"
+#include "src/cckvs/node_core.h"
 #include "src/cckvs/rpc_messages.h"
+#include "src/common/cycles.h"
 #include "src/common/histogram.h"
 #include "src/protocol/engine.h"
 #include "src/runtime/control_messages.h"
@@ -44,7 +54,7 @@ namespace cckvs {
 
 class LiveRack;
 
-class LiveNode final : private HotSetHost {
+class LiveNode final : private HotSetHost, private NodeHostHooks {
  public:
   LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen);
   LiveNode(const LiveNode&) = delete;
@@ -64,22 +74,16 @@ class LiveNode final : private HotSetHost {
   const Partition& partition() const { return *partition_; }
 
   // --- post-join introspection (owning thread has exited) ---
-  struct Counters {
-    std::uint64_t completed = 0;
-    std::uint64_t hit_completed = 0;
-    std::uint64_t miss_completed = 0;
-    std::uint64_t l1_hits = 0;       // ops served from the private L1 tail
-    std::uint64_t sc_credit_stalls = 0;
-    std::uint64_t gate_retries = 0;  // shard ops parked on the residency gate
-    std::uint64_t rpcs_sent = 0;     // ranked mode: remote-home misses over RPC
+  struct Counters : NodeCounters {
+    std::uint64_t rpcs_sent = 0;  // ranked mode: remote-home misses over RPC
   };
-  const Counters& counters() const { return counters_; }
+  Counters counters() const { return Counters{core_.counters(), rpcs_sent_}; }
   // Operator-new count inside the steady-state measurement window (0 when
   // params.track_allocs is off or the tracker is compiled out; see
   // common/alloc_tracker.h).
   std::uint64_t hot_path_allocs() const { return hot_path_allocs_; }
-  const Histogram& latency() const { return latency_; }
-  const std::vector<HistoryOp>& history_ops() const { return history_; }
+  const Histogram& latency() const { return core_.latency(); }  // ns
+  const std::vector<HistoryOp>& history_ops() const { return history_.ops(); }
   const SymmetricCache& cache() const { return *cache_; }
   // Private L1 tail, or nullptr when params.l1_capacity == 0.
   const L1TailCache* l1() const { return l1_.get(); }
@@ -87,49 +91,54 @@ class LiveNode final : private HotSetHost {
   const HotSetManager* hot_set_manager() const { return hot_mgr_.get(); }
 
  private:
-  // How an op completed: the shard/RPC miss path, the shared symmetric cache,
-  // or the node-private L1 tail.  kCache and kL1 both count as hierarchy hits.
-  enum class Route : std::uint8_t { kMiss, kCache, kL1 };
+  using Core = NodeCore<LiveNode>;
 
-  struct Session {
-    Op op;
-    // Derived once per op, when FillIdleSessions generates it: every shard,
-    // L1, sketch and RPC step of the op reuses them.
-    std::uint64_t hash = 0;  // HashKey(op.key)
-    NodeId home = 0;         // the rack's home node of op.key
-    SimTime invoke = 0;               // history clock (record_history runs)
-    std::uint64_t invoke_cycles = 0;  // rdtsc stamp; feeds the latency histogram
-    SessionId id = 0;
-    bool idle = true;
-    // --- tracing context (runtime/tracing.h; all 0 when the op is unsampled) ---
+  // An op's tracing context (runtime/tracing.h); all 0 when it is unsampled.
+  struct OpTrace {
     std::uint64_t trace_id = 0;
-    std::uint64_t op_span = 0;            // root span; completes in CompleteOp
-    std::uint64_t rpc_span = 0;           // open requester-side RPC leg
-    std::uint64_t rpc_cycles = 0;         // its send stamp
-    std::uint64_t park_cycles = 0;        // first gated-park stamp (gated_wait)
-    std::uint64_t credit_park_cycles = 0; // SC credit-park stamp (credit_wait)
-  };
-
-  // Fixed-capacity FIFO of parked session slots.  A session is parked at most
-  // once, so capacity == session count and push never allocates — the deque
-  // it replaces would allocate chunks on the hot path.
-  class SlotRing {
-   public:
-    void Reset(std::size_t capacity) {
-      slots_.assign(capacity, 0);
-      head_ = tail_ = 0;
+    std::uint64_t op_span = 0;             // root span; closes at completion
+    std::uint64_t rpc_span = 0;            // open requester-side RPC leg
+    std::uint64_t rpc_cycles = 0;          // its send stamp
+    std::uint64_t park_cycles = 0;         // first gated-park stamp (gated_wait)
+    std::uint64_t credit_park_cycles = 0;  // SC credit-park stamp (credit_wait)
+    std::uint64_t& since(OpPark why) {
+      return why == OpPark::kCredit ? credit_park_cycles : park_cycles;
     }
-    bool empty() const { return head_ == tail_; }
-    std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
-    std::uint32_t front() const { return slots_[head_ % slots_.size()]; }
-    void pop_front() { ++head_; }
-    void push_back(std::uint32_t slot) { slots_[tail_++ % slots_.size()] = slot; }
-
-   private:
-    std::vector<std::uint32_t> slots_;
-    std::uint64_t head_ = 0;
-    std::uint64_t tail_ = 0;
   };
+
+  // --- NodeCore host (cckvs/node_core.h) ---
+  friend class NodeCore<LiveNode>;
+  static constexpr bool kInlineCpu = true;
+  // The home's shard, reached in place; nullptr for a ranked rack's remote
+  // home, whose ops go out over RPC (SendMiss).
+  Partition* ShardFor(NodeId home);
+  // Remote-homed miss in a ranked rack: ship the op to the home rank over
+  // the §6.1 RPC path (op_id = session slot); the response completes it.
+  void SendMiss(std::uint32_t slot);
+  bool AllPeersHaveCredit() { return ep_->AllPeersHaveCredit(); }
+  // Strictly increasing per-thread history clock (ties would make the
+  // checkers' per-session invoke sort ambiguous).
+  SimTime HistoryNow();
+  // Per-op latency comes from raw cycle stamps (rdtsc where available):
+  // immune to the history clock's tie-breaking bumps and cheap enough to keep
+  // on in busy-poll runs.
+  std::uint64_t LatencyStamp() { return CycleNow(); }
+  std::uint64_t LatencyNs(std::uint64_t from, std::uint64_t to) {
+    return CyclesToNs(to - from);
+  }
+  void AnnounceHotSet(const HotSetAnnounceMsg& msg);
+  void OnIssue(std::uint32_t slot);
+  void OnPark(std::uint32_t slot, OpPark why);
+  void OnUnpark(std::uint32_t slot, OpPark why);
+  std::uint64_t ShardAccessStart(std::uint32_t slot);
+  void OnShardAccess(std::uint32_t slot, std::uint64_t start);
+  void OnComplete(std::uint32_t slot, const Value& read_value, Timestamp ts,
+                  OpRoute route, std::uint64_t done_cycles);
+  // The slot's trace context when its op is sampled, else nullptr.
+  OpTrace* Sampled(std::uint32_t slot);
+  // A span of the slot's sampled op, parented on its root span.
+  void EmitChildSpan(std::uint32_t slot, SpanKind kind, std::uint64_t start,
+                     std::uint64_t end);
 
   // One poll step: drains up to kPollBatch inbound batches, moves credit-
   // parked broadcasts into open batches, and — when the poll handled
@@ -137,9 +146,6 @@ class LiveNode final : private HotSetHost {
   std::size_t PumpInbound();
   std::size_t PollInbound(std::size_t max);
   // --- ranked (multi-process) mode: the RPC miss path ---
-  // Remote-homed miss: ship the op to the home rank over the §6.1 RPC path
-  // (op_id = session slot); the response completes the session.
-  void SendRpc(std::uint32_t slot);
   // Serve a peer's RPC against the local shard; parks behind the residency
   // gate exactly like a local miss would.
   void ServeRpc(NodeId src, const RpcRequest& req);
@@ -152,33 +158,15 @@ class LiveNode final : private HotSetHost {
   // twice in a row and broadcast the halt, or we received the halt.
   bool CheckTermination();
   // One issue round: generates every idle session's op, prefetches the
-  // shard lines those ops will read, then issues them in session order,
-  // pumping the inbound fabric between slices of kIssueSlice ops.
+  // shard lines those ops will read, then issues and routes them in session
+  // order, pumping the inbound fabric between slices of kIssueSlice ops.
   bool FillIdleSessions();
   // The shard this op's issue will read, with its home bucket prefetched; or
   // nullptr when there is nothing local worth prefetching (see the .cc).
-  const Partition* PrefetchHomeBucket(const Session& sess);
-  // Stamps and routes the slot's already-generated op.
-  void IssueOp(std::uint32_t slot);
-  // Routes the slot's already-generated op: cache path on a probe hit, else
-  // the direct-shard miss path (parking on the residency gate if it is up).
-  void RouteOp(std::uint32_t slot);
-  void RouteMissOp(std::uint32_t slot);
-  // GET fast path: serve from the private L1 tail if resident (Lin validates
-  // the copy against the home shard first).  True when the op completed.
-  bool TryServeFromL1(std::uint32_t slot);
+  const Partition* PrefetchHomeBucket(const Core::Slot& sess);
   // Admission on authoritative miss reads: offer to the per-node sketch and
   // fill the L1 once the key proves locally hot (and is not globally hot).
-  void MaybeAdmitToL1(const Session& sess, const Value& value, Timestamp ts);
-  void StartCacheWrite(std::uint32_t slot);
-  void RetryParkedScWrites();
-  bool RetryGatedOps();
-  void CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                  Route route);
-  bool AllSessionsIdle() const { return idle_sessions_ == sessions_.size(); }
-  // Strictly increasing per-thread history clock (ties would make the
-  // checkers' per-session invoke sort ambiguous).
-  SimTime NowTs();
+  void MaybeAdmitToL1(const Core::Slot& sess, const Value& value, Timestamp ts);
   // Refreshes this node's WorkerCounters block (relaxed stores; profiler.h).
   void PublishCounters();
   // Opens/closes the steady-state allocation window (track_allocs_ runs).
@@ -223,8 +211,8 @@ class LiveNode final : private HotSetHost {
   bool l1_admit_local_only_ = false;  // ranked Lin: no shard to validate against
   WorkloadGenerator gen_;
 
-  std::vector<Session> sessions_;
-  std::size_t idle_sessions_ = 0;
+  Core core_;
+  std::vector<OpTrace> traces_;  // per session slot; empty when untraced
   // FillIdleSessions' round buffer: the slots it issues and each op's shard
   // to prefetch (nullptr: none).  Sized to the session count at construction.
   struct RoundOp {
@@ -232,12 +220,8 @@ class LiveNode final : private HotSetHost {
     const Partition* home = nullptr;
   };
   std::vector<RoundOp> round_;
-  SlotRing parked_sc_writes_;
-  SlotRing parked_gated_;  // ops waiting out an epoch barrier
-  bool retrying_gated_ = false;  // re-parks during RetryGatedOps are not counted
   std::uint64_t quota_ = 0;
   bool halted_ = false;  // stopped issuing new ops
-  bool record_history_ = false;  // cached: skips history-clock reads when off
   bool busy_poll_ = false;
 
   // --- steady-state allocation window (params.track_allocs) ---
@@ -249,14 +233,11 @@ class LiveNode final : private HotSetHost {
   bool alloc_window_done_ = false;
   std::uint64_t hot_path_allocs_ = 0;
 
-  // Reused read buffer for the miss path and cache-read path; the seqlock
-  // copy-out and the synthesizer both resize into it, reusing its capacity.
-  Value read_scratch_;
-
   // --- ranked-mode state ---
   bool ranked_ = false;
   std::vector<std::uint8_t> rpc_waiting_;  // per-slot: op is out on the wire
   std::size_t rpc_outstanding_ = 0;
+  std::uint64_t rpcs_sent_ = 0;
 
   // --- termination state (control_messages.h) ---
   bool coordinator_ = false;  // node 0: runs the termination probe
@@ -281,9 +262,7 @@ class LiveNode final : private HotSetHost {
   std::unordered_map<Key, std::pair<std::uint64_t, std::uint64_t>>
       gate_spans_;  // gated key -> {raise stamp, epoch}
 
-  Counters counters_;
-  Histogram latency_;
-  std::vector<HistoryOp> history_;
+  History history_;  // record_history runs
   SimTime last_ts_ = 0;
 };
 

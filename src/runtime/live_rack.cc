@@ -179,7 +179,6 @@ LiveReport LiveRack::Run() {
     // One file per process: ranks sharing a host must not clobber each other.
     popts.csv_path += ".rank" + std::to_string(params_.transport.rank);
   }
-  popts.to_stderr = params_.profile_to_stderr;
   Profiler profiler(popts, &worker_counters_);
   if (params_.profile) {
     profiler.Start();
@@ -197,8 +196,7 @@ LiveReport LiveRack::Run() {
       if (params_.pinning) {
         // In ranked mode `i` is the global node id, so ranks sharing a host
         // land on distinct cores without coordination.
-        PinCurrentThreadToCore(params_.pin_core_base +
-                               static_cast<int>(i) * params_.pin_stride);
+        PinCurrentThreadToCore(static_cast<int>(i));
       }
       node->Run(token);
     });

@@ -103,11 +103,9 @@ struct LiveRackParams {
   std::uint64_t seed = 1;
 
   // --- hot-path execution mode (docs/PERFORMANCE.md) ---
-  // Pin node thread i to core pin_core_base + i*pin_stride (modulo the online
-  // CPU count) with a plain affinity mask; pinning is not NUMA-aware.
+  // Pin node thread i to core i (modulo the online CPU count) with a plain
+  // affinity mask; pinning is not NUMA-aware.
   bool pinning = false;
-  int pin_core_base = 0;
-  int pin_stride = 1;
   // Replace the idle park (WaitForTraffic) with a bounded spin: lowest
   // latency, one core at 100% per node.  The coalescer's deadline flush is
   // polled every spin, so held batches still ship on time.
@@ -116,8 +114,7 @@ struct LiveRackParams {
   // --- observability (runtime/profiler.h) ---
   bool profile = false;  // background thread samples WorkerCounters
   std::uint64_t profile_interval_ms = 1000;
-  std::string profile_csv_path;   // non-empty: stream samples as CSV
-  bool profile_to_stderr = false; // mirror samples to stderr
+  std::string profile_csv_path;  // non-empty: stream samples as CSV
 
   // --- distributed per-op tracing (runtime/tracing.h) ---
   // Non-empty: arm a per-node Tracer (sampled spans into a fixed ring, no

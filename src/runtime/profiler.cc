@@ -45,9 +45,6 @@ void Profiler::Start() {
   if (csv_ != nullptr) {
     std::fprintf(csv_, "%s\n", ProfilerCsvHeader());
   }
-  if (options_.to_stderr) {
-    std::fprintf(stderr, "[profiler] %s\n", ProfilerCsvHeader());
-  }
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -110,21 +107,16 @@ void Profiler::SampleOnce(std::uint64_t ts_ms) {
 }
 
 void Profiler::Emit(const ProfilerSample& s) {
-  const auto row = [&](std::FILE* f, const char* prefix) {
+  if (csv_ == nullptr) {
+    return;
+  }
 #define CCKVS_FORMAT(name, kind) ",%llu"
 #define CCKVS_VALUE(name, kind) , static_cast<unsigned long long>(s.name)
-    std::fprintf(f, "%s%llu,%d" CCKVS_PROFILER_COUNTERS(CCKVS_FORMAT) "\n", prefix,
-                 static_cast<unsigned long long>(s.ts_ms),
-                 s.node CCKVS_PROFILER_COUNTERS(CCKVS_VALUE));
+  std::fprintf(csv_, "%llu,%d" CCKVS_PROFILER_COUNTERS(CCKVS_FORMAT) "\n",
+               static_cast<unsigned long long>(s.ts_ms),
+               s.node CCKVS_PROFILER_COUNTERS(CCKVS_VALUE));
 #undef CCKVS_VALUE
 #undef CCKVS_FORMAT
-  };
-  if (csv_ != nullptr) {
-    row(csv_, "");
-  }
-  if (options_.to_stderr) {
-    row(stderr, "[profiler] ");
-  }
 }
 
 }  // namespace cckvs

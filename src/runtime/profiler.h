@@ -84,8 +84,7 @@ class Profiler {
  public:
   struct Options {
     std::uint64_t interval_ms = 1000;
-    std::string csv_path;       // non-empty: stream rows to this file
-    bool to_stderr = false;     // mirror rows to stderr as they are taken
+    std::string csv_path;  // non-empty: stream rows to this file
   };
 
   // `counters` must outlive the profiler and hold one block per node.

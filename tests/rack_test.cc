@@ -326,7 +326,8 @@ TEST(RackPinned, LinRunIsPinned) {
 TEST(RackPinned, OpenLoopRunIsPinned) {
   RackParams p = DriftingRack(ConsistencyModel::kSc);
   p.open_loop_mrps_per_node = 40.0;
-  ExpectPinned(p, SimPin{65184, 10485, 0, 0, 7, {631063, 1258526, 1106805, 0, 0, 51615, 27624, 17184}});
+  ExpectPinned(p, SimPin{65184, 10485, 0, 0, 7,
+                         {631063, 1258526, 1106805, 0, 0, 51615, 27624, 17184}});
 }
 
 TEST(RackPinned, CentralCacheRunIsPinned) {
