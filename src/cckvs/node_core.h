@@ -140,8 +140,8 @@ class NodeCore {
  public:
   struct Slot {
     Op op;
-    std::uint64_t hash = 0;  // HashKey(op.key); the host sets it with the op
-    NodeId home = 0;         // op.key's home node; likewise
+    std::uint64_t hash = 0;          // HashKey(op.key); the host sets it with the op
+    NodeId home = 0;                 // op.key's home node; likewise
     SimTime invoke = 0;              // history clock at issue (history runs)
     std::uint64_t invoke_stamp = 0;  // the host's latency stamp at issue
     SessionId session = 0;

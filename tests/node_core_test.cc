@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -269,11 +271,11 @@ TEST(NodeCore, HostParkedOpCountsOnceAndReroutesThroughTheCache) {
 TEST(NodeCore, EachCompletionRecordsItsExactHistoryOp) {
   ScriptedHost h(ConsistencyModel::kSc);
   h.Cache({7}, Timestamp{3, 0});
-  const std::uint32_t get_hit = h.Run(OpType::kGet, 7);     // invoke 1, complete 2
+  const std::uint32_t get_hit = h.Run(OpType::kGet, 7);       // invoke 1, complete 2
   const std::uint32_t put_hit = h.Run(OpType::kPut, 7, "p");  // invoke 3, complete 4
   h.core().Release(get_hit);
   h.core().Release(put_hit);
-  const std::uint32_t get_miss = h.Run(OpType::kGet, 20);   // invoke 5, complete 6
+  const std::uint32_t get_miss = h.Run(OpType::kGet, 20);  // invoke 5, complete 6
   EXPECT_EQ(get_miss, put_hit);  // the most recently released slot
 
   const std::vector<HistoryOp>& ops = h.history().ops();
