@@ -111,9 +111,7 @@ class RackNode final : public MessageSink, public HotSetHost, private NodeHostHo
   }
 
   struct Snapshot {
-    std::uint64_t completed = 0;
-    std::uint64_t hit_completed = 0;
-    std::uint64_t miss_completed = 0;
+    NodeCounters ops;
     std::uint64_t updates_sent = 0;
     std::uint64_t invs_sent = 0;
     std::uint64_t acks_sent = 0;
@@ -623,9 +621,9 @@ void RackNode::FlushRpc(NodeId dst, TrafficClass cls, std::uint16_t dst_qpn) {
       params().coalescing
           ? kCoalesceFramingBytes * static_cast<std::uint32_t>(pkt.batch.size())
           : 0;
-  workers_->Submit(rpc_qps_[0]->PostSendBatch({UdQp::SendWr{
-      dst, dst_qpn, cls, params().wire.header_bytes + framing, Frame(pkt.batch),
-      pkt.payload_bytes}}), nullptr);
+  const UdQp::SendWr wr{dst, dst_qpn, cls, params().wire.header_bytes + framing,
+                        Frame(pkt.batch), pkt.payload_bytes};
+  workers_->Submit(rpc_qps_[0]->PostSendBatch({wr}), nullptr);
   pkt.batch.clear();
   pkt.payload_bytes = 0;
 }
@@ -674,10 +672,9 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
           dsts.push_back(static_cast<NodeId>(j));
         }
       }
-      workers_->Submit(consistency_qp_->PostMulticast(
-          UdQp::SendWr{0, kQpConsistency, TrafficClass::kUpdate, p.wire.header_bytes,
-                       body, payload},
-          dsts), nullptr);
+      const UdQp::SendWr wr{0, kQpConsistency, TrafficClass::kUpdate, p.wire.header_bytes,
+                            body, payload};
+      workers_->Submit(consistency_qp_->PostMulticast(wr, dsts), nullptr);
       updates_sent_ += dsts.size();
       return;
     }
@@ -718,9 +715,10 @@ void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
 void RackNode::SendAck(NodeId to, const AckMsg& msg) {
   // Acks are responses to invalidations: the writer's outstanding invalidations
   // bound them, so they ride on implicit credits (§6.3).
-  workers_->Submit(consistency_qp_->PostSendBatch(
-      {UdQp::SendWr{to, kQpConsistency, TrafficClass::kAck, params().wire.header_bytes,
-                    Frame(id_, msg), params().wire.ack_payload}}), nullptr);
+  const UdQp::SendWr wr{to, kQpConsistency, TrafficClass::kAck,
+                        params().wire.header_bytes, Frame(id_, msg),
+                        params().wire.ack_payload};
+  workers_->Submit(consistency_qp_->PostSendBatch({wr}), nullptr);
   ++acks_sent_;
 }
 
@@ -741,9 +739,9 @@ void RackNode::MaybeSendCreditUpdate(NodeId peer) {
   if (!credit_batcher_.OnReceived(peer)) {
     return;
   }
-  workers_->Submit(credit_qp_->PostSendBatch(  // a header-only message
-      {UdQp::SendWr{peer, kQpCredit, TrafficClass::kCreditUpdate,
-                    params().wire.CreditUpdateWire(), nullptr, 0}}), nullptr);
+  const UdQp::SendWr wr{peer, kQpCredit, TrafficClass::kCreditUpdate,
+                        params().wire.CreditUpdateWire(), nullptr, 0};  // header only
+  workers_->Submit(credit_qp_->PostSendBatch({wr}), nullptr);
   ++credit_updates_sent_;
 }
 
@@ -940,14 +938,17 @@ void RackNode::OnControlRecv(const Datagram& dg) {
 }
 
 RackNode::Snapshot RackNode::TakeSnapshot() const {
-  SimTime kvs_busy = 0;
+  Snapshot s;
+  s.ops = core_.counters();
+  s.updates_sent = updates_sent_;
+  s.invs_sent = invs_sent_;
+  s.acks_sent = acks_sent_;
+  s.credit_updates_sent = credit_updates_sent_;
+  s.worker_busy = workers_->busy_time();
   for (const auto& pool : kvs_pools_) {
-    kvs_busy += pool->busy_time();
+    s.kvs_busy += pool->busy_time();
   }
-  const NodeCounters& c = core_.counters();
-  return Snapshot{c.completed, c.hit_completed, c.miss_completed, updates_sent_,
-                  invs_sent_, acks_sent_, credit_updates_sent_, workers_->busy_time(),
-                  kvs_busy};
+  return s;
 }
 
 // ===========================================================================
@@ -1048,9 +1049,9 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const RackNode::Snapshot now = nodes_[i]->TakeSnapshot();
     const RackNode::Snapshot& base = at_warmup_->nodes[i];
-    totals.completed += now.completed - base.completed;
-    totals.hit_completed += now.hit_completed - base.hit_completed;
-    totals.miss_completed += now.miss_completed - base.miss_completed;
+    totals.ops.completed += now.ops.completed - base.ops.completed;
+    totals.ops.hit_completed += now.ops.hit_completed - base.ops.hit_completed;
+    totals.ops.miss_completed += now.ops.miss_completed - base.ops.miss_completed;
     totals.updates_sent += now.updates_sent - base.updates_sent;
     totals.invs_sent += now.invs_sent - base.invs_sent;
     totals.acks_sent += now.acks_sent - base.acks_sent;
@@ -1060,8 +1061,8 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
     latency.Merge(nodes_[i]->latency());
   }
 
-  FillThroughput(totals.completed, totals.hit_completed, totals.miss_completed,
-                 duration_ns, &report);
+  FillThroughput(totals.ops.completed, totals.ops.hit_completed,
+                 totals.ops.miss_completed, duration_ns, &report);
   FillLatency(latency, &report);
 
   const double n = static_cast<double>(params_.num_nodes);
