@@ -12,7 +12,8 @@
 // The second table extends the method to epoch transitions: announce, fill,
 // write-back, gated direct-shard ops and the install barrier, all against the
 // production engines + store::Partition + topk::HotSetManager (the same
-// HotSetHost hooks both the simulator and the live rack drive).  Zero
+// HotSetHost hooks both the simulator and the live rack drive), with client
+// ops run by the production op path (cckvs::NodeCore) on every node.  Zero
 // violations and zero deadlocks across every interleaving of one epoch change
 // is the §5.2 claim applied to the transition itself.
 //
@@ -134,8 +135,9 @@ int main(int argc, char** argv) {
       "\nverified: data-value invariant, per-node timestamp monotonicity\n"
       "(logical-time SWMR), real-time write ordering, deadlock freedom,\n"
       "and convergence at quiescence — on the production LinEngine code;\n"
-      "plus, through every epoch-transition interleaving: per-key\n"
-      "linearizability at op completion, gate/barrier settlement, and\n"
-      "cache/shard convergence across the hot-set change\n");
+      "plus, through every epoch-transition interleaving, with client ops\n"
+      "on the production op path (NodeCore): per-key linearizability at\n"
+      "op completion, gate/barrier settlement, and cache/shard\n"
+      "convergence across the hot-set change\n");
   return 0;
 }

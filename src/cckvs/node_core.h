@@ -1,4 +1,4 @@
-// The client-op path of a ccKVS node (§3, §5, §6.3), one copy for both hosts.
+// The client-op path of a ccKVS node (§3, §5, §6.3), one copy for every host.
 //
 // A node serves a client op by one rule.  It probes the symmetric cache: a GET
 // on a Valid entry is served at once, a GET on any other entry parks on the
@@ -11,10 +11,10 @@
 // latency histogram and HistoryOp record.  docs/ARCHITECTURE.md has the
 // diagram.
 //
-// RackNode (cckvs/rack.cc) and LiveNode (runtime/live_node.h) are its hosts.
-// The host is a template parameter, so each hook is a direct call: the live
-// per-op path has no virtual call and no std::function of its own.  A host
-// provides
+// RackNode (cckvs/rack.cc), LiveNode (runtime/live_node.h) and the model
+// checker's transition scope (verify/model_checker.cc) are its hosts, each a
+// template parameter, so every hook is a direct call: the live per-op path
+// has no virtual call and no std::function of its own.  A host provides
 //
 //   static constexpr bool kInlineCpu;     // false: ChargeCpu(stage, fn) runs
 //                                         //   fn once the stage is paid
@@ -28,8 +28,7 @@
 //
 // and hides the NodeHostHooks it needs.  Single-threaded, like the engine:
 // the host serializes every call.  The includes stay in cache/, store/,
-// protocol/, topk/, verify/ and the common/ and workload/ headers verify/
-// already uses, so the model checker can host the core too.
+// protocol/, topk/, verify/ and the common/ and workload/ headers verify/ uses.
 
 #ifndef CCKVS_CCKVS_NODE_CORE_H_
 #define CCKVS_CCKVS_NODE_CORE_H_
@@ -95,7 +94,7 @@ struct NodeCounters {
 struct NodeHostHooks {
   void OnIssue(std::uint32_t /*slot*/) {}  // after the latency stamp
   void OnPark(std::uint32_t /*slot*/, OpPark /*why*/) {}
-  // The op left its ring for good without completing on the spot.
+  // The op left its ring for good and is still in flight.
   void OnUnpark(std::uint32_t /*slot*/, OpPark /*why*/) {}
   // Bracket a shard access that did not park.
   std::uint64_t ShardAccessStart(std::uint32_t /*slot*/) { return 0; }
@@ -112,6 +111,9 @@ class SlotRing {
   bool empty() const { return head_ == tail_; }
   std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
   std::uint32_t front() const { return slots_[head_ % slots_.size()]; }
+  std::uint32_t operator[](std::size_t i) const {
+    return slots_[(head_ + i) % slots_.size()];
+  }
   void pop_front() { ++head_; }
   void push_back(std::uint32_t slot) { slots_[tail_++ % slots_.size()] = slot; }
   // Grows the capacity to at least `n`, keeping the FIFO order.
@@ -193,6 +195,7 @@ class NodeCore {
   std::size_t idle_slots() const { return idle_; }
   std::size_t credit_parked() const { return credit_parked_.size(); }
   std::size_t gated_parked() const { return gated_parked_.size(); }
+  const SlotRing& gated_ring() const { return gated_parked_; }  // in retry order
   const NodeCounters& counters() const { return counters_; }
   const Histogram& latency() const { return latency_; }
   Histogram& latency() { return latency_; }
@@ -285,7 +288,9 @@ class NodeCore {
       Route(slot);
       if (gated_parked_.size() == parked) {
         progress = true;
-        host_.OnUnpark(slot, OpPark::kGated);
+        if (!slots_[slot].idle) {
+          host_.OnUnpark(slot, OpPark::kGated);
+        }
       }
     }
     retrying_gated_ = false;

@@ -11,7 +11,9 @@
 #include <utility>
 
 #include "src/cache/symmetric_cache.h"
+#include "src/cckvs/node_core.h"
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/protocol/engine.h"
 #include "src/store/partition.h"
 #include "src/topk/hot_set_host.h"
@@ -322,15 +324,16 @@ struct TMsg {
 struct TAction {
   enum class Kind : std::uint8_t { kAnnounce, kDeliver, kStart, kRetry };
   Kind kind;
-  int a = 0;  // node (kAnnounce), src (kDeliver), op index (kStart/kRetry)
+  int a = 0;  // node (kAnnounce/kRetry), src (kDeliver), op index (kStart)
   int b = 0;  // dst (kDeliver)
 };
 
 // N real engines + caches + shards + hot-set managers, the managers driven
-// through the same HotSetHost hooks both production hosts implement.  Client
-// ops route exactly as the hosts route them: own-cache hit through the
-// engine, otherwise a direct access to the home shard through the residency
-// gate, parking while the gate is up.
+// through the same HotSetHost hooks both production hosts implement.  Each
+// node is a NodeCore host, so client ops run the production op path: the
+// probe, ReadHit or a parked Read, a cache write after a fresh Find, or the
+// home shard through its residency gate, parking in the gated ring while the
+// gate is up and retried from it in park order.
 class TransitionWorld {
  public:
   using ActionType = TAction;
@@ -362,6 +365,8 @@ class TransitionWorld {
         engines_.push_back(std::make_unique<ScEngine>(
             static_cast<NodeId>(i), n, caches_.back().get(), hosts_.back().get()));
       }
+      hosts_.back()->core.Attach(
+          {.cache = caches_.back().get(), .engine = engines_.back().get()});
     }
     for (int i = 0; i < n; ++i) {
       HotSetManagerConfig hc;
@@ -386,19 +391,16 @@ class TransitionWorld {
     // Client op templates, spread across nodes and both keys.  Which path an
     // op takes (cache, shard, or parked-on-the-gate) depends on when the
     // exploration starts it relative to the transition — that is the point.
-    for (int t = 0; t < config.puts; ++t) {
+    for (int t = 0; t < config.puts + config.gets; ++t) {
       OpRec op;
-      op.is_put = true;
-      op.key = t % 2 == 0 ? kKeyOut : kKeyIn;
-      op.node = static_cast<NodeId>((n - 1 + t) % n);
-      op.value = Format("p", t, "@n", static_cast<int>(op.node));
-      ops_.push_back(std::move(op));
-    }
-    for (int t = 0; t < config.gets; ++t) {
-      OpRec op;
-      op.is_put = false;
-      op.key = t % 2 == 0 ? kKeyOut : kKeyIn;
-      op.node = static_cast<NodeId>((n - 1 + t) % n);
+      op.is_put = t < config.puts;
+      const int u = op.is_put ? t : t - config.puts;
+      op.key = u % 2 == 0 ? kKeyOut : kKeyIn;
+      op.node = static_cast<NodeId>((n - 1 + u) % n);
+      op.value = op.is_put ? Format("p", u, "@n", static_cast<int>(op.node)) : "";
+      NodeHost& host = *hosts_[op.node];
+      op.slot = host.core.Acquire();
+      host.ops.push_back(ops_.size());  // Acquire hands out slots 0, 1, ...
       ops_.push_back(std::move(op));
     }
   }
@@ -409,6 +411,9 @@ class TransitionWorld {
       if (announce_pending_[static_cast<std::size_t>(i)]) {
         actions.push_back(TAction{TAction::Kind::kAnnounce, i, 0});
       }
+      if (RetryEnabled(i)) {
+        actions.push_back(TAction{TAction::Kind::kRetry, i, 0});
+      }
     }
     for (int src = 0; src < config_.num_nodes; ++src) {
       for (int dst = 0; dst < config_.num_nodes; ++dst) {
@@ -418,11 +423,8 @@ class TransitionWorld {
       }
     }
     for (int idx = 0; idx < static_cast<int>(ops_.size()); ++idx) {
-      const OpRec& op = ops_[static_cast<std::size_t>(idx)];
-      if (op.st == OpRec::St::kReady) {
+      if (ops_[static_cast<std::size_t>(idx)].st == OpRec::St::kReady) {
         actions.push_back(TAction{TAction::Kind::kStart, idx, 0});
-      } else if (op.st == OpRec::St::kParked && RetryEnabled(op)) {
-        actions.push_back(TAction{TAction::Kind::kRetry, idx, 0});
       }
     }
     return actions;
@@ -444,8 +446,10 @@ class TransitionWorld {
         break;
       }
       case TAction::Kind::kStart:
+        StartOp(action.a);
+        break;
       case TAction::Kind::kRetry:
-        RouteOp(action.a);
+        hosts_[static_cast<std::size_t>(action.a)]->core.RetryGatedOps();
         break;
     }
     if (!failure_.empty()) {
@@ -523,15 +527,9 @@ class TransitionWorld {
       }
     }
     // The admitted key's cached era is active: its shard gate must be up.
-    {
-      Value v;
-      Timestamp ts;
-      bool resident = false;
-      CCKVS_CHECK(partitions_[HomeOf(kKeyIn)]->Get(kKeyIn, &v, &ts, &resident));
-      if (!resident) {
-        failure_ = "admitted key's residency gate not raised at quiescence";
-        return false;
-      }
+    if (!GateUp(kKeyIn)) {
+      failure_ = "admitted key's residency gate not raised at quiescence";
+      return false;
     }
     return true;
   }
@@ -569,6 +567,10 @@ class TransitionWorld {
            << a.upd_value << ';';
       }
       os << 'A' << announce_pending_[n] << ';';
+      const SlotRing& gated = hosts_[n]->core.gated_ring();
+      for (std::size_t g = 0; g < gated.size(); ++g) {
+        os << 'G' << gated[g] << ';';  // a retry pass re-routes in this order
+      }
     }
     for (const Key key : {kKeyOut, kKeyIn}) {
       Value v;
@@ -593,8 +595,8 @@ class TransitionWorld {
       }
     }
     for (const OpRec& op : ops_) {
-      os << 'O' << static_cast<int>(op.st) << ',' << op.invoked << ','
-         << op.ts_known << ',' << op.ts << ',' << op.watermark << ';';
+      os << 'O' << static_cast<int>(op.st) << ',' << op.ts_known << ',' << op.ts << ','
+         << op.watermark << ';';
     }
     return os.str();
   }
@@ -604,6 +606,7 @@ class TransitionWorld {
  private:
   struct OpRec {
     NodeId node = 0;
+    std::uint32_t slot = 0;  // in its node's core
     Key key = 0;
     bool is_put = false;
     enum class St : std::uint8_t { kReady, kParked, kInFlight, kDone };
@@ -611,14 +614,17 @@ class TransitionWorld {
     std::string value;      // puts: the unique value written
     Timestamp ts{};         // assigned (put) / observed (get)
     bool ts_known = false;
-    bool invoked = false;
     Timestamp watermark{};  // per-key completed-op watermark at invocation
   };
 
-  // Lanes + HotSetHost + MessageSink of one node.
-  class NodeHost final : public MessageSink, public HotSetHost {
+  // Lanes + HotSetHost + MessageSink + NodeCore host of one node.
+  class NodeHost final : public MessageSink, public HotSetHost, private NodeHostHooks {
    public:
-    NodeHost(TransitionWorld* world, NodeId self) : world_(world), self_(self) {}
+    NodeHost(TransitionWorld* world, NodeId self)
+        : core(this, self), world_(world), self_(self) {}
+
+    NodeCore<NodeHost> core;
+    std::vector<std::size_t> ops;  // op index by core slot
 
     void BroadcastUpdate(const UpdateMsg& msg) override {
       world_->PushToPeers(self_,
@@ -654,6 +660,26 @@ class TransitionWorld {
     }
 
    private:
+    friend class NodeCore<NodeHost>;
+    static constexpr bool kInlineCpu = true;
+    Partition* ShardFor(NodeId home) { return world_->partitions_[home].get(); }
+    void SendMiss(std::uint32_t /*slot*/) { CCKVS_CHECK(false); }  // every shard is here
+    bool AllPeersHaveCredit() { return true; }
+    SimTime HistoryNow() { return 0; }
+    std::uint64_t LatencyStamp() { return 0; }
+    std::uint64_t LatencyNs(std::uint64_t /*from*/, std::uint64_t /*to*/) { return 0; }
+    void AnnounceHotSet(const HotSetAnnounceMsg& /*msg*/) {}
+    void OnPark(std::uint32_t slot, OpPark /*why*/) {
+      world_->ops_[ops[slot]].st = OpRec::St::kParked;
+    }
+    void OnUnpark(std::uint32_t slot, OpPark /*why*/) {
+      world_->ops_[ops[slot]].st = OpRec::St::kInFlight;
+    }
+    void OnComplete(std::uint32_t slot, const Value& read_value, Timestamp ts,
+                    OpRoute /*route*/, std::uint64_t /*done*/) {
+      world_->CompleteOp(ops[slot], read_value, ts);
+    }
+
     TransitionWorld* world_;
     NodeId self_;
   };
@@ -723,74 +749,46 @@ class TransitionWorld {
     managers_[d]->DriveDeferred();
   }
 
-  // True when re-routing a parked shard op can make progress: the key entered
-  // this node's cache, or the home shard's gate is down.  (The live run loop
-  // retries unconditionally and re-parks; enabling only productive retries
-  // keeps the state space free of self-loops without losing interleavings.)
-  bool RetryEnabled(const OpRec& op) const {
-    if (caches_[op.node]->Find(op.key) != nullptr) {
-      return true;
+  // True when a retry pass at `node` can move one of its gated ops: the op's
+  // key entered the node's cache, or its home shard's gate is down.  (The live
+  // run loop retries every pass and re-parks; enabling only productive passes
+  // keeps the state space free of self-loops without losing interleavings,
+  // and leaves an op on a gate that never lifts to the terminal check.)
+  bool RetryEnabled(int node) const {
+    const NodeHost& host = *hosts_[static_cast<std::size_t>(node)];
+    const SlotRing& gated = host.core.gated_ring();
+    for (std::size_t g = 0; g < gated.size(); ++g) {
+      const Key key = ops_[host.ops[gated[g]]].key;
+      if (caches_[static_cast<std::size_t>(node)]->Find(key) != nullptr || !GateUp(key)) {
+        return true;
+      }
     }
-    Value v;
+    return false;
+  }
+
+  // True while `key`'s home shard refuses direct access: the hot set owns it.
+  bool GateUp(Key key) const {
     Timestamp ts;
     bool resident = false;
-    CCKVS_CHECK(partitions_[HomeOf(op.key)]->Get(op.key, &v, &ts, &resident));
-    return !resident;
+    CCKVS_CHECK(partitions_[HomeOf(key)]->PeekTimestamp(key, &ts, &resident));
+    return resident;
   }
 
-  void RouteOp(int idx) {
+  void StartOp(int idx) {
     OpRec& op = ops_[static_cast<std::size_t>(idx)];
-    if (!op.invoked) {
-      op.invoked = true;
-      op.watermark = MaxCompletedTs(op.key);
-    }
+    op.watermark = MaxCompletedTs(op.key);
     op.st = OpRec::St::kInFlight;
-    const auto n = static_cast<std::size_t>(op.node);
-    if (caches_[n]->Find(op.key) != nullptr) {
-      if (op.is_put) {
-        engines_[n]->Write(op.key, op.value, [this, idx] { CompletePut(idx); });
-        SweepStartedPuts();  // capture the started write's timestamp
-      } else {
-        Value v;
-        Timestamp ts;
-        const auto result = engines_[n]->Read(
-            op.key, &v, &ts, [this, idx](const Value& rv, Timestamp rt) {
-              CompleteRead(idx, rv, rt);
-            });
-        if (result == CoherenceEngine::ReadResult::kHit) {
-          CompleteRead(idx, v, ts);
-        }
-      }
-      return;
-    }
-    // Direct shard access through the residency gate, as the hosts' miss
-    // paths do.
-    Partition& home = *partitions_[HomeOf(op.key)];
-    if (op.is_put) {
-      Timestamp ts;
-      if (!home.TryPut(op.key, op.value, &ts)) {
-        op.st = OpRec::St::kParked;
-        return;
-      }
-      AssignPutTs(idx, ts);
-      if (failure_.empty()) {
-        CompletePut(idx);
-      }
-    } else {
-      Value v;
-      Timestamp ts;
-      bool resident = false;
-      CCKVS_CHECK(home.Get(op.key, &v, &ts, &resident));
-      if (resident) {
-        op.st = OpRec::St::kParked;
-        return;
-      }
-      CompleteRead(idx, v, ts);
-    }
+    NodeCore<NodeHost>& core = hosts_[op.node]->core;
+    NodeCore<NodeHost>::Slot& s = core.slot(op.slot);
+    s.op = Op{op.is_put ? OpType::kPut : OpType::kGet, op.key, op.value};
+    s.hash = HashKey(op.key);
+    s.home = HomeOf(op.key);
+    core.Issue(op.slot);
+    core.Route(op.slot);
   }
 
-  void AssignPutTs(int idx, Timestamp ts) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
+  void AssignPutTs(std::size_t idx, Timestamp ts) {
+    OpRec& op = ops_[idx];
     op.ts = ts;
     op.ts_known = true;
     if (ts.clock > static_cast<std::uint32_t>(config_.max_clock)) {
@@ -803,46 +801,41 @@ class TransitionWorld {
     }
   }
 
-  void CompletePut(int idx) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
-    if (!op.ts_known) {
-      const auto n = static_cast<std::size_t>(op.node);
-      if (caches_[n]->Find(op.key) == nullptr) {
-        failure_ = Format("op ", idx, " completed without a cache entry");
-        return;
-      }
-      AssignPutTs(idx, engines_[n]->CompletedWriteTs(op.key));
-      if (!failure_.empty()) {
-        return;
-      }
-    }
-    op.st = OpRec::St::kDone;
-    if (config_.model == ConsistencyModel::kLin && !(op.ts > op.watermark)) {
-      failure_ = Format("linearizability violation: put ", idx,
-                        " serialized at/below the key's completed watermark");
+  // A completion the core reported: a GET with what it read, a PUT with the
+  // timestamp it wrote at (its shard's on a miss; on a cache write
+  // CompletedWriteTs, which is Timestamp{} once the entry is gone).
+  void CompleteOp(std::size_t idx, const Value& read_value, Timestamp ts) {
+    OpRec& op = ops_[idx];
+    if (op.is_put && (op.ts_known ? ts != op.ts : ts == Timestamp{})) {
+      failure_ = Format("op ", idx, " completed without a cache entry");
       return;
     }
-    NoteCompleted(op.key, op.ts);
-  }
-
-  void CompleteRead(int idx, const Value& v, Timestamp ts) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
+    if (op.is_put && !op.ts_known) {
+      AssignPutTs(idx, ts);
+    }
     op.st = OpRec::St::kDone;
     op.ts = ts;
     op.ts_known = true;
-    const auto it = value_of_.find({op.key, ts});
-    if (it == value_of_.end()) {
-      failure_ = Format("read ", idx, " observed an unknown write");
+    if (!failure_.empty()) {
       return;
     }
-    if (it->second != v) {
-      failure_ = Format("write atomicity violation: read ", idx,
-                        " returned a value not matching its timestamp's write");
-      return;
+    if (!op.is_put) {
+      const auto it = value_of_.find({op.key, ts});
+      if (it == value_of_.end()) {
+        failure_ = Format("read ", idx, " observed an unknown write");
+        return;
+      }
+      if (it->second != read_value) {
+        failure_ = Format("write atomicity violation: read ", idx,
+                          " returned a value not matching its timestamp's write");
+        return;
+      }
     }
-    if (config_.model == ConsistencyModel::kLin && ts < op.watermark) {
-      failure_ = Format("linearizability violation: read ", idx,
-                        " observed below the key's completed watermark");
+    if (config_.model == ConsistencyModel::kLin &&
+        (op.is_put ? !(ts > op.watermark) : ts < op.watermark)) {
+      failure_ = Format("linearizability violation: ", op.is_put ? "put " : "read ", idx,
+                        op.is_put ? " serialized at/below" : " observed below",
+                        " the key's completed watermark");
       return;
     }
     NoteCompleted(op.key, ts);
@@ -869,8 +862,8 @@ class TransitionWorld {
   // Lin started writes pick up their timestamp when the engine actually
   // starts them (a queued write starts inside a fill/update/ack delivery).
   void SweepStartedPuts() {
-    for (int idx = 0; idx < static_cast<int>(ops_.size()); ++idx) {
-      OpRec& op = ops_[static_cast<std::size_t>(idx)];
+    for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
+      OpRec& op = ops_[idx];
       if (op.st != OpRec::St::kInFlight || !op.is_put || op.ts_known) {
         continue;
       }

@@ -33,10 +33,11 @@
 // store::Partition shards + topk::HotSetManager instances (driven through the
 // same HotSetHost hooks both production hosts use) explore every interleaving
 // of announce applications, protocol deliveries (inv/ack/update), fills,
-// install-barrier confirmations, client cache ops and gated direct-shard ops
-// across one epoch change that evicts one key and admits another.  Messages
-// travel per-(src,dst) FIFO lanes — the ordering both transports guarantee
-// and the install barrier relies on — while lanes interleave freely.
+// install-barrier confirmations, client op starts and gated-op retries across
+// one epoch change that evicts one key and admits another.  Client ops run the
+// production op path: each node hosts a NodeCore (src/cckvs/node_core.h).
+// Messages travel per-(src,dst) FIFO lanes — the ordering both transports
+// guarantee and the install barrier relies on — while lanes interleave freely.
 // Checked: per-key linearizability at every op completion (reads never
 // observe below the key's completed-op watermark; writes serialize strictly
 // above it) under Lin, data-value/write-atomicity everywhere, per-node
@@ -77,9 +78,9 @@ ModelCheckerResult CheckLinProtocol(const ModelCheckerConfig& config);
 // Epoch-transition scope: one epoch change (key 0 evicted, key 1 admitted)
 // explored exhaustively against the production engines, caches, shards and
 // hot-set managers.  Client load comes from `puts` put templates and `gets`
-// get templates spread across nodes and both keys; each op routes exactly as
-// the hosts do — own-cache hit through the engine, otherwise a direct shard
-// access through the residency gate, parking (and later retrying) when gated.
+// get templates spread across nodes and both keys; each runs NodeCore's route
+// (probe, engine or gated home shard) and parks in its node's gated ring, from
+// which RetryGatedOps re-routes it, while the home gate is up.
 struct TransitionScopeConfig {
   int num_nodes = 2;
   ConsistencyModel model = ConsistencyModel::kLin;

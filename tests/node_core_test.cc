@@ -232,6 +232,7 @@ void ExpectGatedOpWaitsForTheGate(OpType type) {
   ASSERT_EQ(h.done.size(), 1u);
   EXPECT_EQ(h.done[0].slot, slot);
   EXPECT_EQ(h.done[0].route, OpRoute::kMiss);
+  EXPECT_TRUE(h.unparks.empty());  // it completed on the spot
   EXPECT_EQ(h.core().gated_parked(), 0u);
   EXPECT_EQ(h.core().counters().gate_retries, 1u);
   EXPECT_FALSE(h.core().RetryGatedOps());  // nothing left to retry
@@ -266,6 +267,7 @@ TEST(NodeCore, HostParkedOpCountsOnceAndReroutesThroughTheCache) {
   ASSERT_EQ(h.done.size(), 1u);
   EXPECT_EQ(h.done[0].route, OpRoute::kCache);
   EXPECT_EQ(h.done[0].value, "c11");
+  EXPECT_TRUE(h.unparks.empty());  // it completed on the spot
 }
 
 TEST(NodeCore, EachCompletionRecordsItsExactHistoryOp) {

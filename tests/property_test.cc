@@ -423,7 +423,25 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(TransitionCase{ConsistencyModel::kLin, 0, 1},
                     TransitionCase{ConsistencyModel::kLin, 1, 1},
                     TransitionCase{ConsistencyModel::kSc, 1, 1},
-                    TransitionCase{ConsistencyModel::kSc, 2, 1}));
+                    TransitionCase{ConsistencyModel::kSc, 2, 1},
+                    TransitionCase{ConsistencyModel::kLin, 2, 2},
+                    TransitionCase{ConsistencyModel::kSc, 2, 2}));
+
+// The BFS rebuilds every state by replaying its path from a fresh world, which
+// is sound only if a replay always lands in the same state: two runs of one
+// scope must explore the same space.
+TEST(TransitionScope, Deterministic) {
+  TransitionScopeConfig cfg;
+  cfg.puts = 2;
+  cfg.gets = 2;
+  const ModelCheckerResult a = CheckEpochTransition(cfg);
+  const ModelCheckerResult b = CheckEpochTransition(cfg);
+  ASSERT_TRUE(a.ok) << a.failure;
+  EXPECT_EQ(a.states_explored, b.states_explored);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.terminal_states, b.terminal_states);
+  EXPECT_EQ(a.max_depth, b.max_depth);
+}
 
 }  // namespace
 }  // namespace cckvs

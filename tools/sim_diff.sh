@@ -4,10 +4,12 @@
 #
 #   tools/sim_diff.sh REV        # e.g. tools/sim_diff.sh origin/main
 #
-# Builds REV (in a temporary git worktree) and the working tree, each into its
-# own temporary build directory with the same build type, runs every bench
-# below with --smoke from both builds and compares the outputs.  Prints
-# "DIFF <bench>" for each mismatch and exits 1 if there is one, 0 if all match.
+# Builds REV (exported with git archive into a temporary directory) and the
+# working tree, each into its own temporary build directory with the same
+# build type, runs every bench below with --smoke from both builds and
+# compares the outputs.  For each mismatch it prints "DIFF <bench>" and the
+# first 40 lines of a unified diff of REV's output against the working tree's;
+# it exits 1 if there is a mismatch, 0 if all match.
 #
 # The list leaves out the benches whose output depends on real threads or the
 # wall clock: micro_components, abl_hot_set_learning, fig13a/b/c and
@@ -33,8 +35,6 @@ benches=(
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/sim_diff.XXXXXX")
 cleanup() {
-  git -C "$root" worktree remove --force "$work/base" >/dev/null 2>&1 || true
-  git -C "$root" worktree prune
   if [[ "${KEEP:-0}" == 1 ]]; then
     echo "outputs kept in $work" >&2
   else
@@ -43,7 +43,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-git -C "$root" worktree add --detach "$work/base" "$rev" >/dev/null 2>&1
+mkdir "$work/base"
+git -C "$root" archive "$rev" | tar -x -C "$work/base"
 
 build() {  # build SRC DIR
   local gen=()
@@ -73,6 +74,13 @@ for b in "${benches[@]}"; do
   run "$work/head-build" "$b" >"$work/$b.head"
   if ! cmp -s "$work/$b.base" "$work/$b.head"; then
     echo "DIFF $b"
+    diff -u --label "$b @ $rev" --label "$b @ working tree" "$work/$b.base" \
+      "$work/$b.head" >"$work/$b.diff" || true
+    head -n 40 "$work/$b.diff"
+    lines=$(wc -l <"$work/$b.diff")
+    if ((lines > 40)); then
+      echo "... $((lines - 40)) more lines (KEEP=1 keeps the outputs)"
+    fi
     status=1
   fi
 done
