@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the data-plane components: the MICA-like
 // store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, op
-// generation, the symmetric cache probe path, the Space-Saving sketch and a
-// Lin write round between two engines.
+// generation, the symmetric cache probe path, the Space-Saving sketch, a
+// Lin write round between two engines and a live rack's construction.
 //
 // These measure the real (wall-clock) cost of the concurrent data structures —
 // the part of the system that runs as genuine multithreaded code rather than
@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <bit>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/protocol/engine.h"
+#include "src/runtime/live_rack.h"
 #include "src/store/partition.h"
 #include "src/store/partitioner.h"
 #include "src/store/seqlock.h"
@@ -503,6 +505,31 @@ void BM_LinWriteRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinWriteRound);
+
+// Builds and destroys a read_skew-shaped live rack (4 nodes, 1M keys of 40 B,
+// index at about four keys per bucket): set-up is nearly all the store
+// prefill, one loader thread per shard.  The benchmark's setup_s times the
+// construction alone.
+void BM_LiveRackSetup(benchmark::State& state) {
+  LiveRackParams p;
+  p.num_nodes = 4;
+  p.workload.keyspace = 1'000'000;
+  p.workload.zipf_alpha = 0.99;
+  p.workload.value_bytes = 40;
+  p.cache_capacity = 1'000;
+  p.window_per_node = 32;
+  p.coalescing = true;
+  p.prefill_store = true;
+  p.partition_buckets = std::bit_ceil(p.workload.keyspace / 4 / 4);
+  for (auto _ : state) {
+    LiveRack rack(p);
+    benchmark::DoNotOptimize(rack.node(0).partition().size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.workload.keyspace));
+}
+// Real time: the loaders run on threads of their own.
+BENCHMARK(BM_LiveRackSetup)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace cckvs

@@ -18,6 +18,8 @@
 //
 //   static constexpr bool kInlineCpu;     // false: ChargeCpu(stage, fn) runs
 //                                         //   fn once the stage is paid
+//   static constexpr bool kRecordsLatency;  // false: no latency histogram;
+//                                           //   LatencyStamp/Ns go unused
 //   Partition* ShardFor(NodeId home);     // nullptr: SendMiss(slot) ships the
 //                                         //   op; its reply calls Complete
 //   bool AllPeersHaveCredit();
@@ -35,6 +37,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -99,7 +102,8 @@ struct NodeHostHooks {
   // Bracket a shard access that did not park.
   std::uint64_t ShardAccessStart(std::uint32_t /*slot*/) { return 0; }
   void OnShardAccess(std::uint32_t /*slot*/, std::uint64_t /*start*/) {}
-  // Complete's last step; `done` is the latency stamp it took.
+  // Complete's last step; `done` is the latency stamp it took (0 when the
+  // host records no latency).
   void OnComplete(std::uint32_t /*slot*/, const Value& /*read_value*/, Timestamp /*ts*/,
                   OpRoute /*route*/, std::uint64_t /*done*/) {}
 };
@@ -167,7 +171,11 @@ class NodeCore {
     History* history = nullptr;  // record_history runs
   };
 
-  NodeCore(Host* host, NodeId self) : host_(*host), self_(self) {}
+  NodeCore(Host* host, NodeId self) : host_(*host), self_(self) {
+    if constexpr (Host::kRecordsLatency) {
+      latency_.emplace();
+    }
+  }
   NodeCore(const NodeCore&) = delete;
   NodeCore& operator=(const NodeCore&) = delete;
 
@@ -197,15 +205,25 @@ class NodeCore {
   std::size_t gated_parked() const { return gated_parked_.size(); }
   const SlotRing& gated_ring() const { return gated_parked_; }  // in retry order
   const NodeCounters& counters() const { return counters_; }
-  const Histogram& latency() const { return latency_; }
-  Histogram& latency() { return latency_; }
+  const Histogram& latency() const
+    requires Host::kRecordsLatency
+  {
+    return *latency_;
+  }
+  Histogram& latency()
+    requires Host::kRecordsLatency
+  {
+    return *latency_;
+  }
 
   // Stamps the op the host put in an idle slot, and lets the coordinator
   // sample its key.  Route(slot) serves it.
   void Issue(std::uint32_t slot) {
     Slot& s = slots_[slot];
     CCKVS_DCHECK(s.idle);
-    s.invoke_stamp = host_.LatencyStamp();  // first: the op starts here
+    if constexpr (Host::kRecordsLatency) {
+      s.invoke_stamp = host_.LatencyStamp();  // first: the op starts here
+    }
     host_.OnIssue(slot);
     if (parts_.history != nullptr) {
       s.invoke = host_.HistoryNow();
@@ -305,8 +323,11 @@ class NodeCore {
     ++counters_.completed;
     ++(route == OpRoute::kMiss ? counters_.miss_completed : counters_.hit_completed);
     counters_.l1_hits += route == OpRoute::kL1 ? 1 : 0;
-    const std::uint64_t done = host_.LatencyStamp();
-    latency_.Record(host_.LatencyNs(s.invoke_stamp, done));
+    std::uint64_t done = 0;
+    if constexpr (Host::kRecordsLatency) {
+      done = host_.LatencyStamp();
+      latency_->Record(host_.LatencyNs(s.invoke_stamp, done));
+    }
     if (parts_.history != nullptr) {
       parts_.history->Record(HistoryOp{
           s.session, s.op.type, s.op.key,
@@ -399,7 +420,9 @@ class NodeCore {
   SlotRing gated_parked_;
   bool retrying_gated_ = false;
   NodeCounters counters_;
-  Histogram latency_;
+  // Engaged when Host::kRecordsLatency, by the constructor: the host is an
+  // incomplete type where this member is declared.
+  std::optional<Histogram> latency_;
   Value read_scratch_;  // copy-outs resize into it, reusing its capacity
 };
 

@@ -127,6 +127,7 @@ class RackNode final : public MessageSink, public HotSetHost, private NodeHostHo
   // --- NodeCore host (node_core.h): the client-op path runs in core_ ---
   friend class NodeCore<RackNode>;
   static constexpr bool kInlineCpu = false;
+  static constexpr bool kRecordsLatency = true;
   template <typename Fn>
   void ChargeCpu(CpuStage stage, Fn&& fn) {
     workers_->Submit(stage == CpuStage::kCacheHit ? params().cpu.cache_hit_ns

@@ -1,5 +1,6 @@
 #include "src/common/alloc_tracker.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 
@@ -65,6 +66,9 @@ void* TrackedAlignedAlloc(std::size_t size, std::size_t align) {
   if (size == 0) {
     size = 1;
   }
+  // operator new takes any power of two (std::pmr::new_delete_resource asks
+  // for alignof(char)); posix_memalign refuses one below a pointer's.
+  align = std::max(align, sizeof(void*));
   void* p = nullptr;
   if (posix_memalign(&p, align, size) != 0) {
     return nullptr;

@@ -151,6 +151,7 @@ void LiveNode::Run(StopToken stop) {
   // function-local static) before the first op is stamped and before the
   // allocation window can open.
   CyclesPerNs();
+  ns_per_cycle_q48_ = NsPerCycleQ48();
   const std::uint64_t dump_interval_cycles =
       static_cast<std::uint64_t>(2e9 * CyclesPerNs());
   while (true) {

@@ -109,6 +109,7 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
   // --- NodeCore host (cckvs/node_core.h) ---
   friend class NodeCore<LiveNode>;
   static constexpr bool kInlineCpu = true;
+  static constexpr bool kRecordsLatency = true;
   // The home's shard, reached in place; nullptr for a ranked rack's remote
   // home, whose ops go out over RPC (SendMiss).
   Partition* ShardFor(NodeId home);
@@ -124,7 +125,7 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
   // on in busy-poll runs.
   std::uint64_t LatencyStamp() { return CycleNow(); }
   std::uint64_t LatencyNs(std::uint64_t from, std::uint64_t to) {
-    return CyclesToNs(to - from);
+    return CyclesToNsQ48(to - from, ns_per_cycle_q48_);
   }
   void AnnounceHotSet(const HotSetAnnounceMsg& msg);
   void OnIssue(std::uint32_t slot);
@@ -264,6 +265,9 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
 
   History history_;  // record_history runs
   SimTime last_ts_ = 0;
+  // LatencyNs's scale (NsPerCycleQ48), read by Run before its first op, so
+  // the calibration's ~10 ms never lands in the rack's construction.
+  std::uint64_t ns_per_cycle_q48_ = 0;
 };
 
 }  // namespace cckvs

@@ -8,6 +8,7 @@
 #include "src/common/check.h"
 #include "src/common/cpu.h"
 #include "src/common/cycles.h"
+#include "src/common/hash.h"
 #include "src/runtime/tracing.h"
 
 namespace cckvs {
@@ -122,20 +123,9 @@ LiveRack::LiveRack(const LiveRackParams& params)
   }
 
   if (params_.prefill_store) {
-    // Materialize the whole keyspace in its home shards (this process's
-    // shards only, in ranked mode) so no steady-state PUT has to insert.
     // Runs before the hot-set prefill: MarkCacheResident below then finds
     // every hot record already present.
-    const std::uint32_t vb = params_.workload.value_bytes;
-    Value value;
-    for (std::uint64_t k = 0; k < params_.workload.keyspace; ++k) {
-      const Key key = static_cast<Key>(k);
-      const NodeId home = HomeOf(key);
-      if (IsLocal(home)) {
-        SynthesizeValueInto(key, vb, &value);
-        PartitionAt(home).Apply(key, value, Timestamp{0, 0});
-      }
-    }
+    PrefillStore();
   }
 
   if (params_.prefill_hot_set) {
@@ -161,6 +151,60 @@ LiveRack::LiveRack(const LiveRackParams& params)
 }
 
 LiveRack::~LiveRack() = default;
+
+// Materializes the whole keyspace in its home shards (this process's shards
+// only, in ranked mode) so no steady-state PUT has to insert.  Only a shard's
+// own loader writes it, as only its server writes a partition in the paper,
+// so the shards fill in parallel.  Each loader applies its keys in ascending
+// order, which leaves buckets, overflow chains and slab refs exactly as one
+// serial loop over the keyspace would.  This thread allocates every byte a
+// loader writes — the slab chunks and overflow buckets, reserved from an
+// exact count of each shard's keys per head bucket, and the value buffers —
+// so the store lands in this thread's heap, on huge pages where malloc
+// provides them, rather than in the loaders' per-thread arenas.
+void LiveRack::PrefillStore() {
+  const std::uint64_t keys = params_.workload.keyspace;
+  const std::uint32_t vb = params_.workload.value_bytes;
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    const std::uint64_t hash = HashKey(static_cast<Key>(k));
+    if (Partition* shard = partitions_[HomeOfHash(hash)]; shard != nullptr) {
+      shard->NoteLoad(hash);
+    }
+  }
+  std::vector<NodeId> local;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (partitions_[i] != nullptr) {
+      local.push_back(static_cast<NodeId>(i));
+      partitions_[i]->ReserveLoad(vb);
+    }
+  }
+  std::vector<Value> values(local.size());
+  for (Value& value : values) {
+    value.reserve(vb);
+  }
+  const auto load = [this, keys, vb](NodeId home, Value* value) {
+    Partition& shard = PartitionAt(home);
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      const Key key = static_cast<Key>(k);
+      if (HomeOf(key) == home) {
+        SynthesizeValueInto(key, vb, value);
+        shard.Apply(key, *value, Timestamp{0, 0});
+      }
+    }
+  };
+  if (local.size() == 1) {
+    load(local[0], &values[0]);  // a ranked rack: no thread to gain
+    return;
+  }
+  std::vector<std::thread> loaders;
+  loaders.reserve(local.size());
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    loaders.emplace_back(load, local[i], &values[i]);
+  }
+  for (std::thread& loader : loaders) {
+    loader.join();
+  }
+}
 
 LiveReport LiveRack::Run() {
   CCKVS_CHECK(!ran_ && "LiveRack::Run is single-shot");

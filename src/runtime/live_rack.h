@@ -207,6 +207,10 @@ class LiveRack {
   }
 
  private:
+  // Materializes every key in its home shard (local shards only), one loader
+  // thread per local shard; see the .cc.
+  void PrefillStore();
+
   LiveRackParams params_;
   LiveTransport transport_;
   ModuloPartitioner partitioner_;

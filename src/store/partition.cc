@@ -36,6 +36,13 @@ Partition::Stripe& Partition::MyStripe() const {
   return stripes_[stripe];
 }
 
+void Partition::GrowOverflowLocked() {
+  const std::size_t chunk = overflow_owned_.size();
+  CCKVS_CHECK_LT(chunk, std::size_t{kMaxOverflowChunks});
+  overflow_owned_.push_back(std::make_unique<Bucket[]>(kOverflowChunkSize));
+  overflow_chunks_[chunk].store(overflow_owned_.back().get(), std::memory_order_release);
+}
+
 Partition::Bucket* Partition::OverflowBucket(std::uint32_t idx) const {
   const std::uint32_t chunk = idx / kOverflowChunkSize;
   if (chunk >= kMaxOverflowChunks) {
@@ -180,6 +187,30 @@ void Partition::PrefetchRecord(std::uint64_t hash) const {
   }
 }
 
+void Partition::NoteLoad(std::uint64_t hash) {
+  if (load_heads_.empty()) {
+    load_heads_.resize(buckets_.size());
+  }
+  ++load_heads_[BucketOf(hash)];
+}
+
+void Partition::ReserveLoad(std::size_t value_bytes) {
+  std::size_t records = 0;
+  std::size_t overflow = 0;
+  for (const std::uint32_t keys : load_heads_) {
+    records += keys;
+    // Inserts fill the head bucket's ways, then chain full overflow buckets.
+    overflow += keys > kWays ? (keys - 1) / kWays : 0;
+  }
+  std::vector<std::uint32_t>().swap(load_heads_);
+  slab_.Reserve(sizeof(RecordHeader) + value_bytes, records);
+  std::lock_guard<std::mutex> lock(overflow_mu_);
+  const std::size_t needed = overflow_count_.load(std::memory_order_relaxed) + overflow;
+  while (overflow_owned_.size() * kOverflowChunkSize < needed) {
+    GrowOverflowLocked();
+  }
+}
+
 Partition::AtomicSlot* Partition::FindSlot(Bucket& head, Key key, std::uint16_t tag) {
   Bucket* bucket = &head;
   while (bucket != nullptr) {
@@ -215,12 +246,8 @@ Partition::AtomicSlot* Partition::FreeSlot(Bucket& head) {
       // covered by the head bucket's writer lock held by our caller.
       std::lock_guard<std::mutex> lock(overflow_mu_);
       const std::uint32_t idx = overflow_count_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint32_t chunk = idx / kOverflowChunkSize;
-      CCKVS_CHECK_LT(chunk, kMaxOverflowChunks);
-      if (chunk >= overflow_owned_.size()) {
-        overflow_owned_.push_back(std::make_unique<Bucket[]>(kOverflowChunkSize));
-        overflow_chunks_[chunk].store(overflow_owned_.back().get(),
-                                      std::memory_order_release);
+      if (idx / kOverflowChunkSize >= overflow_owned_.size()) {
+        GrowOverflowLocked();
       }
       bucket->overflow.store(idx, std::memory_order_relaxed);
       return &OverflowBucket(idx)->slots[0];

@@ -154,6 +154,15 @@ class Partition {
   ResidentSnapshot MarkCacheResident(Key key);
   void ClearCacheResident(Key key);
 
+  // Bulk-load reservation, before any other use of the shard (neither call
+  // is thread-safe).  Note each key a load will insert, by its HashKey; then
+  // ReserveLoad maps, on the calling thread, exactly the slab chunks and
+  // overflow buckets that inserting those keys into this empty shard takes.
+  // A loader thread that then inserts them writes no memory it allocated
+  // itself; anything not reserved it allocates as usual.
+  void NoteLoad(std::uint64_t hash);
+  void ReserveLoad(std::size_t value_bytes);
+
   // Removes the key.  Returns true if it was present.
   bool Erase(Key key);
 
@@ -287,10 +296,13 @@ class Partition {
 
   SlabAllocator slab_;
   std::atomic<std::size_t> live_records_{0};
+  std::vector<std::uint32_t> load_heads_;  // NoteLoad's keys per head bucket
 
   mutable Stripe stripes_[kStripes];
 
   Bucket* OverflowBucket(std::uint32_t idx) const;
+  // Maps one more overflow chunk.  Caller holds overflow_mu_.
+  void GrowOverflowLocked();
 };
 
 }  // namespace cckvs

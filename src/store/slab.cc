@@ -29,18 +29,33 @@ SlabAllocator::Ref SlabAllocator::Allocate(std::size_t bytes) {
     sc.freelist.pop_back();
   } else {
     idx = sc.next_unused++;
-    const std::uint32_t chunk = idx / kChunkSlots;
-    CCKVS_CHECK_LT(chunk, kMaxChunks);
-    if (chunk >= sc.owned.size()) {
-      const std::size_t chunk_bytes = ClassBytes(cls) * kChunkSlots;
-      sc.owned.push_back(std::make_unique<CacheLine[]>(chunk_bytes / sizeof(CacheLine)));
-      sc.chunk_ptrs[chunk].store(reinterpret_cast<char*>(sc.owned.back().get()),
-                                 std::memory_order_release);
-      arena_bytes_.fetch_add(chunk_bytes, std::memory_order_relaxed);
-    }
+    GrowLocked(cls, std::size_t{idx / kChunkSlots} + 1);
   }
   allocated_.fetch_add(1, std::memory_order_relaxed);
   return Ref{static_cast<std::uint8_t>(cls), idx};
+}
+
+void SlabAllocator::Reserve(std::size_t bytes, std::size_t slots) {
+  if (slots == 0) {
+    return;
+  }
+  const int cls = ClassFor(bytes);
+  SizeClass& sc = classes_[cls];
+  std::lock_guard<std::mutex> lock(sc.mu);
+  const std::size_t last = sc.next_unused + slots - 1;  // highest index to map
+  GrowLocked(cls, last / kChunkSlots + 1);
+}
+
+void SlabAllocator::GrowLocked(int cls, std::size_t chunks) {
+  CCKVS_CHECK_LE(chunks, std::size_t{kMaxChunks});
+  SizeClass& sc = classes_[cls];
+  const std::size_t chunk_bytes = ClassBytes(cls) * kChunkSlots;
+  while (sc.owned.size() < chunks) {
+    sc.owned.push_back(std::make_unique<CacheLine[]>(chunk_bytes / sizeof(CacheLine)));
+    sc.chunk_ptrs[sc.owned.size() - 1].store(
+        reinterpret_cast<char*>(sc.owned.back().get()), std::memory_order_release);
+    arena_bytes_.fetch_add(chunk_bytes, std::memory_order_relaxed);
+  }
 }
 
 void SlabAllocator::Free(Ref ref) {

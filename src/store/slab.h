@@ -46,6 +46,13 @@ class SlabAllocator {
   // Allocates a slot able to hold `bytes`.  Thread-safe.
   Ref Allocate(std::size_t bytes);
 
+  // Maps, on the calling thread, the chunks the next `slots` Allocate(bytes)
+  // calls that take fresh slots will land in.  A bulk loader on another
+  // thread then writes only memory this thread allocated, so the arena keeps
+  // the caller's heap and its huge pages.  Changes no counter but
+  // arena_bytes, which reaches what those allocations would have made it.
+  void Reserve(std::size_t bytes, std::size_t slots);
+
   // Returns a slot to its class freelist.  Thread-safe.  The memory stays
   // mapped and may be reused by a later Allocate.
   void Free(Ref ref);
@@ -105,6 +112,9 @@ class SlabAllocator {
     std::vector<std::uint32_t> freelist;
     std::uint32_t next_unused = 0;  // high-water mark across chunks
   };
+
+  // Maps chunks of class `cls` until `chunks` exist.  Caller holds sc.mu.
+  void GrowLocked(int cls, std::size_t chunks);
 
   SizeClass classes_[kNumClasses];
   std::atomic<std::uint64_t> allocated_{0};

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -662,12 +663,11 @@ class TransitionWorld {
    private:
     friend class NodeCore<NodeHost>;
     static constexpr bool kInlineCpu = true;
+    static constexpr bool kRecordsLatency = false;  // worlds are rebuilt per step
     Partition* ShardFor(NodeId home) { return world_->partitions_[home].get(); }
     void SendMiss(std::uint32_t /*slot*/) { CCKVS_CHECK(false); }  // every shard is here
     bool AllPeersHaveCredit() { return true; }
     SimTime HistoryNow() { return 0; }
-    std::uint64_t LatencyStamp() { return 0; }
-    std::uint64_t LatencyNs(std::uint64_t /*from*/, std::uint64_t /*to*/) { return 0; }
     void AnnounceHotSet(const HotSetAnnounceMsg& /*msg*/) {}
     void OnPark(std::uint32_t slot, OpPark /*why*/) {
       world_->ops_[ops[slot]].st = OpRec::St::kParked;
@@ -965,18 +965,23 @@ ModelCheckerResult ExhaustiveExplore(
   using ActionT = typename WorldT::ActionType;
   ModelCheckerResult result;
 
-  std::unordered_set<std::string> visited;
-  std::deque<std::vector<ActionT>> frontier;
+  // The search's own state lives in a pool apart from the worlds: a string or
+  // path allocated in the holes a destroyed world leaves would keep them from
+  // coalescing for the next world's large shard objects, and the heap would
+  // grow by gigabytes over a scope.
+  std::pmr::unsynchronized_pool_resource pool;
+  std::pmr::unordered_set<std::pmr::string> visited(&pool);
+  std::pmr::deque<std::pmr::vector<ActionT>> frontier(&pool);
 
   {
     auto root = make_world();
-    visited.insert(root->Encode());
+    visited.emplace(root->Encode());
     frontier.push_back({});
     result.states_explored = 1;
   }
 
   while (!frontier.empty()) {
-    const std::vector<ActionT> path = std::move(frontier.front());
+    const std::pmr::vector<ActionT> path = std::move(frontier.front());
     frontier.pop_front();
     result.max_depth = std::max(result.max_depth,
                                 static_cast<std::uint64_t>(path.size()));
@@ -1016,10 +1021,9 @@ ModelCheckerResult ExhaustiveExplore(
         result.failure = world->failure();
         return result;
       }
-      std::string encoded = world->Encode();
-      if (visited.insert(std::move(encoded)).second) {
+      if (visited.emplace(world->Encode()).second) {
         ++result.states_explored;
-        std::vector<ActionT> next = path;
+        std::pmr::vector<ActionT> next = path;
         next.push_back(action);
         frontier.push_back(std::move(next));
       }

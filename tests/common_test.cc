@@ -1,5 +1,5 @@
-// Unit tests for src/common: Zipf math, RNG, scrambler, histogram, hashing,
-// timestamps and CHECK macros.
+// Unit tests for src/common: Zipf math, RNG, scrambler, histogram, cycle
+// conversion, hashing, timestamps and CHECK macros.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/cycles.h"
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -443,6 +444,34 @@ TEST(Histogram, HandlesHugeValues) {
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.max(), ~0ull);
   EXPECT_GE(h.Quantile(1.0), 1ull << 62);
+}
+
+// ---------------------------------------------------------------------------
+// Cycle conversion
+// ---------------------------------------------------------------------------
+
+// The live node converts each op's cycle delta with one fixed-point multiply;
+// it must agree with the double conversion to the nanosecond over every
+// delta up to 2^40 cycles (minutes at any clock rate in use).
+TEST(Cycles, FixedPointMatchesCyclesToNsUpTo2Pow40) {
+  const std::uint64_t q48 = NsPerCycleQ48();
+  std::vector<std::uint64_t> deltas;
+  for (int bit = 0; bit <= 40; ++bit) {
+    deltas.push_back(1ull << bit);
+    deltas.push_back((1ull << bit) - 1);
+    deltas.push_back((1ull << bit) + 1);
+  }
+  Rng rng(29);
+  for (int i = 0; i < 200'000; ++i) {
+    // Log-uniform, so every magnitude is covered, not just the largest.
+    const int bits = 1 + static_cast<int>(rng.NextBounded(40));
+    deltas.push_back(rng.NextBounded(1ull << bits));
+  }
+  for (const std::uint64_t d : deltas) {
+    const std::uint64_t exact = CyclesToNs(d);
+    const std::uint64_t fixed = CyclesToNsQ48(d, q48);
+    ASSERT_LE(exact > fixed ? exact - fixed : fixed - exact, 1u) << "delta " << d;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@
 
 #include "src/common/alloc_tracker.h"
 #include "src/runtime/live_rack.h"
+#include "src/store/partition.h"
+#include "src/store/partitioner.h"
 #include "src/verify/history.h"
+#include "src/workload/workload.h"
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define CCKVS_SANITIZED 1
@@ -450,6 +453,104 @@ TEST(LiveRackTest, EarlyStopStillSealsHistories) {
   EXPECT_GT(r.completed, 0u);
   EXPECT_LT(r.completed, p.ops_per_node * static_cast<std::uint64_t>(p.num_nodes));
   EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
+}
+
+// The store prefill fills each local shard on a loader thread of its own.
+// Every shard must come out as the serial loop it replaced leaves it: one
+// Apply per key in ascending key order on the constructing thread, then the
+// hot set's residency gates.  Checked per key (value, timestamp, resident
+// flag, overflow depth) and per shard (records, overflow buckets, slab slots
+// and arena bytes).
+void ExpectPrefillMatchesSerialLoop(const LiveRackParams& p) {
+  LiveRack rack(p);
+  ASSERT_TRUE(rack.transport().ok()) << rack.transport().init_error();
+  const std::uint32_t vb = p.workload.value_bytes;
+  ModuloPartitioner partitioner(p.num_nodes);
+  std::vector<std::unique_ptr<Partition>> serial(static_cast<std::size_t>(p.num_nodes));
+  for (int i = 0; i < p.num_nodes; ++i) {
+    if (rack.IsLocal(static_cast<NodeId>(i))) {
+      PartitionConfig pc;  // as LiveNode configures its shard
+      pc.buckets = p.partition_buckets;
+      pc.node_id = static_cast<NodeId>(i);
+      pc.synthesize = [vb](Key key) { return SynthesizeValue(key, vb); };
+      serial[static_cast<std::size_t>(i)] = std::make_unique<Partition>(pc);
+    }
+  }
+  Value value;
+  for (Key key = 0; key < p.workload.keyspace; ++key) {
+    if (Partition* shard = serial[partitioner.HomeOf(key)].get(); shard != nullptr) {
+      SynthesizeValueInto(key, vb, &value);
+      shard->Apply(key, value, Timestamp{0, 0});
+    }
+  }
+  const std::vector<Key> hot =
+      MakePerThreadGenerators(p.workload, p.num_nodes, p.seed)[0].HottestKeys(
+          p.cache_capacity);
+  for (const Key key : hot) {
+    if (Partition* shard = serial[partitioner.HomeOf(key)].get(); shard != nullptr) {
+      shard->MarkCacheResident(key);
+    }
+  }
+
+  int local = 0;
+  for (int i = 0; i < p.num_nodes; ++i) {
+    const Partition* want = serial[static_cast<std::size_t>(i)].get();
+    if (want == nullptr) {
+      continue;
+    }
+    ++local;
+    const Partition& got = rack.node(static_cast<NodeId>(i)).partition();
+    EXPECT_EQ(got.size(), want->size()) << "shard " << i;
+    EXPECT_GT(want->overflow_buckets(), 0u) << "the shape must chain overflow buckets";
+    EXPECT_EQ(got.overflow_buckets(), want->overflow_buckets()) << "shard " << i;
+    EXPECT_EQ(got.slab_stats().allocated_slots, want->slab_stats().allocated_slots);
+    EXPECT_EQ(got.slab_stats().arena_bytes, want->slab_stats().arena_bytes);
+    std::size_t resident = 0;
+    for (Key key = 0; key < p.workload.keyspace; ++key) {
+      if (partitioner.HomeOf(key) != i) {
+        continue;
+      }
+      Value got_value, want_value;
+      Timestamp got_ts, want_ts;
+      bool got_resident = false, want_resident = false;
+      ASSERT_TRUE(got.Get(key, &got_value, &got_ts, &got_resident));
+      ASSERT_TRUE(want->Get(key, &want_value, &want_ts, &want_resident));
+      ASSERT_EQ(got_value, want_value) << "key " << key;
+      ASSERT_EQ(got_ts, want_ts) << "key " << key;
+      ASSERT_EQ(got_resident, want_resident) << "key " << key;
+      ASSERT_EQ(got.ChainDepth(key), want->ChainDepth(key)) << "key " << key;
+      resident += want_resident ? 1 : 0;
+    }
+    EXPECT_GT(resident, 0u) << "shard " << i << " homes no hot key";
+  }
+  EXPECT_EQ(local, rack.ranked() ? 1 : p.num_nodes);
+}
+
+LiveRackParams PrefillParams() {
+  LiveRackParams p;
+  p.num_nodes = 4;
+  // 16k keys a shard over 1k buckets of 7 ways: most keys chain.
+  p.workload.keyspace = 65'536;
+  p.workload.value_bytes = 40;
+  p.partition_buckets = 1 << 10;
+  p.cache_capacity = 256;
+  p.online_topk = true;  // the hot-set prefill raises residency gates
+  p.prefill_store = true;
+  p.seed = 5;
+  return p;
+}
+
+TEST(LiveRackTest, ParallelPrefillMatchesSerialLoop) {
+  ExpectPrefillMatchesSerialLoop(PrefillParams());
+}
+
+// A ranked rank owns one shard, which its constructing thread fills itself.
+TEST(LiveRackTest, RankedPrefillMatchesSerialLoop) {
+  LiveRackParams p = PrefillParams();
+  p.transport.kind = TransportKind::kShm;
+  p.transport.rank = 0;  // creates the region, so it needs no peer to start
+  p.transport.shm_name = "/cckvs_prefill_" + std::to_string(getpid());
+  ExpectPrefillMatchesSerialLoop(p);
 }
 
 // The zero-steady-state-allocation invariant, per backend and protocol: a

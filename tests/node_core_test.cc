@@ -87,6 +87,7 @@ class ScriptedHost final : public MessageSink, private NodeHostHooks {
  private:
   friend class NodeCore<ScriptedHost>;
   static constexpr bool kInlineCpu = true;
+  static constexpr bool kRecordsLatency = true;
   Partition* ShardFor(NodeId /*home*/) { return shard_in_hand ? shard_.get() : nullptr; }
   void SendMiss(std::uint32_t slot) { sent.push_back(slot); }
   bool AllPeersHaveCredit() { return credits > 0; }

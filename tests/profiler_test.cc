@@ -9,7 +9,10 @@
 // sampling instants interleave with the increments.
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <memory_resource>
+#include <new>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -143,6 +146,20 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
   // The ops column carries each node's own counter, not a neighbour's.
   EXPECT_EQ(ops_by_node[0], "5");
   EXPECT_EQ(ops_by_node[1], "9");
+}
+
+// The counting operator new replaces every form, so each must serve what the
+// standard library asks of it: std::pmr::new_delete_resource passes the
+// element's own alignment, below a pointer's for a string.
+TEST(AllocTrackerTest, AlignedNewServesAlignmentsBelowAPointer) {
+  for (std::size_t align = 1; align <= 64; align *= 2) {
+    void* p = ::operator new(24, std::align_val_t{align});
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
+    ::operator delete(p, std::align_val_t{align});
+  }
+  std::pmr::unsynchronized_pool_resource pool;
+  std::pmr::string s("longer than the small-string buffer", &pool);
+  EXPECT_EQ(s.size(), 35u);
 }
 
 // The acceptance invariant of the zero-alloc messaging work: an SC rack with

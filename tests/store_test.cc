@@ -127,6 +127,20 @@ TEST(Slab, FreeReusesSlots) {
   EXPECT_EQ(slab.freed_slots(), 1u);
 }
 
+TEST(Slab, ReserveMapsChunksWithoutTakingSlots) {
+  SlabAllocator slab;
+  slab.Reserve(40, 1500);  // two chunks of 64 B slots
+  const std::uint64_t reserved = slab.arena_bytes();
+  EXPECT_EQ(reserved, 2u * 1024u * 64u);
+  EXPECT_EQ(slab.allocated_slots(), 0u);
+  for (int i = 0; i < 1500; ++i) {
+    slab.Allocate(40);
+  }
+  EXPECT_EQ(slab.arena_bytes(), reserved);
+  slab.Allocate(40);  // the 1501st fits the second chunk too
+  EXPECT_EQ(slab.arena_bytes(), reserved);
+}
+
 TEST(Slab, DistinctClassesDistinctArenas) {
   SlabAllocator slab;
   const auto small = slab.Allocate(10);
@@ -317,6 +331,35 @@ TEST(Partition, PrefetchHintsChangeNothing) {
   ASSERT_TRUE(part.Get(42, &v));
   EXPECT_EQ(v, "hello");
   EXPECT_EQ(part.stats().gets, 1u);
+}
+
+// The live rack's prefill reserves a shard's load on one thread and inserts
+// it on another.  The reservation must be exact: inserting the noted keys
+// maps no further slab chunk, and the shard ends with the memory and chains
+// of one filled without a reservation.
+TEST(Partition, ReserveLoadMapsExactlyWhatTheLoadTakes) {
+  PartitionConfig pc = SmallConfig();
+  pc.buckets = 16;  // ~300 keys a bucket: long overflow chains
+  Partition reserved(pc);
+  Partition unreserved(pc);
+  constexpr Key kKeys = 5000;
+  for (Key k = 0; k < kKeys; ++k) {
+    reserved.NoteLoad(HashKey(k));
+  }
+  reserved.ReserveLoad(40);
+  const std::uint64_t arena = reserved.slab_stats().arena_bytes;
+  EXPECT_EQ(reserved.overflow_buckets(), 0u);  // mapped, not yet linked
+  const Value value(40, 'v');
+  for (Key k = 0; k < kKeys; ++k) {
+    reserved.Apply(k, value, Timestamp{0, 0});
+    unreserved.Apply(k, value, Timestamp{0, 0});
+  }
+  EXPECT_EQ(reserved.slab_stats().arena_bytes, arena);
+  EXPECT_EQ(unreserved.slab_stats().arena_bytes, arena);
+  EXPECT_EQ(reserved.overflow_buckets(), unreserved.overflow_buckets());
+  for (Key k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(reserved.ChainDepth(k), unreserved.ChainDepth(k)) << "key " << k;
+  }
 }
 
 TEST(Partition, StatsAreExactAcrossThreads) {
