@@ -1,11 +1,14 @@
 // google-benchmark microbenches for the data-plane components: the MICA-like
 // store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, op
 // generation, the symmetric cache probe path, the Space-Saving sketch, a
-// Lin write round between two engines and a live rack's construction.
+// Lin write round between two engines, a batch's trip through a shm lane and
+// a live rack's construction.
 //
 // These measure the real (wall-clock) cost of the concurrent data structures —
 // the part of the system that runs as genuine multithreaded code rather than
 // under the deterministic simulator.
+
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +28,7 @@
 #include "src/common/zipf.h"
 #include "src/protocol/engine.h"
 #include "src/runtime/live_rack.h"
+#include "src/runtime/shm_fabric.h"
 #include "src/store/partition.h"
 #include "src/store/partitioner.h"
 #include "src/store/seqlock.h"
@@ -530,6 +534,59 @@ void BM_LiveRackSetup(benchmark::State& state) {
 }
 // Real time: the loaders run on threads of their own.
 BENCHMARK(BM_LiveRackSetup)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One coalesced batch through a shm lane on one thread: Deliver encodes it
+// into the ring, Drain decodes it into a warm pooled batch.  Lin-shaped
+// batches (updates, invalidations and acks in turn, 40 B values) of 1, 2
+// and 16 messages; the ring is the default 1 MiB, so frames wrap its end
+// about once per 10^4 batches.  Time is per batch.
+void BM_ShmLaneRoundTrip(benchmark::State& state) {
+  constexpr std::size_t kValueBytes = 40;
+  const auto count = static_cast<std::size_t>(state.range(0));
+  FabricConfig config;
+  config.num_nodes = 2;
+  TransportOptions opts;
+  opts.kind = TransportKind::kShm;
+  opts.shm_name = "/cckvs_bm_shmlane_" + std::to_string(getpid());
+  std::string error;
+  auto fabric = MakeShmFabric(config, opts, &error);
+  CCKVS_CHECK(fabric != nullptr);
+  const UpdateMsg upd{7, Value(kValueBytes, 'v'), Timestamp{1, 0}};
+  const InvalidateMsg inv{8, Timestamp{2, 0}};
+  const AckMsg ack{9, Timestamp{3, 1}};
+  auto fill = [&](WireBatch* batch) {
+    for (std::size_t i = 0; i < count; ++i) {
+      switch (i % 3) {
+        case 0:
+          batch->Append(upd);
+          break;
+        case 1:
+          batch->Append(inv);
+          break;
+        default:
+          batch->Append(ack);
+          break;
+      }
+    }
+  };
+  WireBatch shape;
+  fill(&shape);
+  fabric->batch_pool().Prewarm(4, count, kValueBytes);
+  fabric->ReserveScratch(WireBatchBytes(shape));
+  std::vector<WireBatch> inbox;
+  inbox.reserve(1);
+  for (auto _ : state) {
+    WireBatch batch = fabric->batch_pool().Acquire();
+    fill(&batch);
+    fabric->Deliver(1, std::move(batch));
+    CCKVS_CHECK_EQ(fabric->Drain(1, &inbox, 1), 1u);
+    fabric->batch_pool().Recycle(std::move(inbox.back()));
+    inbox.clear();
+  }
+  CCKVS_CHECK(!fabric->faulted());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_ShmLaneRoundTrip)->Arg(1)->Arg(2)->Arg(16);
 
 }  // namespace
 }  // namespace cckvs

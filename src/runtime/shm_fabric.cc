@@ -12,6 +12,17 @@
 // tail; the consumer (owning thread of dst) owns head; head/tail are free-
 // running byte counters, so full/empty are exact and no slot is wasted.
 //
+// A frame is encoded and decoded in place: once the ring has room for the
+// frame's exact size (WireBatchBytes), the producer writes the length prefix
+// and encodes the batch straight into the ring, and the consumer decodes it
+// from the ring's own bytes.  Only a body that wraps the ring's end goes
+// through a per-node scratch buffer (encoded there, then copied in two
+// pieces; copied out in two pieces, then decoded).  The consumer releases
+// head after the decode, never before, so the producer cannot overwrite a
+// frame that is still being read.  A malformed frame latches an
+// "undecodable" error and is skipped: the decoder bounds every read by the
+// frame length it was given (wire_codec.h).
+//
 // Lost-wakeup argument (Dekker's pattern, no lock on the busy path): the
 // producer publishes tail, issues a seq_cst fence, then reads the consumer's
 // atomic `parked`.  The consumer stores `parked` = 1 (under its doorbell
@@ -197,13 +208,8 @@ class ShmFabric final : public TransportFabric {
 
   void Deliver(NodeId to, WireBatch&& batch) override {
     const NodeId src = batch.src;
-    // Per-src serialize scratch: in all-in-one mode every node thread
-    // delivers through this one fabric object, each as a distinct src.
-    Buffer& buf = tx_scratch_[src];
-    buf.clear();
-    SerializeWireBatch(batch, &buf);
-    batch_pool().Recycle(std::move(batch));  // bytes are out; rewarm the slots
-    const std::uint64_t frame = 4 + buf.size();
+    const std::uint64_t len = WireBatchBytes(batch);
+    const std::uint64_t frame = 4 + len;
     CCKVS_CHECK_LT(frame, ring_bytes_);  // a frame must fit the lane
     RingHdr* r = ring_hdr(src, to);
     std::uint8_t* data = ring_data(src, to);
@@ -217,13 +223,21 @@ class ShmFabric final : public TransportFabric {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     std::uint8_t len_le[4];
-    const auto len = static_cast<std::uint32_t>(buf.size());
-    len_le[0] = static_cast<std::uint8_t>(len);
-    len_le[1] = static_cast<std::uint8_t>(len >> 8);
-    len_le[2] = static_cast<std::uint8_t>(len >> 16);
-    len_le[3] = static_cast<std::uint8_t>(len >> 24);
+    StoreLe(len_le, static_cast<std::uint32_t>(len));
     CopyIn(data, ring_bytes_, tail, len_le, 4);
-    CopyIn(data, ring_bytes_, tail + 4, buf.data(), buf.size());
+    const std::uint64_t body = (tail + 4) % ring_bytes_;
+    if (body + len <= ring_bytes_) {
+      EncodeWireBatch(batch, data + body);
+    } else {
+      // The body wraps: encode into the per-src scratch (in all-in-one mode
+      // every node thread delivers through this one fabric object, each as
+      // a distinct src) and copy it in two pieces.
+      Buffer& buf = tx_scratch_[src];
+      buf.resize(len);
+      EncodeWireBatch(batch, buf.data());
+      CopyIn(data, ring_bytes_, tail + 4, buf.data(), len);
+    }
+    batch_pool().Recycle(std::move(batch));  // bytes are out; rewarm the slots
     // Single writer per lane: a plain load+store, not a read-modify-write.
     // Counted before the tail release, so whoever drains the frame sees it.
     r->frames.store(r->frames.load(std::memory_order_relaxed) + 1,
@@ -258,9 +272,6 @@ class ShmFabric final : public TransportFabric {
 
   std::size_t Drain(NodeId self, std::vector<WireBatch>* out,
                     std::size_t max) override {
-    // Per-self receive scratch: in all-in-one mode every node thread drains
-    // through this one fabric object concurrently (each on its own lanes).
-    Buffer& scratch = rx_scratch_[self];
     std::size_t moved = 0;
     for (int src = 0; src < n_ && moved < max; ++src) {
       if (src == self) {
@@ -276,18 +287,27 @@ class ShmFabric final : public TransportFabric {
         }
         std::uint8_t len_le[4];
         CopyOut(data, ring_bytes_, head, len_le, 4);
-        const std::uint32_t len = static_cast<std::uint32_t>(len_le[0]) |
-                                  (static_cast<std::uint32_t>(len_le[1]) << 8) |
-                                  (static_cast<std::uint32_t>(len_le[2]) << 16) |
-                                  (static_cast<std::uint32_t>(len_le[3]) << 24);
+        const std::uint32_t len = LoadLe<std::uint32_t>(len_le);
         // tail is published frame-atomically, so a partial frame here means
         // corruption, not a race.
         CCKVS_CHECK_LE(static_cast<std::uint64_t>(len) + 4, tail - head);
-        scratch.resize(len);
-        CopyOut(data, ring_bytes_, head + 4, scratch.data(), len);
-        r->head.store(head + 4 + len, std::memory_order_release);
+        const std::uint64_t off = (head + 4) % ring_bytes_;
+        const std::uint8_t* body = data + off;
+        if (off + len > ring_bytes_) {
+          // The body wraps: gather it into the per-self scratch (in
+          // all-in-one mode every node thread drains through this one fabric
+          // object concurrently, each on its own lanes).
+          Buffer& scratch = rx_scratch_[self];
+          scratch.resize(len);
+          CopyOut(data, ring_bytes_, head + 4, scratch.data(), len);
+          body = scratch.data();
+        }
         WireBatch batch = batch_pool().Acquire();  // decode into warm slots
-        if (!TryDeserializeWireBatch(scratch.data(), len, &batch)) {
+        const bool ok = TryDeserializeWireBatch(body, len, &batch);
+        // Released only now: the producer may overwrite the frame once head
+        // passes it, and an in-place decode reads the ring itself.
+        r->head.store(head + 4 + len, std::memory_order_release);
+        if (!ok) {
           SetError("shm lane " + std::to_string(src) + "->" +
                    std::to_string(static_cast<int>(self)) +
                    ": undecodable frame of " + std::to_string(len) + " bytes");
@@ -474,8 +494,9 @@ class ShmFabric final : public TransportFabric {
   std::atomic<bool> faulted_{false};
   mutable std::mutex error_mu_;
   std::string error_;
-  // Reused serialize/deserialize buffers: tx indexed by src (each node thread
-  // delivers only as itself), rx indexed by self (each drains only its own).
+  // Staging for frames whose body wraps the ring's end: tx indexed by src
+  // (each node thread delivers only as itself), rx indexed by self (each
+  // drains only its own).
   std::vector<Buffer> tx_scratch_;
   std::vector<Buffer> rx_scratch_;
 };

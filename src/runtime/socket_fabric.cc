@@ -67,24 +67,11 @@ int ReadFull(int fd, std::uint8_t* p, std::size_t n) {
   return 1;
 }
 
-void PutU32Le(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t GetU32Le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 bool SendFrame(int fd, std::uint8_t type, const std::uint8_t* payload,
                std::size_t len) {
   std::uint8_t hdr[kSocketFrameHeaderBytes];
   hdr[0] = type;
-  PutU32Le(hdr + 1, static_cast<std::uint32_t>(len));
+  StoreLe<std::uint32_t>(hdr + 1, static_cast<std::uint32_t>(len));
   return WriteAll(fd, hdr, sizeof(hdr)) && (len == 0 || WriteAll(fd, payload, len));
 }
 
@@ -187,7 +174,7 @@ class SocketFabric final : public TransportFabric {
       return;  // connection gone; the run is already erroring out
     }
     std::uint8_t payload[4];
-    PutU32Le(payload, static_cast<std::uint32_t>(n));
+    StoreLe<std::uint32_t>(payload, static_cast<std::uint32_t>(n));
     if (!SendFrame(fd, kSocketFrameCredit, payload, sizeof(payload))) {
       SetError("credit return to node " + std::to_string(static_cast<int>(to)) +
                ": " + std::strerror(errno));
@@ -282,8 +269,8 @@ class SocketFabric final : public TransportFabric {
       std::uint8_t hdr[kSocketFrameHeaderBytes];
       std::uint8_t peer = 0;
       if (ReadFull(fd, hdr, sizeof(hdr)) != 1 || hdr[0] != kSocketFrameHello ||
-          GetU32Le(hdr + 1) != 1 || ReadFull(fd, &peer, 1) != 1 || peer <= rank_ ||
-          peer >= n_) {
+          LoadLe<std::uint32_t>(hdr + 1) != 1 || ReadFull(fd, &peer, 1) != 1 ||
+          peer <= rank_ || peer >= n_) {
         *error = "malformed hello from an inbound connection";
         close(fd);
         return false;
@@ -465,7 +452,7 @@ class SocketFabric final : public TransportFabric {
       return false;
     }
     const std::uint8_t type = hdr[0];
-    const std::uint32_t len = GetU32Le(hdr + 1);
+    const std::uint32_t len = LoadLe<std::uint32_t>(hdr + 1);
     if (len > kSocketMaxFrameBytes) {
       SetError("oversized frame (" + std::to_string(len) + " bytes) from peer " +
                std::to_string(static_cast<int>(peer)));
@@ -500,7 +487,7 @@ class SocketFabric final : public TransportFabric {
           return false;
         }
         Cell(owner, peer).fetch_add(
-            static_cast<int>(GetU32Le(rx_payload_.data())),
+            static_cast<int>(LoadLe<std::uint32_t>(rx_payload_.data())),
             std::memory_order_release);
         return true;
       }

@@ -43,9 +43,7 @@ std::size_t WarmFrameBytes(int max_batch, std::size_t value_bytes) {
   for (int i = 0; i < max_batch; ++i) {
     batch.Append(UpdateMsg{0, Value(value_bytes, '\0'), Timestamp{}});
   }
-  Buffer buf;
-  SerializeWireBatch(batch, &buf);
-  return buf.size();
+  return WireBatchBytes(batch);
 }
 
 }  // namespace

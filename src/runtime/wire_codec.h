@@ -16,6 +16,11 @@
 // simulator prices its datagrams with the paper's calibrated sizes
 // (WireFormat), not with these byte counts.
 //
+// Encoding is two passes over one field list per message (PutFields):
+// WireBatchBytes sizes a frame exactly, then EncodeWireBatch writes it
+// through a raw pointer, so a backend can encode straight into memory it
+// owns (the shm ring) and SerializeWireBatch is just resize + encode.
+//
 // Decoding NEVER trusts the buffer: TryDeserializeWireBatch returns false on
 // any truncation, trailing garbage, unknown tag or length overflow instead of
 // aborting, so a malformed or short frame from a dying peer surfaces as a
@@ -241,7 +246,7 @@ static_assert(static_cast<std::size_t>(WireTag::kTermHalt) ==
               std::variant_size_v<WireBody>);
 
 // Bounds-checked little-endian reader, the counterpart of serialize.h's
-// BufferWriter: every Get returns false instead of aborting when the buffer
+// writers: every Get returns false instead of aborting when the buffer
 // runs out, for frames that cross a trust boundary.
 class SafeReader {
  public:
@@ -277,12 +282,8 @@ class SafeReader {
     if (sizeof(T) > size_ - pos_) {
       return false;
     }
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
+    *out = LoadLe<T>(data_ + pos_);
     pos_ += sizeof(T);
-    *out = v;
     return true;
   }
 
@@ -293,7 +294,23 @@ class SafeReader {
 
 namespace wire_internal {
 
-inline void PutTs(BufferWriter* w, Timestamp ts) {
+// Counts the bytes a ByteWriter would write for the same calls, so sizing a
+// frame and encoding it run one field list (PutFields below).
+class SizeCounter {
+ public:
+  void PutU8(std::uint8_t) { n_ += 1; }
+  void PutU16(std::uint16_t) { n_ += 2; }
+  void PutU32(std::uint32_t) { n_ += 4; }
+  void PutU64(std::uint64_t) { n_ += 8; }
+  void PutString(const std::string& s) { n_ += 4 + s.size(); }
+  std::size_t bytes() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+template <typename W>
+inline void PutTs(W* w, Timestamp ts) {
   w->PutU32(ts.clock);
   w->PutU8(ts.writer);
 }
@@ -307,72 +324,96 @@ inline bool GetTs(SafeReader* r, Timestamp* ts) {
   return true;
 }
 
+// Each message's fields, in wire order, after its tag byte.
+template <typename W>
+inline void PutFields(const UpdateMsg& m, W* w) {
+  w->PutU64(m.key);
+  PutTs(w, m.ts);
+  w->PutString(m.value);
+}
+template <typename W>
+inline void PutFields(const InvalidateMsg& m, W* w) {
+  w->PutU64(m.key);
+  PutTs(w, m.ts);
+}
+template <typename W>
+inline void PutFields(const AckMsg& m, W* w) {
+  w->PutU64(m.key);
+  PutTs(w, m.ts);
+}
+template <typename W>
+inline void PutFields(const HotSetAnnounceMsg& m, W* w) {
+  w->PutU64(m.epoch);
+  w->PutU32(static_cast<std::uint32_t>(m.keys.size()));
+  for (const Key k : m.keys) {
+    w->PutU64(k);
+  }
+}
+template <typename W>
+inline void PutFields(const FillMsg& m, W* w) {
+  w->PutU64(m.key);
+  PutTs(w, m.ts);
+  w->PutU64(m.epoch);
+  w->PutString(m.value);
+}
+template <typename W>
+inline void PutFields(const EpochInstalledMsg& m, W* w) {
+  w->PutU64(m.epoch);
+}
+template <typename W>
+inline void PutFields(const RpcRequest& m, W* w) {
+  w->PutU32(m.op_id);
+  w->PutU8(static_cast<std::uint8_t>(m.op));
+  w->PutU64(m.key);
+  w->PutString(m.value);
+  // Trace context rides last (append-only ABI evolution): the id and the
+  // requester-side parent span (runtime/tracing.h), 0/0 when untraced.
+  w->PutU64(m.trace_id);
+  w->PutU64(m.parent_span);
+}
+template <typename W>
+inline void PutFields(const RpcResponse& m, W* w) {
+  w->PutU32(m.op_id);
+  PutTs(w, m.ts);
+  w->PutU8(m.gated ? 1 : 0);
+  w->PutString(m.value);
+  w->PutU64(m.trace_id);
+}
+template <typename W>
+inline void PutFields(const TermProbeMsg& m, W* w) {
+  w->PutU32(m.round);
+}
+template <typename W>
+inline void PutFields(const TermStatusMsg& m, W* w) {
+  w->PutU32(m.round);
+  w->PutU8(m.rank);
+  w->PutU8(m.done ? 1 : 0);
+  w->PutU64(m.sent);
+  w->PutU64(m.processed);
+}
+template <typename W>
+inline void PutFields(const TermHaltMsg& m, W* w) {
+  w->PutU32(m.round);
+}
+
+// One tagged message (tag t is alternative t - 1, see WireTag).  W is a
+// ByteWriter or a SizeCounter.
+template <typename W>
+inline void PutBody(const WireBody& body, W* w) {
+  w->PutU8(static_cast<std::uint8_t>(body.index() + 1));
+  std::visit([w](const auto& m) { PutFields(m, w); }, body);
+}
+
 }  // namespace wire_internal
 
+// Appends one tagged message to *out.
 inline void SerializeWireBody(const WireBody& body, Buffer* out) {
-  using wire_internal::PutTs;
-  BufferWriter w(out);
-  if (const auto* upd = std::get_if<UpdateMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kUpdate));
-    w.PutU64(upd->key);
-    PutTs(&w, upd->ts);
-    w.PutString(upd->value);
-  } else if (const auto* inv = std::get_if<InvalidateMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kInvalidate));
-    w.PutU64(inv->key);
-    PutTs(&w, inv->ts);
-  } else if (const auto* ack = std::get_if<AckMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kAck));
-    w.PutU64(ack->key);
-    PutTs(&w, ack->ts);
-  } else if (const auto* hot = std::get_if<HotSetAnnounceMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kHotSetAnnounce));
-    w.PutU64(hot->epoch);
-    w.PutU32(static_cast<std::uint32_t>(hot->keys.size()));
-    for (const Key k : hot->keys) {
-      w.PutU64(k);
-    }
-  } else if (const auto* fill = std::get_if<FillMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kFill));
-    w.PutU64(fill->key);
-    PutTs(&w, fill->ts);
-    w.PutU64(fill->epoch);
-    w.PutString(fill->value);
-  } else if (const auto* inst = std::get_if<EpochInstalledMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kEpochInstalled));
-    w.PutU64(inst->epoch);
-  } else if (const auto* req = std::get_if<RpcRequest>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kRpcRequest));
-    w.PutU32(req->op_id);
-    w.PutU8(static_cast<std::uint8_t>(req->op));
-    w.PutU64(req->key);
-    w.PutString(req->value);
-    // Trace context rides last (append-only ABI evolution): the id and the
-    // requester-side parent span (runtime/tracing.h), 0/0 when untraced.
-    w.PutU64(req->trace_id);
-    w.PutU64(req->parent_span);
-  } else if (const auto* resp = std::get_if<RpcResponse>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kRpcResponse));
-    w.PutU32(resp->op_id);
-    PutTs(&w, resp->ts);
-    w.PutU8(resp->gated ? 1 : 0);
-    w.PutString(resp->value);
-    w.PutU64(resp->trace_id);
-  } else if (const auto* probe = std::get_if<TermProbeMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kTermProbe));
-    w.PutU32(probe->round);
-  } else if (const auto* status = std::get_if<TermStatusMsg>(&body)) {
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kTermStatus));
-    w.PutU32(status->round);
-    w.PutU8(status->rank);
-    w.PutU8(status->done ? 1 : 0);
-    w.PutU64(status->sent);
-    w.PutU64(status->processed);
-  } else {
-    const auto& halt = std::get<TermHaltMsg>(body);
-    w.PutU8(static_cast<std::uint8_t>(WireTag::kTermHalt));
-    w.PutU32(halt.round);
-  }
+  wire_internal::SizeCounter size;
+  wire_internal::PutBody(body, &size);
+  const std::size_t at = out->size();
+  out->resize(at + size.bytes());
+  ByteWriter w(out->data() + at);
+  wire_internal::PutBody(body, &w);
 }
 
 namespace wire_internal {
@@ -484,15 +525,34 @@ inline bool TryDeserializeWireBody(SafeReader* r, WireBody* out) {
 // A frame's batch header, [u8 src] [u16 count], ahead of its messages.
 inline constexpr std::size_t kWireBatchHeaderBytes = 3;
 
-inline void SerializeWireBatch(const WireBatch& batch, Buffer* out) {
+// The exact encoded size of `batch`: what EncodeWireBatch writes.
+inline std::size_t WireBatchBytes(const WireBatch& batch) {
+  wire_internal::SizeCounter size;
+  for (const WireBody& body : batch) {
+    wire_internal::PutBody(body, &size);
+  }
+  return kWireBatchHeaderBytes + size.bytes();
+}
+
+// Encodes `batch` at dst, which must have room for WireBatchBytes(batch)
+// bytes; writes exactly that many.  The shm backend encodes straight into
+// its ring this way.
+inline void EncodeWireBatch(const WireBatch& batch, std::uint8_t* dst) {
   CCKVS_CHECK_LE(batch.size(),
                  static_cast<std::size_t>(std::numeric_limits<std::uint16_t>::max()));
-  BufferWriter w(out);
+  ByteWriter w(dst);
   w.PutU8(batch.src);
   w.PutU16(static_cast<std::uint16_t>(batch.size()));
   for (const WireBody& body : batch) {
-    SerializeWireBody(body, out);
+    wire_internal::PutBody(body, &w);
   }
+}
+
+// Appends the encoded `batch` to *out.
+inline void SerializeWireBatch(const WireBatch& batch, Buffer* out) {
+  const std::size_t at = out->size();
+  out->resize(at + WireBatchBytes(batch));
+  EncodeWireBatch(batch, out->data() + at);
 }
 
 // Strict whole-frame decode: the buffer must contain exactly one batch —

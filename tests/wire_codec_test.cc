@@ -9,6 +9,7 @@
 // little-endian header layout (the on-wire ABI must not drift with the
 // host's endianness or a refactor).
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -150,6 +151,75 @@ TEST(WireCodec, BatchRoundTripRandomized) {
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_TRUE(SameBody(batch[i], decoded[i])) << "msg " << i;
     }
+  }
+}
+
+// The string a body carries, if its alternative carries one.
+std::string* StringOf(WireBody* body) {
+  if (auto* m = std::get_if<UpdateMsg>(body)) {
+    return &m->value;
+  }
+  if (auto* m = std::get_if<FillMsg>(body)) {
+    return &m->value;
+  }
+  if (auto* m = std::get_if<RpcRequest>(body)) {
+    return &m->value;
+  }
+  if (auto* m = std::get_if<RpcResponse>(body)) {
+    return &m->value;
+  }
+  return nullptr;
+}
+
+// WireBatchBytes is the exact size SerializeWireBatch produces, and
+// EncodeWireBatch writes exactly that many bytes at its destination: the shm
+// ring encodes a frame in place on that promise, so a byte written past the
+// sized end would corrupt the next frame.  Batches mix every alternative,
+// with empty, random and long strings.
+TEST(WireCodec, BatchBytesIsTheExactEncodedSize) {
+  constexpr std::size_t kGuard = 32;
+  constexpr std::size_t kLongString = 4096;
+  std::mt19937_64 rng(0x51ced);
+  std::vector<int> seen(kVariants, 0);
+  for (int iter = 0; iter < 300; ++iter) {
+    WireBatch batch;
+    batch.src = static_cast<NodeId>(rng() % 9);
+    const std::size_t count = rng() % 25;
+    for (std::size_t i = 0; i < count; ++i) {
+      const int v = static_cast<int>(rng() % kVariants);
+      ++seen[static_cast<std::size_t>(v)];
+      WireBody body = RandomBody(rng, v);
+      if (std::string* s = StringOf(&body)) {
+        switch (rng() % 3) {
+          case 0:
+            s->clear();
+            break;
+          case 1:
+            s->assign(kLongString, static_cast<char>(rng()));
+            break;
+          default:
+            break;
+        }
+      }
+      batch.Append(std::move(body));
+    }
+
+    Buffer raw;
+    SerializeWireBatch(batch, &raw);
+    const std::size_t bytes = WireBatchBytes(batch);
+    ASSERT_EQ(bytes, raw.size()) << "iteration " << iter;
+    for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+      Buffer guarded(bytes + 2 * kGuard, fill);
+      EncodeWireBatch(batch, guarded.data() + kGuard);
+      for (std::size_t i = 0; i < kGuard; ++i) {
+        ASSERT_EQ(guarded[i], fill) << "wrote " << kGuard - i << " bytes before dst";
+        ASSERT_EQ(guarded[kGuard + bytes + i], fill) << "wrote past byte " << bytes;
+      }
+      ASSERT_TRUE(std::equal(raw.begin(), raw.end(), guarded.begin() + kGuard));
+    }
+  }
+  for (int v = 0; v < kVariants; ++v) {
+    EXPECT_GT(seen[static_cast<std::size_t>(v)], 0) << "variant " << v;
   }
 }
 
