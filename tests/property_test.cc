@@ -401,6 +401,12 @@ struct TransitionCase {
   ConsistencyModel model;
   int puts;
   int gets;
+  // The scope's exact state space: a change that narrows the search fails
+  // here, where a lower bound would still pass.
+  std::uint64_t states;
+  std::uint64_t transitions;
+  std::uint64_t terminals;
+  std::uint64_t depth;
 };
 
 class TransitionScope : public testing::TestWithParam<TransitionCase> {};
@@ -414,18 +420,20 @@ TEST_P(TransitionScope, ExhaustiveAndViolationFree) {
   cfg.gets = c.gets;
   const ModelCheckerResult r = CheckEpochTransition(cfg);
   EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 20u);
-  EXPECT_GT(r.terminal_states, 0u);
+  EXPECT_EQ(r.states_explored, c.states);
+  EXPECT_EQ(r.transitions, c.transitions);
+  EXPECT_EQ(r.terminal_states, c.terminals);
+  EXPECT_EQ(r.max_depth, c.depth);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TransitionScope,
-    testing::Values(TransitionCase{ConsistencyModel::kLin, 0, 1},
-                    TransitionCase{ConsistencyModel::kLin, 1, 1},
-                    TransitionCase{ConsistencyModel::kSc, 1, 1},
-                    TransitionCase{ConsistencyModel::kSc, 2, 1},
-                    TransitionCase{ConsistencyModel::kLin, 2, 2},
-                    TransitionCase{ConsistencyModel::kSc, 2, 2}));
+    testing::Values(TransitionCase{ConsistencyModel::kLin, 0, 1, 33, 60, 1, 6},
+                    TransitionCase{ConsistencyModel::kLin, 1, 1, 277, 540, 9, 10},
+                    TransitionCase{ConsistencyModel::kSc, 1, 1, 145, 294, 5, 8},
+                    TransitionCase{ConsistencyModel::kSc, 2, 1, 538, 1293, 10, 10},
+                    TransitionCase{ConsistencyModel::kLin, 2, 2, 4081, 10735, 45, 15},
+                    TransitionCase{ConsistencyModel::kSc, 2, 2, 2146, 5838, 25, 12}));
 
 // The BFS rebuilds every state by replaying its path from a fresh world, which
 // is sound only if a replay always lands in the same state: two runs of one

@@ -14,23 +14,38 @@ namespace {
 // Model checker
 // ---------------------------------------------------------------------------
 
+// The exact state space of a scope.  A refactor of the engine or of the
+// checker that narrows the search (fewer interleavings, a coarser state
+// encoding) changes these counts, where a lower bound would still pass.
+void ExpectStateSpace(const ModelCheckerResult& r, std::uint64_t states,
+                      std::uint64_t transitions, std::uint64_t terminals,
+                      std::uint64_t depth) {
+  EXPECT_TRUE(r.ok) << r.failure;
+  EXPECT_EQ(r.states_explored, states);
+  EXPECT_EQ(r.transitions, transitions);
+  EXPECT_EQ(r.terminal_states, terminals);
+  EXPECT_EQ(r.max_depth, depth);
+}
+
 TEST(ModelChecker, TwoNodesTwoWrites) {
   ModelCheckerConfig cfg;
   cfg.num_nodes = 2;
   cfg.total_writes = 2;
-  const ModelCheckerResult r = CheckLinProtocol(cfg);
-  EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 10u);
-  EXPECT_GT(r.terminal_states, 0u);
+  ExpectStateSpace(CheckLinProtocol(cfg), 97, 130, 11, 8);
+}
+
+TEST(ModelChecker, TwoNodesThreeWrites) {
+  ModelCheckerConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.total_writes = 3;
+  ExpectStateSpace(CheckLinProtocol(cfg), 811, 1484, 41, 12);
 }
 
 TEST(ModelChecker, ThreeNodesTwoWrites) {
   ModelCheckerConfig cfg;
   cfg.num_nodes = 3;
   cfg.total_writes = 2;
-  const ModelCheckerResult r = CheckLinProtocol(cfg);
-  EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 100u);
+  ExpectStateSpace(CheckLinProtocol(cfg), 2095, 4935, 30, 14);
 }
 
 TEST(ModelChecker, PaperScaleThreeNodesThreeWrites) {
@@ -39,10 +54,7 @@ TEST(ModelChecker, PaperScaleThreeNodesThreeWrites) {
   ModelCheckerConfig cfg;
   cfg.num_nodes = 3;
   cfg.total_writes = 3;
-  const ModelCheckerResult r = CheckLinProtocol(cfg);
-  EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 1000u);
-  EXPECT_GT(r.max_depth, 10u);
+  ExpectStateSpace(CheckLinProtocol(cfg), 102806, 341340, 289, 21);
 }
 
 TEST(ModelChecker, Deterministic) {
