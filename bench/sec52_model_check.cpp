@@ -11,9 +11,9 @@
 //
 // The second table extends the method to epoch transitions: announce, fill,
 // write-back, gated direct-shard ops and the install barrier, all against the
-// production engines + store::Partition + topk::HotSetManager (the same
-// HotSetHost hooks both the simulator and the live rack drive), with client
-// ops run by the production op path (cckvs::NodeCore) on every node.  Zero
+// production engines + store::Partition + topk::HotSetManager, with the home
+// side and the client ops of every node run by cckvs::NodeCore, as in the
+// simulator and the live rack.  Zero
 // violations and zero deadlocks across every interleaving of one epoch change
 // is the §5.2 claim applied to the transition itself.
 //

@@ -1,4 +1,5 @@
-// The client-op path of a ccKVS node (§3, §5, §6.3), one copy for every host.
+// The client-op path and the home side of a ccKVS node (§3-§6), one copy for
+// every host.
 //
 // A node serves a client op by one rule.  It probes the symmetric cache: a GET
 // on a Valid entry is served at once, a GET on any other entry parks on the
@@ -10,6 +11,13 @@
 // ops parked on an epoch's residency gate, and the completion counters,
 // latency histogram and HistoryOp record.  docs/ARCHITECTURE.md has the
 // diagram.
+//
+// A node is also the home of a key shard.  NodeCore is its home side: the
+// HotSetHost its HotSetManager drives (write-backs, the residency gate raised
+// around an epoch's fills and lowered by the install barrier, §4), the
+// inbound consistency and epoch messages (On*), and a peer's op on the shard
+// (ServeShardOp, §6.1).  It is also the only place the node-private L1
+// changes state: every rule that fills or drops a copy lives here.
 //
 // RackNode (cckvs/rack.cc), LiveNode (runtime/live_node.h) and the model
 // checker's transition scope (verify/model_checker.cc) are its hosts, each a
@@ -27,10 +35,15 @@
 //   std::uint64_t LatencyStamp();         // latency_ records
 //   std::uint64_t LatencyNs(from, to);    //   LatencyNs(issue, done)
 //   void AnnounceHotSet(const HotSetAnnounceMsg&);  // an epoch closed
+//   Partition* HomeShard(Key);            // the shard of a key homed here;
+//                                         //   nullptr when homed elsewhere
+//   void PublishFills(const std::vector<FillMsg>&);   // to every peer, on the
+//   void PublishInstalled(const EpochInstalledMsg&);  //   lanes updates use
 //
 // and hides the NodeHostHooks it needs.  Single-threaded, like the engine:
 // the host serializes every call.  The includes stay in cache/, store/,
-// protocol/, topk/, verify/ and the common/ and workload/ headers verify/ uses.
+// protocol/, topk/, verify/, the common/ and workload/ headers verify/ uses,
+// and the header-only rpc_messages.h.
 
 #ifndef CCKVS_CCKVS_NODE_CORE_H_
 #define CCKVS_CCKVS_NODE_CORE_H_
@@ -43,12 +56,15 @@
 
 #include "src/cache/l1_tail.h"
 #include "src/cache/symmetric_cache.h"
+#include "src/cckvs/rpc_messages.h"
 #include "src/common/check.h"
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/types.h"
 #include "src/protocol/engine.h"
 #include "src/store/partition.h"
+#include "src/topk/flat_space_saving.h"
+#include "src/topk/hot_set_host.h"
 #include "src/topk/hot_set_manager.h"
 #include "src/verify/history.h"
 #include "src/workload/workload.h"
@@ -63,20 +79,6 @@ inline constexpr std::uint32_t kMaxSessionsPerNode = 100'000;
 inline SessionId SessionIdOf(NodeId node, std::uint32_t slot) {
   CCKVS_CHECK_LT(slot, kMaxSessionsPerNode);
   return static_cast<SessionId>(node) * kMaxSessionsPerNode + slot;
-}
-
-// One GET or PUT on a home shard through its residency gate, for the miss
-// path and for the hosts' home sides.  False, with nothing written, while the
-// gate is up: the hot set still owns the key somewhere in the rack.
-inline bool GatedShardOp(Partition& shard, OpType type, Key key, std::uint64_t hash,
-                         const Value& put_value, Value* value, Timestamp* ts) {
-  if (type == OpType::kPut) {
-    return shard.TryPut(key, hash, put_value, ts);
-  }
-  bool resident = false;
-  // The synthesizer guarantees every GET succeeds.
-  CCKVS_CHECK(shard.Get(key, hash, value, ts, &resident));
-  return !resident;
 }
 
 // How an op completed.  kCache and kL1 both count as hierarchy hits.
@@ -106,6 +108,8 @@ struct NodeHostHooks {
   // host records no latency).
   void OnComplete(std::uint32_t /*slot*/, const Value& /*read_value*/, Timestamp /*ts*/,
                   OpRoute /*route*/, std::uint64_t /*done*/) {}
+  // LiftGate's last step: `key`'s residency gate is down.
+  void OnGateLifted(Key /*key*/) {}
 };
 
 // A FIFO of parked slots.  A slot waits in a ring at most once at a time, so
@@ -142,7 +146,7 @@ class SlotRing {
 };
 
 template <typename Host>
-class NodeCore {
+class NodeCore final : public HotSetHost {
  public:
   // Cache-line aligned: the owning thread writes its slot on every op.
   // Packed 88-byte slots straddle lines they share with neighbours and other
@@ -158,15 +162,17 @@ class NodeCore {
     bool idle = true;
   };
 
-  // What the core drives.  No cache or engine: every op misses.  With
-  // l1_validate (Lin) an L1 hit counts only while the home shard still holds
-  // the cached write, so ShardFor must give the home of every key the L1
-  // admits.
+  // What the core drives.  No cache or engine: every op misses, and no
+  // consistency message arrives.  An L1 comes with the sketch its admission
+  // offers miss reads to.  With l1_validate (Lin) an L1 hit counts only while
+  // the home shard still holds the cached write, so the L1 admits only keys
+  // whose home ShardFor gives.
   struct Parts {
     SymmetricCache* cache = nullptr;
     CoherenceEngine* engine = nullptr;
     HotSetManager* hot_mgr = nullptr;  // online top-k runs
     L1TailCache* l1 = nullptr;
+    FlatSpaceSaving* l1_sketch = nullptr;
     bool l1_validate = false;
     History* history = nullptr;  // record_history runs
   };
@@ -336,10 +342,175 @@ class NodeCore {
     }
     s.idle = true;
     ++idle_;
+    if (parts_.l1 != nullptr) {
+      if (s.op.type == OpType::kPut) {
+        // Invalidate AGAIN at completion, not just at routing: a concurrent
+        // session's in-flight GET may have read the shard before this write
+        // and refilled the L1 after the routing-time invalidation.  The
+        // fabric is FIFO per peer pair, so any such stale response was
+        // delivered, and its fill applied, before this write's own response;
+        // dropping the key here kills every fill the write could have raced.
+        parts_.l1->Invalidate(s.op.key, s.hash);
+      } else if (route == OpRoute::kMiss) {
+        // The miss path just produced an authoritative (value, ts), the only
+        // kind of read the L1 admits.
+        MaybeAdmitToL1(s, read_value, ts);
+      }
+    }
     host_.OnComplete(slot, read_value, ts, route, done);
   }
 
+  // --- The home side ---
+
+  // HotSetHost: the manager's duties on this node's shard (§4).  A write-back
+  // may carry a value newer than a private copy taken while the key was still
+  // shard-resident, so that copy goes first.
+  void ApplyWriteback(const SymmetricCache::Eviction& ev) override {
+    DropL1(ev.key);
+    HomeShardOf(ev.key).Apply(ev.key, ev.value, ev.ts);
+  }
+  // Raises the residency gate and snapshots the fill atomically: a direct
+  // shard write lands entirely before the snapshot or is refused after it, so
+  // the cache era starts from an authoritative value.
+  FillSnapshot GateAndSnapshot(Key key) override {
+    const Partition::ResidentSnapshot snap = HomeShardOf(key).MarkCacheResident(key);
+    return FillSnapshot{snap.value, snap.ts};
+  }
+  void PublishFills(const std::vector<FillMsg>& fills) override {
+    host_.PublishFills(fills);
+  }
+  void PublishInstalled(const EpochInstalledMsg& msg) override {
+    host_.PublishInstalled(msg);
+  }
+  // The ops parked on the gate wait for the host's next retry pass.
+  void LiftGate(Key key) override {
+    HomeShardOf(key).ClearCacheResident(key);
+    host_.OnGateLifted(key);
+  }
+
+  // The inbound messages.  Each drops the key's private copy first: an update
+  // or invalidation proves the key was written somewhere, and a fill or an
+  // announce moves it into the symmetric tier (tier exclusivity).  An update
+  // goes to the engine while the key is cached here; an uncached key's
+  // write-back completes into the shard of its home, and elsewhere is
+  // recorded ahead of its pending admission (hot_set_manager.h).
+  void OnUpdate(NodeId src, const UpdateMsg& msg) {
+    DropL1(msg.key);
+    if (parts_.cache->Find(msg.key) != nullptr) {
+      parts_.engine->OnUpdate(src, msg);
+    } else if (Partition* shard = host_.HomeShard(msg.key)) {
+      shard->Apply(msg.key, msg.value, msg.ts);
+    } else if (parts_.hot_mgr != nullptr) {
+      parts_.hot_mgr->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
+    }
+  }
+  // An invalidation of an uncached key is recorded ahead of its pending
+  // admission, and the engine always sees it: it acks even when cold,
+  // because the writer counts every peer's ack.
+  void OnInvalidate(NodeId src, const InvalidateMsg& msg) {
+    DropL1(msg.key);
+    if (parts_.hot_mgr != nullptr && parts_.cache->Find(msg.key) == nullptr) {
+      parts_.hot_mgr->NoteUncachedInvalidate(msg.key, msg.ts);
+    }
+    parts_.engine->OnInvalidate(src, msg);
+  }
+  void OnFill(const FillMsg& fill) {
+    DropL1(fill.key);
+    if (parts_.hot_mgr != nullptr) {
+      parts_.hot_mgr->ApplyFill(fill);
+    }
+  }
+  void OnPeerInstalled(NodeId src, std::uint64_t epoch) {
+    if (parts_.hot_mgr != nullptr) {
+      parts_.hot_mgr->DrivePeerInstalled(src, epoch);
+    }
+  }
+  // A hot set announced by the coordinator, this node's own included.
+  void OnAnnounce(const HotSetAnnounceMsg& msg) {
+    for (const Key key : msg.keys) {
+      DropL1(key);
+    }
+    if (parts_.hot_mgr != nullptr) {
+      parts_.hot_mgr->DriveAnnounce(msg);
+    }
+  }
+  // Re-attempts deferred evictions; call when protocol progress (acks,
+  // updates, fills) may have released keys.  True when any were deferred.
+  bool DriveDeferred() {
+    return parts_.hot_mgr != nullptr && parts_.hot_mgr->DriveDeferred();
+  }
+
+  // A peer's op on this node's shard (§6.1), through the residency gate.
+  // False, with nothing written, while the gate is up; the host decides
+  // whether the request waits or bounces.  A served PUT drops the private
+  // copy: the home is the one node that observes a peer's shard write.
+  bool ServeShardOp(const RpcRequest& req, Value* value, Timestamp* ts) {
+    Partition* shard = host_.HomeShard(req.key);
+    CCKVS_CHECK(shard != nullptr);  // a peer's request for a key homed elsewhere
+    const std::uint64_t hash = HashKey(req.key);
+    if (!GatedShardOp(*shard, req.op, req.key, hash, req.value, value, ts)) {
+      return false;
+    }
+    if (req.op == OpType::kPut) {
+      DropL1(req.key);
+    }
+    return true;
+  }
+
  private:
+  // One GET or PUT on a home shard through its residency gate.  False, with
+  // nothing written, while the gate is up: the hot set still owns the key
+  // somewhere in the rack.
+  static bool GatedShardOp(Partition& shard, OpType type, Key key, std::uint64_t hash,
+                           const Value& put_value, Value* value, Timestamp* ts) {
+    if (type == OpType::kPut) {
+      return shard.TryPut(key, hash, put_value, ts);
+    }
+    bool resident = false;
+    // The synthesizer guarantees every GET succeeds.
+    CCKVS_CHECK(shard.Get(key, hash, value, ts, &resident));
+    return !resident;
+  }
+
+  Partition& HomeShardOf(Key key) {
+    Partition* shard = host_.HomeShard(key);
+    CCKVS_CHECK(shard != nullptr);  // the manager's duties are for keys homed here
+    return *shard;
+  }
+
+  void DropL1(Key key) {
+    if (parts_.l1 != nullptr) {
+      parts_.l1->Invalidate(key);
+    }
+  }
+
+  // Admission on an authoritative miss read: offer the key to the sketch and
+  // fill the L1 once it proves locally hot and is not globally hot.
+  void MaybeAdmitToL1(const Slot& s, const Value& value, Timestamp ts) {
+    if (parts_.l1_validate && host_.ShardFor(s.home) == nullptr) {
+      return;  // a Lin hit could not validate against an RPC-only home
+    }
+    std::uint64_t guaranteed = 0;
+    parts_.l1_sketch->Offer(s.op.key, s.hash, &guaranteed);
+    if (++l1_offers_ % (parts_.l1_sketch->capacity() * 8) == 0) {
+      // Age the sketch so a key that WAS locally hot cannot squat on a
+      // counter forever once per-node popularity drifts.
+      parts_.l1_sketch->DecayHalve();
+    }
+    if (guaranteed < 2) {
+      // Gate on PROVEN sightings (count - error), not the estimate: a
+      // saturated sketch hands every newcomer the evicted minimum as its
+      // estimate, and admitting on that would fill the L1 with one-hit tail
+      // keys, churn that evicts the genuinely hot-here entries and burns fill
+      // CPU for no reuse.
+      return;
+    }
+    if (parts_.cache != nullptr && parts_.cache->Find(s.op.key) != nullptr) {
+      return;  // tier exclusivity: the symmetric tier already owns it
+    }
+    parts_.l1->Fill(s.op.key, s.hash, value, ts);
+  }
+
   bool TryServeFromL1(std::uint32_t slot) {
     const Slot& s = slots_[slot];
     Timestamp ts;
@@ -420,6 +591,7 @@ class NodeCore {
   SlotRing gated_parked_;
   bool retrying_gated_ = false;
   NodeCounters counters_;
+  std::uint64_t l1_offers_ = 0;  // drives the admission sketch's decay cadence
   // Engaged when Host::kRecordsLatency, by the constructor: the host is an
   // incomplete type where this member is declared.
   std::optional<Histogram> latency_;

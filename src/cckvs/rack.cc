@@ -62,7 +62,7 @@ WireBatch Unframe(const Datagram& dg) {
 // RackNode
 // ===========================================================================
 
-class RackNode final : public MessageSink, public HotSetHost, private NodeHostHooks {
+class RackNode final : public MessageSink, private NodeHostHooks {
  public:
   RackNode(RackSimulation* rack, NodeId id);
 
@@ -77,17 +77,9 @@ class RackNode final : public MessageSink, public HotSetHost, private NodeHostHo
   void BroadcastInvalidate(const InvalidateMsg& msg) override;
   void SendAck(NodeId to, const AckMsg& msg) override;
 
-  // --- HotSetHost (called by the shared transition machine in topk/) ---
-  void ApplyWriteback(const SymmetricCache::Eviction& ev) override;
-  FillSnapshot GateAndSnapshot(Key key) override;
-  void PublishFills(const std::vector<FillMsg>& fills) override;
-  void PublishInstalled(const EpochInstalledMsg& msg) override;
-  void LiftGate(Key key) override;
-
-  // --- Epoch machinery (delegates membership to the HotSetManager) ---
+  // --- Epoch machinery (the home side runs in core_) ---
   void AnnounceHotSet(const HotSetAnnounceMsg& msg);  // coordinator only
   void ApplyAnnounce(const HotSetAnnounceMsg& msg);
-  void MaybeRetryDeferred();
   // Posts `body` to every peer on the control QP; returns the send CPU cost.
   SimTime BroadcastControl(std::shared_ptr<const Buffer> body, TrafficClass cls,
                            std::uint32_t payload_bytes);
@@ -137,6 +129,14 @@ class RackNode final : public MessageSink, public HotSetHost, private NodeHostHo
   // Every miss, self-homed ones included, is a job on a KVS thread of its
   // home (SendMiss), never a shard access in place.
   Partition* ShardFor(NodeId /*home*/) { return nullptr; }
+  // The KVS thread's shard under EREW, the shared one under CRCW.
+  Partition* HomeShard(Key key) {
+    return rack_->HomeOf(key) == id_ ? &PartitionFor(key) : nullptr;
+  }
+  // An epoch's fills, in control packets of up to 32, and the install
+  // confirmation, on the control QP.
+  void PublishFills(const std::vector<FillMsg>& fills);
+  void PublishInstalled(const EpochInstalledMsg& msg);
   void SendMiss(std::uint32_t slot);
   bool AllPeersHaveCredit() const;
   SimTime HistoryNow() { return sim().now(); }
@@ -178,9 +178,11 @@ class RackNode final : public MessageSink, public HotSetHost, private NodeHostHo
   Partition& PartitionFor(Key key);
   // Home-side execution: if the key is hot at this (home) node, the operation
   // serializes through the home cache and its consistency protocol; otherwise
-  // it goes to the shard through the residency gate (the live rack's
-  // MarkCacheResident/TryPut gate): ops hitting a gated record park until the
-  // install barrier settles the key or an epoch re-admits it.
+  // it goes to the shard through the residency gate (core_.ServeShardOp):
+  // ops hitting a gated record park here until the install barrier settles
+  // the key or an epoch re-admits it.  The live home bounces such an op to
+  // its requester instead; the sim parks it here because its KVS-thread
+  // timing, and with it every simulated figure, is measured that way.
   void ExecuteKvsOpAsync(const RpcRequest& req,
                          std::function<void(const RpcResponse&)> respond);
   // Re-routes parked shard ops whose key became serviceable (gate lifted, or
@@ -323,7 +325,7 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
     hc.epoch.seed = p.seed ^ 0x70cull;
     hc.home_of = [rack](Key key) { return rack->HomeOf(key); };
     hot_mgr_ =
-        std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(), this);
+        std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(), &core_);
   }
   // The central strawman's cache is reached by RouteToCentralCache alone, so
   // only ccKVS nodes probe.
@@ -533,8 +535,7 @@ void RackNode::ExecuteKvsOpAsync(const RpcRequest& req,
   // the gate or an epoch re-admits the key into this cache.
   RpcResponse resp;
   resp.op_id = req.op_id;
-  if (!GatedShardOp(PartitionFor(req.key), req.op, req.key, HashKey(req.key), req.value,
-                    &resp.value, &resp.ts)) {
+  if (!core_.ServeShardOp(req, &resp.value, &resp.ts)) {
     parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
     return;
   }
@@ -785,22 +786,24 @@ void RackNode::OnConsistencyRecv(const Datagram& dg) {
   for (const WireBody& body : Unframe(dg)) {
     if (const auto* upd = std::get_if<UpdateMsg>(&body)) {
       workers_->Submit(p.cpu.upd_apply_ns, [this, src, msg = *upd] {
-        DeliverUpdate(src, msg, *cache_, engine_.get(), hot_mgr_.get(),
-                      [this](Key key) {
-                        return rack_->HomeOf(key) == id_ ? &PartitionFor(key) : nullptr;
-                      });
+        core_.OnUpdate(src, msg);
         MaybeSendCreditUpdate(src);
-        MaybeRetryDeferred();
+        if (core_.DriveDeferred()) {
+          RetryGatedShardOps();
+        }
       });
     } else if (const auto* inv = std::get_if<InvalidateMsg>(&body)) {
       workers_->Submit(p.cpu.inv_apply_ns, [this, src, msg = *inv] {
-        DeliverInvalidate(src, msg, *cache_, engine_.get(), hot_mgr_.get());
+        core_.OnInvalidate(src, msg);
         MaybeSendCreditUpdate(src);
       });
     } else {
       workers_->Submit(p.cpu.ack_apply_ns, [this, src, msg = std::get<AckMsg>(body)] {
         engine_->OnAck(src, msg);
-        MaybeRetryDeferred();  // the ack may have completed a deferring write
+        // The ack may have completed a deferring write.
+        if (core_.DriveDeferred()) {
+          RetryGatedShardOps();
+        }
       });
     }
   }
@@ -848,32 +851,8 @@ void RackNode::AnnounceHotSet(const HotSetAnnounceMsg& msg) {
 }
 
 void RackNode::ApplyAnnounce(const HotSetAnnounceMsg& msg) {
-  if (hot_mgr_ == nullptr) {
-    return;
-  }
-  hot_mgr_->DriveAnnounce(msg);  // executes the transition via the hooks below
-  RetryGatedShardOps();          // a re-admission may have unparked shard ops
-}
-
-void RackNode::MaybeRetryDeferred() {
-  if (hot_mgr_ != nullptr && hot_mgr_->HasDeferred()) {
-    hot_mgr_->DriveDeferred();
-    RetryGatedShardOps();
-  }
-}
-
-// --- HotSetHost hooks: the sim half of the shared transition machine ---
-
-void RackNode::ApplyWriteback(const SymmetricCache::Eviction& ev) {
-  // §4: "only the node containing the shard with the evicted key needs to ...
-  // update the underlying KVS"; symmetric contents make the local copy
-  // sufficient.
-  PartitionFor(ev.key).Apply(ev.key, ev.value, ev.ts);
-}
-
-RackNode::FillSnapshot RackNode::GateAndSnapshot(Key key) {
-  const Partition::ResidentSnapshot snap = PartitionFor(key).MarkCacheResident(key);
-  return FillSnapshot{snap.value, snap.ts};
+  core_.OnAnnounce(msg);  // executes the transition through the core's hooks
+  RetryGatedShardOps();   // a re-admission may have unparked shard ops
 }
 
 void RackNode::PublishFills(const std::vector<FillMsg>& fills) {
@@ -899,10 +878,6 @@ void RackNode::PublishInstalled(const EpochInstalledMsg& msg) {
   workers_->Submit(BroadcastControlMsg(msg), nullptr);
 }
 
-void RackNode::LiftGate(Key key) {
-  PartitionFor(key).ClearCacheResident(key);
-}
-
 void RackNode::OnControlRecv(const Datagram& dg) {
   control_qp_->PostRecvs(1);
   WireBatch batch = Unframe(dg);
@@ -917,23 +892,19 @@ void RackNode::OnControlRecv(const Datagram& dg) {
     // the barrier was waiting to drain.
     workers_->Submit(params().cpu.upd_apply_ns,
                      [this, src = dg.src, epoch = installed->epoch] {
-                       if (hot_mgr_ == nullptr) {
-                         return;
-                       }
-                       hot_mgr_->DrivePeerInstalled(src, epoch);
+                       core_.OnPeerInstalled(src, epoch);
                        RetryGatedShardOps();  // lifted gates release parked shard ops
                      });
   } else {
     // A chunk of cache fills, applied as one job.
     workers_->Submit(params().cpu.upd_apply_ns, [this, batch = std::move(batch)] {
-      if (hot_mgr_ == nullptr) {
-        return;
-      }
       for (const WireBody& body : batch) {
-        hot_mgr_->ApplyFill(std::get<FillMsg>(body));
+        core_.OnFill(std::get<FillMsg>(body));
       }
-      MaybeRetryDeferred();   // fills may have released reader-parked evictions
-      RetryGatedShardOps();   // a filled key now serves parked ops via the cache
+      // Fills may have released reader-parked evictions, and a filled key now
+      // serves parked ops via the cache.
+      core_.DriveDeferred();
+      RetryGatedShardOps();
     });
   }
 }

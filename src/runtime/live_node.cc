@@ -71,11 +71,10 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     // residents before one is admitted.
     l1_sketch_ = std::make_unique<FlatSpaceSaving>(p.l1_capacity * 2);
     // Lin hits validate against the home shard's current timestamp; in a
-    // ranked rack a remote home is only RPC-reachable, so Lin admission is
-    // restricted to self-homed keys.  SC needs neither: a private copy only
+    // ranked rack a remote home is only RPC-reachable, so the core admits
+    // only self-homed keys under Lin.  SC needs neither: a private copy only
     // ever lags, which per-session timestamp monotonicity allows.
     l1_validate_ = p.consistency == ConsistencyModel::kLin;
-    l1_admit_local_only_ = ranked_ && l1_validate_;
   }
   if (p.consistency == ConsistencyModel::kLin) {
     engine_ = std::make_unique<LinEngine>(id, p.num_nodes, cache_.get(), ep_);
@@ -95,14 +94,14 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     hc.epoch.sample_probability = p.topk_sample_probability;
     hc.epoch.seed = p.seed ^ 0x70cull;
     hc.home_of = [rack](Key key) { return rack->HomeOf(key); };
-    hot_mgr_ = std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(),
-                                               static_cast<HotSetHost*>(this));
+    hot_mgr_ = std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(), &core_);
   }
 
   core_.Attach({.cache = cache_.get(),
                 .engine = engine_.get(),
                 .hot_mgr = hot_mgr_.get(),
                 .l1 = l1_.get(),
+                .l1_sketch = l1_sketch_.get(),
                 .l1_validate = l1_validate_,
                 .history = p.record_history ? &history_ : nullptr});
   for (int s = 0; s < p.window_per_node; ++s) {
@@ -193,7 +192,11 @@ void LiveNode::Run(StopToken stop) {
     }
     const std::size_t processed = PumpInbound();
     core_.RetryParkedScWrites();
-    MaybeRetryDeferred();      // protocol progress may have released evictions
+    // Protocol progress may have released evictions, and those can raise
+    // fresh gates.
+    if (core_.DriveDeferred()) {
+      SyncGateSpans();
+    }
     const bool gated_progress = core_.RetryGatedOps();
 
     bool issued = false;
@@ -307,43 +310,23 @@ std::size_t LiveNode::PumpInbound() {
 std::size_t LiveNode::PollInbound(std::size_t max) {
   return ep_->Poll(max, [this](NodeId src, const WireBody& body) {
     if (const auto* upd = std::get_if<UpdateMsg>(&body)) {
-      if (l1_ != nullptr) {
-        // Write-through-invalidate: a consistency update proves the key was
-        // written somewhere; the private copy must not outlive it.
-        l1_->Invalidate(upd->key);
-      }
-      DeliverUpdate(src, *upd, *cache_, engine_.get(), hot_mgr_.get(), [this](Key key) {
-        return rack_->HomeOf(key) == id_ ? partition_.get() : nullptr;
-      });
+      core_.OnUpdate(src, *upd);
     } else if (const auto* inv = std::get_if<InvalidateMsg>(&body)) {
-      if (l1_ != nullptr) {
-        l1_->Invalidate(inv->key);
-      }
-      DeliverInvalidate(src, *inv, *cache_, engine_.get(), hot_mgr_.get());
+      core_.OnInvalidate(src, *inv);
     } else if (const auto* ack = std::get_if<AckMsg>(&body)) {
       engine_->OnAck(src, *ack);
     } else if (const auto* hot = std::get_if<HotSetAnnounceMsg>(&body)) {
-      if (hot_mgr_ != nullptr) {
-        DriveAnnounceTraced(*hot);
-      }
+      DriveAnnounceTraced(*hot);  // sent only to racks that run epochs
     } else if (const auto* fill = std::get_if<FillMsg>(&body)) {
-      if (l1_ != nullptr) {
-        // The key is entering the symmetric tier: tier exclusivity.
-        l1_->Invalidate(fill->key);
-      }
-      if (hot_mgr_ != nullptr) {
-        hot_mgr_->ApplyFill(*fill);
-        if (tracer_ != nullptr) {
-          tracer_->Instant(SpanKind::kFillApplied, 0, 0, fill->key, fill->epoch);
-        }
+      core_.OnFill(*fill);
+      if (tracer_ != nullptr) {
+        tracer_->Instant(SpanKind::kFillApplied, 0, 0, fill->key, fill->epoch);
       }
     } else if (const auto* installed = std::get_if<EpochInstalledMsg>(&body)) {
-      if (hot_mgr_ != nullptr) {
-        hot_mgr_->DrivePeerInstalled(src, installed->epoch);
-        if (tracer_ != nullptr) {
-          tracer_->Instant(SpanKind::kPeerInstalled, 0, 0, installed->epoch, src);
-          MaybeCloseBarrier();
-        }
+      core_.OnPeerInstalled(src, installed->epoch);
+      if (tracer_ != nullptr) {
+        tracer_->Instant(SpanKind::kPeerInstalled, 0, 0, installed->epoch, src);
+        MaybeCloseBarrier();
       }
     } else if (const auto* req = std::get_if<RpcRequest>(&body)) {
       ServeRpc(src, *req);
@@ -371,24 +354,7 @@ std::size_t LiveNode::PollInbound(std::size_t max) {
   });
 }
 
-// --- HotSetHost hooks: the live half of the shared transition machine ---
-
-void LiveNode::ApplyWriteback(const SymmetricCache::Eviction& ev) {
-  if (l1_ != nullptr) {
-    // The write-back may carry a value newer than a private copy taken while
-    // the key was still shard-resident.
-    l1_->Invalidate(ev.key);
-  }
-  partition_->Apply(ev.key, ev.value, ev.ts);
-}
-
-LiveNode::FillSnapshot LiveNode::GateAndSnapshot(Key key) {
-  // Raise the shard residency gate and snapshot the fill atomically: any
-  // direct shard write lands entirely before the snapshot or is refused
-  // after it, so the cache era starts from an authoritative value.
-  const Partition::ResidentSnapshot snap = partition_->MarkCacheResident(key);
-  return FillSnapshot{snap.value, snap.ts};
-}
+// --- The epoch transition's host calls (the core runs the home side) ---
 
 void LiveNode::PublishFills(const std::vector<FillMsg>& fills) {
   for (const FillMsg& fill : fills) {
@@ -413,22 +379,15 @@ void LiveNode::PublishInstalled(const EpochInstalledMsg& msg) {
   }
 }
 
-void LiveNode::LiftGate(Key key) {
-  partition_->ClearCacheResident(key);
-  if (tracer_ != nullptr) {
-    const auto it = gate_spans_.find(key);
-    if (it != gate_spans_.end()) {
-      tracer_->Emit(SpanKind::kGateClosed, 0, tracer_->NewSpanId(), 0,
-                    it->second.first, CycleNow(), key, it->second.second);
-      gate_spans_.erase(it);
-    }
+void LiveNode::OnGateLifted(Key key) {
+  if (tracer_ == nullptr) {
+    return;
   }
-}
-
-void LiveNode::MaybeRetryDeferred() {
-  if (hot_mgr_ != nullptr && hot_mgr_->HasDeferred()) {
-    hot_mgr_->DriveDeferred();
-    SyncGateSpans();  // deferred evictions can raise fresh gates
+  const auto it = gate_spans_.find(key);
+  if (it != gate_spans_.end()) {
+    tracer_->Emit(SpanKind::kGateClosed, 0, tracer_->NewSpanId(), 0, it->second.first,
+                  CycleNow(), key, it->second.second);
+    gate_spans_.erase(it);
   }
 }
 
@@ -438,13 +397,6 @@ void LiveNode::AnnounceHotSet(const HotSetAnnounceMsg& msg) {
 }
 
 void LiveNode::DriveAnnounceTraced(const HotSetAnnounceMsg& msg) {
-  if (l1_ != nullptr) {
-    // Tier exclusivity: any key the rack just promoted to the symmetric hot
-    // set leaves the private tail (the symmetric copy becomes authoritative).
-    for (const Key key : msg.keys) {
-      l1_->Invalidate(key);
-    }
-  }
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanKind::kAnnounce, 0, 0, msg.epoch, msg.keys.size());
     if (install_start_cycles_ == 0 && msg.epoch > install_epoch_) {
@@ -452,7 +404,7 @@ void LiveNode::DriveAnnounceTraced(const HotSetAnnounceMsg& msg) {
       install_epoch_ = msg.epoch;
     }
   }
-  hot_mgr_->DriveAnnounce(msg);
+  core_.OnAnnounce(msg);
   SyncGateSpans();
 }
 
@@ -548,36 +500,14 @@ const Partition* LiveNode::PrefetchHomeBucket(const Core::Slot& sess) {
   return &home;
 }
 
-void LiveNode::MaybeAdmitToL1(const Core::Slot& sess, const Value& value,
-                              Timestamp ts) {
-  if (l1_admit_local_only_ && sess.home != id_) {
-    return;
-  }
-  const Key key = sess.op.key;
-  std::uint64_t guaranteed = 0;
-  l1_sketch_->Offer(key, sess.hash, &guaranteed);
-  if (++l1_offers_ % (l1_sketch_->capacity() * 8) == 0) {
-    // Age the sketch so a key that WAS locally hot cannot squat on a counter
-    // forever once per-node popularity drifts.
-    l1_sketch_->DecayHalve();
-  }
-  if (guaranteed < 2) {
-    // Gate on PROVEN sightings (count - error), not the estimate: a saturated
-    // sketch hands every newcomer the evicted minimum as its estimate, and
-    // admitting on that would fill the L1 with one-hit tail keys — churn that
-    // evicts the genuinely hot-here entries and burns fill CPU for no reuse.
-    return;
-  }
-  if (cache_->Find(key) != nullptr) {
-    return;  // tier exclusivity: the symmetric tier already owns it
-  }
-  l1_->Fill(key, sess.hash, value, ts);
-}
-
 // --- NodeCore host hooks ---
 
 Partition* LiveNode::ShardFor(NodeId home) {
   return ranked_ && home != id_ ? nullptr : &rack_->PartitionAt(home);
+}
+
+Partition* LiveNode::HomeShard(Key key) {
+  return rack_->HomeOf(key) == id_ ? partition_.get() : nullptr;
 }
 
 LiveNode::OpTrace* LiveNode::Sampled(std::uint32_t slot) {
@@ -630,8 +560,8 @@ void LiveNode::OnShardAccess(std::uint32_t slot, std::uint64_t start) {
   }
 }
 
-void LiveNode::OnComplete(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                          OpRoute route, std::uint64_t done_cycles) {
+void LiveNode::OnComplete(std::uint32_t slot, const Value& /*read_value*/,
+                          Timestamp /*ts*/, OpRoute route, std::uint64_t done_cycles) {
   const Core::Slot& sess = core_.slot(slot);
   if (OpTrace* t = Sampled(slot); t != nullptr) {
     if (route == OpRoute::kL1) {
@@ -647,22 +577,6 @@ void LiveNode::OnComplete(std::uint32_t slot, const Value& read_value, Timestamp
                       (route == OpRoute::kCache ? 2u : 0u) |
                       (route == OpRoute::kL1 ? 4u : 0u));
     *t = OpTrace{};
-  }
-  if (l1_ == nullptr) {
-    return;
-  }
-  if (sess.op.type == OpType::kPut) {
-    // Invalidate AGAIN at completion, not just at routing: a concurrent
-    // session's in-flight GET may have read the shard before this write and
-    // refilled the L1 after the routing-time invalidation.  The fabric is
-    // FIFO per peer pair, so any such stale response was delivered — and its
-    // fill applied — before this write's own response; dropping the key here
-    // therefore kills every fill the write could have raced.
-    l1_->Invalidate(sess.op.key, sess.hash);
-  } else if (route == OpRoute::kMiss) {
-    // The miss path just produced an authoritative (value, ts) — the only
-    // kind of read the L1 admits.
-    MaybeAdmitToL1(sess, read_value, ts);
   }
   // Closed loop: the next op is issued by the run loop's FillIdleSessions(),
   // never from inside a completion callback (no recursion through the engine).
@@ -698,8 +612,6 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
   // Parking here would deadlock a halted rack whose final hot set keeps the
   // key resident forever.  The reply completes (or re-routes) the requester's
   // session; PUT responses echo the commit timestamp.
-  const std::uint64_t hash = HashKey(req.key);
-  CCKVS_DCHECK(rack_->HomeOfHash(hash) == id_);
   const std::uint64_t serve_start =
       (tracer_ != nullptr && req.trace_id != 0) ? CycleNow() : 0;
   RpcResponse resp;
@@ -707,15 +619,10 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
   resp.trace_id = req.trace_id;  // echo: response joins the requester's trace
   Value value;
   Timestamp ts;
-  resp.gated = !GatedShardOp(*partition_, req.op, req.key, hash, req.value, &value, &ts);
+  resp.gated = !core_.ServeShardOp(req, &value, &ts);
   if (!resp.gated) {
     resp.value = std::move(value);
     resp.ts = ts;
-    if (req.op == OpType::kPut && l1_ != nullptr) {
-      // A peer just wrote our shard; the home is the one place that observes
-      // it, so invalidate any private copy here.
-      l1_->Invalidate(req.key, hash);
-    }
   }
   if (serve_start != 0) {
     // Home-side engine span: parented on the requester's op span (over the

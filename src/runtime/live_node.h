@@ -10,13 +10,14 @@
 //     seqlock path — the scale-out-ccNUMA data plane: a cache miss is served
 //     by a plain load/store against the home shard, not an RPC.
 //
-// Client ops run in NodeCore (cckvs/node_core.h), the op path the simulator's
-// RackNode shares; LiveNode is its live host.  It runs CPU stages inline,
-// hands out home shards (a ranked rack's remote homes are RPCs instead),
-// stamps latency with rdtsc, and hooks spans, L1 admission and the ranked RPC
-// leg onto the core's park and completion points.  Above the core it keeps
+// Client ops and the node's home side run in NodeCore (cckvs/node_core.h),
+// which the simulator's RackNode shares; LiveNode is its live host.  It runs
+// CPU stages inline, hands out home shards (a ranked rack's remote homes are
+// RPCs instead), stamps latency with rdtsc, broadcasts an epoch's fills and
+// install confirmation, and hooks spans and the ranked RPC leg onto the
+// core's park, completion and gate-lift points.  Above the core it keeps
 // what only a real thread has: the prefetching issue round, sliced polling,
-// the served RPCs, termination and tracing.
+// the RPC serve loop, termination and tracing.
 //
 // Client load is closed-loop: `window` sessions per node, each issuing its
 // next operation as soon as the previous completes, from a per-thread
@@ -54,7 +55,7 @@ namespace cckvs {
 
 class LiveRack;
 
-class LiveNode final : private HotSetHost, private NodeHostHooks {
+class LiveNode final : private NodeHostHooks {
  public:
   LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen);
   LiveNode(const LiveNode&) = delete;
@@ -113,6 +114,12 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
   // The home's shard, reached in place; nullptr for a ranked rack's remote
   // home, whose ops go out over RPC (SendMiss).
   Partition* ShardFor(NodeId home);
+  Partition* HomeShard(Key key);
+  // Epoch traffic goes out on the transport's FIFO lanes.  Tracing: the
+  // install closes epoch_install and opens barrier_wait; a lift closes gate_closed.
+  void PublishFills(const std::vector<FillMsg>& fills);
+  void PublishInstalled(const EpochInstalledMsg& msg);
+  void OnGateLifted(Key key);
   // Remote-homed miss in a ranked rack: ship the op to the home rank over
   // the §6.1 RPC path (op_id = session slot); the response completes it.
   void SendMiss(std::uint32_t slot);
@@ -147,8 +154,8 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
   std::size_t PumpInbound();
   std::size_t PollInbound(std::size_t max);
   // --- ranked (multi-process) mode: the RPC miss path ---
-  // Serve a peer's RPC against the local shard; parks behind the residency
-  // gate exactly like a local miss would.
+  // Serves a peer's RPC against the local shard.  A gated op is bounced
+  // (RpcResponse::gated), and the requester parks it.
   void ServeRpc(NodeId src, const RpcRequest& req);
   void OnRpcResponse(const RpcResponse& resp);
   // True when this node can send no message until it receives one: the
@@ -165,31 +172,17 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
   // The shard this op's issue will read, with its home bucket prefetched; or
   // nullptr when there is nothing local worth prefetching (see the .cc).
   const Partition* PrefetchHomeBucket(const Core::Slot& sess);
-  // Admission on authoritative miss reads: offer to the per-node sketch and
-  // fill the L1 once the key proves locally hot (and is not globally hot).
-  void MaybeAdmitToL1(const Core::Slot& sess, const Value& value, Timestamp ts);
   // Refreshes this node's WorkerCounters block (relaxed stores; profiler.h).
   void PublishCounters();
   // Opens/closes the steady-state allocation window (track_allocs_ runs).
   void PollAllocWindow();
 
-  // --- hot-set subsystem (online_topk runs) ---
-  // HotSetHost: the live half of the shared transition machine in topk/.
-  // The manager drives write-backs, gate+fill snapshots, publication and gate
-  // lifts through these; parked shard ops are retried by the run loop.
-  void ApplyWriteback(const SymmetricCache::Eviction& ev) override;
-  FillSnapshot GateAndSnapshot(Key key) override;
-  void PublishFills(const std::vector<FillMsg>& fills) override;
-  void PublishInstalled(const EpochInstalledMsg& msg) override;
-  void LiftGate(Key key) override;
-  void MaybeRetryDeferred();
-
   // --- transition timeline (runtime/tracing.h; no-ops when untraced) ---
-  // DriveAnnounce with the timeline around it: an announce instant, the
-  // epoch_install span open, and a gate-span sync after the manager ran.
+  // The core's OnAnnounce with the timeline around it: an announce instant,
+  // the epoch_install span open, and a gate-span sync after the manager ran.
   void DriveAnnounceTraced(const HotSetAnnounceMsg& msg);
   // Opens a gate_closed span for every newly gated key (pending_clear_ grew
-  // during DriveAnnounce/DriveDeferred); LiftGate closes them.
+  // during DriveAnnounce/DriveDeferred); OnGateLifted closes them.
   void SyncGateSpans();
   // Emits the barrier_wait span once every peer's install has been seen.
   void MaybeCloseBarrier();
@@ -204,12 +197,10 @@ class LiveNode final : private HotSetHost, private NodeHostHooks {
   std::unique_ptr<SymmetricCache> cache_;
   std::unique_ptr<CoherenceEngine> engine_;
   std::unique_ptr<HotSetManager> hot_mgr_;  // online_topk runs only
-  // --- node-private L1 tail (params.l1_capacity > 0) ---
+  // --- node-private L1 tail (params.l1_capacity > 0); core_ runs its rules ---
   std::unique_ptr<L1TailCache> l1_;
   std::unique_ptr<FlatSpaceSaving> l1_sketch_;  // local-popularity admission
-  std::uint64_t l1_offers_ = 0;                 // drives the sketch decay cadence
-  bool l1_validate_ = false;          // Lin: check each hit against the home shard
-  bool l1_admit_local_only_ = false;  // ranked Lin: no shard to validate against
+  bool l1_validate_ = false;  // Lin: check each hit against the home shard
   WorkloadGenerator gen_;
 
   Core core_;

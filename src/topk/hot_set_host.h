@@ -1,16 +1,17 @@
 // The host half of an epoch transition (§4): what a node owes the rack while
 // the HotSetManager installs an announced hot set.
 //
-// Both hosts — the discrete-event RackSimulation and the live multithreaded
-// LiveRack — implement this interface over the same store::Partition
-// primitives, and HotSetManager::Drive* executes every transition through it.
-// There is exactly ONE transition state machine (hot_set_manager.cc); hosts
-// differ only in how the published messages travel (serialized control/fill
-// packets on the simulated fabric vs. WireBody variants on the in-process
-// channels) and in where ops parked on the residency gate wait (a parked
-// request deque in the sim's KVS path, the run loop's parked_gated_ queue in
-// the live node, an explicit retry action in the model checker's transition
-// scope).
+// One production class implements it: NodeCore (cckvs/node_core.h), the
+// home side of a node in the simulator, the live rack and the model checker
+// alike, over the same store::Partition primitives; HotSetManager::Drive*
+// executes every transition through it.  There is exactly ONE transition
+// state machine (hot_set_manager.cc).  What differs per host reaches NodeCore
+// as direct host calls: how the published messages travel (chunked control
+// packets on the simulated fabric, broadcasts on the live transport, FIFO
+// lanes in the model checker's transition scope), and where ops parked on the
+// residency gate wait for their retry (NodeCore's gated ring, which the live
+// run loop and the checker's retry action drain, and the sim's parked
+// KVS-request deque).
 //
 // Ordering contract (the install barrier): PublishFills and PublishInstalled
 // must ship on the same per-peer FIFO lanes as the consistency updates this
@@ -57,8 +58,8 @@ class HotSetHost {
   // The install barrier completed for `key` (homed here): every node
   // installed the evicting epoch, so the pre-eviction updates that travelled
   // ahead of their confirmations have all drained into this shard and it is
-  // authoritative again.  Hosts clear the residency gate and retry work
-  // parked on it.
+  // authoritative again.  The gate comes down; work parked on it is retried
+  // by the host.
   virtual void LiftGate(Key key) = 0;
 };
 

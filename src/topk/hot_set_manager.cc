@@ -115,10 +115,12 @@ void HotSetManager::DriveAnnounce(const HotSetAnnounceMsg& msg) {
   Execute(Apply(msg));
 }
 
-void HotSetManager::DriveDeferred() {
-  if (HasDeferred()) {
-    Execute(RetryDeferred());
+bool HotSetManager::DriveDeferred() {
+  if (!HasDeferred()) {
+    return false;
   }
+  Execute(RetryDeferred());
+  return true;
 }
 
 void HotSetManager::DrivePeerInstalled(NodeId peer, std::uint64_t epoch) {

@@ -20,9 +20,9 @@
 //    entry, and evicting it would strand them (the write could never collect
 //    its acks; its session would hang; SymmetricCache::Evict CHECKs this).
 //    The manager asks CoherenceEngine::EvictionSafe first and *defers*
-//    unsafe evictions; hosts call RetryDeferred as protocol progress (acks,
-//    updates, fills) releases keys.  An epoch counts as installed only when
-//    nothing is deferred.
+//    unsafe evictions; hosts call DriveDeferred (through NodeCore) as protocol
+//    progress (acks, updates, fills) releases keys.  An epoch counts as
+//    installed only when nothing is deferred.
 //
 //  * The install barrier.  Every node broadcasts EpochInstalledMsg after
 //    finishing an install.  Because a node's pre-eviction updates travel the
@@ -100,10 +100,10 @@ class HotSetManager {
   // Member role — host-driven entry points
   // ---------------------------------------------------------------------
   //
-  // The ONE shared transition machine: both hosts (sim RackNode, live
-  // LiveNode) and the model checker's transition scope call these, and the
-  // manager executes every host duty through the HotSetHost hooks.  Hosts no
-  // longer interpret Transitions themselves.
+  // The ONE shared transition machine: every node's NodeCore (in the sim
+  // RackNode, the live LiveNode and the model checker's transition scope)
+  // calls these, and the manager executes every host duty through the
+  // HotSetHost hooks, which NodeCore implements.
 
   // Installs an announced hot set and executes the resulting transition:
   // write-backs, gate+snapshot+publish for fill duties, the install-barrier
@@ -111,8 +111,9 @@ class HotSetManager {
   void DriveAnnounce(const HotSetAnnounceMsg& msg);
 
   // Re-attempts deferred evictions and executes whatever completes; call when
-  // protocol progress (acks, updates, fills) may have released keys.
-  void DriveDeferred();
+  // protocol progress (acks, updates, fills) may have released keys.  True
+  // when any were deferred.
+  bool DriveDeferred();
 
   // Barrier progress from a peer; lifts the residency gate (host hook) for
   // every key homed here whose eviction just settled rack-wide.
@@ -130,8 +131,8 @@ class HotSetManager {
     // MarkCacheResident), ApplyFill locally, broadcast the FillMsg.
     std::vector<Key> fill_duties;
     // Keys homed here whose eviction settled rack-wide: the shard is
-    // authoritative again (live hosts clear the residency gate; the sim
-    // releases any parked shard requests).
+    // authoritative again, so its residency gate comes down (LiftGate) and
+    // the ops parked on it may go at the host's next retry.
     std::vector<Key> ungated;
     // This node finished installing installed_epoch: broadcast
     // EpochInstalledMsg{installed_epoch}.
@@ -160,11 +161,12 @@ class HotSetManager {
   // write can COMPLETE while this node knows nothing of it.  If the home's
   // fill (snapshotted before that write) then arrives via the stash, the node
   // would install the superseded value as Valid and serve stale reads.
-  // Hosts therefore report dropped traffic for uncached keys homed
-  // elsewhere; ApplyFill installs the newest update instead of a stale fill,
-  // and an invalidation-only record leaves the entry Invalid at the promised
-  // timestamp so the in-flight update (same ts) completes it.  Records are
-  // pruned on every announce (keys outside the new target set).
+  // NodeCore's OnUpdate and OnInvalidate therefore report dropped traffic for
+  // uncached keys homed elsewhere; ApplyFill installs the newest update
+  // instead of a stale fill, and an invalidation-only record leaves the entry
+  // Invalid at the promised timestamp so the in-flight update (same ts)
+  // completes it.  Records are pruned on every announce (keys outside the new
+  // target set).
   void NoteUncachedUpdate(Key key, const Value& value, Timestamp ts);
   void NoteUncachedInvalidate(Key key, Timestamp ts);
 
@@ -185,7 +187,7 @@ class HotSetManager {
   bool ShardGated(Key key) const { return pending_clear_.count(key) != 0; }
   // The gated keys themselves, each with the epoch whose barrier it awaits.
   // The live node's transition timeline (runtime/tracing.h) opens one
-  // gate_closed span per entry and closes it at the LiftGate hook.
+  // gate_closed span per entry and closes it in LiftGate's OnGateLifted hook.
   const std::unordered_map<Key, std::uint64_t>& pending_clear() const {
     return pending_clear_;
   }
@@ -238,40 +240,6 @@ class HotSetManager {
   std::unordered_map<Key, std::uint64_t> pending_clear_;
   std::vector<std::uint64_t> installed_;  // per-node installed epoch, self included
 };
-
-// The inbound consistency rules, one copy for every host (RackNode, LiveNode
-// and the model checker), so the fill-vs-announce fix above lives in one
-// place.  Hosts keep their own costs, credit returns, retries and L1 drops
-// around these calls.  `hot_mgr` is null on a host without online epochs.
-//
-// An update goes to the engine while the key is cached here.  An uncached
-// key completes its write-back into the home shard when this node is its
-// home — `home_shard(key)` returns that shard, or null when the key is homed
-// elsewhere — and is otherwise recorded ahead of its pending admission.
-template <typename HomeShard>
-void DeliverUpdate(NodeId src, const UpdateMsg& msg, const SymmetricCache& cache,
-                   CoherenceEngine* engine, HotSetManager* hot_mgr,
-                   HomeShard&& home_shard) {
-  if (cache.Find(msg.key) != nullptr) {
-    engine->OnUpdate(src, msg);
-  } else if (auto* shard = home_shard(msg.key)) {
-    shard->Apply(msg.key, msg.value, msg.ts);
-  } else if (hot_mgr != nullptr) {
-    hot_mgr->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
-  }
-}
-
-// An invalidation of an uncached key is recorded ahead of its pending
-// admission, and the engine always sees it: it acks even when cold, because
-// the writer counts every peer's ack.
-inline void DeliverInvalidate(NodeId src, const InvalidateMsg& msg,
-                              const SymmetricCache& cache, CoherenceEngine* engine,
-                              HotSetManager* hot_mgr) {
-  if (hot_mgr != nullptr && cache.Find(msg.key) == nullptr) {
-    hot_mgr->NoteUncachedInvalidate(msg.key, msg.ts);
-  }
-  engine->OnInvalidate(src, msg);
-}
 
 }  // namespace cckvs
 

@@ -17,7 +17,6 @@
 #include "src/common/hash.h"
 #include "src/protocol/engine.h"
 #include "src/store/partition.h"
-#include "src/topk/hot_set_host.h"
 #include "src/topk/hot_set_manager.h"
 
 namespace cckvs {
@@ -329,12 +328,12 @@ struct TAction {
   int b = 0;  // dst (kDeliver)
 };
 
-// N real engines + caches + shards + hot-set managers, the managers driven
-// through the same HotSetHost hooks both production hosts implement.  Each
-// node is a NodeCore host, so client ops run the production op path: the
-// probe, ReadHit or a parked Read, a cache write after a fresh Find, or the
-// home shard through its residency gate, parking in the gated ring while the
-// gate is up and retried from it in park order.
+// N real engines + caches + shards + hot-set managers.  Each node is a
+// NodeCore host, so it runs the production home side (the HotSetHost hooks
+// its manager drives, and the inbound message rules) and the production op
+// path: the probe, ReadHit or a parked Read, a cache write after a fresh
+// Find, or the home shard through its residency gate, parking in the gated
+// ring while the gate is up and retried from it in park order.
 class TransitionWorld {
  public:
   using ActionType = TAction;
@@ -366,8 +365,6 @@ class TransitionWorld {
         engines_.push_back(std::make_unique<ScEngine>(
             static_cast<NodeId>(i), n, caches_.back().get(), hosts_.back().get()));
       }
-      hosts_.back()->core.Attach(
-          {.cache = caches_.back().get(), .engine = engines_.back().get()});
     }
     for (int i = 0; i < n; ++i) {
       HotSetManagerConfig hc;
@@ -377,10 +374,13 @@ class TransitionWorld {
       hc.home_of = [n](Key key) {
         return static_cast<NodeId>(key % static_cast<std::uint64_t>(n));
       };
+      const auto node = static_cast<std::size_t>(i);
+      NodeCore<NodeHost>& core = hosts_[node]->core;
       managers_.push_back(std::make_unique<HotSetManager>(
-          hc, caches_[static_cast<std::size_t>(i)].get(),
-          engines_[static_cast<std::size_t>(i)].get(),
-          hosts_[static_cast<std::size_t>(i)].get()));
+          hc, caches_[node].get(), engines_[node].get(), &core));
+      core.Attach({.cache = caches_[node].get(),
+                   .engine = engines_[node].get(),
+                   .hot_mgr = managers_[node].get()});
     }
     // Epoch-0 steady state: the hot key's shard gate is up at its home,
     // exactly as both hosts bracket a prefilled hot set.
@@ -436,7 +436,7 @@ class TransitionWorld {
     switch (action.kind) {
       case TAction::Kind::kAnnounce:
         announce_pending_[static_cast<std::size_t>(action.a)] = false;
-        managers_[static_cast<std::size_t>(action.a)]->DriveAnnounce(announce_);
+        hosts_[static_cast<std::size_t>(action.a)]->core.OnAnnounce(announce_);
         break;
       case TAction::Kind::kDeliver: {
         auto& lane = Lane(action.a, action.b);
@@ -618,8 +618,8 @@ class TransitionWorld {
     Timestamp watermark{};  // per-key completed-op watermark at invocation
   };
 
-  // Lanes + HotSetHost + MessageSink + NodeCore host of one node.
-  class NodeHost final : public MessageSink, public HotSetHost, private NodeHostHooks {
+  // Lanes + MessageSink + NodeCore host of one node.
+  class NodeHost final : public MessageSink, private NodeHostHooks {
    public:
     NodeHost(TransitionWorld* world, NodeId self)
         : core(this, self), world_(world), self_(self) {}
@@ -638,33 +638,24 @@ class TransitionWorld {
       world_->Push(self_, to, TMsg{TMsg::Type::kAck, msg.key, msg.ts, {}, 0});
     }
 
-    void ApplyWriteback(const SymmetricCache::Eviction& ev) override {
-      world_->partitions_[self_]->Apply(ev.key, ev.value, ev.ts);
-    }
-    FillSnapshot GateAndSnapshot(Key key) override {
-      const Partition::ResidentSnapshot snap =
-          world_->partitions_[self_]->MarkCacheResident(key);
-      return FillSnapshot{snap.value, snap.ts};
-    }
-    void PublishFills(const std::vector<FillMsg>& fills) override {
-      for (const FillMsg& f : fills) {
-        world_->PushToPeers(self_,
-                            TMsg{TMsg::Type::kFill, f.key, f.ts, f.value, f.epoch});
-      }
-    }
-    void PublishInstalled(const EpochInstalledMsg& msg) override {
-      world_->PushToPeers(self_,
-                          TMsg{TMsg::Type::kInstalled, 0, Timestamp{}, {}, msg.epoch});
-    }
-    void LiftGate(Key key) override {
-      world_->partitions_[self_]->ClearCacheResident(key);
-    }
-
    private:
     friend class NodeCore<NodeHost>;
     static constexpr bool kInlineCpu = true;
     static constexpr bool kRecordsLatency = false;  // worlds are rebuilt per step
     Partition* ShardFor(NodeId home) { return world_->partitions_[home].get(); }
+    Partition* HomeShard(Key key) {
+      return world_->HomeOf(key) == self_ ? world_->partitions_[self_].get() : nullptr;
+    }
+    void PublishFills(const std::vector<FillMsg>& fills) {
+      for (const FillMsg& f : fills) {
+        world_->PushToPeers(self_,
+                            TMsg{TMsg::Type::kFill, f.key, f.ts, f.value, f.epoch});
+      }
+    }
+    void PublishInstalled(const EpochInstalledMsg& msg) {
+      world_->PushToPeers(self_,
+                          TMsg{TMsg::Type::kInstalled, 0, Timestamp{}, {}, msg.epoch});
+    }
     void SendMiss(std::uint32_t /*slot*/) { CCKVS_CHECK(false); }  // every shard is here
     bool AllPeersHaveCredit() { return true; }
     SimTime HistoryNow() { return 0; }
@@ -719,34 +710,28 @@ class TransitionWorld {
     }
   }
 
+  // The rules every host runs (NodeCore's On*), one call per message.
   void Deliver(NodeId src, NodeId dst, const TMsg& msg) {
-    const auto d = static_cast<std::size_t>(dst);
+    NodeCore<NodeHost>& core = hosts_[dst]->core;
     switch (msg.type) {
       case TMsg::Type::kInv:
-        DeliverInvalidate(src, InvalidateMsg{msg.key, msg.ts}, *caches_[d],
-                          engines_[d].get(), managers_[d].get());
+        core.OnInvalidate(src, InvalidateMsg{msg.key, msg.ts});
         break;
       case TMsg::Type::kAck:
-        engines_[d]->OnAck(src, AckMsg{msg.key, msg.ts});
+        engines_[dst]->OnAck(src, AckMsg{msg.key, msg.ts});
         break;
       case TMsg::Type::kUpd:
-        // The rule both hosts run (hot_set_manager.h): the engine while the
-        // key is cached, the home shard when homed here (a late write-back),
-        // else the manager's pre-admission record.
-        DeliverUpdate(src, UpdateMsg{msg.key, msg.value, msg.ts}, *caches_[d],
-                      engines_[d].get(), managers_[d].get(), [&](Key key) {
-                        return HomeOf(key) == dst ? partitions_[d].get() : nullptr;
-                      });
+        core.OnUpdate(src, UpdateMsg{msg.key, msg.value, msg.ts});
         break;
       case TMsg::Type::kFill:
-        managers_[d]->ApplyFill(FillMsg{msg.key, msg.value, msg.ts, msg.epoch});
+        core.OnFill(FillMsg{msg.key, msg.value, msg.ts, msg.epoch});
         break;
       case TMsg::Type::kInstalled:
-        managers_[d]->DrivePeerInstalled(src, msg.epoch);
+        core.OnPeerInstalled(src, msg.epoch);
         break;
     }
     // Hosts retry deferred evictions on every pump after protocol progress.
-    managers_[d]->DriveDeferred();
+    core.DriveDeferred();
   }
 
   // True when a retry pass at `node` can move one of its gated ops: the op's
