@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -219,36 +220,24 @@ inline RackReport RunRack(const RackParams& p, const char* label_detail = nullpt
 }
 
 // Flat field view of a LiveReport: the shared RackReport fields plus the
-// live-only observables, for the same JSON artifacts.
+// live-only observables, for the same JSON artifacts.  Every counter of the
+// CCKVS_LIVE_COUNTERS table with a run total is in it, by its table name.
 inline std::vector<std::pair<std::string, double>> LiveReportFields(
     const LiveReport& r) {
-  auto fields = ReportFields(r.rack);
+  auto fields = ReportFields(r.rack);  // the `rack` counters, and completed
+#define CCKVS_JSON_FIELD(name, kind, total)                        \
+  if (std::string_view(#name) != "completed") {                    \
+    CCKVS_BY_TOTAL_##total(fields.emplace_back(#name, r.name);, ) \
+  }
+  CCKVS_LIVE_COUNTERS(CCKVS_JSON_FIELD)
+#undef CCKVS_JSON_FIELD
   fields.emplace_back("wall_seconds", r.wall_seconds);
-  fields.emplace_back("channel_messages", static_cast<double>(r.channel_messages));
-  fields.emplace_back("channel_batches", static_cast<double>(r.channel_batches));
-  fields.emplace_back("channel_full_waits",
-                      static_cast<double>(r.channel_full_waits));
-  fields.emplace_back("credit_parks", static_cast<double>(r.credit_parks));
-  fields.emplace_back("sc_credit_stalls", static_cast<double>(r.sc_credit_stalls));
-  fields.emplace_back("wakeups", static_cast<double>(r.wakeups));
-  fields.emplace_back("flushes_size", static_cast<double>(r.flushes_size));
-  fields.emplace_back("flushes_boundary", static_cast<double>(r.flushes_boundary));
-  fields.emplace_back("flushes_idle", static_cast<double>(r.flushes_idle));
-  fields.emplace_back("flushes_deadline", static_cast<double>(r.flushes_deadline));
-  fields.emplace_back("updates_collapsed",
-                      static_cast<double>(r.updates_collapsed));
-  fields.emplace_back("avg_batch_size", r.batch_sizes.count() == 0
-                                            ? 0.0
-                                            : r.batch_sizes.Mean());
-  fields.emplace_back("p99_batch_size",
-                      static_cast<double>(r.batch_sizes.P99()));
-  fields.emplace_back("epoch_msgs", static_cast<double>(r.epoch_msgs));
-  fields.emplace_back("gate_retries", static_cast<double>(r.gate_retries));
-  fields.emplace_back("store_read_retries",
-                      static_cast<double>(r.store_read_retries));
-  fields.emplace_back("hot_path_allocs", static_cast<double>(r.hot_path_allocs));
-  fields.emplace_back("spans_recorded", static_cast<double>(r.spans_recorded));
-  fields.emplace_back("spans_dropped", static_cast<double>(r.spans_dropped));
+  fields.emplace_back("avg_batch_size",
+                      r.batch_sizes.count() == 0 ? 0.0 : r.batch_sizes.Mean());
+  fields.emplace_back("p99_batch_size", r.batch_sizes.P99());
+  fields.emplace_back("store_read_retries", r.store_read_retries);
+  fields.emplace_back("spans_recorded", r.spans_recorded);
+  fields.emplace_back("spans_dropped", r.spans_dropped);
   return fields;
 }
 

@@ -124,47 +124,40 @@ struct RackParams {
   std::uint64_t seed = 1;
 };
 
+// RackReport's scalar fields, as X(type, name): the struct and the JSON view
+// (ReportFields) are generated from this list.  The simulator leaves the L1
+// fields at zero; only live racks have the tier.
+#define CCKVS_RACK_REPORT_FIELDS(X)                                          \
+  X(double, duration_s)                 /* measured (post-warmup) seconds */ \
+  X(std::uint64_t, completed)           /* ops completed in that window */   \
+  X(double, mrps)                       /* aggregate throughput */           \
+  X(double, hit_rate)                   /* kCcKvs: L1 + symmetric hits */    \
+  X(double, hit_mrps)                   /* the Figure 9 split */             \
+  X(double, miss_mrps)                                                       \
+  X(std::uint64_t, l1_hits)             /* live racks' node-private L1 */    \
+  X(std::uint64_t, l1_fills)                                                 \
+  X(std::uint64_t, l1_invalidations)                                         \
+  X(double, avg_latency_us)             /* client-observed, microseconds */  \
+  X(double, p50_latency_us)                                                  \
+  X(double, p95_latency_us)                                                  \
+  X(double, p99_latency_us)                                                  \
+  X(double, tx_gbps_per_node)           /* network, per-node averages */     \
+  X(double, header_gbps_per_node)       /* the Figure 13a split */           \
+  X(double, payload_gbps_per_node)                                           \
+  X(double, worker_utilization)         /* CPU pools, averaged over nodes */ \
+  X(double, kvs_utilization)                                                 \
+  X(std::uint64_t, updates_sent)        /* consistency messages sent */      \
+  X(std::uint64_t, invalidations_sent)                                       \
+  X(std::uint64_t, acks_sent)                                                \
+  X(std::uint64_t, credit_updates_sent)                                      \
+  X(std::uint64_t, epochs)              /* online_topk runs */               \
+  X(std::uint64_t, hot_set_churn)
+
 struct RackReport {
-  double duration_s = 0;       // measured (post-warmup) simulated seconds
-  std::uint64_t completed = 0; // ops completed in the measured window
-  double mrps = 0;             // aggregate throughput
-
-  // Cache behaviour (kCcKvs only).
-  double hit_rate = 0;   // hierarchy hit rate: L1 hits + symmetric hits
-  double hit_mrps = 0;   // Figure 9 split
-  double miss_mrps = 0;
-
-  // Node-private L1 tail, summed over nodes.  Only live racks have the tier
-  // (LiveRackParams::l1_capacity > 0); the simulator leaves these at zero.
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l1_fills = 0;
-  std::uint64_t l1_invalidations = 0;
-
-  // Latency (client-observed), microseconds.
-  double avg_latency_us = 0;
-  double p50_latency_us = 0;
-  double p95_latency_us = 0;
-  double p99_latency_us = 0;
-
-  // Network, per-node averages over the measured window.
-  double tx_gbps_per_node = 0;
-  double header_gbps_per_node = 0;   // Figure 13a split
-  double payload_gbps_per_node = 0;
+#define CCKVS_REPORT_SCALAR(type, name) type name = 0;
+  CCKVS_RACK_REPORT_FIELDS(CCKVS_REPORT_SCALAR)
+#undef CCKVS_REPORT_SCALAR
   double class_gbps[static_cast<int>(TrafficClass::kNumClasses)] = {};
-
-  // CPU pool utilizations (averaged over nodes).
-  double worker_utilization = 0;
-  double kvs_utilization = 0;
-
-  // Consistency traffic message counts (measured window).
-  std::uint64_t updates_sent = 0;
-  std::uint64_t invalidations_sent = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t credit_updates_sent = 0;
-
-  // Epoch machinery (online_topk runs).
-  std::uint64_t epochs = 0;
-  std::uint64_t hot_set_churn = 0;
 };
 
 }  // namespace cckvs

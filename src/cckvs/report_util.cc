@@ -28,34 +28,13 @@ void FillLatency(const Histogram& latency, RackReport* report) {
 
 std::vector<std::pair<std::string, double>> ReportFields(const RackReport& r) {
   std::vector<std::pair<std::string, double>> f;
-  f.emplace_back("duration_s", r.duration_s);
-  f.emplace_back("completed", static_cast<double>(r.completed));
-  f.emplace_back("mrps", r.mrps);
-  f.emplace_back("hit_rate", r.hit_rate);
-  f.emplace_back("hit_mrps", r.hit_mrps);
-  f.emplace_back("miss_mrps", r.miss_mrps);
-  f.emplace_back("avg_latency_us", r.avg_latency_us);
-  f.emplace_back("p50_latency_us", r.p50_latency_us);
-  f.emplace_back("p95_latency_us", r.p95_latency_us);
-  f.emplace_back("p99_latency_us", r.p99_latency_us);
-  f.emplace_back("tx_gbps_per_node", r.tx_gbps_per_node);
-  f.emplace_back("header_gbps_per_node", r.header_gbps_per_node);
-  f.emplace_back("payload_gbps_per_node", r.payload_gbps_per_node);
+#define CCKVS_REPORT_FIELD(type, name) f.emplace_back(#name, r.name);
+  CCKVS_RACK_REPORT_FIELDS(CCKVS_REPORT_FIELD)
+#undef CCKVS_REPORT_FIELD
   for (int c = 0; c < static_cast<int>(TrafficClass::kNumClasses); ++c) {
     f.emplace_back(std::string("gbps_") + ToString(static_cast<TrafficClass>(c)),
                    r.class_gbps[c]);
   }
-  f.emplace_back("worker_utilization", r.worker_utilization);
-  f.emplace_back("kvs_utilization", r.kvs_utilization);
-  f.emplace_back("updates_sent", static_cast<double>(r.updates_sent));
-  f.emplace_back("invalidations_sent", static_cast<double>(r.invalidations_sent));
-  f.emplace_back("acks_sent", static_cast<double>(r.acks_sent));
-  f.emplace_back("credit_updates_sent", static_cast<double>(r.credit_updates_sent));
-  f.emplace_back("epochs", static_cast<double>(r.epochs));
-  f.emplace_back("hot_set_churn", static_cast<double>(r.hot_set_churn));
-  f.emplace_back("l1_hits", static_cast<double>(r.l1_hits));
-  f.emplace_back("l1_fills", static_cast<double>(r.l1_fills));
-  f.emplace_back("l1_invalidations", static_cast<double>(r.l1_invalidations));
   return f;
 }
 

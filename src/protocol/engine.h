@@ -74,18 +74,22 @@ class MessageSink {
   virtual void SendAck(NodeId to, const AckMsg& msg) = 0;
 };
 
+#define CCKVS_ENGINE_STATS(X)                                                    \
+  X(writes) X(writes_completed) X(reads_hit) X(reads_blocked) X(updates_applied) \
+  X(updates_discarded) X(invalidations_applied) X(invalidations_stale)           \
+  X(acks_received) X(writes_superseded) X(local_writes_queued)
+
 struct EngineStats {
-  std::uint64_t writes = 0;
-  std::uint64_t writes_completed = 0;
-  std::uint64_t reads_hit = 0;
-  std::uint64_t reads_blocked = 0;
-  std::uint64_t updates_applied = 0;
-  std::uint64_t updates_discarded = 0;
-  std::uint64_t invalidations_applied = 0;
-  std::uint64_t invalidations_stale = 0;
-  std::uint64_t acks_received = 0;
-  std::uint64_t writes_superseded = 0;
-  std::uint64_t local_writes_queued = 0;
+#define CCKVS_STAT_FIELD(name) std::uint64_t name = 0;
+  CCKVS_ENGINE_STATS(CCKVS_STAT_FIELD)
+#undef CCKVS_STAT_FIELD
+
+  EngineStats& operator+=(const EngineStats& o) {
+#define CCKVS_STAT_ADD(name) name += o.name;
+    CCKVS_ENGINE_STATS(CCKVS_STAT_ADD)
+#undef CCKVS_STAT_ADD
+    return *this;
+  }
 };
 
 class CoherenceEngine {

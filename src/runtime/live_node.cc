@@ -219,7 +219,9 @@ void LiveNode::Run(StopToken stop) {
       return;  // the rack is globally quiescent: histories are sealed
     }
 
-    PublishCounters();
+    if (pub_ != nullptr) {
+      pub_->Store(counters());  // LiveRack::Run publishes the final totals
+    }
 
     if (processed == 0 && !issued && !gated_progress) {
       if (busy_poll_) {
@@ -269,30 +271,42 @@ void LiveNode::PollAllocWindow() {
   }
 }
 
-void LiveNode::PublishCounters() {
-  if (pub_ == nullptr) {
-    return;
-  }
-  WorkerCounters& w = *pub_;
-  const auto relaxed = std::memory_order_relaxed;
-  const NodeCounters& c = core_.counters();
-  w.ops.store(c.completed, relaxed);
-  w.hits.store(c.hit_completed, relaxed);
-  w.misses.store(c.miss_completed, relaxed);
-  w.rpcs.store(rpcs_sent_, relaxed);
-  w.msgs_sent.store(ep_->coalescer().messages_sent(), relaxed);
-  w.batches_sent.store(ep_->coalescer().batches_sent(), relaxed);
-  w.flush_size.store(ep_->coalescer().flushes(FlushCause::kSize), relaxed);
-  w.flush_boundary.store(ep_->coalescer().flushes(FlushCause::kBoundary), relaxed);
-  w.flush_idle.store(ep_->coalescer().flushes(FlushCause::kIdle), relaxed);
-  w.flush_deadline.store(ep_->coalescer().flushes(FlushCause::kDeadline), relaxed);
-  if (l1_ != nullptr) {
-    w.l1_hits.store(c.l1_hits, relaxed);
-    w.l1_invalidations.store(l1_->stats().invalidations, relaxed);
-    w.l1_fills.store(l1_->stats().fills, relaxed);
-  }
-  w.allocs.store(track_allocs_ ? alloc::ThreadCount() : 0, relaxed);
-  w.inbound_depth.store(rack_->transport().fabric().InboundDepth(id_), relaxed);
+LiveCounters LiveNode::counters() const {
+  const NodeCounters& n = core_.counters();
+  const SendCoalescer& out = ep_->coalescer();
+  const FabricStats in = rack_->transport().fabric().stats(id_);
+  LiveCounters c;
+  c.completed = n.completed;
+  c.hit_completed = n.hit_completed;
+  c.miss_completed = n.miss_completed;
+  c.l1_hits = n.l1_hits;
+  c.l1_fills = l1_ != nullptr ? l1_->stats().fills : 0;
+  c.l1_invalidations = l1_ != nullptr ? l1_->stats().invalidations : 0;
+  c.sc_credit_stalls = n.sc_credit_stalls;
+  c.gate_retries = n.gate_retries;
+  c.rpcs_sent = rpcs_sent_;
+  c.msgs_sent = out.messages_sent();
+  c.batches_sent = out.batches_sent();
+  c.flushes_size = out.flushes(FlushCause::kSize);
+  c.flushes_boundary = out.flushes(FlushCause::kBoundary);
+  c.flushes_idle = out.flushes(FlushCause::kIdle);
+  c.flushes_deadline = out.flushes(FlushCause::kDeadline);
+  c.channel_messages = ep_->messages_received();
+  c.channel_batches = in.pushes;
+  c.channel_full_waits = in.full_waits;
+  c.credit_parks = ep_->credit_parks();
+  c.wakeups = in.wakeups;
+  c.updates_collapsed = ep_->updates_collapsed();
+  c.epoch_msgs = ep_->epoch_msgs_sent();
+  c.updates_sent = ep_->updates_sent();
+  c.invalidations_sent = ep_->invalidations_sent();
+  c.acks_sent = ep_->acks_sent();
+  c.credit_updates_sent = ep_->credit_returns();
+  // The thread's own count while its window is open (so this runs on the node
+  // thread then); the window's final count once it closed; 0 before.
+  c.hot_path_allocs = alloc_window_open_ ? alloc::ThreadCount() : hot_path_allocs_;
+  c.inbound_depth = rack_->transport().fabric().InboundDepth(id_);
+  return c;
 }
 
 std::size_t LiveNode::PumpInbound() {

@@ -41,6 +41,7 @@
 #include "src/common/histogram.h"
 #include "src/protocol/engine.h"
 #include "src/runtime/control_messages.h"
+#include "src/runtime/live_counters.h"
 #include "src/runtime/profiler.h"
 #include "src/runtime/stop.h"
 #include "src/runtime/tracing.h"
@@ -74,15 +75,13 @@ class LiveNode final : private NodeHostHooks {
   Partition& partition() { return *partition_; }
   const Partition& partition() const { return *partition_; }
 
+  // The one read-out of the CCKVS_LIVE_COUNTERS table (runtime/live_counters.h):
+  // the run loop publishes it, LiveRack::Run sums it into the report.  Call
+  // it on the node thread, or once the thread has exited.
+  using Counters = LiveCounters;
+  Counters counters() const;
+
   // --- post-join introspection (owning thread has exited) ---
-  struct Counters : NodeCounters {
-    std::uint64_t rpcs_sent = 0;  // ranked mode: remote-home misses over RPC
-  };
-  Counters counters() const { return Counters{core_.counters(), rpcs_sent_}; }
-  // Operator-new count inside the steady-state measurement window (0 when
-  // params.track_allocs is off or the tracker is compiled out; see
-  // common/alloc_tracker.h).
-  std::uint64_t hot_path_allocs() const { return hot_path_allocs_; }
   const Histogram& latency() const { return core_.latency(); }  // ns
   const std::vector<HistoryOp>& history_ops() const { return history_.ops(); }
   const SymmetricCache& cache() const { return *cache_; }
@@ -172,8 +171,6 @@ class LiveNode final : private NodeHostHooks {
   // The shard this op's issue will read, with its home bucket prefetched; or
   // nullptr when there is nothing local worth prefetching (see the .cc).
   const Partition* PrefetchHomeBucket(const Core::Slot& sess);
-  // Refreshes this node's WorkerCounters block (relaxed stores; profiler.h).
-  void PublishCounters();
   // Opens/closes the steady-state allocation window (track_allocs_ runs).
   void PollAllocWindow();
 
@@ -223,7 +220,7 @@ class LiveNode final : private NodeHostHooks {
   bool track_allocs_ = false;
   bool alloc_window_open_ = false;
   bool alloc_window_done_ = false;
-  std::uint64_t hot_path_allocs_ = 0;
+  std::uint64_t hot_path_allocs_ = 0;  // the window's count once it closed
 
   // --- ranked-mode state ---
   bool ranked_ = false;

@@ -53,27 +53,15 @@ LiveTransport::Config TransportConfig(const LiveRackParams& p) {
   return c;
 }
 
-void AddEngineStats(const EngineStats& from, EngineStats* to) {
-  to->writes += from.writes;
-  to->writes_completed += from.writes_completed;
-  to->reads_hit += from.reads_hit;
-  to->reads_blocked += from.reads_blocked;
-  to->updates_applied += from.updates_applied;
-  to->updates_discarded += from.updates_discarded;
-  to->invalidations_applied += from.invalidations_applied;
-  to->invalidations_stale += from.invalidations_stale;
-  to->acks_received += from.acks_received;
-  to->writes_superseded += from.writes_superseded;
-  to->local_writes_queued += from.local_writes_queued;
-}
-
 }  // namespace
 
 LiveRack::LiveRack(const LiveRackParams& params)
     : params_(params),
       transport_(TransportConfig(params)),
       partitioner_(params.num_nodes),
-      worker_counters_(static_cast<std::size_t>(params.num_nodes)),
+      worker_counters_(params.transport.rank >= 0
+                           ? 1
+                           : static_cast<std::size_t>(params.num_nodes)),
       epoch_(params.clock_epoch_ns != 0
                  ? std::chrono::steady_clock::time_point(
                        std::chrono::nanoseconds(params.clock_epoch_ns))
@@ -223,7 +211,7 @@ LiveReport LiveRack::Run() {
     // One file per process: ranks sharing a host must not clobber each other.
     popts.csv_path += ".rank" + std::to_string(params_.transport.rank);
   }
-  Profiler profiler(popts, &worker_counters_);
+  Profiler profiler(popts, &worker_counters_, FirstLocalNode());
   if (params_.profile) {
     profiler.Start();
   }
@@ -248,9 +236,6 @@ LiveReport LiveRack::Run() {
   for (std::thread& t : threads) {
     t.join();
   }
-  if (params_.profile) {
-    profiler.Stop();  // takes the final partial-interval sample
-  }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -259,48 +244,26 @@ LiveReport LiveRack::Run() {
   LiveReport report;
   report.wall_seconds = wall_seconds;
 
-  std::uint64_t hit = 0;
-  std::uint64_t miss = 0;
   Histogram latency;
-  for (int i = 0; i < params_.num_nodes; ++i) {
-    if (nodes_[static_cast<std::size_t>(i)] == nullptr) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i] == nullptr) {
       continue;  // ranked: remote ranks report from their own process
     }
-    const LiveNode& node = *nodes_[static_cast<std::size_t>(i)];
-    const LiveNode::Counters& c = node.counters();
-    report.completed += c.completed;
-    hit += c.hit_completed;
-    miss += c.miss_completed;
-    report.sc_credit_stalls += c.sc_credit_stalls;
-    report.gate_retries += c.gate_retries;
-    report.rpcs_sent += c.rpcs_sent;
-    report.rack.l1_hits += c.l1_hits;
-    if (const L1TailCache* l1 = node.l1(); l1 != nullptr) {
-      report.rack.l1_fills += l1->stats().fills;
-      report.rack.l1_invalidations += l1->stats().invalidations;
+    const LiveNode& node = *nodes_[i];
+    // One read-out feeds both the report and the profiler's final sample, so
+    // the sampled deltas sum to the report's totals exactly, even for what
+    // landed after the node's last loop iteration (its exit flush, a peer's
+    // late push into its inbox).
+    const LiveCounters c = node.counters();
+    report.Add(c);
+    if (params_.profile) {
+      worker_counters(static_cast<NodeId>(i)).Store(c);
     }
-    report.hot_path_allocs += node.hot_path_allocs();
     latency.Merge(node.latency());
-    AddEngineStats(node.engine().stats(), &report.engine_totals);
-
-    const LiveTransport::Endpoint& ep = transport_.endpoint(static_cast<NodeId>(i));
-    report.channel_messages += ep.messages_received();
-    report.channel_batches += ep.batches_received();
-    report.channel_full_waits += ep.full_waits();
-    report.credit_parks += ep.credit_parks();
-    report.wakeups += ep.wakeups();
-    report.batches_sent += ep.coalescer().batches_sent();
-    report.flushes_size += ep.coalescer().flushes(FlushCause::kSize);
-    report.flushes_boundary += ep.coalescer().flushes(FlushCause::kBoundary);
-    report.flushes_idle += ep.coalescer().flushes(FlushCause::kIdle);
-    report.flushes_deadline += ep.coalescer().flushes(FlushCause::kDeadline);
-    report.updates_collapsed += ep.updates_collapsed();
-    report.batch_sizes.Merge(ep.coalescer().batch_sizes());
-    report.epoch_msgs += ep.epoch_msgs_sent();
-    report.rack.updates_sent += ep.updates_sent();
-    report.rack.invalidations_sent += ep.invalidations_sent();
-    report.rack.acks_sent += ep.acks_sent();
-    report.rack.credit_updates_sent += ep.credit_returns();
+    report.engine_totals += node.engine().stats();
+    report.batch_sizes.Merge(transport_.endpoint(static_cast<NodeId>(i))
+                                 .coalescer()
+                                 .batch_sizes());
 
     const PartitionStats ps = node.partition().stats();
     report.store_read_retries += ps.read_retries;
@@ -308,9 +271,15 @@ LiveReport LiveRack::Run() {
     report.slab_live_slots += ss.live_slots;
     report.slab_arena_bytes += ss.arena_bytes;
   }
+  if (params_.profile) {
+    profiler.Stop();  // takes the final partial-interval sample
+    report.profiler_samples = profiler.samples();
+    report.profile_error = profiler.csv_error();
+  }
 
   report.rack.duration_s = wall_seconds;
-  FillThroughput(report.completed, hit, miss, wall_seconds * 1e9, &report.rack);
+  FillThroughput(report.completed, report.hit_completed, report.miss_completed,
+                 wall_seconds * 1e9, &report.rack);
   FillLatency(latency, &report.rack);
 
   if (nodes_[0] != nullptr) {
@@ -329,10 +298,6 @@ LiveReport LiveRack::Run() {
         history_.Record(op);
       }
     }
-  }
-
-  if (params_.profile) {
-    report.profiler_samples = profiler.samples();
   }
 
   if (!params_.trace_path.empty() && !tracers_.empty()) {

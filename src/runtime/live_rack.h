@@ -176,6 +176,10 @@ class LiveRack {
   bool IsLocal(NodeId id) const {
     return !ranked() || id == static_cast<NodeId>(params_.transport.rank);
   }
+  // The lowest local node id: the rank's node, or node 0.
+  NodeId FirstLocalNode() const {
+    return ranked() ? static_cast<NodeId>(params_.transport.rank) : 0;
+  }
 
   NodeId HomeOf(Key key) const { return partitioner_.HomeOf(key); }
   // The same home from the key's HashKey (the live node hashes each op once).
@@ -193,10 +197,10 @@ class LiveRack {
             .count());
   }
 
-  // Node `id`'s profiling counter block (valid for the rack's lifetime; the
-  // node thread writes it, the profiler thread reads it).
+  // Local node `id`'s profiling counter block (valid for the rack's lifetime;
+  // the node thread writes it, the profiler thread reads it).
   WorkerCounters& worker_counters(NodeId id) {
-    return worker_counters_[static_cast<std::size_t>(id)];
+    return worker_counters_[static_cast<std::size_t>(id - FirstLocalNode())];
   }
 
   // Node `id`'s span ring, or nullptr when tracing is off (or the node is
@@ -214,7 +218,8 @@ class LiveRack {
   LiveRackParams params_;
   LiveTransport transport_;
   ModuloPartitioner partitioner_;
-  std::vector<WorkerCounters> worker_counters_;  // atomics: sized once, never moved
+  // One per local node, from FirstLocalNode(); atomics: sized once, never moved.
+  std::vector<WorkerCounters> worker_counters_;
   std::vector<std::unique_ptr<Tracer>> tracers_;  // empty when tracing is off
   std::vector<std::unique_ptr<LiveNode>> nodes_;
   std::vector<Partition*> partitions_;  // node id -> its shard; null when remote

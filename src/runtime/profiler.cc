@@ -1,32 +1,36 @@
 #include "src/runtime/profiler.h"
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 
 #include "src/common/check.h"
 
 namespace cckvs {
-namespace {
 
-ProfilerSample LoadTotals(const WorkerCounters& c, int node, std::uint64_t ts_ms) {
-  ProfilerSample s;
-  s.ts_ms = ts_ms;
-  s.node = node;
-#define CCKVS_LOAD(name, kind) s.name = c.name.load(std::memory_order_relaxed);
-  CCKVS_PROFILER_COUNTERS(CCKVS_LOAD)
-#undef CCKVS_LOAD
-  return s;
+void WorkerCounters::Store(const LiveCounters& c) {
+#define CCKVS_STORE(name, kind, total) name.store(c.name, std::memory_order_relaxed);
+  CCKVS_LIVE_COUNTERS(CCKVS_STORE)
+#undef CCKVS_STORE
 }
 
-}  // namespace
+LiveCounters WorkerCounters::Load() const {
+  LiveCounters c;
+#define CCKVS_LOAD(name, kind, total) c.name = name.load(std::memory_order_relaxed);
+  CCKVS_LIVE_COUNTERS(CCKVS_LOAD)
+#undef CCKVS_LOAD
+  return c;
+}
 
 const char* ProfilerCsvHeader() {
-#define CCKVS_COLUMN(name, kind) "," #name
-  return "ts_ms,node" CCKVS_PROFILER_COUNTERS(CCKVS_COLUMN);
+#define CCKVS_COLUMN(name, kind, total) "," #name
+  return "ts_ms,node" CCKVS_LIVE_COUNTERS(CCKVS_COLUMN);
 #undef CCKVS_COLUMN
 }
 
-Profiler::Profiler(const Options& options, const std::vector<WorkerCounters>* counters)
-    : options_(options), counters_(counters) {
+Profiler::Profiler(const Options& options, const std::vector<WorkerCounters>* counters,
+                   int first_node)
+    : options_(options), counters_(counters), first_node_(first_node) {
   CCKVS_CHECK(counters_ != nullptr);
   CCKVS_CHECK_GE(options_.interval_ms, 1u);
   prev_.resize(counters_->size());
@@ -40,7 +44,10 @@ void Profiler::Start() {
   start_ = std::chrono::steady_clock::now();
   if (!options_.csv_path.empty()) {
     csv_ = std::fopen(options_.csv_path.c_str(), "w");
-    // A bad path degrades to in-memory samples only; the run itself proceeds.
+    if (csv_ == nullptr) {
+      // The run proceeds with in-memory samples only.
+      csv_error_ = "cannot open " + options_.csv_path + ": " + std::strerror(errno);
+    }
   }
   if (csv_ != nullptr) {
     std::fprintf(csv_, "%s\n", ProfilerCsvHeader());
@@ -90,15 +97,14 @@ void Profiler::Loop() {
 
 void Profiler::SampleOnce(std::uint64_t ts_ms) {
   for (std::size_t i = 0; i < counters_->size(); ++i) {
-    const ProfilerSample totals =
-        LoadTotals((*counters_)[i], static_cast<int>(i), ts_ms);
-    ProfilerSample& prev = prev_[i];
-    ProfilerSample delta = totals;  // gauges + identity fields carry over
-#define CCKVS_DELTA(name, kind)                      \
-  if (CounterKind::kind == CounterKind::kFlow) {     \
-    delta.name = totals.name - prev.name;            \
+    const LiveCounters totals = (*counters_)[i].Load();
+    LiveCounters& prev = prev_[i];
+    ProfilerSample delta{totals, ts_ms, first_node_ + static_cast<int>(i)};
+#define CCKVS_DELTA(name, kind, total)           \
+  if (CounterKind::kind == CounterKind::kFlow) { \
+    delta.name = totals.name - prev.name;        \
   }
-    CCKVS_PROFILER_COUNTERS(CCKVS_DELTA)
+    CCKVS_LIVE_COUNTERS(CCKVS_DELTA)
 #undef CCKVS_DELTA
     prev = totals;
     samples_.push_back(delta);
@@ -110,11 +116,11 @@ void Profiler::Emit(const ProfilerSample& s) {
   if (csv_ == nullptr) {
     return;
   }
-#define CCKVS_FORMAT(name, kind) ",%llu"
-#define CCKVS_VALUE(name, kind) , static_cast<unsigned long long>(s.name)
-  std::fprintf(csv_, "%llu,%d" CCKVS_PROFILER_COUNTERS(CCKVS_FORMAT) "\n",
+#define CCKVS_FORMAT(name, kind, total) ",%llu"
+#define CCKVS_VALUE(name, kind, total) , static_cast<unsigned long long>(s.name)
+  std::fprintf(csv_, "%llu,%d" CCKVS_LIVE_COUNTERS(CCKVS_FORMAT) "\n",
                static_cast<unsigned long long>(s.ts_ms),
-               s.node CCKVS_PROFILER_COUNTERS(CCKVS_VALUE));
+               s.node CCKVS_LIVE_COUNTERS(CCKVS_VALUE));
 #undef CCKVS_VALUE
 #undef CCKVS_FORMAT
 }

@@ -9,12 +9,8 @@
 // node per interval.  The samples are also retained in memory and folded into
 // LiveReport, so a bench run gets the full time series, not just totals.
 //
-// Counter taxonomy (CCKVS_PROFILER_COUNTERS below marks each counter):
-//   flow   — monotonically increasing; the profiler reports interval deltas.
-//   gauge  — instantaneous; reported verbatim.  allocs is the operator-new
-//            count inside the node's measurement window (see
-//            common/alloc_tracker.h); inbound_depth is fabric occupancy
-//            (batches for inproc/socket, bytes for shm).
+// The counters, their kinds (flow or gauge) and the CSV column order are the
+// CCKVS_LIVE_COUNTERS table (runtime/live_counters.h).
 //
 // Threading: node threads are the only writers of their block; the profiler
 // thread only loads.  All accesses are relaxed — a sample is a snapshot of
@@ -34,47 +30,29 @@
 #include <thread>
 #include <vector>
 
+#include "src/runtime/live_counters.h"
+
 namespace cckvs {
 
-// Every per-node counter, declared once as X(name, kind), in CSV column
-// order.  kFlow counters are monotonic and reported as interval deltas;
-// kGauge counters are instantaneous and reported verbatim.
-#define CCKVS_PROFILER_COUNTERS(X) \
-  X(ops, kFlow)                    \
-  X(hits, kFlow)                   \
-  X(misses, kFlow)                 \
-  X(rpcs, kFlow)                   \
-  X(msgs_sent, kFlow)              \
-  X(batches_sent, kFlow)           \
-  X(flush_size, kFlow)             \
-  X(flush_boundary, kFlow)         \
-  X(flush_idle, kFlow)             \
-  X(flush_deadline, kFlow)         \
-  X(l1_hits, kFlow)                \
-  X(l1_invalidations, kFlow)       \
-  X(l1_fills, kFlow)               \
-  X(allocs, kGauge)                \
-  X(inbound_depth, kGauge)
-
-enum class CounterKind { kFlow, kGauge };
-
-// One per node thread.  The owning thread calls Publish-style relaxed stores;
-// the profiler thread reads.  Atomics make the struct non-movable, so hosts
-// size their vector once up front.
+// One per node thread.  The owning thread publishes with Store(); the
+// profiler thread reads with Load().  Atomics make the struct non-movable, so
+// hosts size their vector once up front.
 struct WorkerCounters {
-#define CCKVS_COUNTER_FIELD(name, kind) std::atomic<std::uint64_t> name{0};
-  CCKVS_PROFILER_COUNTERS(CCKVS_COUNTER_FIELD)
+#define CCKVS_COUNTER_FIELD(name, kind, total) std::atomic<std::uint64_t> name{0};
+  CCKVS_LIVE_COUNTERS(CCKVS_COUNTER_FIELD)
 #undef CCKVS_COUNTER_FIELD
+
+  // Out of line, so the node run loop's publish stays a call and does not
+  // crowd the hot path out of the loop's inlining budget.
+  void Store(const LiveCounters& c);
+  LiveCounters Load() const;
 };
 
 // One row of the time series: node `node` over the interval ending `ts_ms`
 // after profiling started.  Flow fields are interval deltas; gauges verbatim.
-struct ProfilerSample {
+struct ProfilerSample : LiveCounters {
   std::uint64_t ts_ms = 0;
   int node = 0;
-#define CCKVS_COUNTER_FIELD(name, kind) std::uint64_t name = 0;
-  CCKVS_PROFILER_COUNTERS(CCKVS_COUNTER_FIELD)
-#undef CCKVS_COUNTER_FIELD
 };
 
 // Header matching ProfilerSample's CSV serialization.
@@ -87,8 +65,10 @@ class Profiler {
     std::string csv_path;  // non-empty: stream rows to this file
   };
 
-  // `counters` must outlive the profiler and hold one block per node.
-  Profiler(const Options& options, const std::vector<WorkerCounters>* counters);
+  // `counters` must outlive the profiler; (*counters)[i] is node
+  // first_node + i's block, and the profiler samples exactly those nodes.
+  Profiler(const Options& options, const std::vector<WorkerCounters>* counters,
+           int first_node = 0);
   ~Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -100,6 +80,9 @@ class Profiler {
 
   // The retained time series; stable once Stop() returned.
   const std::vector<ProfilerSample>& samples() const { return samples_; }
+  // Why the CSV could not be opened; empty when it was, or none was asked
+  // for.  The samples are still kept in memory.  Set by Start().
+  const std::string& csv_error() const { return csv_error_; }
 
  private:
   void Loop();
@@ -108,9 +91,11 @@ class Profiler {
 
   Options options_;
   const std::vector<WorkerCounters>* counters_;
-  std::vector<ProfilerSample> prev_;  // previous totals, for flow deltas
+  int first_node_;
+  std::vector<LiveCounters> prev_;  // previous totals, for flow deltas
   std::vector<ProfilerSample> samples_;
   std::FILE* csv_ = nullptr;
+  std::string csv_error_;
   std::thread thread_;
   std::mutex mu_;
   std::condition_variable cv_;

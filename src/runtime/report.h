@@ -5,7 +5,8 @@
 // and simulator runs are directly comparable — bench/live_throughput.cpp
 // prints them side by side.  Live-only observables (wall-clock time, channel
 // and credit behaviour, transport coalescing, store/slab counters) ride
-// alongside.
+// alongside.  The per-node counters come from one table, CCKVS_LIVE_COUNTERS
+// (runtime/live_counters.h): the one place to add a counter.
 
 #ifndef CCKVS_RUNTIME_REPORT_H_
 #define CCKVS_RUNTIME_REPORT_H_
@@ -17,6 +18,7 @@
 #include "src/cckvs/params.h"
 #include "src/common/histogram.h"
 #include "src/protocol/engine.h"
+#include "src/runtime/live_counters.h"
 #include "src/runtime/profiler.h"
 
 namespace cckvs {
@@ -25,33 +27,28 @@ struct LiveReport {
   RackReport rack;  // mrps here means measured live Mops/s
 
   double wall_seconds = 0;
-  std::uint64_t completed = 0;
+
+  // The table's `report` counters, summed over this process's nodes (its
+  // `rack` counters are summed into `rack`).
+#define CCKVS_REPORT_FIELD(name, kind, total) \
+  CCKVS_BY_TOTAL_##total(std::uint64_t name = 0;, )
+  CCKVS_LIVE_COUNTERS(CCKVS_REPORT_FIELD)
+#undef CCKVS_REPORT_FIELD
+
+  // Adds one node's counters to the run totals.
+  void Add(const LiveCounters& c) {
+#define CCKVS_ADD(name, kind, total) \
+  CCKVS_BY_TOTAL_##total(name += c.name;, rack.name += c.name;)
+    CCKVS_LIVE_COUNTERS(CCKVS_ADD)
+#undef CCKVS_ADD
+  }
 
   // Aggregated over all node engines.
   EngineStats engine_totals;
+  Histogram batch_sizes;  // messages per shipped batch
 
-  // Transport behaviour.
-  std::uint64_t channel_messages = 0;
-  std::uint64_t channel_batches = 0;     // channel pushes; == messages uncoalesced
-  std::uint64_t channel_full_waits = 0;  // nonzero = credit sizing was violated
-  std::uint64_t credit_parks = 0;        // broadcasts parked waiting for credits
-  std::uint64_t sc_credit_stalls = 0;    // SC write-hits parked at the throttle
-  std::uint64_t wakeups = 0;             // receiver wakeups (≤ batches pushed)
-
-  // Coalescing subsystem (runtime/coalescer.h).
-  std::uint64_t batches_sent = 0;        // == channel_batches, sender view
-  std::uint64_t flushes_size = 0;        // batches closed by the max_batch cap
-  std::uint64_t flushes_boundary = 0;    // batches closed at an op boundary
-  std::uint64_t flushes_idle = 0;        // backstop flushes (0 in a healthy run)
-  std::uint64_t flushes_deadline = 0;    // sub-cap batches held to the deadline
-  std::uint64_t updates_collapsed = 0;   // receive-side same-key run collapses
-  Histogram batch_sizes;                 // messages per shipped batch
-
-  // Hot-set subsystem (online_topk runs; epochs/churn ride in rack.*).
-  std::uint64_t epoch_msgs = 0;    // announces + fills + install confirmations
-  std::uint64_t gate_retries = 0;  // misses parked on the shard residency gate
-
-  // Store behaviour across all shards (CRCW seqlock path).
+  // Store behaviour across all shards (CRCW seqlock path).  Every node thread
+  // writes these stripes, so no node publishes them: they are read after the join.
   std::uint64_t store_read_retries = 0;
   std::uint64_t slab_live_slots = 0;
   std::uint64_t slab_arena_bytes = 0;
@@ -62,14 +59,12 @@ struct LiveReport {
   // mid-frame, connect refused, undecodable frame) lands here instead of
   // hanging the run.
   std::string transport_error;
-  std::uint64_t rpcs_sent = 0;  // ranked-mode remote-home misses served by RPC
 
-  // Hot-path allocation audit (params.track_allocs): operator-new calls across
-  // all node threads inside their steady-state windows.  0 is the invariant
-  // for SC + prefill_store runs; also 0 when the tracker is compiled out.
-  std::uint64_t hot_path_allocs = 0;
-  // Per-interval per-node time series (params.profile; runtime/profiler.h).
+  // Per-interval per-node time series (params.profile; runtime/profiler.h),
+  // and why the CSV could not be written, if it could not: diagnostic only,
+  // the run still succeeds.
   std::vector<ProfilerSample> profiler_samples;
+  std::string profile_error;
 
   // Distributed tracing (params.trace_path; runtime/tracing.h): span records
   // captured / overwritten by ring wraparound across this process's nodes,

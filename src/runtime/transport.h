@@ -202,7 +202,6 @@ class LiveTransport {
 
     std::uint64_t messages_received() const { return messages_received_; }
     std::uint64_t batches_received() const { return fabric().stats(self_).pushes; }
-    std::uint64_t full_waits() const { return fabric().stats(self_).full_waits; }
     std::uint64_t wakeups() const { return fabric().stats(self_).wakeups; }
     std::uint64_t credit_parks() const { return credit_parks_; }
     std::uint64_t updates_sent() const { return updates_sent_; }

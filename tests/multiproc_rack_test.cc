@@ -270,6 +270,27 @@ TEST(MultiprocRack, TracedShmRackStitchesRpcSpansAcrossRanks) {
   }
 }
 
+// A profiled ranked rack: each rank samples only the node it owns, so rank 0's
+// time series holds node 0 alone, and its deltas add up to rank 0's totals.
+TEST(MultiprocRack, ProfiledRankSamplesOnlyItsOwnNode) {
+  LiveRackParams params =
+      MultiprocParams(TransportKind::kShm, ConsistencyModel::kSc, "profile");
+  params.num_nodes = 3;
+  params.record_history = false;
+  params.profile = true;
+  params.profile_interval_ms = 5;
+
+  const RankedRun run = RunRankedRack(params);
+  ASSERT_EQ(run.error, "");
+  ASSERT_FALSE(run.report.profiler_samples.empty());
+  std::uint64_t completed = 0;
+  for (const ProfilerSample& s : run.report.profiler_samples) {
+    EXPECT_EQ(s.node, 0) << "rank 0 sampled a node another rank owns";
+    completed += s.completed;
+  }
+  EXPECT_EQ(completed, run.report.completed);
+}
+
 // A rank whose transport fails exits non-zero, and the launcher's error names
 // it together with the transport error its artifact carried.
 TEST(MultiprocRack, FailedRanksAreNamedInTheError) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory_resource>
 #include <new>
 #include <numeric>
@@ -41,7 +42,7 @@ TEST(ProfilerTest, DeltasSumToTotalsUnderConcurrentIncrements) {
   for (int n = 0; n < kNodes; ++n) {
     writers.emplace_back([&counters, n] {
       for (std::uint64_t i = 1; i <= kOpsPerNode; ++i) {
-        counters[static_cast<std::size_t>(n)].ops.store(
+        counters[static_cast<std::size_t>(n)].completed.store(
             i, std::memory_order_relaxed);
         counters[static_cast<std::size_t>(n)].msgs_sent.store(
             2 * i, std::memory_order_relaxed);
@@ -62,7 +63,7 @@ TEST(ProfilerTest, DeltasSumToTotalsUnderConcurrentIncrements) {
   for (const ProfilerSample& s : profiler.samples()) {
     ASSERT_GE(s.node, 0);
     ASSERT_LT(s.node, kNodes);
-    ops_sum[static_cast<std::size_t>(s.node)] += s.ops;
+    ops_sum[static_cast<std::size_t>(s.node)] += s.completed;
     msgs_sum[static_cast<std::size_t>(s.node)] += s.msgs_sent;
     EXPECT_LT(s.inbound_depth, 7u) << "gauges are reported verbatim";
   }
@@ -97,8 +98,8 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
   opts.csv_path = path;
   Profiler profiler(opts, &counters);
   profiler.Start();
-  counters[0].ops.store(5, std::memory_order_relaxed);
-  counters[1].ops.store(9, std::memory_order_relaxed);
+  counters[0].completed.store(5, std::memory_order_relaxed);
+  counters[1].completed.store(9, std::memory_order_relaxed);
   profiler.Stop();
 
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -124,7 +125,7 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
   std::size_t ops_col = header.size();
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (header[i] == "node") node_col = i;
-    if (header[i] == "ops") ops_col = i;
+    if (header[i] == "completed") ops_col = i;
   }
   ASSERT_LT(node_col, header.size());
   ASSERT_LT(ops_col, header.size());
@@ -146,6 +147,97 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
   // The ops column carries each node's own counter, not a neighbour's.
   EXPECT_EQ(ops_by_node[0], "5");
   EXPECT_EQ(ops_by_node[1], "9");
+}
+
+// The profiler's sums against the report: for every flow counter of the
+// CCKVS_LIVE_COUNTERS table, a node's per-interval deltas must add up to
+// exactly what the report totals, including what the nodes ship as they exit
+// (the exit flush) and what lands after their last loop iteration.
+TEST(ProfilerTest, FlowDeltasSumToTheReportTotals) {
+  for (const bool coalescing : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      LiveRackParams p;
+      p.num_nodes = 3;
+      p.consistency = ConsistencyModel::kSc;
+      p.workload.keyspace = 20'000;
+      p.workload.zipf_alpha = 0.99;
+      p.workload.write_ratio = 0.05;
+      p.workload.value_bytes = 40;
+      p.cache_capacity = 200;
+      p.l1_capacity = 128;
+      p.workload.node_rank_stride = 1'000;
+      p.window_per_node = 8;
+      p.ops_per_node = 20'000;
+      p.coalescing = coalescing;
+      p.seed = seed;
+      p.profile = true;
+      p.profile_interval_ms = 5;
+      LiveRack rack(p);
+      const LiveReport r = rack.Run();
+      ASSERT_TRUE(r.ok()) << r.transport_error;
+      ASSERT_FALSE(r.profiler_samples.empty());
+
+      LiveCounters sums;
+      for (const ProfilerSample& s : r.profiler_samples) {
+#define CCKVS_SUM(name, kind, total) sums.name += s.name;
+        CCKVS_LIVE_COUNTERS(CCKVS_SUM)
+#undef CCKVS_SUM
+      }
+      const std::string where = "coalescing " + std::to_string(coalescing) +
+                                ", seed " + std::to_string(seed) + ": ";
+#define CCKVS_EXPECT_FLOW(kind, name, report_total) \
+  if (CounterKind::kind == CounterKind::kFlow) {     \
+    EXPECT_EQ(sums.name, report_total) << where << #name; \
+  }
+#define CCKVS_EXPECT_SUM(name, kind, total)                   \
+  CCKVS_BY_TOTAL_##total(CCKVS_EXPECT_FLOW(kind, name, r.name), \
+                         CCKVS_EXPECT_FLOW(kind, name, r.rack.name))
+      CCKVS_LIVE_COUNTERS(CCKVS_EXPECT_SUM)
+#undef CCKVS_EXPECT_SUM
+#undef CCKVS_EXPECT_FLOW
+    }
+  }
+}
+
+// A CSV the profiler cannot open does not fail the run: the samples are kept
+// in memory and the report says why the file is missing.
+TEST(ProfilerTest, UnwritableCsvIsReportedAndTheRunSucceeds) {
+  LiveRackParams p;
+  p.num_nodes = 2;
+  p.workload.keyspace = 5'000;
+  p.workload.value_bytes = 40;
+  p.cache_capacity = 100;
+  p.window_per_node = 4;
+  p.ops_per_node = 2'000;
+  p.profile = true;
+  p.profile_csv_path = ::testing::TempDir() + "/no_such_directory/profile.csv";
+  LiveRack rack(p);
+  const LiveReport r = rack.Run();
+  EXPECT_TRUE(r.ok()) << r.transport_error;
+  EXPECT_NE(r.profile_error.find(p.profile_csv_path), std::string::npos)
+      << r.profile_error;
+  EXPECT_FALSE(r.profiler_samples.empty());
+}
+
+// docs/PERFORMANCE.md ("The profiler thread") holds the one written copy of
+// the CSV columns; the other documents point at it.  It must match the
+// header the table generates.
+TEST(ProfilerTest, DocumentedColumnsMatchTheCsvHeader) {
+  std::ifstream doc(std::string(CCKVS_SOURCE_DIR) + "/docs/PERFORMANCE.md");
+  ASSERT_TRUE(doc.is_open());
+  std::string line;
+  while (std::getline(doc, line) &&
+         line != "Columns (exactly `ProfilerCsvHeader()`):") {
+  }
+  ASSERT_TRUE(doc) << "no column block in docs/PERFORMANCE.md";
+  std::getline(doc, line);  // blank
+  std::getline(doc, line);
+  ASSERT_EQ(line, "```");
+  std::string documented;
+  while (std::getline(doc, line) && line != "```") {
+    documented += line;  // the block wraps the one header line at commas
+  }
+  EXPECT_EQ(documented, ProfilerCsvHeader());
 }
 
 // The counting operator new replaces every form, so each must serve what the
